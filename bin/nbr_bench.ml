@@ -161,6 +161,15 @@ let trial_cmd =
   let run scheme structure runtime threads cores granularity quantum range
       ins del duration_ms threshold seed stall_ms chaos churn trace_out
       reclaim pressure_chaos =
+    (* P5-unsafe pairings would run, but their use-after-free counts mean
+       nothing: refuse them up front. *)
+    if not (H_sim.supported ~scheme ~structure) then begin
+      Printf.eprintf
+        "nbr_bench: unsupported pairing %s x %s: the scheme cannot protect \
+         this structure's traversals (paper P5)\n"
+        scheme structure;
+      exit 2
+    end;
     let duration_ns = duration_ms * 1_000_000 in
     let reclaim =
       let parse = function

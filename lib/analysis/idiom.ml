@@ -7,8 +7,8 @@
                       ([Rt.make] / [Rt.make_padded]) or [Padded].
    - [domain-dls]     [Domain.DLS] is a runtime-layer concern.
    - [obj-magic]      no [Obj.magic] anywhere in lib/.
-   - [pool-raw-index] outside lib/pool, no raw cell addressing
-                      ([data_cell] / [ptr_cell]).
+   - [pool-raw-index] outside lib/pool, no unchecked field access
+                      ([raw_load_ptr] / [raw_cas_ptr]).
    - [missing-mli]    every library module carries an interface, or is
                       explicitly grandfathered in the allowlist.
    - [parse]          the file must parse. *)
@@ -41,7 +41,7 @@ let check_ident ~file (lid : Longident.t Location.loc) : Findings.t option =
          concern (use the tid-threaded _t interfaces)"
   | l
     when (match List.rev l with
-         | ("data_cell" | "ptr_cell") :: _ -> true
+         | ("raw_load_ptr" | "raw_cas_ptr") :: _ -> true
          | _ -> false)
          && not (path_has_prefix ~prefix:"lib/pool/" file) ->
       v "pool-raw-index"

@@ -91,9 +91,9 @@ let smr_table = function
   | _ -> 0
 
 let pool_table = function
-  | "get_data" | "get_ptr" | "get_key" -> plain
-  | "set_data" | "set_ptr" | "set_key" | "flush_thread" | "set_watermarks"
-  | "set_generation_check" ->
+  | "get_data" | "get_ptr" | "get_key" | "raw_load_ptr" -> plain
+  | "set_data" | "set_ptr" | "set_key" | "raw_cas_ptr" | "flush_thread"
+  | "set_watermarks" | "set_generation_check" ->
       shared_write
   | "free" -> free lor shared_write
   | "alloc" -> alloc
@@ -102,9 +102,9 @@ let pool_table = function
   | _ -> 0
 
 let rt_table = function
-  | "load" | "plain_load" -> plain
-  | "store" | "cas" | "faa" | "xchg" | "send_signal" | "set_restartable_t"
-  | "drain_signals_t" ->
+  | "load" | "plain_load" | "load_at" | "plain_load_at" -> plain
+  | "store" | "cas" | "faa" | "xchg" | "store_at" | "cas_at" | "faa_at"
+  | "xchg_at" | "send_signal" | "set_restartable_t" | "drain_signals_t" ->
       shared_write
   | "poll_t" | "consume_pending_t" -> poll
   | "checkpoint" -> checkpoint

@@ -17,6 +17,7 @@
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
   module L = Lifecycle.Make (Rt)
+  module U = Unguarded.Make (Rt)
 
   type aint = Rt.aint
   type pool = P.t
@@ -288,47 +289,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
        drains it and helps the epoch advance. *)
     if g >= c.b.cfg.Smr_config.bag_threshold then ignore (maybe_offload c)
 
-  (* EBR has no phase discipline: both phases run unguarded, never
-     restart — so any UAF read commits at phase completion. *)
-  let phase c ~read ~write =
-    let payload, _recs = read () in
-    Smr_stats.uaf_commit c.st;
-    write payload
+  let phase c ~read ~write = U.phase c.st ~read ~write
+  let read_only c f = U.read_only c.st f
 
-  let read_only c f =
-    let r = f () in
-    Smr_stats.uaf_commit c.st;
-    r
-
-  let read_root c root =
-    let v = Rt.load root in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
-
-  let read_ptr c ~src ~field =
-    let v = Rt.load (P.ptr_cell c.b.pool src field) in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
-
-  let read_raw _c cell = Rt.load cell
-
-  (* Epoch protection means a record reachable inside an operation cannot
-     be freed, so [Stale] is unreachable for correct use; if it does show
-     up (a misuse the sanitizer's [stale_handle] rule convicts), consume
-     the memory as the unprotected read it is. *)
-  let read_data c ~src ~field =
-    match P.read_data c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
-
-  let peek_ptr c ~src ~field =
-    match P.read_ptr c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
+  let read_root c root = U.read_root c.b.pool c.st root
+  let read_ptr c ~src ~field = U.read_ptr c.b.pool c.st ~src ~field
+  let read_raw c ~src ~field = U.read_raw c.b.pool ~src ~field
+  let read_data c ~src ~field = U.read_data c.b.pool c.st ~src ~field
+  let peek_ptr c ~src ~field = U.peek_ptr c.b.pool c.st ~src ~field
 
   let ctx_stats (c : ctx) = c.st
 

@@ -31,8 +31,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     window : int;
     era : Rt.aint;
     slots : Rt.aint array array;  (** published eras; -1 = empty *)
-    birth : Rt.aint array;
-    retire_era : Rt.aint array;
+    birth : Rt.cells;
+    retire_era : Rt.cells;
     lc : L.t;
     done_stats : Smr_stats.t;
     mutable ctxs : ctx option array;
@@ -67,8 +67,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       slots =
         Array.init nthreads (fun _ ->
             Array.init window (fun _ -> Rt.make_padded empty_slot));
-      birth = Array.init (P.capacity pool) (fun _ -> Rt.make 0);
-      retire_era = Array.init (P.capacity pool) (fun _ -> Rt.make 0);
+      birth = Rt.make_cells (P.capacity pool) 0;
+      retire_era = Rt.make_cells (P.capacity pool) 0;
       lc = L.create ~nthreads;
       done_stats = Smr_stats.zero ();
       ctxs = Array.make nthreads None;
@@ -114,13 +114,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let limbo_size c = Limbo_bag.size c.bag
 
   let export_bag c =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_handoff c.b.lc ~origin:c.tid !slots;
-    List.length !slots
+    let slots = Limbo_bag.drain c.bag in
+    L.push_handoff c.b.lc ~origin:c.tid slots;
+    List.length slots
 
   let hand_off c = export_bag c
 
@@ -168,13 +164,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       Rt.store sl.(i) empty_slot
     done
 
-  let orphan_ctx b ~into (vc : ctx) =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep vc.bag ~upto:(Limbo_bag.abs_tail vc.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_parcel b.lc ~origin:vc.tid !slots;
+  let orphan_ctx b ~into (vc : ctx) slots =
+    L.push_parcel b.lc ~origin:vc.tid slots;
     Smr_stats.add into vc.st;
     b.ctxs.(vc.tid) <- None
 
@@ -186,8 +177,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
          no watchdog owns this tid's state. *)
       P.flush_thread c.b.pool ~tid:c.tid;
       retract_published c.b c.tid;
+      let slots = Limbo_bag.drain c.bag in
       L.with_stats_lock c.b.lc (fun () ->
-          orphan_ctx c.b ~into:c.b.done_stats c)
+          orphan_ctx c.b ~into:c.b.done_stats c slots)
     end
 
   (* Crash watchdog (see [Lifecycle]): HE is bounded, so it takes part in
@@ -202,7 +194,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         retract_published c.b v;
         match c.b.ctxs.(v) with
         | None -> ()
-        | Some vc -> orphan_ctx c.b ~into:c.st vc)
+        | Some vc ->
+            orphan_ctx c.b ~into:c.st vc
+              (L.seize_bag c.b.lc ~origin:vc.tid vc.bag))
 
   let alloc_with ?cls c ~on_pressure =
     let slot = P.alloc ~on_pressure ?cls c.b.pool in
@@ -210,7 +204,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     if c.alloc_count mod c.b.cfg.Smr_config.epoch_freq = 0 then
       ignore (Rt.faa c.b.era 1);
     (* Era metadata is per slot, dense across size-classes/generations. *)
-    Rt.store c.b.birth.(P.uid c.b.pool slot) (Rt.load c.b.era);
+    Rt.store_at c.b.birth (P.uid c.b.pool slot) (Rt.load c.b.era);
     slot
 
   (* Protect-by-era: publish the current era in the next rotation slot,
@@ -223,13 +217,20 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      lifecycle state must be validated too (see Hp.protect_from). *)
   exception Validation_failed
 
-  let protected_read c cell =
+  (* The protected word, addressed as in [Hp.link]: [root] when
+     [field < 0], else pointer field [field] of record [src]. *)
+  let no_root = Rt.make P.nil
+
+  let link c root ~src ~field =
+    if field < 0 then Rt.load root else P.raw_load_ptr c.b.pool src field
+
+  let protected_read c root ~src ~field =
     let sl = c.b.slots.(c.tid) in
     let i = c.hpi in
     c.hpi <- (c.hpi + 1) mod c.b.window;
     let rec go prev_e tries =
       if tries > 64 then raise Rt.Neutralized;
-      let v = Rt.load cell in
+      let v = link c root ~src ~field in
       let e = Rt.load c.b.era in
       if e = prev_e then
         if v < 0 || P.live c.b.pool v then v
@@ -250,12 +251,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         v
     | exception Validation_failed -> raise Rt.Neutralized
 
-  let read_root c root = protected_read c root
-  let read_ptr c ~src ~field = protected_read c (P.ptr_cell c.b.pool src field)
+  let read_root c root = protected_read c root ~src:(-1) ~field:(-1)
+  let read_ptr c ~src ~field = protected_read c no_root ~src ~field
 
   (* Unlinked-record traversal cannot be protected by eras; unsafe with
      mark-traversing structures (never benchmarked together). *)
-  let read_raw _c cell = Rt.load cell
+  let read_raw c ~src ~field = P.raw_load_ptr c.b.pool src field
 
   (* Data reads only ever target records the traversal just protected by
      era; a [Stale] result means protection was lost — abort the read
@@ -320,8 +321,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       done;
       let pinned s =
         let u = P.uid c.b.pool s in
-        let birth = Rt.plain_load c.b.birth.(u) in
-        let death = Rt.plain_load c.b.retire_era.(u) in
+        let birth = Rt.plain_load_at c.b.birth u in
+        let death = Rt.plain_load_at c.b.retire_era u in
         let hit = ref false in
         for j = 0 to !k - 1 do
           if (not !hit) && c.scratch.(j) >= birth && c.scratch.(j) <= death
@@ -347,7 +348,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let retire c slot =
     P.note_retired c.b.pool slot;
     Smr_stats.add_retires c.st 1;
-    Rt.store c.b.retire_era.(P.uid c.b.pool slot) (Rt.load c.b.era);
+    Rt.store_at c.b.retire_era (P.uid c.b.pool slot) (Rt.load c.b.era);
     Limbo_bag.push c.bag slot;
     if Limbo_bag.size c.bag >= c.b.cfg.Smr_config.bag_threshold then
       if not (maybe_offload c) then flush c;

@@ -105,13 +105,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let limbo_size c = Limbo_bag.size c.bag
 
   let export_bag c =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_handoff c.b.lc ~origin:c.tid !slots;
-    List.length !slots
+    let slots = Limbo_bag.drain c.bag in
+    L.push_handoff c.b.lc ~origin:c.tid slots;
+    List.length slots
 
   let hand_off c = export_bag c
 
@@ -159,13 +155,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       Rt.store hz.(i) P.nil
     done
 
-  let orphan_ctx b ~into (vc : ctx) =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep vc.bag ~upto:(Limbo_bag.abs_tail vc.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_parcel b.lc ~origin:vc.tid !slots;
+  let orphan_ctx b ~into (vc : ctx) slots =
+    L.push_parcel b.lc ~origin:vc.tid slots;
     Smr_stats.add into vc.st;
     b.ctxs.(vc.tid) <- None
 
@@ -177,8 +168,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
          no watchdog owns this tid's state. *)
       P.flush_thread c.b.pool ~tid:c.tid;
       retract_published c.b c.tid;
+      let slots = Limbo_bag.drain c.bag in
       L.with_stats_lock c.b.lc (fun () ->
-          orphan_ctx c.b ~into:c.b.done_stats c)
+          orphan_ctx c.b ~into:c.b.done_stats c slots)
     end
 
   (* Crash watchdog (see [Lifecycle]): HP is bounded, so it takes part in
@@ -193,27 +185,38 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         retract_published c.b v;
         match c.b.ctxs.(v) with
         | None -> ()
-        | Some vc -> orphan_ctx c.b ~into:c.st vc)
+        | Some vc ->
+            orphan_ctx c.b ~into:c.st vc
+              (L.seize_bag c.b.lc ~origin:vc.tid vc.bag))
 
-  (* Announce-and-validate: publish [target] read from [cell], then check
-     that [cell] still holds it, that the target has not been unlinked,
+  (* The protected word: the entry-point cell [root] when [field < 0]
+     (read_root), else pointer field [field] of record [src] (read_ptr,
+     which passes the never-read [no_root]).  Plain arguments rather than
+     a closure or an option keep the per-read path allocation-free. *)
+  let no_root = Rt.make P.nil
+
+  let link c root ~src ~field =
+    if field < 0 then Rt.load root else P.raw_load_ptr c.b.pool src field
+
+  (* Announce-and-validate: publish [target] read from the link, then
+     check that the link still holds it, that the target has not been unlinked,
      and that the slot was not recycled under us.  The link re-read alone
      is insufficient for structures whose unlink splices an ancestor edge
      (DGT delete leaves the interior parent->leaf edge intact while both
      records retire) — the "check whether the record has already been
      unlinked" obligation the paper ascribes to HP (§2).  Failure aborts
      the read phase through the checkpoint. *)
-  let protect_from c cell =
+  let protect_from c root ~src ~field =
     let hz = c.b.hazards.(c.tid) in
     let slot = c.hpi in
     c.hpi <- (c.hpi + 1) mod c.b.window;
     let rec go tries =
-      let p = Rt.load cell in
+      let p = link c root ~src ~field in
       if p < 0 then p
       else begin
         let s0 = P.stamp c.b.pool p in
         ignore (Rt.xchg hz.(slot) p) (* fenced publish *);
-        let p' = Rt.load cell in
+        let p' = link c root ~src ~field in
         if p = p' && P.live c.b.pool p && P.stamp c.b.pool p = s0 then begin
           if P.record_read c.b.pool p then Smr_stats.note_uaf c.st;
           p
@@ -224,8 +227,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     in
     go 0
 
-  let read_root c root = protect_from c root
-  let read_ptr c ~src ~field = protect_from c (P.ptr_cell c.b.pool src field)
+  let read_root c root = protect_from c root ~src:(-1) ~field:(-1)
+  let read_ptr c ~src ~field = protect_from c no_root ~src ~field
 
   (* Data reads only ever target records the traversal just protected, so
      a [Stale] result means the protection race was lost after all (the
@@ -250,7 +253,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      encoding) — the P5 limitation the paper describes.  Structures that
      need [read_raw] (Harris list, traversal over marked nodes) must not be
      paired with HP; the benchmarks never do. *)
-  let read_raw _c cell = Rt.load cell
+  let read_raw c ~src ~field = P.raw_load_ptr c.b.pool src field
 
   (* The reservations passed by the data structure are the last few records
      it protected; the rotation window is sized so they are still live, so

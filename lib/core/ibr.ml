@@ -39,8 +39,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     era : Rt.aint;
     lo : Rt.aint array;
     hi : Rt.aint array;
-    birth : Rt.aint array;  (** per-record metadata (real algorithm state) *)
-    retire_era : Rt.aint array;
+    birth : Rt.cells;  (** per-record metadata (real algorithm state) *)
+    retire_era : Rt.cells;
     lc : L.t;
     done_stats : Smr_stats.t;
     mutable ctxs : ctx option array;
@@ -78,8 +78,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       era = Rt.make_padded 1;
       lo = Array.init nthreads (fun _ -> Rt.make_padded inactive_lo);
       hi = Array.init nthreads (fun _ -> Rt.make_padded inactive_hi);
-      birth = Array.init (P.capacity pool) (fun _ -> Rt.make 0);
-      retire_era = Array.init (P.capacity pool) (fun _ -> Rt.make 0);
+      birth = Rt.make_cells (P.capacity pool) 0;
+      retire_era = Rt.make_cells (P.capacity pool) 0;
       lc = L.create ~nthreads;
       done_stats = Smr_stats.zero ();
       ctxs = Array.make nthreads None;
@@ -130,13 +130,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let limbo_size c = Limbo_bag.size c.bag
 
   let export_bag c =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_handoff c.b.lc ~origin:c.tid !slots;
-    List.length !slots
+    let slots = Limbo_bag.drain c.bag in
+    L.push_handoff c.b.lc ~origin:c.tid slots;
+    List.length slots
 
   let hand_off c = export_bag c
 
@@ -180,13 +176,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Rt.store b.lo.(tid) inactive_lo;
     Rt.store b.hi.(tid) inactive_hi
 
-  let orphan_ctx b ~into (vc : ctx) =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep vc.bag ~upto:(Limbo_bag.abs_tail vc.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_parcel b.lc ~origin:vc.tid !slots;
+  let orphan_ctx b ~into (vc : ctx) slots =
+    L.push_parcel b.lc ~origin:vc.tid slots;
     Smr_stats.add into vc.st;
     b.ctxs.(vc.tid) <- None
 
@@ -198,8 +189,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
          no watchdog owns this tid's state. *)
       P.flush_thread c.b.pool ~tid:c.tid;
       retract_published c.b c.tid;
+      let slots = Limbo_bag.drain c.bag in
       L.with_stats_lock c.b.lc (fun () ->
-          orphan_ctx c.b ~into:c.b.done_stats c)
+          orphan_ctx c.b ~into:c.b.done_stats c slots)
     end
 
   (* Crash watchdog (see [Lifecycle]): IBR is bounded, so it takes part
@@ -214,7 +206,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         retract_published c.b v;
         match c.b.ctxs.(v) with
         | None -> ()
-        | Some vc -> orphan_ctx c.b ~into:c.st vc)
+        | Some vc ->
+            orphan_ctx c.b ~into:c.st vc
+              (L.seize_bag c.b.lc ~origin:vc.tid vc.bag))
 
   (* Interval scan + sweep — the threshold-crossing body of [retire],
      also run threshold-free under pool pressure.  Safe mid-operation:
@@ -229,8 +223,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       done;
       let pinned s =
         let u = P.uid c.b.pool s in
-        let birth = Rt.plain_load c.b.birth.(u) in
-        let death = Rt.plain_load c.b.retire_era.(u) in
+        let birth = Rt.plain_load_at c.b.birth u in
+        let death = Rt.plain_load_at c.b.retire_era u in
         let hit = ref false in
         for t = 0 to c.b.n - 1 do
           if (not !hit) && birth <= c.shi.(t) && death >= c.slo.(t) then
@@ -259,13 +253,13 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       ignore (Rt.faa c.b.era 1);
     (* Era metadata is per {e slot}, not per handle: [uid] keeps the
        arrays dense across size-classes and generations. *)
-    Rt.store c.b.birth.(P.uid c.b.pool slot) (Rt.load c.b.era);
+    Rt.store_at c.b.birth (P.uid c.b.pool slot) (Rt.load c.b.era);
     slot
 
   let retire c slot =
     P.note_retired c.b.pool slot;
     Smr_stats.add_retires c.st 1;
-    Rt.store c.b.retire_era.(P.uid c.b.pool slot) (Rt.load c.b.era);
+    Rt.store_at c.b.retire_era (P.uid c.b.pool slot) (Rt.load c.b.era);
     Limbo_bag.push c.bag slot;
     if Limbo_bag.size c.bag >= c.b.cfg.Smr_config.bag_threshold then
       if not (maybe_offload c) then flush c;
@@ -318,12 +312,19 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      and aborts the read phase through the checkpoint when it is not —
      HP's validation obligation, surfacing in IBR only on the era-moved
      slow path.  ([src] is [-1] for the root: structure heads are never
-     retired, so their cells are always current and need no validation;
-     an int sentinel rather than an option keeps the per-read fast path
-     allocation-free.) *)
-  let guarded_read c cell ~src =
+     retired, so their cells are always current and need no validation.
+     The word itself is addressed as in [Hp.link]: [root] when
+     [field < 0], else pointer field [field] of [src], with the never-read
+     [no_root] in [root].  Int sentinels rather than options keep the
+     per-read fast path allocation-free.) *)
+  let no_root = Rt.make P.nil
+
+  let link c root ~src ~field =
+    if field < 0 then Rt.load root else P.raw_load_ptr c.b.pool src field
+
+  let guarded_read c root ~src ~field =
     let rec loop () =
-      let v = Rt.load cell in
+      let v = link c root ~src ~field in
       let e = Rt.plain_load c.b.era in
       if e <> c.cached_hi then begin
         Rt.store c.b.hi.(c.tid) e;
@@ -344,10 +345,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
     v
 
-  let read_root c root = guarded_read c root ~src:(-1)
-
-  let read_ptr c ~src ~field =
-    guarded_read c (P.ptr_cell c.b.pool src field) ~src
+  let read_root c root = guarded_read c root ~src:(-1) ~field:(-1)
+  let read_ptr c ~src ~field = guarded_read c no_root ~src ~field
 
   (* Interval protection covers targets of guarded dereferences, so data
      reads of an already-covered record need no ratchet.  A [Stale]
@@ -374,9 +373,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      where no liveness validation is possible — the P5 limitation, exactly
      as for HP/HE.  Structures that need [read_raw] are never paired with
      IBR; the ratchet is kept so the announced interval stays monotone. *)
-  let read_raw c cell =
+  let read_raw c ~src ~field =
     let rec loop () =
-      let v = Rt.load cell in
+      let v = P.raw_load_ptr c.b.pool src field in
       let e = Rt.plain_load c.b.era in
       if e <> c.cached_hi then begin
         Rt.store c.b.hi.(c.tid) e;

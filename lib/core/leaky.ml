@@ -8,6 +8,7 @@
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
   module L = Lifecycle.Make (Rt)
+  module U = Unguarded.Make (Rt)
 
   type aint = Rt.aint
   type pool = P.t
@@ -82,46 +83,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     (* Every retire is garbage forever. *)
     Smr_stats.note_garbage c.st (Smr_stats.retires c.st)
 
-  (* No neutralization, so a phase never restarts: any UAF read it made
-     is committed when the phase completes (which is immediately). *)
-  let phase c ~read ~write =
-    let payload, _recs = read () in
-    Smr_stats.uaf_commit c.st;
-    write payload
+  let phase c ~read ~write = U.phase c.st ~read ~write
+  let read_only c f = U.read_only c.st f
 
-  let read_only c f =
-    let r = f () in
-    Smr_stats.uaf_commit c.st;
-    r
-
-  let read_root c root =
-    let v = Rt.load root in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
-
-  let read_ptr c ~src ~field =
-    let v = Rt.load (P.ptr_cell c.b.pool src field) in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
-
-  let read_raw _c cell = Rt.load cell
-
-  (* Nothing is ever freed, so a handle can never go stale here; the
-     match is for interface parity with schemes that can race
-     reclamation. *)
-  let read_data c ~src ~field =
-    match P.read_data c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
-
-  let peek_ptr c ~src ~field =
-    match P.read_ptr c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
+  let read_root c root = U.read_root c.b.pool c.st root
+  let read_ptr c ~src ~field = U.read_ptr c.b.pool c.st ~src ~field
+  let read_raw c ~src ~field = U.read_raw c.b.pool ~src ~field
+  let read_data c ~src ~field = U.read_data c.b.pool c.st ~src ~field
+  let peek_ptr c ~src ~field = U.peek_ptr c.b.pool c.st ~src ~field
 
   let ctx_stats (c : ctx) = c.st
 

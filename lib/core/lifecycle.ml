@@ -22,9 +22,11 @@
     A claimed thread that turns out to be alive (a stall longer than the
     watchdog threshold) is {e expelled}: its next [begin_op] raises
     {!Smr_intf.Expelled} before it can touch shared state, so the claim
-    is never racing a live owner through an operation.  The watchdog
-    threshold ([Smr_config.wd_timeout_ns], escalated [wd_rounds] times)
-    is therefore chosen an order of magnitude above any injected stall.
+    is never racing a live owner through a later operation (one landing
+    mid-operation meets the limbo bag's custody token: see [seize_bag]).
+    The watchdog threshold ([Smr_config.wd_timeout_ns], escalated
+    [wd_rounds] times) is therefore chosen an order of magnitude above
+    any injected stall.
 
     Determinism: in the simulator heartbeats are exact and every scan
     step is a charged access of the single-domain scheduler, so watchdog
@@ -55,6 +57,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
             orphans are anyone's to adopt on the next [end_op], while a
             handoff is addressed to whoever plays the reclaimer role —
             workers must not race it for parcels they just shed. *)
+    seized : (int * Limbo_bag.t) list Atomic.t;
+        (** bags the watchdog took from claimed peers, with their
+            origins: a claimed peer that is in fact alive may still hand
+            entries over (see {!seize_bag}) *)
     state : Rt.aint array;  (** padded per-thread lifecycle state *)
     stats_lock : Rt.aint;  (** guards [done_stats] folds (cold paths only) *)
     (* Watchdog freshness bookkeeping.  Plain host arrays written by
@@ -71,6 +77,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       n = nthreads;
       orphans = Nbr_sync.Treiber.create ();
       handoffs = Nbr_sync.Treiber.create ();
+      seized = Nbr_sync.Padded.make [];
       state = Array.init nthreads (fun _ -> Rt.make_padded st_active);
       stats_lock = Rt.make_padded 0;
       hb_seen = Array.make nthreads 0;
@@ -170,6 +177,28 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     go ();
     !total
 
+  (** Reaper side of a claim: take the claimed peer's limbo bag and
+      return its entries for the orphan parcel.  The custody token of
+      {!Limbo_bag} makes the transfer exactly-once even when the peer is
+      alive and mid-sweep (a falsely-declared-dead native thread): the
+      bag is then handed over when the peer's sweep ends, and whatever it
+      hands over — or pushes before its next [begin_op] expels it — is
+      collected into parcels by later {!scan}s. *)
+  let seize_bag l ~origin bag =
+    Limbo_bag.seize bag;
+    let rec remember () =
+      let old = Atomic.get l.seized in
+      if not (Atomic.compare_and_set l.seized old ((origin, bag) :: old)) then
+        remember ()
+    in
+    remember ();
+    Limbo_bag.take_handed bag
+
+  let collect_seized l =
+    List.iter
+      (fun (origin, bag) -> push_parcel l ~origin (Limbo_bag.take_handed bag))
+      (Atomic.get l.seized)
+
   (** The watchdog scan, piggybacked on the reclamation path of every
       bounded-garbage scheme (and only those: DEBRA/QSBR/RCU keep their
       unbounded-foil role in the chaos suite).  For each active peer:
@@ -177,9 +206,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       [timeout_ns * 2^round], escalate — emit [Heartbeat_timeout], run
       [on_round] (NBR re-sends its neutralization signal here), bump the
       round; frozen past [timeout_ns * 2^rounds], claim and [reap].
-      Runs only under an installed fault decider (see {!check_self}). *)
+      Each scan first turns whatever reaped peers have handed over since
+      into orphan parcels.  Runs only under an installed fault decider
+      (see {!check_self}). *)
   let scan l ~self ~timeout_ns ~rounds ~on_round ~reap =
-    if Rt.fault_injection_active () then
+    if Rt.fault_injection_active () then begin
+      collect_seized l;
       for t = 0 to l.n - 1 do
         if t <> self && is_active l t then begin
           let h = Rt.heartbeat t in
@@ -212,6 +244,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           end
         end
       done
+    end
 
   (** Whether [t]'s heartbeat has been frozen longer than [timeout_ns]
       as of the last {!scan} observations: such a peer is not executing,

@@ -11,7 +11,9 @@
 
     A claimed thread that turns out to be alive is {e expelled}: its
     next [begin_op] raises {!Smr_intf.Expelled} before it touches shared
-    state, so a claim never races a live owner through an operation.
+    state, so a claim never races a live owner through a later
+    operation; one landing mid-operation meets the limbo bag's custody
+    token, which hands the bag over exactly once ({!seize_bag}).
 
     Determinism: under the simulator heartbeats are exact and every scan
     step is a charged access of the single-domain scheduler, so watchdog
@@ -78,6 +80,15 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
       re-accounting contract as {!adopt}: the collector owns the records
       from here on and frees them through its normal sweeps. *)
 
+  val seize_bag : t -> origin:int -> Limbo_bag.t -> int list
+  (** Reaper side of a claim ([reap] below): take the claimed peer
+      [origin]'s limbo bag ({!Limbo_bag.seize}) and return its entries
+      for the orphan parcel.  If the peer is alive and mid-sweep (a
+      falsely-declared-dead native thread), the bag changes hands when
+      its sweep ends; what it hands over then, or pushes before its next
+      [begin_op] expels it, becomes orphan parcels at later {!scan}s.
+      Either way no entry is swept by two threads or lost. *)
+
   val scan :
     t ->
     self:int ->
@@ -91,8 +102,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
       freshness; once frozen past [timeout_ns * 2^round], escalate —
       emit [Heartbeat_timeout], run [on_round] (NBR re-sends its
       neutralization signal here), bump the round; frozen past
-      [timeout_ns * 2^rounds], claim the peer and run [reap].  Runs only
-      under an installed fault decider (see {!check_self}). *)
+      [timeout_ns * 2^rounds], claim the peer and run [reap].  Each scan
+      first publishes what reaped peers have handed over since (see
+      {!seize_bag}).  Runs only under an installed fault decider (see
+      {!check_self}). *)
 
   val looks_stale : t -> int -> timeout_ns:int -> bool
   (** Whether the peer's heartbeat has been frozen longer than

@@ -220,9 +220,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         Smr_stats.note_uaf c.st;
         raise Rt.Neutralized
 
-  let read_raw c cell =
+  let read_raw c ~src ~field =
     Rt.poll_t c.tid;
-    Rt.load cell
+    P.raw_load_ptr c.b.pool src field
 
   (* ------------------------------------------------------------------ *)
   (* Reclamation (Algorithm 1, lines 14–24).                             *)
@@ -248,16 +248,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let v = Rt.load b.announce_ts.(tid) in
     if v land 1 = 1 then Rt.store b.announce_ts.(tid) (v + 1)
 
-  (* Drain [vc]'s limbo bag into an orphan parcel and fold its stats into
-     [st] (the claimer's own, single-writer).  The records stay Retired
+  (* Publish [slots], the entries of [vc]'s limbo bag (drained by the
+     owner on leave, seized by a reaper), as an orphan parcel and fold
+     [vc]'s stats into [into] (the claimer's own, single-writer).  The records stay Retired
      in the pool; adopters re-buffer and free them through their sweeps. *)
-  let orphan_ctx b ~into vc =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep vc.bag ~upto:(Limbo_bag.abs_tail vc.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_parcel b.lc ~origin:vc.tid !slots;
+  let orphan_ctx b ~into vc slots =
+    L.push_parcel b.lc ~origin:vc.tid slots;
     Smr_stats.add into vc.st;
     b.ctxs.(vc.tid) <- None
 
@@ -267,7 +263,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     retract_published c.b victim;
     match c.b.ctxs.(victim) with
     | None -> ()
-    | Some vc -> orphan_ctx c.b ~into:c.st vc
+    | Some vc ->
+        orphan_ctx c.b ~into:c.st vc (L.seize_bag c.b.lc ~origin:vc.tid vc.bag)
 
   let watchdog c =
     L.scan c.b.lc ~self:c.tid ~timeout_ns:c.b.cfg.Smr_config.wd_timeout_ns
@@ -455,13 +452,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let limbo_size c = Limbo_bag.size c.bag
 
   let export_bag c =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_handoff c.b.lc ~origin:c.tid !slots;
-    List.length !slots
+    let slots = Limbo_bag.drain c.bag in
+    L.push_handoff c.b.lc ~origin:c.tid slots;
+    List.length slots
 
   let hand_off c = export_bag c
 
@@ -514,8 +507,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
          no watchdog owns this tid's state. *)
       P.flush_thread c.b.pool ~tid:c.tid;
       retract_published c.b c.tid;
+      let slots = Limbo_bag.drain c.bag in
       L.with_stats_lock c.b.lc (fun () ->
-          orphan_ctx c.b ~into:c.b.done_stats c)
+          orphan_ctx c.b ~into:c.b.done_stats c slots)
     end
   (* else: a watchdog claimed us first and owns all of this state. *)
 

@@ -260,14 +260,15 @@ module type S = sig
       is the delivery/poll point of the neutralization discipline and the
       protect point of HP-style schemes. *)
 
-  val read_raw : ctx -> aint -> int
-  (** Guarded load of a shared word that is not a plain record pointer —
-      e.g. a mark-tagged link in the Harris list, where the slot id and the
-      mark share the word.  A delivery/poll point like {!read_ptr}, but
-      hazard-pointer schemes cannot publish protection through it: this is
-      precisely the paper's P5 limitation of HP with structures that
-      traverse marked nodes, and the benchmarks never pair HP with such
-      structures. *)
+  val read_raw : ctx -> src:int -> field:int -> int
+  (** Guarded load of pointer field [field] of record [src] when the word
+      is not a plain record pointer — e.g. a mark-tagged link in the
+      Harris list, where the slot id and the mark share the word.  A
+      delivery/poll point like {!read_ptr}, but it validates neither
+      [src] nor the target, and hazard-pointer schemes cannot publish
+      protection through it: this is precisely the paper's P5 limitation
+      of HP with structures that traverse marked nodes, and the
+      benchmarks never pair HP with such structures. *)
 
   val read_data : ctx -> src:int -> field:int -> int
   (** Read data field [field] of record [src] inside a read phase.  The

@@ -215,10 +215,12 @@ struct
   (* Lock [cells] in order; return false (after unlocking) if [valid]
      fails. *)
   let with_locks t cells ~valid ~body =
-    List.iter (fun s -> Lock.lock (P.lock_cell t.pool s)) cells;
+    List.iter (fun s -> Lock.lock (P.locks t.pool) (P.uid t.pool s)) cells;
     let ok = valid () in
     let r = if ok then Some (body ()) else None in
-    List.iter (fun s -> Lock.unlock (P.lock_cell t.pool s)) (List.rev cells);
+    List.iter
+      (fun s -> Lock.unlock (P.locks t.pool) (P.uid t.pool s))
+      (List.rev cells);
     r
 
   let scratch_keys () = Array.make (b + 1) 0

@@ -111,10 +111,10 @@ struct
           ~write:(fun (p, pdir, l) ->
             if key t l = k then Done false
             else begin
-              let pl = P.lock_cell t.pool p in
-              Lock.lock pl;
+              let locks = P.locks t.pool and pl = P.uid t.pool p in
+              Lock.lock locks pl;
               if marked t p || P.get_ptr t.pool p pdir <> l then begin
-                Lock.unlock pl;
+                Lock.unlock locks pl;
                 Retry
               end
               else begin
@@ -138,7 +138,7 @@ struct
                   P.set_ptr t.pool router 1 leaf
                 end;
                 P.set_ptr t.pool p pdir router;
-                Lock.unlock pl;
+                Lock.unlock locks pl;
                 Done true
               end
             end)
@@ -160,17 +160,17 @@ struct
           ~write:(fun (gp, gdir, p, pdir, l) ->
             if key t l <> k then Done false
             else begin
-              let gpl = P.lock_cell t.pool gp in
-              let pl = P.lock_cell t.pool p in
-              Lock.lock gpl;
-              Lock.lock pl;
+              let locks = P.locks t.pool in
+              let gpl = P.uid t.pool gp and pl = P.uid t.pool p in
+              Lock.lock locks gpl;
+              Lock.lock locks pl;
               if
                 marked t gp || marked t p
                 || P.get_ptr t.pool gp gdir <> p
                 || P.get_ptr t.pool p pdir <> l
               then begin
-                Lock.unlock pl;
-                Lock.unlock gpl;
+                Lock.unlock locks pl;
+                Lock.unlock locks gpl;
                 Retry
               end
               else begin
@@ -180,8 +180,8 @@ struct
                 P.set_data t.pool p f_marked 1;
                 P.set_data t.pool l f_marked 1;
                 P.set_ptr t.pool gp gdir sibling;
-                Lock.unlock pl;
-                Lock.unlock gpl;
+                Lock.unlock locks pl;
+                Lock.unlock locks gpl;
                 Smr.retire ctx p;
                 Smr.retire ctx l;
                 Done true

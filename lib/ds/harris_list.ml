@@ -53,11 +53,16 @@ struct
   (* Write-phase key read: the window is reserved, so the handle cannot
      go stale under a sound scheme. *)
   let key t s = P.get_data t.pool s f_key
-  let next_cell t s = P.ptr_cell t.pool s f_next
+
+  (* Tagged-link access.  The link word is not a handle, so it is read
+     raw in both phases: [Smr.read_raw] in read phases (instrumented via
+     [record_read]), the pool's raw accessors in write phases. *)
+  let next ctx s = Smr.read_raw ctx ~src:s ~field:f_next [@@nbr.read_phase]
+  let load_next t s = P.raw_load_ptr t.pool s f_next
+  let cas_next t s old v = P.raw_cas_ptr t.pool s f_next old v
 
   (* Read-phase key read: generation-validated.  The tagged links
-     themselves must stay raw ([read_raw] on the cell, instrumented via
-     [record_read]) — but a key compare through a stale handle would
+     themselves must stay raw — but a key compare through a stale handle would
      route the traversal by the recycled occupant's key, so it goes
      through the scheme's validated path. *)
   let rkey ctx s = Smr.read_data ctx ~src:s ~field:f_key [@@nbr.read_phase]
@@ -73,14 +78,14 @@ struct
      dereference for the pool's UAF instrumentation. *)
   let traverse t ctx k =
     let pred = ref t.head in
-    let pe = ref (Smr.read_raw ctx (next_cell t t.head)) in
+    let pe = ref (next ctx t.head) in
     (* head is never marked *)
     let curr = ref (dec_slot !pe) in
     let result = ref None in
     while !result = None do
       if P.record_read t.pool !curr then
         Nbr_core.Smr_stats.note_uaf (Smr.ctx_stats ctx);
-      let ce = Smr.read_raw ctx (next_cell t !curr) in
+      let ce = next ctx !curr in
       if is_marked ce then result := Some (Marked (!pred, !curr, dec_slot ce))
       else if rkey ctx !curr >= k then result := Some (Window (!pred, !curr))
       else begin
@@ -97,14 +102,14 @@ struct
     Smr.begin_op ctx;
     let r =
       Smr.read_only ctx (fun () ->
-          let curr = ref (dec_slot (Smr.read_raw ctx (next_cell t t.head))) in
+          let curr = ref (dec_slot (next ctx t.head)) in
           while rkey ctx !curr < k do
             if P.record_read t.pool !curr then
               Nbr_core.Smr_stats.note_uaf (Smr.ctx_stats ctx);
-            curr := dec_slot (Smr.read_raw ctx (next_cell t !curr))
+            curr := dec_slot (next ctx !curr)
           done;
           rkey ctx !curr = k
-          && not (is_marked (Smr.read_raw ctx (next_cell t !curr))))
+          && not (is_marked (next ctx !curr)))
     in
     Smr.end_op ctx;
     r
@@ -115,7 +120,7 @@ struct
      read phase from the head (k-NBR rule: every new Φread forgets all
      pointers and restarts from the root). *)
   let unlink_phase t ctx pred curr succ =
-    if Rt.cas (next_cell t pred) (enc curr 0) (enc succ 0) then
+    if cas_next t pred (enc curr 0) (enc succ 0) then
       Smr.retire ctx curr;
     Again
 
@@ -136,7 +141,7 @@ struct
                   let node = Smr.alloc ctx in
                   P.set_data t.pool node f_key k;
                   P.set_ptr t.pool node f_next (enc curr 0);
-                  if Rt.cas (next_cell t pred) (enc curr 0) (enc node 0) then
+                  if cas_next t pred (enc curr 0) (enc node 0) then
                     Done true
                   else begin
                     (* Never published: plain free, no grace period needed. *)
@@ -165,16 +170,16 @@ struct
             | Window (pred, curr) ->
                 if key t curr <> k then Done false
                 else begin
-                  let ce = Rt.load (next_cell t curr) in
+                  let ce = load_next t curr in
                   if is_marked ce then Again (* another deleter won *)
                   else if
                     (* Logical deletion: mark curr's next word. *)
-                    Rt.cas (next_cell t curr) ce (enc (dec_slot ce) 1)
+                    cas_next t curr ce (enc (dec_slot ce) 1)
                   then begin
                     (* Physical unlink; on failure a later traversal will
                        clean up (auxiliary phase). *)
                     if
-                      Rt.cas (next_cell t pred) (enc curr 0)
+                      cas_next t pred (enc curr 0)
                         (enc (dec_slot ce) 0)
                     then Smr.retire ctx curr;
                     Done true

@@ -81,15 +81,15 @@ struct
 
   (* Φwrite helper: lock the window and validate it is still intact. *)
   let lock_window t pred curr =
-    Lock.lock (P.lock_cell t.pool pred);
-    Lock.lock (P.lock_cell t.pool curr);
+    Lock.lock (P.locks t.pool) (P.uid t.pool pred);
+    Lock.lock (P.locks t.pool) (P.uid t.pool curr);
     (not (marked t pred))
     && (not (marked t curr))
     && P.get_ptr t.pool pred f_next = curr
 
   let unlock_window t pred curr =
-    Lock.unlock (P.lock_cell t.pool curr);
-    Lock.unlock (P.lock_cell t.pool pred)
+    Lock.unlock (P.locks t.pool) (P.uid t.pool curr);
+    Lock.unlock (P.locks t.pool) (P.uid t.pool pred)
 
   type 'a outcome = Done of 'a | Retry
 

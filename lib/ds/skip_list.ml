@@ -115,11 +115,13 @@ struct
     let by_key =
       List.sort (fun a b -> compare (key t a) (key t b)) sorted
     in
-    List.iter (fun s -> Lock.lock (P.lock_cell t.pool s)) by_key;
+    List.iter (fun s -> Lock.lock (P.locks t.pool) (P.uid t.pool s)) by_key;
     by_key
 
   let unlock_all t locked =
-    List.iter (fun s -> Lock.unlock (P.lock_cell t.pool s)) (List.rev locked)
+    List.iter
+      (fun s -> Lock.unlock (P.locks t.pool) (P.uid t.pool s))
+      (List.rev locked)
 
   type 'a outcome = Done of 'a | Retry
 

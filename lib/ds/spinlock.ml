@@ -1,9 +1,10 @@
 (** Test-and-test-and-set spinlocks over runtime atomic cells.
 
     Locks guard the write phases of the lock-based structures (lazy list,
-    DGT tree, (a,b)-tree).  They operate on any [Rt.aint] — typically a
-    per-record lock word in the {!Nbr_pool.Pool} — so one implementation
-    serves both runtimes.
+    DGT tree, (a,b)-tree).  A lock is one cell of a runtime cell block,
+    named by [(cells, index)] — typically record [h]'s lock word, cell
+    [Pool.uid h] of [Pool.locks] — so one implementation serves both
+    runtimes.
 
     NBR interplay: locks may only be taken in a write phase (the thread is
     non-restartable there), so a lock holder can never be neutralized while
@@ -16,20 +17,20 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let locked_by tid = tid + 1
 
-  (** [try_lock cell] attempts to acquire; never blocks. *)
-  let try_lock cell = Rt.cas cell unlocked (locked_by (Rt.self ()))
+  (** [try_lock cells i] attempts to acquire lock [i]; never blocks. *)
+  let try_lock cells i = Rt.cas_at cells i unlocked (locked_by (Rt.self ()))
 
-  (** [lock cell] spins until acquired.  Must not be called while the
+  (** [lock cells i] spins until acquired.  Must not be called while the
       calling thread is restartable (read phase). *)
-  let lock cell =
+  let lock cells i =
     assert (not (Rt.is_restartable ()));
     let me = locked_by (Rt.self ()) in
     let rec go spins =
-      if Rt.cas cell unlocked me then ()
+      if Rt.cas_at cells i unlocked me then ()
       else begin
         (* Test-and-TAS: spin on plain loads before retrying the RMW. *)
         let rec wait n =
-          if n > 0 && Rt.plain_load cell <> unlocked then begin
+          if n > 0 && Rt.plain_load_at cells i <> unlocked then begin
             Rt.cpu_relax ();
             wait (n - 1)
           end
@@ -40,11 +41,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     in
     go 4
 
-  (** [unlock cell] releases; the caller must hold the lock. *)
-  let unlock cell =
-    assert (Rt.plain_load cell = locked_by (Rt.self ()));
-    Rt.store cell unlocked
+  (** [unlock cells i] releases; the caller must hold the lock. *)
+  let unlock cells i =
+    assert (Rt.plain_load_at cells i = locked_by (Rt.self ()));
+    Rt.store_at cells i unlocked
 
   (** Whether the lock is currently held by anyone (validation aid). *)
-  let is_locked cell = Rt.plain_load cell <> unlocked
+  let is_locked cells i = Rt.plain_load_at cells i <> unlocked
 end

@@ -1,9 +1,10 @@
 (** Test-and-test-and-set spinlocks over runtime atomic cells.
 
     Locks guard the write phases of the lock-based structures (lazy list,
-    DGT tree, (a,b)-tree).  They operate on any [Rt.aint] — typically a
-    per-record lock word in the {!Nbr_pool.Pool} — so one implementation
-    serves both runtimes.
+    DGT tree, (a,b)-tree).  A lock is one cell of a runtime cell block,
+    named by [(cells, index)] — typically record [h]'s lock word, cell
+    [Pool.uid h] of [Pool.locks] — so one implementation serves both
+    runtimes.
 
     NBR interplay: locks may only be taken in a write phase (the thread is
     non-restartable there), so a lock holder can never be neutralized while
@@ -19,16 +20,16 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   val locked_by : int -> int
   (** [locked_by tid] is the lock word recording [tid] as holder. *)
 
-  val try_lock : Rt.aint -> bool
-  (** [try_lock cell] attempts to acquire; never blocks. *)
+  val try_lock : Rt.cells -> int -> bool
+  (** [try_lock cells i] attempts to acquire lock [i]; never blocks. *)
 
-  val lock : Rt.aint -> unit
-  (** [lock cell] spins until acquired.  Must not be called while the
+  val lock : Rt.cells -> int -> unit
+  (** [lock cells i] spins until acquired.  Must not be called while the
       calling thread is restartable (read phase). *)
 
-  val unlock : Rt.aint -> unit
-  (** [unlock cell] releases; the caller must hold the lock. *)
+  val unlock : Rt.cells -> int -> unit
+  (** [unlock cells i] releases; the caller must hold the lock. *)
 
-  val is_locked : Rt.aint -> bool
+  val is_locked : Rt.cells -> int -> bool
   (** Whether the lock is currently held by anyone (validation aid). *)
 end

@@ -20,6 +20,9 @@
       memory.  This is the version-counter substrate VBR
       (Sheffi/Herlihy/Petrank, arXiv 2107.13843) builds reclamation out
       of.
+    - Record fields are flat: each data/pointer field of a class is one
+      runtime cell block indexed by slot, and the lock words one
+      pool-wide block indexed by {!uid} — never a heap object per word.
     - Allocation is two-level, per Bonwick's magazine design: each thread
       caches up to a magazine of ready handles per class (padded,
       single-owner — the fast path touches no shared state), backed by a
@@ -33,7 +36,7 @@
     experiment E2 (figures 4c/4d) reports as "peak memory usage".
     Instrumentation (states, generations, counters) is deliberately kept
     in plain arrays, per-thread padded records and stdlib [Atomic]s rather
-    than [Rt.aint]s: it must not perturb the simulated cost accounting.
+    than runtime cells: it must not perturb the simulated cost accounting.
     Occupancy deltas are accumulated per thread and published to the
     shared per-class counters every {!occ_batch} operations; {!stats}
     folds the residuals back in, so quiescent readings are exact and
@@ -100,8 +103,6 @@ type class_spec = {
 }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
-  type aint = Rt.aint
-
   exception Exhausted = Exhausted
 
   let nil = -1
@@ -147,9 +148,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     c_capacity : int;
     c_data_fields : int;
     c_ptr_fields : int;
-    c_data : aint array array;  (** [c_data.(f).(index)] *)
-    c_ptr : aint array array;
-    c_lock : aint array;
+    c_data : Rt.cells array;
+        (** one flat block per data field, indexed by slot:
+            [c_data.(f)] cell [index] *)
+    c_ptr : Rt.cells array;
     c_st : int array;  (** 0 = Free, 1 = Live, 2 = Retired *)
     c_gen : int array;  (** current generation; bumped on each free *)
     c_next_fresh : int Atomic.t;  (** bump allocator over never-used slots *)
@@ -178,6 +180,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   type t = {
     classes : cls array;
     total_capacity : int;
+    locks : Rt.cells;
+        (** one lock word per slot across all classes, indexed by {!uid} *)
     nthreads : int;
     mutable gen_check : bool;
         (** ablation A4 ([Smr_config.unsafe_no_generation_check]) sets
@@ -227,12 +231,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       c_data_fields = spec.cc_data_fields;
       c_ptr_fields = spec.cc_ptr_fields;
       c_data =
-        Array.init spec.cc_data_fields (fun _ ->
-            Array.init cap (fun _ -> Rt.make 0));
-      c_ptr =
-        Array.init spec.cc_ptr_fields (fun _ ->
-            Array.init cap (fun _ -> Rt.make nil));
-      c_lock = Array.init cap (fun _ -> Rt.make 0);
+        Array.init spec.cc_data_fields (fun _ -> Rt.make_cells cap 0);
+      c_ptr = Array.init spec.cc_ptr_fields (fun _ -> Rt.make_cells cap nil);
       c_st = Array.make cap 0;
       c_gen = Array.make cap 0;
       c_next_fresh = Atomic.make 0;
@@ -266,6 +266,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     {
       classes = cls;
       total_capacity = !base;
+      locks = Rt.make_cells !base 0;
       nthreads;
       gen_check = true;
       starving = Atomic.make 0;
@@ -305,23 +306,25 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* ---------------- handle decoding ---------------- *)
 
-  (* [addr] maps {e any} int onto a real (class, index) address: a handle
-     that does not name one — [nil], a truncated mark-tag word, garbage
-     read from recycled memory — collapses onto class 0 / index 0.  This
-     is the never-unmapped-arena semantics of DESIGN.md §3: dereferencing
-     a dangling address reads {e some} arena memory and returns garbage,
-     it never faults.  Only the peek tier (cell accessors, [Stale]
-     payloads) goes through the collapse; validated accessors reject such
-     handles as [Stale] first, which is the whole point of the
-     generational rewrite. *)
-  let addr t h =
-    let c =
-      let ci = Handle.cls h in
-      if h < 0 || ci >= Array.length t.classes then t.classes.(0)
-      else t.classes.(ci)
-    in
+  (* [cls_of]/[slot_of] map {e any} int onto a real (class, index)
+     address: a handle that does not name one — [nil], a truncated
+     mark-tag word, garbage read from recycled memory — collapses onto
+     class 0 / index 0.  This is the never-unmapped-arena semantics of
+     DESIGN.md §3: dereferencing a dangling address reads {e some} arena
+     memory and returns garbage, it never faults.  Only the peek tier
+     (raw accessors, [Stale] payloads) goes through the collapse;
+     validated accessors reject such handles as [Stale] first, which is
+     the whole point of the generational rewrite.  Two functions rather
+     than one returning a pair: every field access decodes its handle,
+     and a pair would be a heap allocation per access. *)
+  let[@inline] cls_of t h =
+    let ci = Handle.cls h in
+    if h < 0 || ci >= Array.length t.classes then t.classes.(0)
+    else t.classes.(ci)
+
+  let[@inline] slot_of c h =
     let i = Handle.index h in
-    if i >= c.c_capacity then (c, 0) else (c, i)
+    if i >= c.c_capacity then 0 else i
 
   (** A handle is valid iff it names a class/index that exists and its
       packed generation matches the slot's current one.  Every [free]
@@ -339,13 +342,15 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       (IBR/HE birth eras, RCU retire epochs) index by this, so they stay
       dense across size-classes and survive generation bumps. *)
   let uid t h =
-    let c, i = addr t h in
+    let c = cls_of t h in
+    let i = slot_of c h in
     c.c_base + i
 
   let note_stale t h =
     Atomic.incr t.uaf_reads;
     if !Nbr_obs.Trace.fine then begin
-      let c, i = addr t h in
+      let c = cls_of t h in
+      let i = slot_of c h in
       Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
         Nbr_obs.Trace.Stale_handle h c.c_gen.(i)
     end
@@ -582,7 +587,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let note_retired t h =
     if not (valid t h) then note_stale t h
     else begin
-      let c, i = addr t h in
+      let c = cls_of t h in
+      let i = slot_of c h in
       if c.c_st.(i) <> 2 then begin
         c.c_st.(i) <- 2;
         let g = Atomic.fetch_and_add c.c_garbage 1 + 1 in
@@ -619,7 +625,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     if not (valid t h) then
       invalid_arg
         (Printf.sprintf "Pool.free: stale or double free of handle %d" h);
-    let c, i = addr t h in
+    let c = cls_of t h in
+    let i = slot_of c h in
     let ts = c.c_tstats.(Rt.self ()) in
     if c.c_st.(i) = 2 then ignore (Atomic.fetch_and_add c.c_garbage (-1));
     c.c_st.(i) <- 0;
@@ -671,7 +678,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* ---------------- field access ---------------- *)
 
-  (* Three tiers (DESIGN.md §13):
+  (* Three tiers (DESIGN.md §13), all addressed by (handle, field):
 
      - {e validated} reads ([read_data] / [read_ptr] / [read_data_sync])
        check the handle's generation and fail with [Stale] — carrying
@@ -685,11 +692,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
        falsely-reaped thread resuming mid-write) is counted, traced, and
        then applied to the recycled memory — memory-safe, observable,
        never a crash.
-     - {e cell} accessors ([data_cell] / [ptr_cell] / [lock_cell]) are
-       address-of: they name the memory itself for CAS loops, spinlocks
-       and the Harris list's raw tagged-word traversal, and perform no
-       generation check.  Uses are instrumented at the call sites via
-       {!record_read}.
+     - {e raw} accessors ([raw_load_ptr] / [raw_cas_ptr]) perform no
+       generation check at all: they are the substrate the SMR schemes
+       build their protected reads on, and the Harris list's tagged-word
+       traversal.  Uses are instrumented at the call sites via
+       {!record_read}.  Lock words are addressed by {!uid} in the
+       pool-wide {!locks} block.
 
      The pre-rewrite index-clamping guard ([deref]) is gone: handles
      carry their class and index, so there is no out-of-range index to
@@ -699,17 +707,15 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let check t h =
     if t.gen_check && not (valid t h) then note_stale t h
 
-  let data_cell t h f =
-    let c, i = addr t h in
-    c.c_data.(f).(i)
+  let locks t = t.locks
 
-  let ptr_cell t h f =
-    let c, i = addr t h in
-    c.c_ptr.(f).(i)
+  let raw_load_ptr t h f =
+    let c = cls_of t h in
+    Rt.load_at c.c_ptr.(f) (slot_of c h)
 
-  let lock_cell t h =
-    let c, i = addr t h in
-    c.c_lock.(i)
+  let raw_cas_ptr t h f old v =
+    let c = cls_of t h in
+    Rt.cas_at c.c_ptr.(f) (slot_of c h) old v
 
   (* A validated read that caught a stale handle: with the check on it
      fails gracefully ([Stale], traced as such but NOT as an [Access] —
@@ -728,54 +734,55 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     end
 
   let read_data t h f =
-    let c, i = addr t h in
-    let v = Rt.plain_load c.c_data.(f).(i) in
+    let c = cls_of t h in
+    let i = slot_of c h in
+    let v = Rt.plain_load_at c.c_data.(f) i in
     if valid t h then Value v else stale_read t h c.c_st.(i) v
 
   let read_data_sync t h f =
-    let c, i = addr t h in
-    let v = Rt.load c.c_data.(f).(i) in
+    let c = cls_of t h in
+    let i = slot_of c h in
+    let v = Rt.load_at c.c_data.(f) i in
     if valid t h then Value v else stale_read t h c.c_st.(i) v
 
   let read_ptr t h f =
-    let c, i = addr t h in
-    let v = Rt.load c.c_ptr.(f).(i) in
+    let c = cls_of t h in
+    let i = slot_of c h in
+    let v = Rt.load_at c.c_ptr.(f) i in
     if valid t h then Value v else stale_read t h c.c_st.(i) v
 
   let get_data t h f =
     check t h;
-    let c, i = addr t h in
-    Rt.plain_load c.c_data.(f).(i)
+    let c = cls_of t h in
+    Rt.plain_load_at c.c_data.(f) (slot_of c h)
 
   let get_data_sync t h f =
     check t h;
-    let c, i = addr t h in
-    Rt.load c.c_data.(f).(i)
+    let c = cls_of t h in
+    Rt.load_at c.c_data.(f) (slot_of c h)
 
   let get_ptr t h f =
     check t h;
-    let c, i = addr t h in
-    Rt.load c.c_ptr.(f).(i)
+    raw_load_ptr t h f
 
   let set_data t h f v =
     check t h;
-    let c, i = addr t h in
-    Rt.store c.c_data.(f).(i) v
+    let c = cls_of t h in
+    Rt.store_at c.c_data.(f) (slot_of c h) v
 
   let set_ptr t h f v =
     check t h;
-    let c, i = addr t h in
-    Rt.store c.c_ptr.(f).(i) v
+    let c = cls_of t h in
+    Rt.store_at c.c_ptr.(f) (slot_of c h) v
 
   let cas_data t h f old v =
     check t h;
-    let c, i = addr t h in
-    Rt.cas c.c_data.(f).(i) old v
+    let c = cls_of t h in
+    Rt.cas_at c.c_data.(f) (slot_of c h) old v
 
   let cas_ptr t h f old v =
     check t h;
-    let c, i = addr t h in
-    Rt.cas c.c_ptr.(f).(i) old v
+    raw_cas_ptr t h f old v
 
   (* ---------------- instrumentation ---------------- *)
 
@@ -785,14 +792,16 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let state t h =
     if not (valid t h) then Free
     else
-      let c, i = addr t h in
+      let c = cls_of t h in
+      let i = slot_of c h in
       match c.c_st.(i) with 0 -> Free | 1 -> Live | _ -> Retired
 
   (** Current generation of the slot a handle names (uncosted).  Equal to
       [Handle.gen h] iff the handle is still valid; bumped by each
       [free], so it is the ABA/UAF witness the tests read. *)
   let seqno t h =
-    let c, i = addr t h in
+    let c = cls_of t h in
+    let i = slot_of c h in
     c.c_gen.(i)
 
   (** Costed lifecycle checks, for protection validation.  Hazard-style
@@ -807,14 +816,16 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Rt.work 2;
     valid t h
     &&
-    let c, i = addr t h in
+    let c = cls_of t h in
+    let i = slot_of c h in
     c.c_st.(i) = 1
 
   (** Current slot generation with an access charge: lets validators
       detect free-and-recycle (ABA on the slot) between two reads. *)
   let stamp t h =
     Rt.work 2;
-    let c, i = addr t h in
+    let c = cls_of t h in
+    let i = slot_of c h in
     c.c_gen.(i)
 
   (** Called by the SMR layer when a guarded dereference lands on [h];
@@ -830,7 +841,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let uaf = h >= 0 && not (valid t h) in
     if uaf then Atomic.incr t.uaf_reads;
     if h >= 0 && !Nbr_obs.Trace.fine then begin
-      let c, i = addr t h in
+      let c = cls_of t h in
+      let i = slot_of c h in
       Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
         Nbr_obs.Trace.Access h c.c_st.(i)
     end;

@@ -67,8 +67,6 @@ type class_spec = {
 }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
-  type aint = Rt.aint
-
   exception Exhausted of exhausted_info
   (** Alias of the top-level {!exception-Exhausted}. *)
 
@@ -205,18 +203,33 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
       accessors ([get_]/[set_]/[cas_]) are for write phases and
       sequential code where the record is reserved — a generation miss is
       counted and traced, then applied to the recycled memory
-      (memory-safe, observable, never a crash); {e cell} accessors are
-      address-of for CAS loops, spinlocks and raw tagged-word traversals,
-      with no generation check — call sites instrument via
-      {!record_read}.  The pre-rewrite index-clamping accessors are
-      gone. *)
+      (memory-safe, observable, never a crash); {e raw} accessors perform
+      no generation check — the substrate SMR schemes build protected
+      reads on, and raw tagged-word traversals — and call sites
+      instrument via {!record_read}.  Every accessor is addressed by
+      (handle, field); the fields of a size-class are flat runtime
+      {!Nbr_runtime.Runtime_intf.S.cells} blocks, never one heap object
+      per word.  The pre-rewrite index-clamping accessors are gone. *)
 
   val read_data : t -> int -> int -> read_result
   val read_data_sync : t -> int -> int -> read_result
   val read_ptr : t -> int -> int -> read_result
-  val data_cell : t -> int -> int -> aint
-  val ptr_cell : t -> int -> int -> aint
-  val lock_cell : t -> int -> aint
+
+  val raw_load_ptr : t -> int -> int -> int
+  (** [raw_load_ptr t h f]: synchronising load of pointer field [f] of
+      the slot [h] addresses, with {e no} generation check (a stale or
+      non-handle [h] reads whatever that memory holds now).  Outside
+      [lib/pool] only the SMR schemes' protected reads and the Harris
+      list's tagged links may use it (lint rule [pool-raw-index]). *)
+
+  val raw_cas_ptr : t -> int -> int -> int -> int -> bool
+  (** [raw_cas_ptr t h f old v]: CAS on pointer field [f], unchecked like
+      {!raw_load_ptr}. *)
+
+  val locks : t -> Rt.cells
+  (** The pool-wide lock-word block: record [h]'s lock is cell
+      [uid t h].  Structures take it with an indexed spinlock. *)
+
   val get_data : t -> int -> int -> int
   val set_data : t -> int -> int -> int -> unit
   val get_data_sync : t -> int -> int -> int

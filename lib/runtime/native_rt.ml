@@ -49,6 +49,18 @@ let cas a expected desired = Atomic.compare_and_set a expected desired
 let faa a d = Atomic.fetch_and_add a d
 let xchg a v = Atomic.exchange a v
 
+(* OCaml 5.1/5.2 has no atomic arrays, so a block is an array of boxed
+   atomics: the same per-cell layout as a standalone [aint]. *)
+type cells = int Atomic.t array
+
+let make_cells n v = Array.init n (fun _ -> Atomic.make v)
+let load_at c i = Atomic.get c.(i)
+let plain_load_at = load_at
+let store_at c i v = Atomic.set c.(i) v
+let cas_at c i expected desired = Atomic.compare_and_set c.(i) expected desired
+let faa_at c i d = Atomic.fetch_and_add c.(i) d
+let xchg_at c i v = Atomic.exchange c.(i) v
+
 (* ------------------------------------------------------------------ *)
 (* Thread identity. *)
 

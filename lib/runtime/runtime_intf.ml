@@ -18,10 +18,11 @@
       counters consumed by {!S.poll_t}; neutralization is an exception
       unwinding to the nearest {!S.checkpoint}.
 
-    The unit of "shared memory" is the atomic integer cell {!aint}.  All
-    shared state in the repository — record fields in the pool, reservation
-    arrays, epochs, locks — is made of [aint]s, which is what lets the
-    simulator interleave and cost every access. *)
+    The unit of "shared memory" is the atomic integer cell: a standalone
+    {!aint}, or one index of a {!cells} block.  All shared state in the
+    repository — record fields and lock words in the pool (blocks),
+    reservation arrays, epochs (standalone cells) — is made of them,
+    which is what lets the simulator interleave and cost every access. *)
 
 type signal_fate =
   | Sig_deliver  (** normal delivery (the default when no fault is set) *)
@@ -84,6 +85,30 @@ module type S = sig
   val cas : aint -> int -> int -> bool
   val faa : aint -> int -> int
   val xchg : aint -> int -> int
+
+  (** {2 Cell blocks}
+
+      A [cells] block is [n] shared integer cells addressed by index
+      [0 .. n-1]: the pool keeps each record field of a size-class in one
+      block, so a million-record pool is a handful of flat arrays rather
+      than millions of one-word heap objects.  Each indexed operation has
+      exactly the semantics {e and the cost} of the same operation on a
+      standalone {!aint}: cell [i] of a block behaves, in both runtimes,
+      like an {!aint} of its own (its own coherence owner in the
+      simulator, its own atomic natively).  Out-of-range indices raise
+      [Invalid_argument]. *)
+
+  type cells
+
+  val make_cells : int -> int -> cells
+  (** [make_cells n v]: [n] cells, each holding [v]. *)
+
+  val load_at : cells -> int -> int
+  val plain_load_at : cells -> int -> int
+  val store_at : cells -> int -> int -> unit
+  val cas_at : cells -> int -> int -> int -> bool
+  val faa_at : cells -> int -> int -> int
+  val xchg_at : cells -> int -> int -> int
 
   (** {1 Threads} *)
 

@@ -102,11 +102,16 @@ let name = "sim"
 (* Shared cells with an ownership tag for the coherence approximation: *)
 (* [owner] is the tid of the last writer, [owner_shared] once a remote *)
 (* thread has read the line, [owner_fresh] before any access.          *)
+(*                                                                     *)
+(* A block of [n] cells is one unboxed int array of [2n] words: cell   *)
+(* [i]'s value at [2i], its owner tag at [2i+1].  A standalone [aint]  *)
+(* is a block of one, so both share every line of the cost model.     *)
 
 let owner_shared = -2
 let owner_fresh = -3
 
-type aint = { mutable v : int; mutable owner : int }
+type cells = int array
+type aint = cells
 
 (* ------------------------------------------------------------------ *)
 (* Fibers.                                                             *)
@@ -257,62 +262,90 @@ let prologue cost =
 (* ------------------------------------------------------------------ *)
 (* Atomic cells.                                                       *)
 
-let make v = { v; owner = owner_fresh }
+let make_cells n v =
+  if n < 0 then invalid_arg "Sim_rt.make_cells: negative length";
+  let a = Array.make (2 * n) owner_fresh in
+  for i = 0 to n - 1 do
+    a.(2 * i) <- v
+  done;
+  a
+
+let make v = [| v; owner_fresh |]
 
 (* Padding is a real-hardware concern; the sim's cost model is per-cell
    (ownership tags), so contended and uncontended cells are already
    distinct and padding would change nothing. *)
 let make_padded = make
 
-let load_cost a base =
+(* Cost of an access to the cell whose owner tag sits at word [o]; the
+   value is at [o - 1].  Computed (and the tag updated) before the
+   prologue, exactly as for every access since the seed. *)
+let load_cost a o base =
   let f = !cur in
-  if a.owner = f.id || a.owner = owner_shared || a.owner = owner_fresh then
-    base
+  let owner = a.(o) in
+  if owner = f.id || owner = owner_shared || owner = owner_fresh then base
   else begin
-    a.owner <- owner_shared;
+    a.(o) <- owner_shared;
     base + !cfg.c_miss
   end
 
-let write_cost a base =
+let write_cost a o base =
   let f = !cur in
+  let owner = a.(o) in
   let c =
-    if a.owner = f.id || a.owner = owner_fresh then base
-    else base + !cfg.c_miss
+    if owner = f.id || owner = owner_fresh then base else base + !cfg.c_miss
   in
-  a.owner <- f.id;
+  a.(o) <- f.id;
   c
 
-let load a =
-  if in_fiber () then prologue (load_cost a !cfg.c_load);
-  a.v
+(* Out-of-range indices (negative included) fall outside the array and
+   raise from the bounds-checked accesses. *)
+let[@inline] tag i = (2 * i) + 1
 
-let plain_load a =
-  if in_fiber () then prologue (load_cost a !cfg.c_plain_load);
-  a.v
+let load_at a i =
+  let o = tag i in
+  if in_fiber () then prologue (load_cost a o !cfg.c_load);
+  a.(o - 1)
 
-let store a v =
-  if in_fiber () then prologue (write_cost a !cfg.c_store);
-  a.v <- v
+let plain_load_at a i =
+  let o = tag i in
+  if in_fiber () then prologue (load_cost a o !cfg.c_plain_load);
+  a.(o - 1)
 
-let cas a expected desired =
-  if in_fiber () then prologue (write_cost a !cfg.c_atomic);
-  if a.v = expected then begin
-    a.v <- desired;
+let store_at a i v =
+  let o = tag i in
+  if in_fiber () then prologue (write_cost a o !cfg.c_store);
+  a.(o - 1) <- v
+
+let cas_at a i expected desired =
+  let o = tag i in
+  if in_fiber () then prologue (write_cost a o !cfg.c_atomic);
+  if a.(o - 1) = expected then begin
+    a.(o - 1) <- desired;
     true
   end
   else false
 
-let faa a d =
-  if in_fiber () then prologue (write_cost a !cfg.c_atomic);
-  let old = a.v in
-  a.v <- old + d;
+let faa_at a i d =
+  let o = tag i in
+  if in_fiber () then prologue (write_cost a o !cfg.c_atomic);
+  let old = a.(o - 1) in
+  a.(o - 1) <- old + d;
   old
 
-let xchg a v =
-  if in_fiber () then prologue (write_cost a !cfg.c_atomic);
-  let old = a.v in
-  a.v <- v;
+let xchg_at a i v =
+  let o = tag i in
+  if in_fiber () then prologue (write_cost a o !cfg.c_atomic);
+  let old = a.(o - 1) in
+  a.(o - 1) <- v;
   old
+
+let load a = load_at a 0
+let plain_load a = plain_load_at a 0
+let store a v = store_at a 0 v
+let cas a expected desired = cas_at a 0 expected desired
+let faa a d = faa_at a 0 d
+let xchg a v = xchg_at a 0 v
 
 (* ------------------------------------------------------------------ *)
 (* Neutralization.                                                     *)

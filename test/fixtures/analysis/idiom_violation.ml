@@ -3,4 +3,4 @@
 
 let coerce x = Obj.magic x
 
-let sneak pool h = Rt.load (P.ptr_cell pool h 0)
+let sneak pool h = P.raw_load_ptr pool h 0

@@ -22,4 +22,5 @@ let () =
       ("guard", Test_guard.suite);
       ("check", Test_check.suite);
       ("analysis", Test_analysis.suite);
+      ("cli", Test_cli.suite);
     ]

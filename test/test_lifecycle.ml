@@ -1,6 +1,7 @@
 (* Thread-lifecycle tests: clean departure (deregister), orphan adoption,
-   re-registration, watchdog reaping of a crashed thread (trace-asserted),
-   and a QCheck property that dynamic join/leave churn never double-frees
+   re-registration, watchdog reaping of a crashed thread (trace-asserted)
+   and of a live thread caught mid-sweep (schedule-controlled), and a
+   QCheck property that dynamic join/leave churn never double-frees
    or breaks set semantics. *)
 
 module Sim = Nbr_runtime.Sim_rt
@@ -234,6 +235,107 @@ let test_watchdog_reaps_crashed () =
     true (!adoptions >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Reaped mid-sweep: the watchdog claims a peer that is alive and inside
+   its own limbo-bag sweep (the falsely-declared-dead native thread of a
+   steal-time stall).  A schedule controller runs the victim until its
+   sweep has freed a first record — [P.free] charges [Rt.work], a yield
+   point — then runs only the reaper, whose scans see the victim's
+   heartbeat frozen and claim it.  Before the bag custody token the
+   reaper swept the bag in place and the victim's resumed sweep popped
+   an empty bag ("Limbo_bag.pop_front: empty"); now the bag changes
+   hands exactly once, so no record is freed twice or lost.           *)
+
+module ReapMidSweep
+    (S : Nbr_core.Smr_intf.S with type aint = Sim.aint and type pool = P.t) =
+struct
+  let retired = 32
+
+  let test ~in_op () =
+    Sim.set_config
+      { Sim.default_config with cores = 2; granularity = 1; seed = 3 };
+    let pool =
+      P.create ~capacity:256 ~data_fields:1 ~ptr_fields:1 ~nthreads:2 ()
+    in
+    let smr = S.create pool ~nthreads:2 (cfg 4096) in
+    let c0 = S.register smr ~tid:0 and c1 = S.register smr ~tid:1 in
+    (* Full bag seen, then shrinking: the victim is mid-sweep. *)
+    let filled = ref false and switched = ref false in
+    let pick ~last:_ ~runnable =
+      let n = S.limbo_size c1 in
+      if n = retired then filled := true;
+      if !filled && n < retired then switched := true;
+      let want = if !switched then 0 else 1 in
+      let idx = ref 0 in
+      Array.iteri (fun i id -> if id = want then idx := i) runnable;
+      !idx
+    in
+    Nbr_obs.Trace.enable ~nthreads:2 ();
+    Sim.set_signal_fault
+      (Some (fun ~sender:_ ~target:_ -> Nbr_runtime.Runtime_intf.Sig_deliver));
+    Fun.protect
+      ~finally:(fun () ->
+        Sim.set_schedule_controller None;
+        Sim.set_signal_fault None;
+        Nbr_obs.Trace.clear ())
+    @@ fun () ->
+    Sim.set_schedule_controller (Some pick);
+    Sim.run ~nthreads:2 (fun tid ->
+        if tid = 1 then begin
+          S.begin_op c1;
+          for _ = 1 to retired do
+            S.retire c1 (S.alloc c1)
+          done;
+          (* Outside any operation nothing pins the bag: the sweep frees
+             record after record, yielding in each [P.free].  Inside its
+             own operation the victim pins every record it retired, so
+             the sweep keeps them all and hands them over as it ends. *)
+          if in_op then begin
+            S.on_pressure c1;
+            S.end_op c1
+          end
+          else begin
+            S.end_op c1;
+            S.on_pressure c1
+          end
+        end
+        else
+          (* Empty bag: each flush is a bare watchdog scan. *)
+          for _ = 1 to 20 do
+            S.on_pressure c0;
+            Sim.stall_ns 100_000
+          done);
+    Sim.set_schedule_controller None;
+    Alcotest.(check bool) "the reaper ran while the victim was mid-sweep" true
+      !switched;
+    let deaths =
+      List.filter
+        (fun e ->
+          e.Nbr_obs.Trace.e_kind = Nbr_obs.Trace.Peer_declared_dead
+          && e.Nbr_obs.Trace.e_a = 1)
+        (Nbr_obs.Trace.events ())
+    in
+    Alcotest.(check int) "victim declared dead once" 1 (List.length deaths);
+    (* Whatever the victim handed over becomes parcels at the next scan;
+       adopt and free them. *)
+    Sim.run ~nthreads:1 (fun _ ->
+        S.on_pressure c0;
+        S.adopt_orphans c0;
+        for _ = 1 to 3 do
+          S.begin_op c0;
+          S.end_op c0;
+          S.on_pressure c0
+        done);
+    let ps = P.stats pool in
+    Alcotest.(check int) "every record freed exactly once" retired ps.P.s_frees;
+    Alcotest.(check int) "pool drained" 0 ps.P.s_in_use;
+    Alcotest.(check int) "no UAF" 0 ps.P.s_uaf_reads
+end
+
+module R_ibr = ReapMidSweep (Nbr_core.Ibr.Make (Sim))
+module R_hp = ReapMidSweep (Nbr_core.Hp.Make (Sim))
+module R_he = ReapMidSweep (Nbr_core.Hazard_eras.Make (Sim))
+
+(* ------------------------------------------------------------------ *)
 (* QCheck: join/leave churn never double-frees.                        *)
 
 (* Random scheme, churn period, thread count and seed; a sim trial with
@@ -281,5 +383,13 @@ let suite =
         test_departed_magazines_adopted;
       Alcotest.test_case "watchdog reaps a crashed thread (traced)" `Quick
         test_watchdog_reaps_crashed;
+      Alcotest.test_case "ibr peer reaped mid-sweep" `Quick
+        (R_ibr.test ~in_op:false);
+      Alcotest.test_case "ibr peer reaped mid-sweep, bag handed over" `Quick
+        (R_ibr.test ~in_op:true);
+      Alcotest.test_case "hp peer reaped mid-sweep" `Quick
+        (R_hp.test ~in_op:false);
+      Alcotest.test_case "he peer reaped mid-sweep" `Quick
+        (R_he.test ~in_op:false);
       QCheck_alcotest.to_alcotest churn_never_double_frees;
     ]

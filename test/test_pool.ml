@@ -218,6 +218,124 @@ let prop_alloc_free_trace =
       let st = P.stats p in
       !ok && st.P.s_in_use = Hashtbl.length live)
 
+(* ------------------------------------------------------------------ *)
+(* Flat field layout, on both runtimes: every data field, pointer field
+   and lock word of every slot of every size-class is its own cell of a
+   per-class (or pool-wide, for locks) block.  Fill them all with
+   distinct values, free and recycle every slot, and check that nothing
+   aliased, nothing was lost, and the generations moved exactly once.   *)
+
+module Recycle (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  module P = Nbr_pool.Pool.Make (Rt)
+  module Lock = Nbr_ds.Spinlock.Make (Rt)
+
+  let specs =
+    [|
+      { Nbr_pool.Pool.cc_capacity = 16; cc_data_fields = 2; cc_ptr_fields = 1 };
+      { Nbr_pool.Pool.cc_capacity = 8; cc_data_fields = 1; cc_ptr_fields = 3 };
+      { Nbr_pool.Pool.cc_capacity = 4; cc_data_fields = 3; cc_ptr_fields = 0 };
+    |]
+
+  (* A value no other (class, index, kind, field) shares. *)
+  let tag cls h kind f = (((((cls * 100) + H.index h) * 2) + kind) * 10) + f
+
+  let fill p hs =
+    Array.iteri
+      (fun cls hs ->
+        let sp = specs.(cls) in
+        Array.iter
+          (fun h ->
+            for f = 0 to sp.Nbr_pool.Pool.cc_data_fields - 1 do
+              P.set_data p h f (tag cls h 0 f)
+            done;
+            for f = 0 to sp.Nbr_pool.Pool.cc_ptr_fields - 1 do
+              P.set_ptr p h f (tag cls h 1 f)
+            done)
+          hs)
+      hs
+
+  let check_fields what p hs =
+    Array.iteri
+      (fun cls hs ->
+        let sp = specs.(cls) in
+        Array.iter
+          (fun h ->
+            for f = 0 to sp.Nbr_pool.Pool.cc_data_fields - 1 do
+              Alcotest.(check int) (what ^ ": data") (tag cls h 0 f)
+                (P.get_data p h f)
+            done;
+            for f = 0 to sp.Nbr_pool.Pool.cc_ptr_fields - 1 do
+              Alcotest.(check int) (what ^ ": ptr") (tag cls h 1 f)
+                (P.get_ptr p h f)
+            done)
+          hs)
+      hs
+
+  let test () =
+    let p = P.create_classed ~classes:specs ~nthreads:1 () in
+    let alloc_all () =
+      Array.mapi
+        (fun cls sp ->
+          Array.init sp.Nbr_pool.Pool.cc_capacity (fun _ -> P.alloc ~cls p))
+        specs
+    in
+    let hs = alloc_all () in
+    fill p hs;
+    check_fields "written" p hs;
+    (* Lock every odd uid: lock words are independent cells. *)
+    let locks = P.locks p in
+    let held h = P.uid p h land 1 = 1 in
+    Array.iter
+      (Array.iter (fun h ->
+           if held h then
+             Alcotest.(check bool) "lock acquired" true
+               (Lock.try_lock locks (P.uid p h))))
+      hs;
+    Array.iter
+      (Array.iter (fun h ->
+           Alcotest.(check bool) "only the taken locks are held" (held h)
+             (Lock.is_locked locks (P.uid p h))))
+      hs;
+    Array.iter
+      (Array.iter (fun h -> if held h then Lock.unlock locks (P.uid p h)))
+      hs;
+    Array.iter (Array.iter (P.free p)) hs;
+    Array.iter
+      (Array.iter (fun h ->
+           Alcotest.(check bool) "freed handle is stale" false (P.valid p h);
+           Alcotest.(check int) "generation bumped once" (H.gen h + 1)
+             (P.seqno p h)))
+      hs;
+    (* Recycle every slot: same addresses, next generation, and the
+       memory still holds what the previous occupant wrote. *)
+    let hs' = alloc_all () in
+    let sorted a =
+      let a = Array.map (fun h -> (H.index h, h)) a in
+      Array.sort compare a;
+      a
+    in
+    Array.iteri
+      (fun cls a ->
+        let olds = sorted hs.(cls) and news = sorted a in
+        Array.iteri
+          (fun k (i, h') ->
+            let _, h = olds.(k) in
+            Alcotest.(check int) "same slot" (H.index h) i;
+            Alcotest.(check int) "same class" cls (H.cls h');
+            Alcotest.(check int) "next generation" (H.gen h + 1) (H.gen h'))
+          news)
+      hs';
+    check_fields "recycled" p hs';
+    Array.iter
+      (Array.iter (fun h ->
+           Alcotest.(check bool) "locks released across recycle" false
+             (Lock.is_locked locks (P.uid p h))))
+      hs'
+end
+
+module Recycle_sim = Recycle (Sim)
+module Recycle_native = Recycle (Nbr_runtime.Native_rt)
+
 let suite =
   [
     Alcotest.test_case "alloc/free lifecycle" `Quick test_alloc_free_cycle;
@@ -235,4 +353,8 @@ let suite =
     Alcotest.test_case "depot exchange round-trip" `Quick
       test_depot_exchange_roundtrip;
     QCheck_alcotest.to_alcotest prop_alloc_free_trace;
+    Alcotest.test_case "flat fields survive recycle (sim)" `Quick
+      Recycle_sim.test;
+    Alcotest.test_case "flat fields survive recycle (native)" `Quick
+      Recycle_native.test;
   ]

@@ -216,6 +216,93 @@ let test_stuck_watchdog () =
           | () -> Alcotest.fail "expected Stuck"
           | exception Sim.Stuck _ -> ()))
 
+(* ------------------------------------------------------------------ *)
+(* Cell blocks: cell [i] of a [make_cells] block is costed exactly like a
+   standalone [aint] (DESIGN.md §9).  The same random multi-fiber program
+   runs once over a block with the indexed ops and once over an array of
+   standalone cells with the plain ops: every returned value, every
+   fiber's [now_ns] after every op, and the final memory must agree.   *)
+
+let width = 6
+
+(* kind, index, two small operands *)
+let gen_op =
+  QCheck.Gen.(
+    quad (int_bound 5) (int_bound (width - 1)) (int_bound 3) (int_bound 3))
+
+(* One op list per fiber, 2 to 4 fibers. *)
+let arb_program =
+  QCheck.make
+    ~print:(fun progs ->
+      String.concat " | "
+        (Array.to_list
+           (Array.map
+              (fun l ->
+                String.concat ";"
+                  (List.map
+                     (fun (k, i, a, b) -> Printf.sprintf "%d@%d(%d,%d)" k i a b)
+                     l))
+              progs)))
+    QCheck.Gen.(
+      int_range 2 4 >>= fun n ->
+      array_repeat n (list_size (int_range 1 30) gen_op))
+
+(* Run [progs] with [exec fiber_op] standing for one access; returns the
+   per-fiber (result, now_ns) logs and the final cell values. *)
+let run_program ~seed progs exec final =
+  with_config ~seed (fun () ->
+      let logs = Array.map (fun _ -> ref []) progs in
+      Sim.run ~nthreads:(Array.length progs) (fun tid ->
+          List.iter
+            (fun op ->
+              let r = exec op in
+              logs.(tid) := (r, Sim.now_ns ()) :: !(logs.(tid)))
+            progs.(tid));
+      (Array.map (fun l -> List.rev !l) logs, final ()))
+
+let prop_cells_cost_like_aints =
+  QCheck.Test.make ~count:200 ~name:"cells block costed like standalone aints"
+    QCheck.(pair arb_program (int_bound 1000))
+    (fun (progs, seed) ->
+      let block = Sim.make_cells width 1 in
+      let on_block (k, i, a, b) =
+        match k with
+        | 0 -> Sim.load_at block i
+        | 1 -> Sim.plain_load_at block i
+        | 2 -> Sim.store_at block i a; 0
+        | 3 -> Bool.to_int (Sim.cas_at block i a b)
+        | 4 -> Sim.faa_at block i a
+        | _ -> Sim.xchg_at block i a
+      in
+      let cells = Array.init width (fun _ -> Sim.make 1) in
+      let on_cells (k, i, a, b) =
+        let c = cells.(i) in
+        match k with
+        | 0 -> Sim.load c
+        | 1 -> Sim.plain_load c
+        | 2 -> Sim.store c a; 0
+        | 3 -> Bool.to_int (Sim.cas c a b)
+        | 4 -> Sim.faa c a
+        | _ -> Sim.xchg c a
+      in
+      let b =
+        run_program ~seed progs on_block (fun () ->
+            Array.init width (Sim.load_at block))
+      in
+      let c =
+        run_program ~seed progs on_cells (fun () -> Array.map Sim.load cells)
+      in
+      b = c)
+
+let test_cells_bounds () =
+  let block = Sim.make_cells 3 0 in
+  Alcotest.check_raises "index past the end"
+    (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Sim.load_at block 3));
+  Alcotest.check_raises "negative index"
+    (Invalid_argument "index out of bounds") (fun () ->
+      Sim.store_at block (-1) 0)
+
 let suite =
   [
     Alcotest.test_case "runs all threads" `Quick test_runs_all_threads;
@@ -236,4 +323,6 @@ let suite =
     Alcotest.test_case "oversubscription slows wall clock" `Quick
       test_oversubscription_slows_wall_clock;
     Alcotest.test_case "stuck watchdog fires" `Quick test_stuck_watchdog;
+    QCheck_alcotest.to_alcotest prop_cells_cost_like_aints;
+    Alcotest.test_case "cell index bounds" `Quick test_cells_bounds;
   ]
