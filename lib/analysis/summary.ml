@@ -85,7 +85,7 @@ let smr_table = function
       validated
   | "alloc" -> alloc
   | "retire" -> retire
-  | "on_pressure" | "collect_handoffs" | "hand_off" | "adopt_orphans"
+  | "on_pressure" | "collect_handoffs" | "adopt_orphans"
   | "register" | "deregister" | "set_offload" | "create" ->
       shared_write
   | _ -> 0

@@ -18,176 +18,77 @@
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
-  module L = Lifecycle.Make (Rt)
 
-  type aint = Rt.aint
-  type pool = P.t
-
-  type t = {
-    pool : P.t;
-    n : int;
-    cfg : Smr_config.t;
+  type shared = {
     window : int;
     hazards : Rt.aint array array;  (** [hazards.(tid).(i)] *)
-    lc : L.t;
-    done_stats : Smr_stats.t;
-    mutable ctxs : ctx option array;
-    mutable offload : Smr_intf.Offload.t option;
   }
 
-  and ctx = {
-    b : t;
-    tid : int;
+  type local = {
     bag : Limbo_bag.t;
-    st : Smr_stats.t;
     mutable hpi : int;  (** rotation index *)
     scratch : int array;
   }
 
+  let window cfg = cfg.Smr_config.max_reservations + 2
+
+  module B = Smr_base.Make (Rt) (struct
+    type inst = shared
+    type thr = local
+
+    let bounded_garbage = true
+
+    let create_inst ~capacity:_ ~nthreads cfg =
+      let window = window cfg in
+      {
+        window;
+        (* Padded: hazard slots are stored (with a fence) on every guarded
+           dereference by their owner and scanned by every reclaimer — the
+           single most write-hot SWMR cells of any scheme here. *)
+        hazards =
+          Array.init nthreads (fun _ ->
+              Array.init window (fun _ -> Rt.make_padded P.nil));
+      }
+
+    let create_thr ~nthreads cfg =
+      {
+        bag = Limbo_bag.create ();
+        hpi = 0;
+        scratch = Array.make (nthreads * window cfg) 0;
+      }
+
+    let size x = Limbo_bag.size x.bag
+
+    (* Records in the bag carry no per-record metadata beyond the slot
+       itself: the hazard scan pins by slot id. *)
+    let push _ x slot = Limbo_bag.push x.bag slot
+    let drain x = Limbo_bag.drain x.bag
+    let exportable = size
+    let export = drain
+
+    let retract s tid =
+      let hz = s.hazards.(tid) in
+      for i = 0 to s.window - 1 do
+        Rt.store hz.(i) P.nil
+      done
+  end)
+
+  include B
+
+  module W = Watchdog (struct
+    let bag x = x.bag
+  end)
+
   let scheme_name = "hp"
-  let bounded_garbage = true
   let max_validate_retries = 64
 
-  let create pool ~nthreads cfg =
-    P.set_generation_check pool (not cfg.Smr_config.unsafe_no_generation_check);
-    let window = cfg.Smr_config.max_reservations + 2 in
-    {
-      pool;
-      n = nthreads;
-      cfg;
-      window;
-      (* Padded: hazard slots are stored (with a fence) on every guarded
-         dereference by their owner and scanned by every reclaimer — the
-         single most write-hot SWMR cells of any scheme here. *)
-      hazards =
-        Array.init nthreads (fun _ ->
-            Array.init window (fun _ -> Rt.make_padded P.nil));
-      lc = L.create ~nthreads;
-      done_stats = Smr_stats.zero ();
-      ctxs = Array.make nthreads None;
-      offload = None;
-    }
-
-  let set_offload b o = b.offload <- o
-
-  let register b ~tid =
-    L.reset_slot b.lc tid;
-    let c =
-      {
-        b;
-        tid;
-        bag = Limbo_bag.create ();
-        st = Smr_stats.zero ();
-        hpi = 0;
-        scratch = Array.make (b.n * b.window) 0;
-      }
-    in
-    b.ctxs.(tid) <- Some c;
-    c
-
-  let begin_op c =
-    L.check_self c.b.lc c.tid;
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.Begin_op 0
-        0
-
-  let adopt_orphans c =
-    let n =
-      L.adopt c.b.lc ~tid:c.tid ~push:(fun slot -> Limbo_bag.push c.bag slot)
-    in
-    if n > 0 then Smr_stats.note_garbage c.st (Limbo_bag.size c.bag)
-
-  (* Limbo-bag externalization (DESIGN.md §12).  Records in the bag carry
-     no per-record metadata beyond the slot itself: the collector's hazard
-     scan pins by slot id, so handing the bag over is exactly the
-     orphan-parcel argument. *)
-
-  let limbo_size c = Limbo_bag.size c.bag
-
-  let export_bag c =
-    let slots = Limbo_bag.drain c.bag in
-    L.push_handoff c.b.lc ~origin:c.tid slots;
-    List.length slots
-
-  let hand_off c = export_bag c
-
-  let maybe_offload c =
-    match c.b.offload with
-    | None -> false
-    | Some o ->
-        let count = Limbo_bag.size c.bag in
-        count > 0
-        && Smr_intf.Offload.try_accept o ~tid:c.tid ~ns:(Rt.now_ns ()) ~count
-        &&
-        (ignore (export_bag c);
-         true)
-
-  let collect_handoffs c =
-    let n =
-      L.take_handoffs c.b.lc ~push:(fun slot -> Limbo_bag.push c.bag slot)
-    in
-    if n > 0 then begin
-      Smr_stats.note_garbage c.st (Limbo_bag.size c.bag);
-      match c.b.offload with
-      | Some o ->
-          Smr_intf.Offload.note_collected o ~tid:c.tid ~ns:(Rt.now_ns ())
-            ~count:n
-      | None ->
-          if !Nbr_obs.Trace.on then
-            Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-              Nbr_obs.Trace.Handoff_collect n 0
-    end;
-    n
-
   let end_op c =
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.End_op 0 0;
-    let hz = c.b.hazards.(c.tid) in
-    for i = 0 to c.b.window - 1 do
+    note_end_op c;
+    let hz = c.b.shared.hazards.(c.tid) in
+    for i = 0 to c.b.shared.window - 1 do
       Rt.store hz.(i) P.nil
     done;
-    if L.has_orphans c.b.lc && L.is_active c.b.lc c.tid then adopt_orphans c
-
-  (* Retract [tid]'s hazard slots so they stop pinning records. *)
-  let retract_published b tid =
-    let hz = b.hazards.(tid) in
-    for i = 0 to b.window - 1 do
-      Rt.store hz.(i) P.nil
-    done
-
-  let orphan_ctx b ~into (vc : ctx) slots =
-    L.push_parcel b.lc ~origin:vc.tid slots;
-    Smr_stats.add into vc.st;
-    b.ctxs.(vc.tid) <- None
-
-  let deregister c =
-    if L.depart c.b.lc c.tid then begin
-      (* Hand the departing thread's magazine caches back to the depot:
-         an abandoned magazine would strand up to a magazine's worth of
-         free slots per size class.  Safe here: we won the depart CAS, so
-         no watchdog owns this tid's state. *)
-      P.flush_thread c.b.pool ~tid:c.tid;
-      retract_published c.b c.tid;
-      let slots = Limbo_bag.drain c.bag in
-      L.with_stats_lock c.b.lc (fun () ->
-          orphan_ctx c.b ~into:c.b.done_stats c slots)
-    end
-
-  (* Crash watchdog (see [Lifecycle]): HP is bounded, so it takes part in
-     recovery — a peer frozen past the death threshold is claimed, its
-     hazard slots cleared and its bag orphaned.  No signals to re-send. *)
-  let watchdog c =
-    L.scan c.b.lc ~self:c.tid ~timeout_ns:c.b.cfg.Smr_config.wd_timeout_ns
-      ~rounds:c.b.cfg.Smr_config.wd_rounds
-      ~on_round:(fun ~peer:_ ~round:_ -> ())
-      ~reap:(fun v ->
-        P.flush_thread c.b.pool ~tid:v;
-        retract_published c.b v;
-        match c.b.ctxs.(v) with
-        | None -> ()
-        | Some vc ->
-            orphan_ctx c.b ~into:c.st vc
-              (L.seize_bag c.b.lc ~origin:vc.tid vc.bag))
+    adopt_pending c
 
   (* The protected word: the entry-point cell [root] when [field < 0]
      (read_root), else pointer field [field] of record [src] (read_ptr,
@@ -207,9 +108,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      unlinked" obligation the paper ascribes to HP (§2).  Failure aborts
      the read phase through the checkpoint. *)
   let protect_from c root ~src ~field =
-    let hz = c.b.hazards.(c.tid) in
-    let slot = c.hpi in
-    c.hpi <- (c.hpi + 1) mod c.b.window;
+    let hz = c.b.shared.hazards.(c.tid) in
+    let x = c.local in
+    let slot = x.hpi in
+    x.hpi <- (x.hpi + 1) mod c.b.shared.window;
     let rec go tries =
       let p = link c root ~src ~field in
       if p < 0 then p
@@ -230,59 +132,16 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let read_root c root = protect_from c root ~src:(-1) ~field:(-1)
   let read_ptr c ~src ~field = protect_from c no_root ~src ~field
 
-  (* Data reads only ever target records the traversal just protected, so
-     a [Stale] result means the protection race was lost after all (the
-     validation window of [protect_from] closed on a copy) — abort the
-     read phase like any failed validation rather than consume recycled
-     memory. *)
-  let read_data c ~src ~field =
-    match P.read_data c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale _ ->
-        Smr_stats.note_uaf c.st;
-        raise Rt.Neutralized
-
-  let peek_ptr c ~src ~field =
-    match P.read_ptr c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale _ ->
-        Smr_stats.note_uaf c.st;
-        raise Rt.Neutralized
+  (* [phase] is the shared restartable one: the reservations passed by
+     the data structure are the last few records it protected, and the
+     rotation window is sized so they are still live, so the write phase
+     needs no further publication. *)
 
   (* HP cannot protect through a mark-tagged word (it does not know the
      encoding) — the P5 limitation the paper describes.  Structures that
      need [read_raw] (Harris list, traversal over marked nodes) must not be
      paired with HP; the benchmarks never do. *)
   let read_raw c ~src ~field = P.raw_load_ptr c.b.pool src field
-
-  (* The reservations passed by the data structure are the last few records
-     it protected; the rotation window is sized so they are still live, so
-     the write phase needs no further publication. *)
-  let phase c ~read ~write =
-    let attempts = ref 0 in
-    let out =
-      Rt.checkpoint (fun () ->
-          incr attempts;
-          if !attempts > 1 then Smr_stats.uaf_abort c.st;
-          let payload, _recs = read () in
-          Smr_stats.uaf_commit c.st;
-          write payload)
-    in
-    Smr_stats.add_restarts c.st (!attempts - 1);
-    out
-
-  let read_only c f =
-    let attempts = ref 0 in
-    let out =
-      Rt.checkpoint (fun () ->
-          incr attempts;
-          if !attempts > 1 then Smr_stats.uaf_abort c.st;
-          let r = f () in
-          Smr_stats.uaf_commit c.st;
-          r)
-    in
-    Smr_stats.add_restarts c.st (!attempts - 1);
-    out
 
   let mem_sorted a n x =
     let rec go lo hi =
@@ -298,54 +157,48 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   (* Hazard scan + sweep — the threshold-crossing body of [retire], also
      run threshold-free under pool pressure.  Own hazards are skipped, as
      in the retire-time scan: records in our bag were retired by us and
-     are never touched again, whatever our hazard slots still point at. *)
+     are never touched again, whatever our hazard slots still point at.
+     The crash watchdog runs first: HP is bounded, so a peer frozen past
+     the death threshold is claimed, its hazard slots cleared and its bag
+     orphaned.  No signals to re-send. *)
   let flush c =
-    watchdog c;
-    if Limbo_bag.size c.bag > 0 then begin
+    W.watchdog c ~on_round:(fun ~peer:_ ~round:_ -> ());
+    let s = c.b.shared and x = c.local in
+    if Limbo_bag.size x.bag > 0 then begin
       let k = ref 0 in
       for t = 0 to c.b.n - 1 do
         if t <> c.tid then
-          for i = 0 to c.b.window - 1 do
-            let v = Rt.load c.b.hazards.(t).(i) in
+          for i = 0 to s.window - 1 do
+            let v = Rt.load s.hazards.(t).(i) in
             if v >= 0 then begin
-              c.scratch.(!k) <- v;
+              x.scratch.(!k) <- v;
               incr k
             end
           done
       done;
-      let a = Array.sub c.scratch 0 !k in
+      let a = Array.sub x.scratch 0 !k in
       Array.sort compare a;
-      Array.blit a 0 c.scratch 0 !k;
+      Array.blit a 0 x.scratch 0 !k;
       let freed =
-        Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag)
-          ~keep:(fun s -> mem_sorted c.scratch !k s)
-          ~free:(fun s -> P.free c.b.pool s)
+        Limbo_bag.sweep x.bag ~upto:(Limbo_bag.abs_tail x.bag)
+          ~keep:(fun slot -> mem_sorted x.scratch !k slot)
+          ~free:(fun slot -> P.free c.b.pool slot)
       in
       Smr_stats.add_freed c.st freed;
       Smr_stats.add_reclaim_events c.st 1;
       if !Nbr_obs.Trace.on then
         Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Reclaim freed
-          (Limbo_bag.size c.bag)
+          Nbr_obs.Trace.Reclaim freed (Limbo_bag.size x.bag)
     end
 
   let on_pressure = flush
   let alloc ?cls c = P.alloc ~on_pressure:(fun () -> flush c) ?cls c.b.pool
 
   let retire c slot =
-    P.note_retired c.b.pool slot;
-    Smr_stats.add_retires c.st 1;
-    Limbo_bag.push c.bag slot;
-    if Limbo_bag.size c.bag >= c.b.cfg.Smr_config.bag_threshold then
+    count_retire c slot;
+    let bag = c.local.bag in
+    Limbo_bag.push bag slot;
+    if Limbo_bag.size bag >= c.b.cfg.Smr_config.bag_threshold then
       if not (maybe_offload c) then flush c;
-    let g = Limbo_bag.size c.bag in
-    Smr_stats.note_garbage c.st g
-
-  let ctx_stats (c : ctx) = c.st
-
-  let stats b =
-    let acc = Smr_stats.zero () in
-    L.with_stats_lock b.lc (fun () -> Smr_stats.add acc b.done_stats);
-    Array.iter (function None -> () | Some c -> Smr_stats.add acc c.st) b.ctxs;
-    acc
+    Smr_stats.note_garbage c.st (Limbo_bag.size bag)
 end

@@ -27,31 +27,20 @@
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
-  module L = Lifecycle.Make (Rt)
 
-  type aint = Rt.aint
-  type pool = P.t
+  let inactive_lo = max_int
+  let inactive_hi = -1
 
-  type t = {
-    pool : P.t;
-    n : int;
-    cfg : Smr_config.t;
+  type shared = {
     era : Rt.aint;
     lo : Rt.aint array;
     hi : Rt.aint array;
     birth : Rt.cells;  (** per-record metadata (real algorithm state) *)
     retire_era : Rt.cells;
-    lc : L.t;
-    done_stats : Smr_stats.t;
-    mutable ctxs : ctx option array;
-    mutable offload : Smr_intf.Offload.t option;
   }
 
-  and ctx = {
-    b : t;
-    tid : int;
+  type local = {
     bag : Limbo_bag.t;
-    st : Smr_stats.t;
     mutable cached_hi : int;
     mutable alloc_count : int;
     (* interval snapshot scratch for reclamation *)
@@ -59,241 +48,131 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     shi : int array;
   }
 
-  let scheme_name = "ibr"
-  let bounded_garbage = true
+  module B = Smr_base.Make (Rt) (struct
+    type inst = shared
+    type thr = local
 
-  let inactive_lo = max_int
-  let inactive_hi = -1
+    let bounded_garbage = true
 
-  let create pool ~nthreads cfg =
-    P.set_generation_check pool (not cfg.Smr_config.unsafe_no_generation_check);
-    {
-      pool;
-      n = nthreads;
-      cfg;
-      (* Padded: the era is bumped on retires and read per dereference;
-         lo/hi are per-thread SWMR interval bounds scanned by reclaimers.
-         The per-record birth/retire stamps below stay unpadded — they are
-         capacity-sized and accessed with the record, not contended rows. *)
-      era = Rt.make_padded 1;
-      lo = Array.init nthreads (fun _ -> Rt.make_padded inactive_lo);
-      hi = Array.init nthreads (fun _ -> Rt.make_padded inactive_hi);
-      birth = Rt.make_cells (P.capacity pool) 0;
-      retire_era = Rt.make_cells (P.capacity pool) 0;
-      lc = L.create ~nthreads;
-      done_stats = Smr_stats.zero ();
-      ctxs = Array.make nthreads None;
-      offload = None;
-    }
-
-  let set_offload b o = b.offload <- o
-
-  let register b ~tid =
-    L.reset_slot b.lc tid;
-    let c =
+    let create_inst ~capacity ~nthreads _ =
       {
-        b;
-        tid;
+        (* Padded: the era is bumped on retires and read per dereference;
+           lo/hi are per-thread SWMR interval bounds scanned by
+           reclaimers.  The per-record birth/retire stamps stay unpadded —
+           they are capacity-sized and accessed with the record, not
+           contended rows. *)
+        era = Rt.make_padded 1;
+        lo = Array.init nthreads (fun _ -> Rt.make_padded inactive_lo);
+        hi = Array.init nthreads (fun _ -> Rt.make_padded inactive_hi);
+        birth = Rt.make_cells capacity 0;
+        retire_era = Rt.make_cells capacity 0;
+      }
+
+    let create_thr ~nthreads _ =
+      {
         bag = Limbo_bag.create ();
-        st = Smr_stats.zero ();
         cached_hi = 0;
         alloc_count = 0;
-        slo = Array.make b.n inactive_lo;
-        shi = Array.make b.n inactive_hi;
+        slo = Array.make nthreads inactive_lo;
+        shi = Array.make nthreads inactive_hi;
       }
-    in
-    b.ctxs.(tid) <- Some c;
-    c
+
+    let size x = Limbo_bag.size x.bag
+
+    (* Birth/retire eras live in the instance-level metadata blocks, so
+       adopted and collected slots carry everything the interval sweep
+       needs. *)
+    let push _ x slot = Limbo_bag.push x.bag slot
+    let drain x = Limbo_bag.drain x.bag
+    let exportable = size
+    let export = drain
+
+    let retract s tid =
+      Rt.store s.lo.(tid) inactive_lo;
+      Rt.store s.hi.(tid) inactive_hi
+  end)
+
+  include B
+
+  module W = Watchdog (struct
+    let bag x = x.bag
+  end)
+
+  let scheme_name = "ibr"
 
   let begin_op c =
-    L.check_self c.b.lc c.tid;
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.Begin_op 0
-        0;
-    let e = Rt.load c.b.era in
-    Rt.store c.b.lo.(c.tid) e;
-    Rt.store c.b.hi.(c.tid) e;
-    c.cached_hi <- e
-
-  (* Orphan birth/retire eras live in the t-level metadata arrays, so the
-     slots alone carry everything the interval sweep needs. *)
-  let adopt_orphans c =
-    let n =
-      L.adopt c.b.lc ~tid:c.tid ~push:(fun slot -> Limbo_bag.push c.bag slot)
-    in
-    if n > 0 then Smr_stats.note_garbage c.st (Limbo_bag.size c.bag)
-
-  (* Limbo-bag externalization (DESIGN.md §12).  Birth/retire eras live in
-     the t-level metadata arrays, so handed-off slots carry everything the
-     collector's interval sweep needs — the orphan-parcel argument. *)
-
-  let limbo_size c = Limbo_bag.size c.bag
-
-  let export_bag c =
-    let slots = Limbo_bag.drain c.bag in
-    L.push_handoff c.b.lc ~origin:c.tid slots;
-    List.length slots
-
-  let hand_off c = export_bag c
-
-  let maybe_offload c =
-    match c.b.offload with
-    | None -> false
-    | Some o ->
-        let count = Limbo_bag.size c.bag in
-        count > 0
-        && Smr_intf.Offload.try_accept o ~tid:c.tid ~ns:(Rt.now_ns ()) ~count
-        &&
-        (ignore (export_bag c);
-         true)
-
-  let collect_handoffs c =
-    let n =
-      L.take_handoffs c.b.lc ~push:(fun slot -> Limbo_bag.push c.bag slot)
-    in
-    if n > 0 then begin
-      Smr_stats.note_garbage c.st (Limbo_bag.size c.bag);
-      match c.b.offload with
-      | Some o ->
-          Smr_intf.Offload.note_collected o ~tid:c.tid ~ns:(Rt.now_ns ())
-            ~count:n
-      | None ->
-          if !Nbr_obs.Trace.on then
-            Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-              Nbr_obs.Trace.Handoff_collect n 0
-    end;
-    n
+    B.begin_op c;
+    let s = c.b.shared in
+    let e = Rt.load s.era in
+    Rt.store s.lo.(c.tid) e;
+    Rt.store s.hi.(c.tid) e;
+    c.local.cached_hi <- e
 
   let end_op c =
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.End_op 0 0;
-    Rt.store c.b.lo.(c.tid) inactive_lo;
-    Rt.store c.b.hi.(c.tid) inactive_hi;
-    if L.has_orphans c.b.lc && L.is_active c.b.lc c.tid then adopt_orphans c
-
-  (* Retract [tid]'s announced interval so it stops pinning records. *)
-  let retract_published b tid =
-    Rt.store b.lo.(tid) inactive_lo;
-    Rt.store b.hi.(tid) inactive_hi
-
-  let orphan_ctx b ~into (vc : ctx) slots =
-    L.push_parcel b.lc ~origin:vc.tid slots;
-    Smr_stats.add into vc.st;
-    b.ctxs.(vc.tid) <- None
-
-  let deregister c =
-    if L.depart c.b.lc c.tid then begin
-      (* Hand the departing thread's magazine caches back to the depot:
-         an abandoned magazine would strand up to a magazine's worth of
-         free slots per size class.  Safe here: we won the depart CAS, so
-         no watchdog owns this tid's state. *)
-      P.flush_thread c.b.pool ~tid:c.tid;
-      retract_published c.b c.tid;
-      let slots = Limbo_bag.drain c.bag in
-      L.with_stats_lock c.b.lc (fun () ->
-          orphan_ctx c.b ~into:c.b.done_stats c slots)
-    end
-
-  (* Crash watchdog (see [Lifecycle]): IBR is bounded, so it takes part
-     in recovery — a peer frozen past the death threshold is claimed, its
-     interval retracted and its bag orphaned.  No signals to re-send. *)
-  let watchdog c =
-    L.scan c.b.lc ~self:c.tid ~timeout_ns:c.b.cfg.Smr_config.wd_timeout_ns
-      ~rounds:c.b.cfg.Smr_config.wd_rounds
-      ~on_round:(fun ~peer:_ ~round:_ -> ())
-      ~reap:(fun v ->
-        P.flush_thread c.b.pool ~tid:v;
-        retract_published c.b v;
-        match c.b.ctxs.(v) with
-        | None -> ()
-        | Some vc ->
-            orphan_ctx c.b ~into:c.st vc
-              (L.seize_bag c.b.lc ~origin:vc.tid vc.bag))
+    note_end_op c;
+    Rt.store c.b.shared.lo.(c.tid) inactive_lo;
+    Rt.store c.b.shared.hi.(c.tid) inactive_hi;
+    adopt_pending c
 
   (* Interval scan + sweep — the threshold-crossing body of [retire],
      also run threshold-free under pool pressure.  Safe mid-operation:
      our own announced interval is part of the scan, so anything we might
-     still dereference stays pinned. *)
+     still dereference stays pinned.  The crash watchdog runs first: IBR
+     is bounded, so a peer frozen past the death threshold is claimed,
+     its interval retracted and its bag orphaned.  No signals to
+     re-send. *)
   let flush c =
-    watchdog c;
-    if Limbo_bag.size c.bag > 0 then begin
+    W.watchdog c ~on_round:(fun ~peer:_ ~round:_ -> ());
+    let s = c.b.shared and x = c.local in
+    if Limbo_bag.size x.bag > 0 then begin
       for t = 0 to c.b.n - 1 do
-        c.slo.(t) <- Rt.load c.b.lo.(t);
-        c.shi.(t) <- Rt.load c.b.hi.(t)
+        x.slo.(t) <- Rt.load s.lo.(t);
+        x.shi.(t) <- Rt.load s.hi.(t)
       done;
-      let pinned s =
-        let u = P.uid c.b.pool s in
-        let birth = Rt.plain_load_at c.b.birth u in
-        let death = Rt.plain_load_at c.b.retire_era u in
+      let pinned slot =
+        let u = P.uid c.b.pool slot in
+        let birth = Rt.plain_load_at s.birth u in
+        let death = Rt.plain_load_at s.retire_era u in
         let hit = ref false in
         for t = 0 to c.b.n - 1 do
-          if (not !hit) && birth <= c.shi.(t) && death >= c.slo.(t) then
+          if (not !hit) && birth <= x.shi.(t) && death >= x.slo.(t) then
             hit := true
         done;
         !hit
       in
       let freed =
-        Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag) ~keep:pinned
-          ~free:(fun s -> P.free c.b.pool s)
+        Limbo_bag.sweep x.bag ~upto:(Limbo_bag.abs_tail x.bag) ~keep:pinned
+          ~free:(fun slot -> P.free c.b.pool slot)
       in
       Smr_stats.add_freed c.st freed;
       Smr_stats.add_reclaim_events c.st 1;
       if !Nbr_obs.Trace.on then
         Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Reclaim freed
-          (Limbo_bag.size c.bag)
+          Nbr_obs.Trace.Reclaim freed (Limbo_bag.size x.bag)
     end
 
   let on_pressure = flush
 
   let alloc ?cls c =
     let slot = P.alloc ~on_pressure:(fun () -> flush c) ?cls c.b.pool in
-    c.alloc_count <- c.alloc_count + 1;
-    if c.alloc_count mod c.b.cfg.Smr_config.epoch_freq = 0 then
-      ignore (Rt.faa c.b.era 1);
+    let s = c.b.shared and x = c.local in
+    x.alloc_count <- x.alloc_count + 1;
+    if x.alloc_count mod c.b.cfg.Smr_config.epoch_freq = 0 then
+      ignore (Rt.faa s.era 1);
     (* Era metadata is per {e slot}, not per handle: [uid] keeps the
        arrays dense across size-classes and generations. *)
-    Rt.store_at c.b.birth (P.uid c.b.pool slot) (Rt.load c.b.era);
+    Rt.store_at s.birth (P.uid c.b.pool slot) (Rt.load s.era);
     slot
 
   let retire c slot =
-    P.note_retired c.b.pool slot;
-    Smr_stats.add_retires c.st 1;
-    Rt.store_at c.b.retire_era (P.uid c.b.pool slot) (Rt.load c.b.era);
-    Limbo_bag.push c.bag slot;
-    if Limbo_bag.size c.bag >= c.b.cfg.Smr_config.bag_threshold then
+    count_retire c slot;
+    let bag = c.local.bag in
+    Rt.store_at c.b.shared.retire_era (P.uid c.b.pool slot)
+      (Rt.load c.b.shared.era);
+    Limbo_bag.push bag slot;
+    if Limbo_bag.size bag >= c.b.cfg.Smr_config.bag_threshold then
       if not (maybe_offload c) then flush c;
-    let g = Limbo_bag.size c.bag in
-    Smr_stats.note_garbage c.st g
-
-  (* IBR imposes the same restart obligation on structures as HP: a
-     dereference that cannot be revalidated aborts the read phase through
-     the checkpoint (see [guarded_read]). *)
-  let phase c ~read ~write =
-    let attempts = ref 0 in
-    let out =
-      Rt.checkpoint (fun () ->
-          incr attempts;
-          if !attempts > 1 then Smr_stats.uaf_abort c.st;
-          let payload, _recs = read () in
-          Smr_stats.uaf_commit c.st;
-          write payload)
-    in
-    Smr_stats.add_restarts c.st (!attempts - 1);
-    out
-
-  let read_only c f =
-    let attempts = ref 0 in
-    let out =
-      Rt.checkpoint (fun () ->
-          incr attempts;
-          if !attempts > 1 then Smr_stats.uaf_abort c.st;
-          let r = f () in
-          Smr_stats.uaf_commit c.st;
-          r)
-    in
-    Smr_stats.add_restarts c.st (!attempts - 1);
-    out
+    Smr_stats.note_garbage c.st (Limbo_bag.size bag)
 
   (* The 2GE per-dereference protocol (Wen et al., fig. 4): read the
      pointer, then check that the global era still equals the announced
@@ -325,10 +204,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let guarded_read c root ~src ~field =
     let rec loop () =
       let v = link c root ~src ~field in
-      let e = Rt.plain_load c.b.era in
-      if e <> c.cached_hi then begin
-        Rt.store c.b.hi.(c.tid) e;
-        c.cached_hi <- e;
+      let e = Rt.plain_load c.b.shared.era in
+      if e <> c.local.cached_hi then begin
+        Rt.store c.b.shared.hi.(c.tid) e;
+        c.local.cached_hi <- e;
         (* [unsafe_ibr_no_validate] is ablation A3: skipping this check
            reintroduces the PR 4 frozen-link unsoundness, which the
            schedule-explorer regression re-finds from a certificate. *)
@@ -355,19 +234,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      honest behaviour is to consume the recycled memory and let
      [record_read] convict the access — which is exactly what the
      stored-certificate regression replays. *)
-  let read_data c ~src ~field =
-    match P.read_data c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
-
-  let peek_ptr c ~src ~field =
-    match P.read_ptr c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
+  let read_data = Unguarded.read_data
+  let peek_ptr = Unguarded.peek_ptr
 
   (* Mark-tagged links are read out of unlinked records (Harris traversal),
      where no liveness validation is possible — the P5 limitation, exactly
@@ -376,21 +244,13 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let read_raw c ~src ~field =
     let rec loop () =
       let v = P.raw_load_ptr c.b.pool src field in
-      let e = Rt.plain_load c.b.era in
-      if e <> c.cached_hi then begin
-        Rt.store c.b.hi.(c.tid) e;
-        c.cached_hi <- e;
+      let e = Rt.plain_load c.b.shared.era in
+      if e <> c.local.cached_hi then begin
+        Rt.store c.b.shared.hi.(c.tid) e;
+        c.local.cached_hi <- e;
         loop ()
       end
       else v
     in
     loop ()
-
-  let ctx_stats (c : ctx) = c.st
-
-  let stats b =
-    let acc = Smr_stats.zero () in
-    L.with_stats_lock b.lc (fun () -> Smr_stats.add acc b.done_stats);
-    Array.iter (function None -> () | Some c -> Smr_stats.add acc c.st) b.ctxs;
-    acc
 end

@@ -134,8 +134,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       Nbr_sync.Treiber.push l.handoffs { origin; slots }
     end
 
-  let has_handoffs l = not (Nbr_sync.Treiber.is_empty l.handoffs)
-
   (** Drain every handed-off parcel into the collector via [push] (one
       call per record); returns the number collected.  Same re-accounting
       contract as {!adopt} — the collector owns the records from here on

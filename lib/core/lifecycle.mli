@@ -71,9 +71,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
       explicit end-of-trial drainer) consumes via {!take_handoffs} —
       workers never race it for parcels they just shed. *)
 
-  val has_handoffs : t -> bool
-  (** One stdlib atomic load. *)
-
   val take_handoffs : t -> push:(int -> unit) -> int
   (** Drain every handed-off parcel into the collector via [push] (one
       call per record); returns the number collected.  Same

@@ -34,10 +34,6 @@ val push : t -> int -> unit
 (** Append a retired slot at the tail — or, once the bag has been
     seized, straight to the hand-over list. *)
 
-val pop_front : t -> int
-(** Remove and return the oldest entry.  Raises [Invalid_argument] when
-    empty. *)
-
 val sweep : t -> upto:int -> keep:(int -> bool) -> free:(int -> unit) -> int
 (** [sweep t ~upto ~keep ~free] examines every entry with absolute
     position [< upto]: reserved entries ([keep e = true]) are

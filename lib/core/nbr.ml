@@ -12,49 +12,22 @@
     the bottleneck NBR+ removes (§5). *)
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
-  module B = Nbr_base.Make (Rt)
-
-  type aint = B.aint
-  type pool = B.pool
-  type t = B.t
-  type ctx = B.ctx
+  include Nbr_base.Make (Rt)
 
   let scheme_name = "nbr"
-  let bounded_garbage = true
-
-  let create = B.create
-  let register = B.register
-  let deregister = B.deregister
-  let adopt_orphans = B.adopt_orphans
-  let begin_op = B.begin_op
-  let end_op = B.end_op
-  let alloc = B.alloc
-  let phase = B.phase
-  let read_only = B.read_only
-  let read_root = B.read_root
-  let read_ptr = B.read_ptr
-  let read_raw = B.read_raw
-  let read_data = B.read_data
-  let peek_ptr = B.peek_ptr
-  let stats = B.stats
-  let ctx_stats = B.ctx_stats
-  let on_pressure = B.flush
-  let set_offload = B.set_offload
-  let limbo_size = B.limbo_size
-  let hand_off = B.hand_off
-  let collect_handoffs = B.collect_handoffs
+  let on_pressure = flush
 
   (* Algorithm 1, lines 14–20 — with the threshold crossing first offered
      to the background reclaimer: an accepted handoff replaces the whole
      signalAll + scan with one channel push. *)
-  let retire (c : ctx) slot =
-    B.note_retired c slot;
-    let open Smr_config in
-    if Limbo_bag.size c.bag >= c.b.cfg.bag_threshold then
-      if not (B.maybe_offload c) then begin
-        B.broadcast c;
-        B.reclaim_freeable c ~upto:(Limbo_bag.abs_tail c.bag);
+  let retire c slot =
+    count_retire c slot;
+    let bag = c.local.bag in
+    if Limbo_bag.size bag >= c.b.cfg.Smr_config.bag_threshold then
+      if not (maybe_offload c) then begin
+        broadcast c;
+        reclaim_freeable c ~upto:(Limbo_bag.abs_tail bag);
         Smr_stats.add_reclaim_events c.st 1
       end;
-    B.bag_push c slot
+    bag_push c slot
 end

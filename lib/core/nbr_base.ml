@@ -10,31 +10,17 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
   module L = Lifecycle.Make (Rt)
 
-  type aint = Rt.aint
-  type pool = P.t
-
-  type t = {
-    pool : P.t;
-    n : int;
-    cfg : Smr_config.t;
+  type shared = {
     reservations : Rt.aint array array;
         (** [reservations.(tid).(i)]: swmr announcement slots (line 5). *)
     announce_ts : Rt.aint array;
         (** NBR+ per-thread even/odd broadcast timestamps (Algorithm 2);
             allocated here so the base can stay scheme-agnostic. *)
-    lc : L.t;  (** thread lifecycle: orphan parcels + crash watchdog *)
-    done_stats : Smr_stats.t;  (** folded in from finished contexts *)
-    mutable ctxs : ctx option array;
-    mutable offload : Smr_intf.Offload.t option;
-        (** background-reclamation switchboard; None = inline only *)
   }
 
-  and ctx = {
-    b : t;
-    tid : int;
+  type local = {
     bag : Limbo_bag.t;
     scratch : int array;  (** collected reservations, sorted in place *)
-    st : Smr_stats.t;
     (* Handshake snapshots (one slot per peer), scratch for [broadcast]: *)
     hs_seen0 : int array;
     hs_hb0 : int array;
@@ -45,54 +31,69 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     mutable retires_since_scan : int;
   }
 
-  let create pool ~nthreads cfg =
-    P.set_generation_check pool (not cfg.Smr_config.unsafe_no_generation_check);
-    {
-      pool;
-      n = nthreads;
-      cfg;
-      (* Padded cells: each thread's SWMR slots are written on every
-         [end_read] and scanned by every reclaimer — unpadded, eight
-         threads' worth of [Atomic.t] blocks pack into one cache line and
-         every publication invalidates every reader's line. *)
-      reservations =
-        Array.init nthreads (fun _ ->
-            Array.init cfg.Smr_config.max_reservations (fun _ ->
-                Rt.make_padded P.nil));
-      announce_ts = Array.init nthreads (fun _ -> Rt.make_padded 0);
-      lc = L.create ~nthreads;
-      done_stats = Smr_stats.zero ();
-      ctxs = Array.make nthreads None;
-      offload = None;
-    }
+  module B = Smr_base.Make (Rt) (struct
+    type inst = shared
+    type thr = local
 
-  let set_offload b o = b.offload <- o
+    let bounded_garbage = true
 
-  let register b ~tid =
-    L.reset_slot b.lc tid;
-    let c =
+    let create_inst ~capacity:_ ~nthreads cfg =
       {
-        b;
-        tid;
-        bag = Limbo_bag.create ~capacity:(b.cfg.Smr_config.bag_threshold + 8) ();
-        scratch = Array.make (b.n * b.cfg.Smr_config.max_reservations) 0;
-        st = Smr_stats.zero ();
-        hs_seen0 = Array.make b.n 0;
-        hs_hb0 = Array.make b.n 0;
-        scan_ts = Array.make b.n 0;
+        (* Padded cells: each thread's SWMR slots are written on every
+           [end_read] and scanned by every reclaimer — unpadded, eight
+           threads' worth of [Atomic.t] blocks pack into one cache line
+           and every publication invalidates every reader's line. *)
+        reservations =
+          Array.init nthreads (fun _ ->
+              Array.init cfg.Smr_config.max_reservations (fun _ ->
+                  Rt.make_padded P.nil));
+        announce_ts = Array.init nthreads (fun _ -> Rt.make_padded 0);
+      }
+
+    let create_thr ~nthreads cfg =
+      {
+        bag = Limbo_bag.create ~capacity:(cfg.Smr_config.bag_threshold + 8) ();
+        scratch = Array.make (nthreads * cfg.Smr_config.max_reservations) 0;
+        hs_seen0 = Array.make nthreads 0;
+        hs_hb0 = Array.make nthreads 0;
+        scan_ts = Array.make nthreads 0;
         first_lo = true;
         bookmark = 0;
         retires_since_scan = 0;
       }
-    in
-    b.ctxs.(tid) <- Some c;
-    c
+
+    let size x = Limbo_bag.size x.bag
+
+    (* Flattened slot lists are conservatively safe: adopters and the
+       reclaimer re-buffer them as freshly retired. *)
+    let push _ x slot = Limbo_bag.push x.bag slot
+    let drain x = Limbo_bag.drain x.bag
+    let exportable = size
+    let export = drain
+
+    (* Reservations to nil, and a dead broadcaster's announce_ts rounded
+       up to even so NBR+ LoWatermark scanners never treat its aborted
+       broadcast as forever in-flight. *)
+    let retract s tid =
+      let res = s.reservations.(tid) in
+      for i = 0 to Array.length res - 1 do
+        Rt.store res.(i) P.nil
+      done;
+      let v = Rt.load s.announce_ts.(tid) in
+      if v land 1 = 1 then Rt.store s.announce_ts.(tid) (v + 1)
+  end)
+
+  include B
+
+  module W = Watchdog (struct
+    let bag x = x.bag
+  end)
 
   (* ------------------------------------------------------------------ *)
   (* Read/write phase protocol (Algorithm 1, lines 6–13).                *)
 
   let begin_read c =
-    let res = c.b.reservations.(c.tid) in
+    let res = c.b.shared.reservations.(c.tid) in
     for i = 0 to Array.length res - 1 do
       Rt.store res.(i) P.nil
     done;
@@ -107,7 +108,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         Nbr_obs.Trace.Checkpoint_set 0 0
 
   let end_read c recs =
-    let res = c.b.reservations.(c.tid) in
+    let res = c.b.shared.reservations.(c.tid) in
     let r = Array.length recs in
     assert (r <= Array.length res);
     for i = 0 to r - 1 do
@@ -225,52 +226,18 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     P.raw_load_ptr c.b.pool src field
 
   (* ------------------------------------------------------------------ *)
-  (* Reclamation (Algorithm 1, lines 14–24).                             *)
+  (* Reclamation (Algorithm 1, lines 14–24), with crash recovery: the
+     watchdog re-sends the neutralization signal to a frozen peer at
+     each escalation round, and broadcasts confirm their handshake when
+     signal delivery is suspect.                                        *)
 
   let signal_all c =
     for t = 0 to c.b.n - 1 do
       if t <> c.tid then Rt.send_signal t
     done
 
-  (* ------------------------------------------------------------------ *)
-  (* Crash recovery (see [Lifecycle]): reap a peer declared dead by the
-     watchdog, and confirm broadcasts when signal delivery is suspect.   *)
-
-  (* Retract [tid]'s published protection so it stops pinning records:
-     reservations to nil, and a dead broadcaster's announce_ts rounded up
-     to even so NBR+ LoWatermark scanners never treat its aborted
-     broadcast as forever in-flight. *)
-  let retract_published b tid =
-    let res = b.reservations.(tid) in
-    for i = 0 to Array.length res - 1 do
-      Rt.store res.(i) P.nil
-    done;
-    let v = Rt.load b.announce_ts.(tid) in
-    if v land 1 = 1 then Rt.store b.announce_ts.(tid) (v + 1)
-
-  (* Publish [slots], the entries of [vc]'s limbo bag (drained by the
-     owner on leave, seized by a reaper), as an orphan parcel and fold
-     [vc]'s stats into [into] (the claimer's own, single-writer).  The records stay Retired
-     in the pool; adopters re-buffer and free them through their sweeps. *)
-  let orphan_ctx b ~into vc slots =
-    L.push_parcel b.lc ~origin:vc.tid slots;
-    Smr_stats.add into vc.st;
-    b.ctxs.(vc.tid) <- None
-
-  let reap_peer c victim =
-    (* Reclaim the dead thread's magazines along with its bags. *)
-    P.flush_thread c.b.pool ~tid:victim;
-    retract_published c.b victim;
-    match c.b.ctxs.(victim) with
-    | None -> ()
-    | Some vc ->
-        orphan_ctx c.b ~into:c.st vc (L.seize_bag c.b.lc ~origin:vc.tid vc.bag)
-
   let watchdog c =
-    L.scan c.b.lc ~self:c.tid ~timeout_ns:c.b.cfg.Smr_config.wd_timeout_ns
-      ~rounds:c.b.cfg.Smr_config.wd_rounds
-      ~on_round:(fun ~peer ~round:_ -> Rt.send_signal peer)
-      ~reap:(fun v -> reap_peer c v)
+    W.watchdog c ~on_round:(fun ~peer ~round:_ -> Rt.send_signal peer)
 
   (* Wait until every live, executing peer has observed *some* signal
      since our pre-broadcast snapshot.  Any observation after the
@@ -300,6 +267,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let round = ref 0 in
     let backoff = ref 100 in
     let backoff_cap = max 100 (timeout / 8) in
+    let x = c.local in
     let unacked = ref [] in
     for t = c.b.n - 1 downto 0 do
       if
@@ -314,8 +282,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       unacked :=
         List.filter
           (fun t ->
-            Rt.signals_seen t <= c.hs_seen0.(t)
-            && not (late && Rt.heartbeat t = c.hs_hb0.(t)))
+            Rt.signals_seen t <= x.hs_seen0.(t)
+            && not (late && Rt.heartbeat t = x.hs_hb0.(t)))
           !unacked;
       if !unacked <> [] then begin
         let age = Rt.now_ns () - t0 in
@@ -351,9 +319,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
             Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
               Nbr_obs.Trace.Handshake_timeout t rounds)
         !unacked;
-      L.scan c.b.lc ~self:c.tid ~timeout_ns:timeout ~rounds
-        ~on_round:(fun ~peer ~round:_ -> Rt.send_signal peer)
-        ~reap:(fun v -> reap_peer c v)
+      watchdog c
     end
 
   (* [signal_all], upgraded: runs the crash watchdog first, and — only
@@ -363,35 +329,37 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let broadcast c =
     watchdog c;
     if Rt.fault_injection_active () then begin
+      let x = c.local in
       for t = 0 to c.b.n - 1 do
-        c.hs_seen0.(t) <- Rt.signals_seen t;
-        c.hs_hb0.(t) <- Rt.heartbeat t
+        x.hs_seen0.(t) <- Rt.signals_seen t;
+        x.hs_hb0.(t) <- Rt.heartbeat t
       done;
       signal_all c;
       confirm_broadcast c
     end
     else signal_all c
 
-  (* Collect every other thread's reservations into [c.scratch], sorted;
+  (* Collect every other thread's reservations into [scratch], sorted;
      returns the count.  Scanned *after* signalling (writers' handshake
      step 3). *)
   let collect_reservations c =
+    let scratch = c.local.scratch in
     let k = ref 0 in
     for t = 0 to c.b.n - 1 do
       if t <> c.tid then begin
-        let res = c.b.reservations.(t) in
+        let res = c.b.shared.reservations.(t) in
         for i = 0 to Array.length res - 1 do
           let v = Rt.load res.(i) in
           if v >= 0 then begin
-            c.scratch.(!k) <- v;
+            scratch.(!k) <- v;
             incr k
           end
         done
       end
     done;
-    let a = Array.sub c.scratch 0 !k in
+    let a = Array.sub scratch 0 !k in
     Array.sort compare a;
-    Array.blit a 0 c.scratch 0 !k;
+    Array.blit a 0 scratch 0 !k;
     !k
 
   let mem_sorted a n x =
@@ -409,10 +377,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      [upto]. *)
   let reclaim_freeable c ~upto =
     let k = collect_reservations c in
-    let before = Limbo_bag.size c.bag in
+    let x = c.local in
+    let before = Limbo_bag.size x.bag in
     let freed =
-      Limbo_bag.sweep c.bag ~upto
-        ~keep:(fun slot -> mem_sorted c.scratch k slot)
+      Limbo_bag.sweep x.bag ~upto
+        ~keep:(fun slot -> mem_sorted x.scratch k slot)
         ~free:(fun slot -> P.free c.b.pool slot)
     in
     Smr_stats.add_freed c.st freed;
@@ -421,97 +390,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       Nbr_obs.Trace.emit ~tid:c.tid ~ns Nbr_obs.Trace.Bag_sweep before
         (before - freed);
       Nbr_obs.Trace.emit ~tid:c.tid ~ns Nbr_obs.Trace.Reclaim freed
-        (Limbo_bag.size c.bag)
+        (Limbo_bag.size x.bag)
     end
-
-  (* ------------------------------------------------------------------ *)
-
-  (* Record the bounded-garbage high-water mark after a bag push. *)
-  let note_buffered c n = Smr_stats.note_garbage c.st n
-
-  let begin_op c =
-    L.check_self c.b.lc c.tid;
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.Begin_op 0
-        0
-
-  (* Re-buffer departed/crashed threads' retires as our own: they free
-     through our normal sweeps and count against *our* garbage bound. *)
-  let adopt_orphans c =
-    let n =
-      L.adopt c.b.lc ~tid:c.tid ~push:(fun slot -> Limbo_bag.push c.bag slot)
-    in
-    if n > 0 then note_buffered c (Limbo_bag.size c.bag)
-
-  (* ------------------------------------------------------------------ *)
-  (* Limbo-bag externalization (DESIGN.md §12): the whole bag is drained
-     into a lifecycle handoff parcel, exactly like [orphan_ctx] drains a
-     dead thread's bag — flattened slot lists are conservatively safe
-     because adopters re-buffer them as freshly retired. *)
-
-  let limbo_size c = Limbo_bag.size c.bag
-
-  let export_bag c =
-    let slots = Limbo_bag.drain c.bag in
-    L.push_handoff c.b.lc ~origin:c.tid slots;
-    List.length slots
-
-  let hand_off c = export_bag c
-
-  (* Retire-path gate: offer the full bag to the reclaimer.  [false]
-     means sweep inline — no offload installed, degraded, or the channel
-     is backlogged (which flips the degrade switch as a side effect). *)
-  let maybe_offload c =
-    match c.b.offload with
-    | None -> false
-    | Some o ->
-        let count = Limbo_bag.size c.bag in
-        count > 0
-        && Smr_intf.Offload.try_accept o ~tid:c.tid ~ns:(Rt.now_ns ()) ~count
-        &&
-        (ignore (export_bag c);
-         true)
-
-  let collect_handoffs c =
-    let n =
-      L.take_handoffs c.b.lc ~push:(fun slot -> Limbo_bag.push c.bag slot)
-    in
-    if n > 0 then begin
-      note_buffered c (Limbo_bag.size c.bag);
-      match c.b.offload with
-      | Some o ->
-          Smr_intf.Offload.note_collected o ~tid:c.tid ~ns:(Rt.now_ns ())
-            ~count:n
-      | None ->
-          (* End-of-trial drain with the switchboard already gone: still
-             emit the collection so the sanitizer's foreign-sweep credit
-             and the trace timeline stay complete. *)
-          if !Nbr_obs.Trace.on then
-            Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-              Nbr_obs.Trace.Handoff_collect n 0
-    end;
-    n
-
-  let end_op c =
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.End_op 0 0;
-    (* One stdlib atomic load on the hot path; the active check guards a
-       thread resuming after an [Expelled] verdict from adopting. *)
-    if L.has_orphans c.b.lc && L.is_active c.b.lc c.tid then adopt_orphans c
-
-  let deregister c =
-    if L.depart c.b.lc c.tid then begin
-      (* Hand the departing thread's magazine caches back to the depot:
-         an abandoned magazine would strand up to a magazine's worth of
-         free slots per size class.  Safe here: we won the depart CAS, so
-         no watchdog owns this tid's state. *)
-      P.flush_thread c.b.pool ~tid:c.tid;
-      retract_published c.b c.tid;
-      let slots = Limbo_bag.drain c.bag in
-      L.with_stats_lock c.b.lc (fun () ->
-          orphan_ctx c.b ~into:c.b.done_stats c slots)
-    end
-  (* else: a watchdog claimed us first and owns all of this state. *)
 
   (* Threshold-independent reclamation event, for pool pressure: a full
      broadcast + sweep regardless of bag size (Algorithm 1's HiWatermark
@@ -519,33 +399,23 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      non-restartable, holds no locks inside the SMR layer, and never
      touches records it has retired. *)
   let flush c =
-    if Limbo_bag.size c.bag > 0 then begin
+    let bag = c.local.bag in
+    if Limbo_bag.size bag > 0 then begin
       broadcast c;
-      reclaim_freeable c ~upto:(Limbo_bag.abs_tail c.bag);
+      reclaim_freeable c ~upto:(Limbo_bag.abs_tail bag);
       Smr_stats.add_reclaim_events c.st 1
     end
     else watchdog c
 
   let alloc ?cls c = P.alloc ~on_pressure:(fun () -> flush c) ?cls c.b.pool
 
-  let note_retired c slot =
-    P.note_retired c.b.pool slot;
-    Smr_stats.add_retires c.st 1
-
   (* Buffer an unlinked record: the tail of both schemes' [retire]. *)
   let bag_push c slot =
-    Limbo_bag.push c.bag slot;
-    let n = Limbo_bag.size c.bag in
+    let bag = c.local.bag in
+    Limbo_bag.push bag slot;
+    let n = Limbo_bag.size bag in
     if !Nbr_obs.Trace.on then
       Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.Bag_push
         slot n;
-    note_buffered c n
-
-  let ctx_stats (c : ctx) = c.st
-
-  let stats b =
-    let acc = Smr_stats.zero () in
-    L.with_stats_lock b.lc (fun () -> Smr_stats.add acc b.done_stats);
-    Array.iter (function None -> () | Some c -> Smr_stats.add acc c.st) b.ctxs;
-    acc
+    Smr_stats.note_garbage c.st n
 end

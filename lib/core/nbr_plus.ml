@@ -23,111 +23,76 @@
     argument (Lemma 9) actually needs. *)
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
-  module B = Nbr_base.Make (Rt)
-
-  type aint = B.aint
-  type pool = B.pool
-  type t = B.t
-  type ctx = B.ctx
+  include Nbr_base.Make (Rt)
 
   let scheme_name = "nbr+"
-  let bounded_garbage = true
 
-  let create = B.create
-  let register = B.register
-  let deregister = B.deregister
-  let adopt_orphans = B.adopt_orphans
-  let begin_op = B.begin_op
-  let end_op = B.end_op
-  let phase = B.phase
-  let read_only = B.read_only
-  let read_root = B.read_root
-  let read_ptr = B.read_ptr
-  let read_raw = B.read_raw
-  let read_data = B.read_data
-  let peek_ptr = B.peek_ptr
-  let stats = B.stats
-  let ctx_stats = B.ctx_stats
-  let set_offload = B.set_offload
-  let limbo_size = B.limbo_size
-  let hand_off = B.hand_off
-  let collect_handoffs = B.collect_handoffs
+  let cleanup c =
+    c.local.first_lo <- true;
+    c.local.retires_since_scan <- 0
 
-  let cleanup (c : ctx) =
-    c.first_lo <- true;
-    c.retires_since_scan <- 0
+  (* A full HiWatermark broadcast and sweep, with the announce-timestamp
+     parity kept up so peers waiting at their LoWatermark can count this
+     RGP towards their own signal-free reclamation. *)
+  let reclaim_all c =
+    let ts = c.b.shared.announce_ts.(c.tid) in
+    ignore (Rt.faa ts 1) (* odd: broadcasting  *);
+    broadcast c;
+    ignore (Rt.faa ts 1) (* even: RGP complete *);
+    reclaim_freeable c ~upto:(Limbo_bag.abs_tail c.local.bag);
+    Smr_stats.add_reclaim_events c.st 1;
+    cleanup c
 
-  (* Pool-pressure flush: a full HiWatermark-style broadcast, with the
-     announce-timestamp parity kept up so peers waiting at their
-     LoWatermark can count this RGP towards their own signal-free
-     reclamation. *)
-  let on_pressure (c : ctx) =
-    if Limbo_bag.size c.bag > 0 then begin
-      ignore (Rt.faa c.b.announce_ts.(c.tid) 1) (* odd: broadcasting  *);
-      B.broadcast c;
-      ignore (Rt.faa c.b.announce_ts.(c.tid) 1) (* even: RGP complete *);
-      B.reclaim_freeable c ~upto:(Limbo_bag.abs_tail c.bag);
-      Smr_stats.add_reclaim_events c.st 1;
-      cleanup c
-    end
-    else B.watchdog c
+  (* Pool-pressure flush: the HiWatermark body regardless of bag size. *)
+  let on_pressure c =
+    if Limbo_bag.size c.local.bag > 0 then reclaim_all c else watchdog c
 
-  let alloc ?cls (c : ctx) =
-    B.P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
+  let alloc ?cls c = P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
 
   (* Algorithm 2, lines 5–26. *)
-  let retire (c : ctx) slot =
-    B.note_retired c slot;
+  let retire c slot =
+    count_retire c slot;
     let open Smr_config in
-    let cfg = c.b.cfg in
-    let size = Limbo_bag.size c.bag in
+    let cfg = c.b.cfg and x = c.local in
+    let ts = c.b.shared.announce_ts in
+    let size = Limbo_bag.size x.bag in
     if size >= cfg.bag_threshold then begin
       (* HiWatermark — first offered to the background reclaimer: an
          accepted handoff costs one channel push where an RGP of our own
          costs n-1 signals.  The bookmark state resets either way. *)
-      if B.maybe_offload c then cleanup c
-      else begin
-        ignore (Rt.faa c.b.announce_ts.(c.tid) 1) (* odd: broadcasting  *);
-        B.broadcast c;
-        ignore (Rt.faa c.b.announce_ts.(c.tid) 1) (* even: RGP complete *);
-        B.reclaim_freeable c ~upto:(Limbo_bag.abs_tail c.bag);
-        Smr_stats.add_reclaim_events c.st 1;
-        cleanup c
-      end
+      if maybe_offload c then cleanup c else reclaim_all c
     end
     else if size >= cfg.lo_watermark then begin
-      if c.first_lo then begin
+      if x.first_lo then begin
         (* First retire past the LoWatermark: bookmark and snapshot
            (lines 13–16), rounding odd timestamps up — see note above. *)
-        c.bookmark <- Limbo_bag.abs_tail c.bag;
+        x.bookmark <- Limbo_bag.abs_tail x.bag;
         for t = 0 to c.b.n - 1 do
-          let v = Rt.load c.b.announce_ts.(t) in
-          c.scan_ts.(t) <- v + (v land 1)
+          let v = Rt.load ts.(t) in
+          x.scan_ts.(t) <- v + (v land 1)
         done;
-        c.first_lo <- false;
-        c.retires_since_scan <- 0
+        x.first_lo <- false;
+        x.retires_since_scan <- 0
       end
       else begin
         (* Amortized RGP scan (footnote c). *)
-        c.retires_since_scan <- c.retires_since_scan + 1;
-        if c.retires_since_scan >= cfg.scan_period then begin
-          c.retires_since_scan <- 0;
+        x.retires_since_scan <- x.retires_since_scan + 1;
+        if x.retires_since_scan >= cfg.scan_period then begin
+          x.retires_since_scan <- 0;
           let rgp = ref false in
           let t = ref 0 in
           while (not !rgp) && !t < c.b.n do
-            if
-              !t <> c.tid
-              && Rt.load c.b.announce_ts.(!t) >= c.scan_ts.(!t) + 2
-            then rgp := true;
+            if !t <> c.tid && Rt.load ts.(!t) >= x.scan_ts.(!t) + 2 then
+              rgp := true;
             incr t
           done;
           if !rgp then begin
-            B.reclaim_freeable c ~upto:c.bookmark;
+            reclaim_freeable c ~upto:x.bookmark;
             Smr_stats.add_lo_reclaims c.st 1;
             cleanup c
           end
         end
       end
     end;
-    B.bag_push c slot
+    bag_push c slot
 end

@@ -193,13 +193,6 @@ module type S = sig
   val limbo_size : ctx -> int
   (** Records currently buffered in the calling thread's limbo state. *)
 
-  val hand_off : ctx -> int
-  (** Unconditionally export the calling thread's buffered retires to
-      the handoff channel (no threshold or acceptance check, no trace
-      accounting beyond the channel's); returns the number exported.
-      For tests and explicit shed-before-leave paths — the retire path
-      uses the internal, {!Offload.try_accept}-gated variant. *)
-
   val collect_handoffs : ctx -> int
   (** Drain the handoff channel into the calling thread's own limbo
       state (re-accounted as its garbage, freed by its normal sweeps)
