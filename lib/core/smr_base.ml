@@ -26,6 +26,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
     cfg : Smr_config.t;
     lc : L.t;
     done_stats : Smr_stats.t;
+    reaped : Smr_stats.t list Atomic.t;
     ctxs : ctx option array;
     mutable offload : Smr_intf.Offload.t option;
     shared : X.inst;
@@ -43,6 +44,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
       cfg;
       lc = L.create ~nthreads;
       done_stats = Smr_stats.zero ();
+      reaped = Nbr_sync.Padded.make [];
       ctxs = Array.make nthreads None;
       offload = None;
       shared = X.create_inst ~capacity:(P.capacity pool) ~nthreads cfg;
@@ -63,6 +65,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
   let stats b =
     let acc = Smr_stats.zero () in
     L.with_stats_lock b.lc (fun () -> Smr_stats.add acc b.done_stats);
+    List.iter (Smr_stats.add acc) (Atomic.get b.reaped);
     Array.iter (function None -> () | Some c -> Smr_stats.add acc c.st) b.ctxs;
     acc
 
@@ -162,8 +165,16 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
   end) =
   struct
     (* Reap a peer the watchdog claimed: its magazines go back to the
-       depot, its published protection is retracted, and its bag becomes
-       an orphan parcel. *)
+       depot, its published protection is retracted, its bag becomes an
+       orphan parcel, and its statistics are parked where [stats] sums
+       them.  Not in the reaper's own record: readers take per-operation
+       deltas of [ctx_stats].  A stdlib atomic, not the charged stats
+       lock, so the reap costs no virtual time. *)
+    let rec park_stats b st =
+      let old = Atomic.get b.reaped in
+      if not (Atomic.compare_and_set b.reaped old (st :: old)) then
+        park_stats b st
+
     let reap c victim =
       P.flush_thread c.b.pool ~tid:victim;
       X.retract c.b.shared victim;
@@ -172,7 +183,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
       | Some vc ->
           L.push_parcel c.b.lc ~origin:victim
             (L.seize_bag c.b.lc ~origin:victim (W.bag vc.local));
-          Smr_stats.add c.st vc.st;
+          park_stats c.b vc.st;
           c.b.ctxs.(victim) <- None
 
     let watchdog c ~on_round =

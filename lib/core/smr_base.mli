@@ -71,6 +71,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
     cfg : Smr_config.t;
     lc : Lifecycle.Make(Rt).t;  (** orphan parcels, handoffs, watchdog *)
     done_stats : Smr_stats.t;  (** folded in from departed contexts *)
+    reaped : Smr_stats.t list Atomic.t;
+        (** reaped contexts' statistics: in {!stats}, never in the
+            reaper's {!ctx_stats} *)
     ctxs : ctx option array;
     mutable offload : Smr_intf.Offload.t option;
         (** background-reclamation switchboard; [None] = inline only *)
@@ -127,7 +130,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
     val reap : ctx -> int -> unit
     (** Reap a claimed peer: flush its magazines, {!SCHEME.retract} its
         state, {!Lifecycle.Make.seize_bag} its bag into an orphan
-        parcel and fold its statistics away. *)
+        parcel and park its statistics in [reaped]. *)
 
     val watchdog : ctx -> on_round:(peer:int -> round:int -> unit) -> unit
     (** One {!Lifecycle.Make.scan} that reaps with {!reap}. *)

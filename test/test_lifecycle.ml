@@ -336,6 +336,69 @@ module R_hp = ReapMidSweep (Nbr_core.Hp.Make (Sim))
 module R_he = ReapMidSweep (Nbr_core.Hazard_eras.Make (Sim))
 
 (* ------------------------------------------------------------------ *)
+(* A reaper's own statistics stay its own: the runner, the reclaimer and
+   the KV guard read per-operation deltas of [ctx_stats], so a victim's
+   lifetime counts must not land there.  Thread 1 retires records and
+   crashes mid-operation; thread 0, which retires nothing, reaps it.   *)
+
+module ReapKeepsOwnStats
+    (S : Nbr_core.Smr_intf.S with type aint = Sim.aint and type pool = P.t) =
+struct
+  let retired = 32
+
+  let test () =
+    Sim.set_config
+      { Sim.default_config with cores = 2; granularity = 1; seed = 3 };
+    let pool =
+      P.create ~capacity:256 ~data_fields:1 ~ptr_fields:1 ~nthreads:2 ()
+    in
+    let smr = S.create pool ~nthreads:2 (cfg 4096) in
+    let c0 = S.register smr ~tid:0 and c1 = S.register smr ~tid:1 in
+    Nbr_obs.Trace.enable ~nthreads:2 ();
+    Sim.set_signal_fault
+      (Some (fun ~sender:_ ~target:_ -> Nbr_runtime.Runtime_intf.Sig_deliver));
+    Fun.protect
+      ~finally:(fun () ->
+        Sim.set_signal_fault None;
+        Nbr_obs.Trace.clear ())
+    @@ fun () ->
+    Sim.run ~nthreads:2 (fun tid ->
+        if tid = 1 then begin
+          S.begin_op c1;
+          for _ = 1 to retired do
+            S.retire c1 (S.alloc c1)
+          done
+          (* crashed: no end_op, and nothing more from this thread *)
+        end
+        else
+          for _ = 1 to 20 do
+            S.on_pressure c0;
+            Sim.stall_ns 100_000
+          done);
+    let deaths =
+      List.filter
+        (fun e -> e.Nbr_obs.Trace.e_kind = Nbr_obs.Trace.Peer_declared_dead)
+        (Nbr_obs.Trace.events ())
+    in
+    Alcotest.(check int) "victim reaped" 1 (List.length deaths);
+    let own = S.ctx_stats c0 and all = S.stats smr in
+    Alcotest.(check int) "reaper's ctx_stats: its own retires" 0
+      (Nbr_core.Smr_stats.retires own);
+    Alcotest.(check int) "reaper's ctx_stats: its own max garbage" 0
+      (Nbr_core.Smr_stats.max_garbage own);
+    Alcotest.(check int) "stats still total the victim's retires" retired
+      (Nbr_core.Smr_stats.retires all);
+    Alcotest.(check int) "stats still show the victim's garbage" retired
+      (Nbr_core.Smr_stats.max_garbage all)
+end
+
+module K_nbr = ReapKeepsOwnStats (Nbr_core.Nbr.Make (Sim))
+module K_nbrp = ReapKeepsOwnStats (Nbr_core.Nbr_plus.Make (Sim))
+module K_ibr = ReapKeepsOwnStats (Nbr_core.Ibr.Make (Sim))
+module K_hp = ReapKeepsOwnStats (Nbr_core.Hp.Make (Sim))
+module K_he = ReapKeepsOwnStats (Nbr_core.Hazard_eras.Make (Sim))
+
+(* ------------------------------------------------------------------ *)
 (* QCheck: join/leave churn never double-frees.                        *)
 
 (* Random scheme, churn period, thread count and seed; a sim trial with
@@ -391,5 +454,11 @@ let suite =
         (R_hp.test ~in_op:false);
       Alcotest.test_case "he peer reaped mid-sweep" `Quick
         (R_he.test ~in_op:false);
+      Alcotest.test_case "nbr reaper keeps its own ctx_stats" `Quick K_nbr.test;
+      Alcotest.test_case "nbr+ reaper keeps its own ctx_stats" `Quick
+        K_nbrp.test;
+      Alcotest.test_case "ibr reaper keeps its own ctx_stats" `Quick K_ibr.test;
+      Alcotest.test_case "hp reaper keeps its own ctx_stats" `Quick K_hp.test;
+      Alcotest.test_case "he reaper keeps its own ctx_stats" `Quick K_he.test;
       QCheck_alcotest.to_alcotest churn_never_double_frees;
     ]
