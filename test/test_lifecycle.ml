@@ -334,6 +334,8 @@ end
 module R_ibr = ReapMidSweep (Nbr_core.Ibr.Make (Sim))
 module R_hp = ReapMidSweep (Nbr_core.Hp.Make (Sim))
 module R_he = ReapMidSweep (Nbr_core.Hazard_eras.Make (Sim))
+module R_nbr = ReapMidSweep (Nbr_core.Nbr.Make (Sim))
+module R_nbrp = ReapMidSweep (Nbr_core.Nbr_plus.Make (Sim))
 
 (* ------------------------------------------------------------------ *)
 (* A reaper's own statistics stay its own: the runner, the reclaimer and
@@ -454,6 +456,10 @@ let suite =
         (R_hp.test ~in_op:false);
       Alcotest.test_case "he peer reaped mid-sweep" `Quick
         (R_he.test ~in_op:false);
+      Alcotest.test_case "nbr peer reaped mid-sweep" `Quick
+        (R_nbr.test ~in_op:false);
+      Alcotest.test_case "nbr+ peer reaped mid-sweep" `Quick
+        (R_nbrp.test ~in_op:false);
       Alcotest.test_case "nbr reaper keeps its own ctx_stats" `Quick K_nbr.test;
       Alcotest.test_case "nbr+ reaper keeps its own ctx_stats" `Quick
         K_nbrp.test;

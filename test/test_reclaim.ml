@@ -257,6 +257,90 @@ let prop_bound_under_reclaimer_fates =
       T.valid r
       && Nbr_core.Smr_stats.max_garbage r.T.smr_stats <= T.garbage_bound cfg)
 
+(* ---------------- exact offload accounting ---------------- *)
+
+(* Every record handed to the reclaimer is collected, lands in the
+   collector's limbo state and is freed exactly once.  Worker tid 1
+   retires [retired] records with a small sweep threshold, so each
+   threshold crossing exports; collector tid 0 collects them all, the
+   worker departs and the collector frees everything. *)
+module P = Nbr_pool.Pool.Make (Sim)
+
+module OffloadExact
+    (S : Nbr_core.Smr_intf.S with type aint = Sim.aint and type pool = P.t) =
+struct
+  let retired = 40
+
+  let test () =
+    Sim.set_config
+      { Sim.default_config with cores = 4; granularity = 1; seed = 13 };
+    let pool =
+      P.create ~capacity:4096 ~data_fields:1 ~ptr_fields:1 ~nthreads:2 ()
+    in
+    let smr =
+      S.create pool ~nthreads:2
+        (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 8)
+    in
+    let o = Nbr_core.Smr_intf.Offload.create ~reclaimer:0 () in
+    S.set_offload smr (Some o);
+    let c0 = S.register smr ~tid:0 and c1 = S.register smr ~tid:1 in
+    let retiring = ref true in
+    Sim.run ~nthreads:2 (fun tid ->
+        if tid = 1 then begin
+          S.begin_op c1;
+          for _ = 1 to retired do
+            S.retire c1 (S.alloc c1)
+          done;
+          S.end_op c1;
+          retiring := false
+        end
+        else begin
+          while !retiring do
+            Sim.stall_ns 200
+          done;
+          let before = S.limbo_size c0 in
+          let got = S.collect_handoffs c0 in
+          let handed = Atomic.get o.Nbr_core.Smr_intf.Offload.handed in
+          let collected = Atomic.get o.Nbr_core.Smr_intf.Offload.collected in
+          if got = 0 then Alcotest.fail "nothing was handed off";
+          Alcotest.(check int) "handed = collected" handed collected;
+          Alcotest.(check int) "collected = returned by collect_handoffs"
+            collected got;
+          Alcotest.(check int) "collected into the collector's limbo"
+            (before + got) (S.limbo_size c0)
+        end);
+    S.set_offload smr None;
+    Sim.run ~nthreads:2 (fun tid ->
+        if tid = 1 then S.deregister c1
+        else begin
+          Sim.stall_ns 10_000;
+          S.adopt_orphans c0;
+          for _ = 1 to 3 do
+            S.begin_op c0;
+            S.end_op c0;
+            S.on_pressure c0
+          done
+        end);
+    let ps = P.stats pool in
+    Alcotest.(check int) "every record freed exactly once" retired ps.P.s_frees;
+    Alcotest.(check int) "pool drained" 0 ps.P.s_in_use;
+    Alcotest.(check int) "no UAF" 0 ps.P.s_uaf_reads;
+    Alcotest.(check int) "scheme stats agree" retired
+      (Nbr_core.Smr_stats.freed (S.stats smr))
+
+  let case name =
+    Alcotest.test_case (name ^ " offload accounting is exact") `Quick test
+end
+
+module O_nbr = OffloadExact (Nbr_core.Nbr.Make (Sim))
+module O_nbrp = OffloadExact (Nbr_core.Nbr_plus.Make (Sim))
+module O_debra = OffloadExact (Nbr_core.Debra.Make (Sim))
+module O_qsbr = OffloadExact (Nbr_core.Qsbr.Make (Sim))
+module O_rcu = OffloadExact (Nbr_core.Rcu.Make (Sim))
+module O_ibr = OffloadExact (Nbr_core.Ibr.Make (Sim))
+module O_hp = OffloadExact (Nbr_core.Hp.Make (Sim))
+module O_he = OffloadExact (Nbr_core.Hazard_eras.Make (Sim))
+
 let suite =
   List.map healthy_case HS.scheme_names
   @ [
@@ -273,4 +357,12 @@ let suite =
       policy_case (R.Periodic { interval_ns = 20_000 }) "periodic";
       policy_case (R.After_n_retires { n = 64 }) "after-n-retires";
       QCheck_alcotest.to_alcotest prop_bound_under_reclaimer_fates;
+      O_nbr.case "nbr";
+      O_nbrp.case "nbr+";
+      O_debra.case "debra";
+      O_qsbr.case "qsbr";
+      O_rcu.case "rcu";
+      O_ibr.case "ibr";
+      O_hp.case "hp";
+      O_he.case "he";
     ]
