@@ -182,8 +182,8 @@ module type S = sig
       threshold exports it through the lifecycle handoff channel instead
       of sweeping inline — when the offload record accepts; otherwise
       (no offload, or degraded) [retire] behaves exactly as before.
-      Foil schemes that buffer nothing ([none], [unsafe-free]) implement
-      these as no-ops returning 0. *)
+      Foil schemes buffer nothing ([none], [unsafe-free]), so for them
+      these report 0. *)
 
   val set_offload : t -> Offload.t option -> unit
   (** Install (or with [None] remove) the externalization switchboard.
