@@ -47,7 +47,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let on_pressure c =
     if Limbo_bag.size c.local.bag > 0 then reclaim_all c else watchdog c
 
-  let alloc ?cls c = P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
+  let alloc ?cls c =
+    P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
 
   (* Algorithm 2, lines 5–26. *)
   let retire c slot =

@@ -40,6 +40,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     type thr = local
 
     let bounded_garbage = false
+
     let create_inst ~capacity:_ ~nthreads _ =
       Array.init nthreads (fun _ -> Rt.make_padded 0)
 
@@ -53,7 +54,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
     let drain x =
       let slots = ref (take_current x) in
-      List.iter (fun p -> Iv.iter (fun s -> slots := s :: !slots) p.recs) x.parked;
+      List.iter
+        (fun p -> Iv.iter (fun s -> slots := s :: !slots) p.recs)
+        x.parked;
       x.parked <- [];
       !slots
 
@@ -122,7 +125,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     if Iv.length c.local.current > 0 then park c;
     try_collect c
 
-  let alloc ?cls c = P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
+  let alloc ?cls c =
+    P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
 
   let retire c slot =
     count_retire c slot;

@@ -52,9 +52,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
 
   let register b ~tid =
     L.reset_slot b.lc tid;
-    let c =
-      { b; tid; st = Smr_stats.zero (); local = X.create_thr ~nthreads:b.n b.cfg }
-    in
+    let local = X.create_thr ~nthreads:b.n b.cfg in
+    let c = { b; tid; st = Smr_stats.zero (); local } in
     b.ctxs.(tid) <- Some c;
     c
 
