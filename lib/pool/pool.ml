@@ -152,8 +152,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         (** one flat block per data field, indexed by slot:
             [c_data.(f)] cell [index] *)
     c_ptr : Rt.cells array;
-    c_st : int array;  (** 0 = Free, 1 = Live, 2 = Retired *)
-    c_gen : int array;  (** current generation; bumped on each free *)
+    c_meta : int array;
+        (** per slot, one word: [gen lsl 2 lor st], where [gen] is the
+            current generation (bumped on each free) and [st] the state,
+            0 = Free, 1 = Live, 2 = Retired.  A slot has one writer at a
+            time — the allocating thread, then the unlinking one, then
+            the reclaimer — so a plain store suffices. *)
     c_next_fresh : int Atomic.t;  (** bump allocator over never-used slots *)
     c_mags : mag Atomic.t array;
         (** per-thread magazine, detachable: {!flush_thread} (graceful
@@ -233,8 +237,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       c_data =
         Array.init spec.cc_data_fields (fun _ -> Rt.make_cells cap 0);
       c_ptr = Array.init spec.cc_ptr_fields (fun _ -> Rt.make_cells cap nil);
-      c_st = Array.make cap 0;
-      c_gen = Array.make cap 0;
+      c_meta = Array.make cap 0;
       c_next_fresh = Atomic.make 0;
       c_mags = Array.init nthreads (fun _ -> Atomic.make (new_mag ()));
       c_depot_full = Nbr_sync.Treiber.create ();
@@ -326,17 +329,25 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let i = Handle.index h in
     if i >= c.c_capacity then 0 else i
 
+  let[@inline] gen_of c i = c.c_meta.(i) lsr 2
+  let[@inline] st_of c i = c.c_meta.(i) land 3
+
+  (* The metadata word of the slot [h] names, or -1 when [h] names no
+     slot (no collapse here: this is the validation tier). *)
+  let[@inline] meta t h =
+    if h < 0 || Handle.cls h >= Array.length t.classes then -1
+    else
+      let c = t.classes.(Handle.cls h) in
+      let i = Handle.index h in
+      if i < c.c_capacity then c.c_meta.(i) else -1
+
   (** A handle is valid iff it names a class/index that exists and its
       packed generation matches the slot's current one.  Every [free]
       bumps the generation, so validity implies the record this handle
       was minted for has not been freed since. *)
   let valid t h =
-    h >= 0
-    && Handle.cls h < Array.length t.classes
-    &&
-    let c = t.classes.(Handle.cls h) in
-    let i = Handle.index h in
-    i < c.c_capacity && c.c_gen.(i) = Handle.gen h
+    let m = meta t h in
+    m >= 0 && m lsr 2 = Handle.gen h
 
   (** Stable flat index in [0, capacity): per-record metadata arrays
       (IBR/HE birth eras, RCU retire epochs) index by this, so they stay
@@ -352,7 +363,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       let c = cls_of t h in
       let i = slot_of c h in
       Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
-        Nbr_obs.Trace.Stale_handle h c.c_gen.(i)
+        Nbr_obs.Trace.Stale_handle h (gen_of c i)
     end
 
   (* ---------------- occupancy accounting ---------------- *)
@@ -499,10 +510,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
             for k = 1 to got - 1 do
               let i = s0 + k in
               mag.slots.(mag.n) <-
-                Handle.pack ~cls:c.c_id ~index:i ~gen:c.c_gen.(i);
+                Handle.pack ~cls:c.c_id ~index:i ~gen:(gen_of c i);
               mag.n <- mag.n + 1
             done;
-            Some (Handle.pack ~cls:c.c_id ~index:s0 ~gen:c.c_gen.(s0))
+            Some (Handle.pack ~cls:c.c_id ~index:s0 ~gen:(gen_of c s0))
           end
         end
 
@@ -571,7 +582,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
             in
             retry 1
     in
-    c.c_st.(Handle.index h) <- 1;
+    let i = Handle.index h in
+    c.c_meta.(i) <- c.c_meta.(i) land lnot 3 lor 1;
     ts.t_allocs <- ts.t_allocs + 1;
     bump_occ t c ts 1;
     if !Nbr_obs.Trace.fine then
@@ -589,8 +601,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     else begin
       let c = cls_of t h in
       let i = slot_of c h in
-      if c.c_st.(i) <> 2 then begin
-        c.c_st.(i) <- 2;
+      if st_of c i <> 2 then begin
+        c.c_meta.(i) <- c.c_meta.(i) land lnot 3 lor 2;
         let g = Atomic.fetch_and_add c.c_garbage 1 + 1 in
         note_peak c.c_peak_garbage g;
         if !Nbr_obs.Trace.fine then
@@ -628,10 +640,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let c = cls_of t h in
     let i = slot_of c h in
     let ts = c.c_tstats.(Rt.self ()) in
-    if c.c_st.(i) = 2 then ignore (Atomic.fetch_and_add c.c_garbage (-1));
-    c.c_st.(i) <- 0;
+    if st_of c i = 2 then ignore (Atomic.fetch_and_add c.c_garbage (-1));
     let g = (Handle.gen h + 1) land Handle.gen_mask in
-    c.c_gen.(i) <- g;
+    c.c_meta.(i) <- g lsl 2;
     let h' = Handle.pack ~cls:c.c_id ~index:i ~gen:g in
     ts.t_frees <- ts.t_frees + 1;
     bump_occ t c ts (-1);
@@ -737,19 +748,19 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let c = cls_of t h in
     let i = slot_of c h in
     let v = Rt.plain_load_at c.c_data.(f) i in
-    if valid t h then Value v else stale_read t h c.c_st.(i) v
+    if valid t h then Value v else stale_read t h (st_of c i) v
 
   let read_data_sync t h f =
     let c = cls_of t h in
     let i = slot_of c h in
     let v = Rt.load_at c.c_data.(f) i in
-    if valid t h then Value v else stale_read t h c.c_st.(i) v
+    if valid t h then Value v else stale_read t h (st_of c i) v
 
   let read_ptr t h f =
     let c = cls_of t h in
     let i = slot_of c h in
     let v = Rt.load_at c.c_ptr.(f) i in
-    if valid t h then Value v else stale_read t h c.c_st.(i) v
+    if valid t h then Value v else stale_read t h (st_of c i) v
 
   let get_data t h f =
     check t h;
@@ -790,19 +801,16 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       is stale (the record it was minted for is gone, whatever occupies
       the slot now). *)
   let state t h =
-    if not (valid t h) then Free
-    else
-      let c = cls_of t h in
-      let i = slot_of c h in
-      match c.c_st.(i) with 0 -> Free | 1 -> Live | _ -> Retired
+    let m = meta t h in
+    if m < 0 || m lsr 2 <> Handle.gen h then Free
+    else match m land 3 with 0 -> Free | 1 -> Live | _ -> Retired
 
   (** Current generation of the slot a handle names (uncosted).  Equal to
       [Handle.gen h] iff the handle is still valid; bumped by each
       [free], so it is the ABA/UAF witness the tests read. *)
   let seqno t h =
     let c = cls_of t h in
-    let i = slot_of c h in
-    c.c_gen.(i)
+    gen_of c (slot_of c h)
 
   (** Costed lifecycle checks, for protection validation.  Hazard-style
       schemes must verify, after announcing, that the target "has not
@@ -814,19 +822,15 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       they model. *)
   let live t h =
     Rt.work 2;
-    valid t h
-    &&
-    let c = cls_of t h in
-    let i = slot_of c h in
-    c.c_st.(i) = 1
+    (* -1 (no slot) never matches: a handle's generation is >= 0. *)
+    meta t h = (Handle.gen h lsl 2) lor 1
 
   (** Current slot generation with an access charge: lets validators
       detect free-and-recycle (ABA on the slot) between two reads. *)
   let stamp t h =
     Rt.work 2;
     let c = cls_of t h in
-    let i = slot_of c h in
-    c.c_gen.(i)
+    gen_of c (slot_of c h)
 
   (** Called by the SMR layer when a guarded dereference lands on [h];
       counts reads through stale handles (freed, or freed-and-recycled —
@@ -844,7 +848,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       let c = cls_of t h in
       let i = slot_of c h in
       Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
-        Nbr_obs.Trace.Access h c.c_st.(i)
+        Nbr_obs.Trace.Access h (st_of c i)
     end;
     uaf
 

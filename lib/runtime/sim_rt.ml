@@ -103,14 +103,20 @@ let name = "sim"
 (* [owner] is the tid of the last writer, [owner_shared] once a remote *)
 (* thread has read the line, [owner_fresh] before any access.          *)
 (*                                                                     *)
-(* A block of [n] cells is one unboxed int array of [2n] words: cell   *)
-(* [i]'s value at [2i], its owner tag at [2i+1].  A standalone [aint]  *)
-(* is a block of one, so both share every line of the cost model.     *)
+(* A block of [n] cells is an unboxed int array of [n] values and,     *)
+(* beside it, [2n] bytes of owner tags: cell [i]'s tag is the 16-bit   *)
+(* word at byte [2i], stored as [owner + owner_bias] so that the       *)
+(* negative tags fit.  A standalone [aint] is a block of one, so both  *)
+(* share every line of the cost model.                                 *)
 
 let owner_shared = -2
 let owner_fresh = -3
+let owner_bias = 3
 
-type cells = int array
+(* Tids run from 0 to [nthreads - 1]; the largest must fit the tag. *)
+let max_threads = 0x10000 - owner_bias
+
+type cells = { v : int array; tags : Bytes.t }
 type aint = cells
 
 (* ------------------------------------------------------------------ *)
@@ -154,7 +160,12 @@ let mk_fiber id =
     kont = None;
   }
 
-let cur : fiber ref = ref (mk_fiber (-1))
+(* The current fiber outside any resumption: one shared sentinel, so the
+   run loop allocates nothing per event.  Only its [restartable] flag is
+   ever written (by set-up code through [set_restartable_t]); the run loop
+   clears it after each resumption. *)
+let sentinel = mk_fiber (-1)
+let cur = ref sentinel
 let fibers : fiber array ref = ref [||]
 let live = ref 0
 let n_threads = ref 1
@@ -264,80 +275,70 @@ let prologue cost =
 
 let make_cells n v =
   if n < 0 then invalid_arg "Sim_rt.make_cells: negative length";
-  let a = Array.make (2 * n) owner_fresh in
-  for i = 0 to n - 1 do
-    a.(2 * i) <- v
-  done;
-  a
+  (* Tag 0 is [owner_fresh]. *)
+  { v = Array.make n v; tags = Bytes.make (2 * n) '\000' }
 
-let make v = [| v; owner_fresh |]
+let make v = make_cells 1 v
 
 (* Padding is a real-hardware concern; the sim's cost model is per-cell
    (ownership tags), so contended and uncontended cells are already
    distinct and padding would change nothing. *)
 let make_padded = make
 
-(* Cost of an access to the cell whose owner tag sits at word [o]; the
-   value is at [o - 1].  Computed (and the tag updated) before the
-   prologue, exactly as for every access since the seed. *)
-let load_cost a o base =
+(* Cost of an access to cell [i]'s line.  Computed (and the tag updated)
+   before the prologue, exactly as for every access since the seed.
+   Out-of-range indices (negative included) raise from the
+   bounds-checked tag access. *)
+let load_cost a i base =
   let f = !cur in
-  let owner = a.(o) in
+  let b = 2 * i in
+  let owner = Bytes.get_uint16_ne a.tags b - owner_bias in
   if owner = f.id || owner = owner_shared || owner = owner_fresh then base
   else begin
-    a.(o) <- owner_shared;
+    Bytes.set_uint16_ne a.tags b (owner_shared + owner_bias);
     base + !cfg.c_miss
   end
 
-let write_cost a o base =
+let write_cost a i base =
   let f = !cur in
-  let owner = a.(o) in
+  let b = 2 * i in
+  let owner = Bytes.get_uint16_ne a.tags b - owner_bias in
   let c =
     if owner = f.id || owner = owner_fresh then base else base + !cfg.c_miss
   in
-  a.(o) <- f.id;
+  Bytes.set_uint16_ne a.tags b (f.id + owner_bias);
   c
 
-(* Out-of-range indices (negative included) fall outside the array and
-   raise from the bounds-checked accesses. *)
-let[@inline] tag i = (2 * i) + 1
-
 let load_at a i =
-  let o = tag i in
-  if in_fiber () then prologue (load_cost a o !cfg.c_load);
-  a.(o - 1)
+  if in_fiber () then prologue (load_cost a i !cfg.c_load);
+  a.v.(i)
 
 let plain_load_at a i =
-  let o = tag i in
-  if in_fiber () then prologue (load_cost a o !cfg.c_plain_load);
-  a.(o - 1)
+  if in_fiber () then prologue (load_cost a i !cfg.c_plain_load);
+  a.v.(i)
 
 let store_at a i v =
-  let o = tag i in
-  if in_fiber () then prologue (write_cost a o !cfg.c_store);
-  a.(o - 1) <- v
+  if in_fiber () then prologue (write_cost a i !cfg.c_store);
+  a.v.(i) <- v
 
 let cas_at a i expected desired =
-  let o = tag i in
-  if in_fiber () then prologue (write_cost a o !cfg.c_atomic);
-  if a.(o - 1) = expected then begin
-    a.(o - 1) <- desired;
+  if in_fiber () then prologue (write_cost a i !cfg.c_atomic);
+  if a.v.(i) = expected then begin
+    a.v.(i) <- desired;
     true
   end
   else false
 
 let faa_at a i d =
-  let o = tag i in
-  if in_fiber () then prologue (write_cost a o !cfg.c_atomic);
-  let old = a.(o - 1) in
-  a.(o - 1) <- old + d;
+  if in_fiber () then prologue (write_cost a i !cfg.c_atomic);
+  let old = a.v.(i) in
+  a.v.(i) <- old + d;
   old
 
 let xchg_at a i v =
-  let o = tag i in
-  if in_fiber () then prologue (write_cost a o !cfg.c_atomic);
-  let old = a.(o - 1) in
-  a.(o - 1) <- v;
+  if in_fiber () then prologue (write_cost a i !cfg.c_atomic);
+  let old = a.v.(i) in
+  a.v.(i) <- v;
   old
 
 let load a = load_at a 0
@@ -471,7 +472,7 @@ let work cycles = if in_fiber () then prologue cycles
 module Heap = struct
   type t = { mutable a : fiber array; mutable n : int }
 
-  let create cap = { a = Array.make (max cap 1) (mk_fiber (-1)); n = 0 }
+  let create cap = { a = Array.make (max cap 1) sentinel; n = 0 }
   let lt x y = x.clock < y.clock || (x.clock = y.clock && x.id < y.id)
 
   let swap h i j =
@@ -520,6 +521,9 @@ end
 
 let run ~nthreads:n body =
   if n < 1 then invalid_arg "Sim_rt.run: nthreads must be >= 1";
+  if n > max_threads then
+    invalid_arg
+      (Printf.sprintf "Sim_rt.run: nthreads must be <= %d" max_threads);
   let c = !cfg in
   jit_state := 0x1e3779b97f4a7c15 lxor c.seed;
   sigs_sent := 0;
@@ -568,7 +572,8 @@ let run ~nthreads:n body =
                     Some (fun (k : (a, unit) continuation) -> f.kont <- Some k)
                 | _ -> None);
           });
-    cur := mk_fiber (-1)
+    sentinel.restartable <- false;
+    cur := sentinel
   in
   let stuck_msg () =
     String.concat "; "

@@ -11,9 +11,10 @@
     a time.
 
     {b Cell layout and cost contract.}  A {!cells} block of [n] cells is
-    one unboxed [int array] of [2n] words, each cell's value next to its
-    coherence-owner tag; a standalone {!aint} is a block of one (3 words
-    with the header).  An indexed operation ([load_at], [cas_at], ...) is
+    an unboxed [int array] of the [n] values and, beside it, a [Bytes.t]
+    of [n] 16-bit coherence-owner tags: 10 bytes per cell; a standalone
+    {!aint} is a block of one.  The tag holds every tid below
+    {!max_threads}.  An indexed operation ([load_at], [cas_at], ...) is
     charged {e exactly} like the same operation on a standalone {!aint}:
     same base cost, same ownership-transfer miss, same jitter draw, same
     yield and signal-delivery prologue — one code path serves both, so
@@ -42,6 +43,10 @@ type config = {
   jitter : int;  (** max extra cycles added per access, from a seeded prng *)
   seed : int;  (** jitter prng seed *)
 }
+
+val max_threads : int
+(** Largest [nthreads] that {!run} accepts: every tid must fit a 16-bit
+    owner tag.  {!run} raises [Invalid_argument] above it. *)
 
 val default_config : config
 val set_config : config -> unit

@@ -6,22 +6,48 @@ module P = Nbr_pool.Pool.Make (Sim)
 let mk ?(capacity = 64) () =
   P.create ~capacity ~data_fields:2 ~ptr_fields:2 ~nthreads:1 ()
 
+(* The slot's state and generation share one metadata word: each step
+   of the lifecycle must leave both readings right. *)
 let test_alloc_free_cycle () =
   let p = mk () in
+  let garbage () = (P.stats p).P.s_garbage in
   let a = P.alloc p in
+  let g = Nbr_pool.Pool.Handle.gen a in
   Alcotest.(check bool) "live after alloc" true (P.state p a = P.Live);
+  Alcotest.(check bool) "live check" true (P.live p a);
+  Alcotest.(check bool) "valid" true (P.valid p a);
+  Alcotest.(check int) "seqno is the handle's generation" g (P.seqno p a);
+  Alcotest.(check int) "stamp is the handle's generation" g (P.stamp p a);
   P.set_data p a 0 42;
   Alcotest.(check int) "field roundtrip" 42 (P.get_data p a 0);
   P.note_retired p a;
   Alcotest.(check bool) "retired" true (P.state p a = P.Retired);
+  Alcotest.(check bool) "retired is not live" false (P.live p a);
+  Alcotest.(check bool) "retired is still valid" true (P.valid p a);
+  Alcotest.(check int) "retire keeps the generation" g (P.seqno p a);
+  Alcotest.(check int) "one garbage record" 1 (garbage ());
+  P.note_retired p a;
+  Alcotest.(check bool) "retired again" true (P.state p a = P.Retired);
+  Alcotest.(check int) "a second retire counts once" 1 (garbage ());
   P.free p a;
   Alcotest.(check bool) "free" true (P.state p a = P.Free);
+  Alcotest.(check bool) "freed handle not live" false (P.live p a);
+  Alcotest.(check bool) "freed handle stale" false (P.valid p a);
+  Alcotest.(check int) "free bumps seqno" (g + 1) (P.seqno p a);
+  Alcotest.(check int) "free bumps stamp" (g + 1) (P.stamp p a);
+  Alcotest.(check int) "freeing a retired slot returns the count" 0
+    (garbage ());
   let b = P.alloc p in
   Alcotest.(check int) "slot recycled from free list"
     (Nbr_pool.Pool.Handle.index a)
     (Nbr_pool.Pool.Handle.index b);
-  Alcotest.(check bool) "recycled handle carries a fresh generation" true
-    (Nbr_pool.Pool.Handle.gen b <> Nbr_pool.Pool.Handle.gen a)
+  Alcotest.(check int) "re-minted handle carries generation + 1" (g + 1)
+    (Nbr_pool.Pool.Handle.gen b);
+  Alcotest.(check bool) "re-minted handle live" true (P.state p b = P.Live);
+  Alcotest.(check bool) "re-minted live check" true (P.live p b);
+  Alcotest.(check bool) "re-minted valid" true (P.valid p b);
+  Alcotest.(check bool) "old handle stays free" true (P.state p a = P.Free);
+  Alcotest.(check int) "no garbage" 0 (garbage ())
 
 let test_seqno_bumps () =
   let p = mk () in

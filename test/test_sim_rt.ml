@@ -303,6 +303,47 @@ let test_cells_bounds () =
     (Invalid_argument "index out of bounds") (fun () ->
       Sim.store_at block (-1) 0)
 
+(* Owner tags are 16 bits wide.  Fibers 44 and 300 store to one cell in
+   turn; every store after the other fiber's pays the ownership miss.  A
+   tag truncated to 8 bits would read 300 as 44 and charge no miss. *)
+let test_owner_tag_range () =
+  let saved = Sim.get_config () in
+  Sim.set_config { saved with cores = 512; ghz = 1.0; jitter = 0 };
+  Fun.protect ~finally:(fun () -> Sim.set_config saved) @@ fun () ->
+  let cell = Sim.make 0 and turn = Sim.make 0 in
+  let rounds = 10 in
+  let costs = ref [] in
+  Sim.run ~nthreads:301 (fun tid ->
+      let me = if tid = 44 then Some 0 else if tid = 300 then Some 1 else None in
+      Option.iter
+        (fun me ->
+          for k = 0 to rounds - 1 do
+            while Sim.load turn <> (2 * k) + me do
+              Sim.cpu_relax ()
+            done;
+            let t0 = Sim.now_ns () in
+            Sim.store cell tid;
+            costs := (Sim.now_ns () - t0) :: !costs;
+            Sim.store turn ((2 * k) + me + 1)
+          done)
+        me);
+  let c = Sim.get_config () in
+  match List.rev !costs with
+  | first :: rest ->
+      Alcotest.(check int) "first store hits a fresh line" c.c_store first;
+      Alcotest.(check (list int))
+        "each later store misses"
+        (List.init ((2 * rounds) - 1) (fun _ -> c.c_store + c.c_miss))
+        rest
+  | [] -> Alcotest.fail "no stores ran"
+
+let test_max_threads () =
+  Sim.run ~nthreads:Sim.max_threads ignore;
+  Alcotest.check_raises "one thread past the tag range"
+    (Invalid_argument
+       (Printf.sprintf "Sim_rt.run: nthreads must be <= %d" Sim.max_threads))
+    (fun () -> Sim.run ~nthreads:(Sim.max_threads + 1) ignore)
+
 let suite =
   [
     Alcotest.test_case "runs all threads" `Quick test_runs_all_threads;
@@ -325,4 +366,6 @@ let suite =
     Alcotest.test_case "stuck watchdog fires" `Quick test_stuck_watchdog;
     QCheck_alcotest.to_alcotest prop_cells_cost_like_aints;
     Alcotest.test_case "cell index bounds" `Quick test_cells_bounds;
+    Alcotest.test_case "owner tags hold tid 300" `Quick test_owner_tag_range;
+    Alcotest.test_case "nthreads capped by the tag" `Quick test_max_threads;
   ]
