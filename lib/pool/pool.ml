@@ -333,7 +333,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let[@inline] st_of c i = c.c_meta.(i) land 3
 
   (* The metadata word of the slot [h] names, or -1 when [h] names no
-     slot (no collapse here: this is the validation tier). *)
+     slot: unlike [cls_of]/[slot_of], validation must not collapse a
+     non-handle onto slot 0. *)
   let[@inline] meta t h =
     if h < 0 || Handle.cls h >= Array.length t.classes then -1
     else

@@ -23,6 +23,10 @@
 
 include Runtime_intf.S
 
+val max_threads : int
+(** Largest [nthreads] that {!run} accepts: every tid must fit a 16-bit
+    owner tag.  {!run} raises [Invalid_argument] above it. *)
+
 (** {1 Cost model} *)
 
 type config = {
@@ -43,10 +47,6 @@ type config = {
   jitter : int;  (** max extra cycles added per access, from a seeded prng *)
   seed : int;  (** jitter prng seed *)
 }
-
-val max_threads : int
-(** Largest [nthreads] that {!run} accepts: every tid must fit a 16-bit
-    owner tag.  {!run} raises [Invalid_argument] above it. *)
 
 val default_config : config
 val set_config : config -> unit

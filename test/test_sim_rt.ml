@@ -314,19 +314,18 @@ let test_owner_tag_range () =
   let rounds = 10 in
   let costs = ref [] in
   Sim.run ~nthreads:301 (fun tid ->
-      let me = if tid = 44 then Some 0 else if tid = 300 then Some 1 else None in
-      Option.iter
-        (fun me ->
-          for k = 0 to rounds - 1 do
-            while Sim.load turn <> (2 * k) + me do
-              Sim.cpu_relax ()
-            done;
-            let t0 = Sim.now_ns () in
-            Sim.store cell tid;
-            costs := (Sim.now_ns () - t0) :: !costs;
-            Sim.store turn ((2 * k) + me + 1)
-          done)
-        me);
+      if tid = 44 || tid = 300 then begin
+        let me = if tid = 44 then 0 else 1 in
+        for k = 0 to rounds - 1 do
+          while Sim.load turn <> (2 * k) + me do
+            Sim.cpu_relax ()
+          done;
+          let t0 = Sim.now_ns () in
+          Sim.store cell tid;
+          costs := (Sim.now_ns () - t0) :: !costs;
+          Sim.store turn ((2 * k) + me + 1)
+        done
+      end);
   let c = Sim.get_config () in
   match List.rev !costs with
   | first :: rest ->
