@@ -1,6 +1,6 @@
 (* Hot-path microbenchmark driver: the perf-tracking substrate.
 
-   Where bench/main.exe reproduces the paper's figures, this executable
+   Where `nbr_bench figure` reproduces the paper's figures, this executable
    tracks the *repository's own* hot paths over time, so regressions are
    visible in CI and improvements land as numbers, not adjectives.  It
    measures, per runtime (native wall-clock ns / sim virtual ns):
@@ -24,11 +24,6 @@
 
    Modes:
      micro.exe [--quick] [--runtime native|sim|both] [--out-dir D] [--no-wall]
-               [--trace-out FILE]
-       --trace-out additionally runs one traced sim trial and writes the
-       merged event timeline as Chrome trace-event JSON (load it in
-       Perfetto / chrome://tracing); the benchmarks themselves always run
-       with tracing off.
      micro.exe --check BASELINE --against CURRENT [--max-ratio R]
        pure file comparison, no benchmarking: exits 1 if any read_path_* or
        alloc_free entry of CURRENT is more than R times its BASELINE value
@@ -459,10 +454,6 @@ let () =
         ~max_ratio:(float_of_string (value "--max-ratio" "2.0"));
       exit 0);
   let quick = has "--quick" in
-  (* --alloc-only: just the allocator benches (fast enough to run by hand
-     when iterating on lib/pool; also how the pre/post rewrite numbers in
-     EXPERIMENTS.md were captured). *)
-  let alloc_only = has "--alloc-only" in
   let runtime = value "--runtime" "both" in
   let out_dir = value "--out-dir" "." in
   let mode = if quick then "quick" else "standard" in
@@ -476,24 +467,22 @@ let () =
     let it_sig = if quick then 2_000 else 20_000 in
     let it_af = if quick then 50_000 else 500_000 in
     Printf.printf "# native runtime (wall-clock ns, %s)\n%!" mode;
-    if not alloc_only then begin
-      List.iter
-        (fun (name, m) ->
-          let v = m ~nthreads:1 ~iters:it_1t in
-          record (Printf.sprintf "read_path_1t/%s" name) v;
-          Printf.printf "  read_path_1t/%-6s %8.1f ns/op\n%!" name v)
-        N.read_paths;
-      List.iter
-        (fun (name, m) ->
-          let v = m ~nthreads:mt_native ~iters:it_mt in
-          record (Printf.sprintf "read_path_mt/%s" name) v;
-          Printf.printf "  read_path_mt/%-6s %8.1f ns/op (t%d)\n%!" name v
-            mt_native)
-        N.read_paths;
-      let v = N.signal_all_ns ~nthreads:mt_native ~iters:it_sig in
-      record (Printf.sprintf "signal_all/n%d" mt_native) v;
-      Printf.printf "  signal_all/n%d      %8.1f ns/broadcast\n%!" mt_native v
-    end;
+    List.iter
+      (fun (name, m) ->
+        let v = m ~nthreads:1 ~iters:it_1t in
+        record (Printf.sprintf "read_path_1t/%s" name) v;
+        Printf.printf "  read_path_1t/%-6s %8.1f ns/op\n%!" name v)
+      N.read_paths;
+    List.iter
+      (fun (name, m) ->
+        let v = m ~nthreads:mt_native ~iters:it_mt in
+        record (Printf.sprintf "read_path_mt/%s" name) v;
+        Printf.printf "  read_path_mt/%-6s %8.1f ns/op (t%d)\n%!" name v
+          mt_native)
+      N.read_paths;
+    let v = N.signal_all_ns ~nthreads:mt_native ~iters:it_sig in
+    record (Printf.sprintf "signal_all/n%d" mt_native) v;
+    Printf.printf "  signal_all/n%d      %8.1f ns/broadcast\n%!" mt_native v;
     let v = N.alloc_free_ns ~iters:it_af in
     record "alloc_free" v;
     Printf.printf "  alloc_free          %8.1f ns/pair\n%!" v;
@@ -506,7 +495,7 @@ let () =
         record (Printf.sprintf "alloc_free/cls%d" cls) v;
         Printf.printf "  alloc_free/cls%d     %8.1f ns/pair\n%!" cls v)
       [ 0; 1 ];
-    if (not (has "--no-wall")) && not alloc_only then begin
+    if not (has "--no-wall") then begin
       (* Runner-level wall-clock trials: the whole harness on real domains.
          Mops/s (higher is better) — reported, not regression-gated. *)
       let dur = if quick then 100_000_000 else 500_000_000 in
@@ -528,35 +517,32 @@ let () =
             r.T.throughput_mops r.T.uaf_reads)
         [ ("nbr", "lazy-list"); ("nbr+", "dgt-tree"); ("ibr", "lazy-list") ]
     end;
-    if not alloc_only then begin
-      (* Latency quantiles: one short harness trial with per-operation
-         histograms on.  Cheap enough to run even in --quick/--no-wall. *)
-      let lat_cfg =
-        T.Cfg.make ~nthreads:mt_native
-          ~duration_ns:(if quick then 50_000_000 else 200_000_000)
-          ~key_range:256 ~seed:7 ~smr:N.smr_cfg ~record_latency:true ()
-      in
-      let r = H_nat.run ~scheme:"nbr" ~structure:"lazy-list" lat_cfg in
-      record_latency_entries r;
-      (* Retire-heavy tail pair: inline vs background reclaimer. *)
-      record_reclaim_tail (fun reclaim ->
-          let cfg =
-            T.Cfg.make ~nthreads:mt_native
-              ~duration_ns:(if quick then 50_000_000 else 200_000_000)
-              ~key_range:128 ~ins_pct:50 ~del_pct:50 ~seed:7
-              ~smr:(Nbr_core.Smr_config.with_threshold N.smr_cfg 64)
-              ?reclaim ~record_latency:true ()
-          in
-          H_nat.run ~scheme:"nbr+" ~structure:"harris-list" cfg)
-    end;
+    (* Latency quantiles: one short harness trial with per-operation
+       histograms on.  Cheap enough to run even in --quick/--no-wall. *)
+    let lat_cfg =
+      T.Cfg.make ~nthreads:mt_native
+        ~duration_ns:(if quick then 50_000_000 else 200_000_000)
+        ~key_range:256 ~seed:7 ~smr:N.smr_cfg ~record_latency:true ()
+    in
+    let r = H_nat.run ~scheme:"nbr" ~structure:"lazy-list" lat_cfg in
+    record_latency_entries r;
+    (* Retire-heavy tail pair: inline vs background reclaimer. *)
+    record_reclaim_tail (fun reclaim ->
+        let cfg =
+          T.Cfg.make ~nthreads:mt_native
+            ~duration_ns:(if quick then 50_000_000 else 200_000_000)
+            ~key_range:128 ~ins_pct:50 ~del_pct:50 ~seed:7
+            ~smr:(Nbr_core.Smr_config.with_threshold N.smr_cfg 64)
+            ?reclaim ~record_latency:true ()
+        in
+        H_nat.run ~scheme:"nbr+" ~structure:"harris-list" cfg);
     (* Same duration in quick mode: the run is 100ms of wall time, and a
        shorter one over-weights warmup, skewing quick CI runs against
        the committed standard-mode baseline. *)
-    if not alloc_only then record_kv (KV_nat.run ~duration_ns:100_000_000);
-    if not alloc_only then
-      record_kv_slo
-        (KV_nat.run_slo ~duration_ns:100_000_000 ~rate_rps:10_000
-           ~deadline_ns:50_000_000);
+    record_kv (KV_nat.run ~duration_ns:100_000_000);
+    record_kv_slo
+      (KV_nat.run_slo ~duration_ns:100_000_000 ~rate_rps:10_000
+         ~deadline_ns:50_000_000);
     write_json ~runtime:"native" ~mode
       ~path:(Filename.concat out_dir "BENCH_native.json")
   in
@@ -570,24 +556,22 @@ let () =
     let it_sig = if quick then 100 else 500 in
     let it_af = if quick then 2_000 else 20_000 in
     Printf.printf "# sim runtime (virtual ns, deterministic, %s)\n%!" mode;
-    if not alloc_only then begin
-      List.iter
-        (fun (name, m) ->
-          let v = m ~nthreads:1 ~iters:it_1t in
-          record (Printf.sprintf "read_path_1t/%s" name) v;
-          Printf.printf "  read_path_1t/%-6s %8.1f ns/op\n%!" name v)
-        S.read_paths;
-      List.iter
-        (fun (name, m) ->
-          let v = m ~nthreads:mt_sim ~iters:it_mt in
-          record (Printf.sprintf "read_path_mt/%s" name) v;
-          Printf.printf "  read_path_mt/%-6s %8.1f ns/op (t%d)\n%!" name v
-            mt_sim)
-        S.read_paths;
-      let v = S.signal_all_ns ~nthreads:mt_sim ~iters:it_sig in
-      record (Printf.sprintf "signal_all/n%d" mt_sim) v;
-      Printf.printf "  signal_all/n%d      %8.1f ns/broadcast\n%!" mt_sim v
-    end;
+    List.iter
+      (fun (name, m) ->
+        let v = m ~nthreads:1 ~iters:it_1t in
+        record (Printf.sprintf "read_path_1t/%s" name) v;
+        Printf.printf "  read_path_1t/%-6s %8.1f ns/op\n%!" name v)
+      S.read_paths;
+    List.iter
+      (fun (name, m) ->
+        let v = m ~nthreads:mt_sim ~iters:it_mt in
+        record (Printf.sprintf "read_path_mt/%s" name) v;
+        Printf.printf "  read_path_mt/%-6s %8.1f ns/op (t%d)\n%!" name v
+          mt_sim)
+      S.read_paths;
+    let v = S.signal_all_ns ~nthreads:mt_sim ~iters:it_sig in
+    record (Printf.sprintf "signal_all/n%d" mt_sim) v;
+    Printf.printf "  signal_all/n%d      %8.1f ns/broadcast\n%!" mt_sim v;
     let v = S.alloc_free_ns ~iters:it_af in
     record "alloc_free" v;
     Printf.printf "  alloc_free          %8.1f ns/pair\n%!" v;
@@ -600,35 +584,32 @@ let () =
         record (Printf.sprintf "alloc_free/cls%d" cls) v;
         Printf.printf "  alloc_free/cls%d     %8.1f ns/pair\n%!" cls v)
       [ 0; 1 ];
-    if not alloc_only then begin
-      (* Deterministic virtual-time latency quantiles. *)
-      let lat_cfg =
-        T.Cfg.make ~nthreads:mt_sim ~duration_ns:2_000_000 ~key_range:256 ~seed:7
-          ~smr:S.smr_cfg ~record_latency:true ()
-      in
-      let r = H_sim.run ~scheme:"nbr" ~structure:"lazy-list" lat_cfg in
-      record_latency_entries r;
-      (* Retire-heavy tail pair: inline vs background reclaimer
-         (deterministic in virtual time). *)
-      record_reclaim_tail (fun reclaim ->
-          let cfg =
-            T.Cfg.make ~nthreads:mt_sim ~duration_ns:3_000_000 ~key_range:128
-              ~ins_pct:50 ~del_pct:50 ~seed:7
-              ~smr:(Nbr_core.Smr_config.with_threshold S.smr_cfg 64)
-              ?reclaim ~record_latency:true ()
-          in
-          H_sim.run ~scheme:"nbr+" ~structure:"harris-list" cfg)
-    end;
-    if not alloc_only then record_kv (KV_sim.run ~duration_ns:1_000_000);
-    if not alloc_only then
-      record_kv_slo
-        (KV_sim.run_slo ~duration_ns:1_000_000 ~rate_rps:4_000_000
-           ~deadline_ns:100_000);
+    (* Deterministic virtual-time latency quantiles. *)
+    let lat_cfg =
+      T.Cfg.make ~nthreads:mt_sim ~duration_ns:2_000_000 ~key_range:256 ~seed:7
+        ~smr:S.smr_cfg ~record_latency:true ()
+    in
+    let r = H_sim.run ~scheme:"nbr" ~structure:"lazy-list" lat_cfg in
+    record_latency_entries r;
+    (* Retire-heavy tail pair: inline vs background reclaimer
+       (deterministic in virtual time). *)
+    record_reclaim_tail (fun reclaim ->
+        let cfg =
+          T.Cfg.make ~nthreads:mt_sim ~duration_ns:3_000_000 ~key_range:128
+            ~ins_pct:50 ~del_pct:50 ~seed:7
+            ~smr:(Nbr_core.Smr_config.with_threshold S.smr_cfg 64)
+            ?reclaim ~record_latency:true ()
+        in
+        H_sim.run ~scheme:"nbr+" ~structure:"harris-list" cfg);
+    record_kv (KV_sim.run ~duration_ns:1_000_000);
+    record_kv_slo
+      (KV_sim.run_slo ~duration_ns:1_000_000 ~rate_rps:4_000_000
+         ~deadline_ns:100_000);
     write_json ~runtime:"sim" ~mode
       ~path:(Filename.concat out_dir "BENCH_sim.json")
   in
 
-  (match runtime with
+  match runtime with
   | "native" -> bench_native ()
   | "sim" -> bench_sim ()
   | "both" ->
@@ -636,26 +617,4 @@ let () =
       bench_sim ()
   | r ->
       Printf.printf "error: unknown --runtime %s\n" r;
-      exit 2);
-
-  (* --trace-out FILE: one traced deterministic sim trial, exported as
-     Chrome trace-event JSON.  Runs after the benchmarks so tracing never
-     contaminates the numbers above. *)
-  (match value "--trace-out" "" with
-  | "" -> ()
-  | path ->
-      Nbr_obs.Trace.enable ~nthreads:4 ();
-      let cfg =
-        T.Cfg.make ~nthreads:4 ~duration_ns:500_000 ~key_range:128 ~seed:11
-          ~smr:(Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 64)
-          ()
-      in
-      let r = H_sim.run ~scheme:"nbr+" ~structure:"lazy-list" cfg in
-      let events = List.length (Nbr_obs.Trace.events ()) in
-      let oc = open_out path in
-      output_string oc (Nbr_obs.Trace.to_chrome_json ());
-      close_out oc;
-      Nbr_obs.Trace.disable ();
-      Printf.printf
-        "wrote %s (%d events, %d dropped; traced trial: %.3f Mops/s)\n%!"
-        path events (Nbr_obs.Trace.dropped ()) r.T.throughput_mops)
+      exit 2

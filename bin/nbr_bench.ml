@@ -4,6 +4,8 @@
 
      nbr_bench list
      nbr_bench figure fig3a --quick
+     nbr_bench figure chaos churn --quick     # several, in order
+     nbr_bench figure                         # every experiment
      nbr_bench trial --scheme nbr+ --structure dgt-tree --threads 32 \
        --range 65536 --ins 50 --del 50 --duration-ms 2 --cores 16
      nbr_bench trial --runtime native --scheme debra --structure lazy-list \
@@ -33,27 +35,48 @@ let list_cmd =
 (* ---------------- figure ---------------- *)
 
 let figure_cmd =
-  let id_arg =
+  let ids_arg =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ID" ~doc:"Experiment id (see $(b,list)).")
+      value & pos_all string []
+      & info [] ~docv:"ID"
+          ~doc:"Experiment ids (see $(b,list)); none runs every experiment.")
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller, faster profile.")
   in
-  let run id quick =
-    match List.find_opt (fun (i, _, _) -> i = id) E.all with
-    | None ->
-        Printf.eprintf "unknown experiment %s (try `nbr_bench list')\n" id;
-        exit 2
-    | Some (_, descr, f) ->
+  let run ids quick =
+    (* Resolve every id first, so a typo fails before any trial runs. *)
+    let selected =
+      if ids = [] then E.all
+      else
+        List.map
+          (fun id ->
+            match List.find_opt (fun (i, _, _) -> i = id) E.all with
+            | Some e -> e
+            | None ->
+                Printf.eprintf "unknown experiment %s (try `nbr_bench list')\n"
+                  id;
+                exit 2)
+          ids
+    in
+    List.iteri
+      (fun k (id, descr, f) ->
+        if k > 0 then print_newline ();
         Printf.printf "=== %s: %s ===\n%!" id descr;
-        f quick;
-        if not (E.summary ()) then exit 1
+        try f quick
+        with Nbr_pool.Pool.Exhausted x ->
+          (* An undersized pool (or the leaky scheme run long enough) is a
+             diagnosable configuration problem, not a crash: report it and
+             let the remaining experiments run. *)
+          Format.printf "[%s ABORTED] %a@." id Nbr_pool.Pool.pp_exhausted x;
+          E.note_failure
+            (Printf.sprintf "%s: pool exhausted (capacity %d)" id
+               x.Nbr_pool.Pool.x_capacity))
+      selected;
+    if not (E.summary ()) then exit 1
   in
-  let doc = "Regenerate one paper figure/table." in
-  Cmd.v (Cmd.info "figure" ~doc) Term.(const run $ id_arg $ quick_arg)
+  let doc = "Regenerate paper figures/tables (all of them if no id is given)." in
+  Cmd.v (Cmd.info "figure" ~doc) Term.(const run $ ids_arg $ quick_arg)
 
 (* ---------------- trial ---------------- *)
 

@@ -408,12 +408,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     t.wm_hi <- hi;
     t.wm_hook <- Some on_high
 
-  let clear_watermarks t =
-    t.wm_lo <- 0;
-    t.wm_hi <- max_int;
-    t.wm_hook <- None;
-    Atomic.set t.wm_state 0
-
   let wm_kick t = match t.wm_hook with None -> () | Some f -> f ()
 
   let pressured t = Atomic.get t.wm_state = 1
@@ -692,7 +686,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* Three tiers (DESIGN.md §13), all addressed by (handle, field):
 
-     - {e validated} reads ([read_data] / [read_ptr] / [read_data_sync])
+     - {e validated} reads ([read_data] / [read_ptr])
        check the handle's generation and fail with [Stale] — carrying
        the recycled memory's current contents — instead of handing back
        another record's data as if it were live.  The SMR layer's
@@ -751,12 +745,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let v = Rt.plain_load_at c.c_data.(f) i in
     if valid t h then Value v else stale_read t h (st_of c i) v
 
-  let read_data_sync t h f =
-    let c = cls_of t h in
-    let i = slot_of c h in
-    let v = Rt.load_at c.c_data.(f) i in
-    if valid t h then Value v else stale_read t h (st_of c i) v
-
   let read_ptr t h f =
     let c = cls_of t h in
     let i = slot_of c h in
@@ -767,11 +755,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     check t h;
     let c = cls_of t h in
     Rt.plain_load_at c.c_data.(f) (slot_of c h)
-
-  let get_data_sync t h f =
-    check t h;
-    let c = cls_of t h in
-    Rt.load_at c.c_data.(f) (slot_of c h)
 
   let get_ptr t h f =
     check t h;
@@ -786,15 +769,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     check t h;
     let c = cls_of t h in
     Rt.store_at c.c_ptr.(f) (slot_of c h) v
-
-  let cas_data t h f old v =
-    check t h;
-    let c = cls_of t h in
-    Rt.cas_at c.c_data.(f) (slot_of c h) old v
-
-  let cas_ptr t h f old v =
-    check t h;
-    raw_cas_ptr t h f old v
 
   (* ---------------- instrumentation ---------------- *)
 

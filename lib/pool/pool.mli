@@ -149,9 +149,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   (** Requires [0 <= lo < hi <= capacity]; raises [Invalid_argument]
       otherwise.  Replaces any previous watermark configuration. *)
 
-  val clear_watermarks : t -> unit
-  (** Disable watermark tracking and drop the hook. *)
-
   val occupancy : t -> int
   (** Published total occupancy (slots in use) across all size classes.
       Occupancy is published in per-thread batches, so the value may
@@ -197,22 +194,20 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
 
   (** {1 Field access}
 
-      Three tiers (DESIGN.md §13): {e validated} reads
-      ([read_data]/[read_ptr]/[read_data_sync]) check the generation and
-      return [Stale] rather than another record's data; {e plain}
-      accessors ([get_]/[set_]/[cas_]) are for write phases and
-      sequential code where the record is reserved — a generation miss is
-      counted and traced, then applied to the recycled memory
-      (memory-safe, observable, never a crash); {e raw} accessors perform
-      no generation check — the substrate SMR schemes build protected
-      reads on, and raw tagged-word traversals — and call sites
-      instrument via {!record_read}.  Every accessor is addressed by
+      Three tiers (DESIGN.md §13): {e validated} reads ([read_data] /
+      [read_ptr]) check the generation and return [Stale] rather than
+      another record's data; {e plain} accessors ([get_]/[set_]) are for
+      write phases and sequential code where the record is reserved — a
+      generation miss is counted and traced, then applied to the
+      recycled memory (memory-safe, observable, never a crash); {e raw}
+      accessors perform no generation check — the substrate SMR schemes
+      build protected reads on, and raw tagged-word traversals — and
+      call sites instrument via {!record_read}.  Every accessor is addressed by
       (handle, field); the fields of a size-class are flat runtime
       {!Nbr_runtime.Runtime_intf.S.cells} blocks, never one heap object
       per word.  The pre-rewrite index-clamping accessors are gone. *)
 
   val read_data : t -> int -> int -> read_result
-  val read_data_sync : t -> int -> int -> read_result
   val read_ptr : t -> int -> int -> read_result
 
   val raw_load_ptr : t -> int -> int -> int
@@ -232,11 +227,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
 
   val get_data : t -> int -> int -> int
   val set_data : t -> int -> int -> int -> unit
-  val get_data_sync : t -> int -> int -> int
-  val cas_data : t -> int -> int -> int -> int -> bool
   val get_ptr : t -> int -> int -> int
   val set_ptr : t -> int -> int -> int -> unit
-  val cas_ptr : t -> int -> int -> int -> int -> bool
 
   (** {1 Instrumentation} *)
 

@@ -1,25 +1,32 @@
 (* The nbr_bench command line: P5-unsafe scheme x structure pairings are
    refused with a one-line error and exit status 2, before any trial
-   runs; supported pairings still run. *)
+   runs; supported pairings still run.  [figure] runs several experiments
+   in order under one summary, and refuses an unknown id before running
+   any of them. *)
 
 let nbr_bench = "../bin/nbr_bench.exe"
 
-(* Run [nbr_bench args], returning the exit status and stderr's lines. *)
+(* Run [nbr_bench args], returning the exit status, stdout's lines and
+   stderr's lines (an empty stream gives no lines). *)
 let run args =
-  let err = Filename.temp_file "nbr_bench" ".err" in
+  let out = Filename.temp_file "nbr_bench" ".out"
+  and err = Filename.temp_file "nbr_bench" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s > /dev/null 2> %s" nbr_bench args
+      (Printf.sprintf "%s %s > %s 2> %s" nbr_bench args (Filename.quote out)
          (Filename.quote err))
   in
-  let lines = In_channel.with_open_text err In_channel.input_all in
-  Sys.remove err;
-  (code, String.split_on_char '\n' (String.trim lines))
+  let lines f =
+    let s = In_channel.with_open_text f In_channel.input_all in
+    Sys.remove f;
+    match String.trim s with "" -> [] | s -> String.split_on_char '\n' s
+  in
+  (code, lines out, lines err)
 
 let test_rejects_unsupported () =
   List.iter
     (fun (scheme, structure) ->
-      let code, lines =
+      let code, _, lines =
         run (Printf.sprintf "trial --scheme %s --structure %s" scheme structure)
       in
       let pair = scheme ^ "/" ^ structure in
@@ -36,12 +43,31 @@ let test_rejects_unsupported () =
     Nbr_workload.Registry.unsupported
 
 let test_runs_supported () =
-  let code, _ =
+  let code, _, _ =
     run
       "trial --scheme hp --structure lazy-list --threads 2 --cores 2 --range \
        64 --duration-ms 1"
   in
   Alcotest.(check int) "hp x lazy-list runs and validates" 0 code
+
+let test_figure_runs_several () =
+  let code, out, _ = run "figure usability ablation_signals --quick" in
+  Alcotest.(check int) "exits 0" 0 code;
+  let id l = List.hd (String.split_on_char ':' l) in
+  Alcotest.(check (list string))
+    "headers in order"
+    [ "=== usability"; "=== ablation_signals" ]
+    (List.map id (List.filter (String.starts_with ~prefix:"===") out));
+  Alcotest.(check int)
+    "one summary line" 1
+    (List.length
+       (List.filter (String.starts_with ~prefix:"[experiments]") out))
+
+let test_figure_rejects_unknown () =
+  let code, out, err = run "figure nope usability" in
+  Alcotest.(check int) "exits 2" 2 code;
+  Alcotest.(check int) "one stderr line" 1 (List.length err);
+  Alcotest.(check (list string)) "nothing ran" [] out
 
 let suite =
   [
@@ -49,4 +75,8 @@ let suite =
       test_rejects_unsupported;
     Alcotest.test_case "trial runs a supported pairing" `Quick
       test_runs_supported;
+    Alcotest.test_case "figure runs several ids under one summary" `Quick
+      test_figure_runs_several;
+    Alcotest.test_case "figure rejects an unknown id before running" `Quick
+      test_figure_rejects_unknown;
   ]
