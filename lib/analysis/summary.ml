@@ -16,7 +16,7 @@
      [phase] install a checkpoint?).
 
    Effects come from a curated table of protocol builtins (Smr / Pool /
-   Rt / Atomic / Spinlock), keyed by a canonicalized module name; local
+   Rt / Atomic), keyed by a canonicalized module name; local
    aliases ([module P = Nbr_pool.Pool.Make (Rt)]) and functor
    parameters ([(Smr : Nbr_core.Smr_intf.S with ...)]) are resolved to
    those tables, other analyzed files are resolved to their computed
@@ -99,6 +99,8 @@ let pool_table = function
   | "alloc" -> alloc
   | "read_data" | "read_ptr" | "read_root" -> validated
   | "live" | "stamp" -> validate
+  | "lock" | "unlock" | "try_lock" -> lock lor shared_write
+  | "is_locked" -> plain
   | _ -> 0
 
 let rt_table = function
@@ -116,17 +118,12 @@ let atomic_table = function
       shared_write
   | _ -> 0
 
-let lock_table = function
-  | "lock" | "unlock" | "try_lock" -> lock lor shared_write
-  | _ -> 0
-
 let builtin_bits canon name =
   match canon with
   | "Smr" -> Some (smr_table name)
   | "Pool" -> Some (pool_table name)
   | "Rt" -> Some (rt_table name)
   | "Atomic" -> Some (atomic_table name)
-  | "Lock" -> Some (lock_table name)
   | _ -> None
 
 (* Instrumentation modules whose computed summaries must not leak
@@ -140,7 +137,6 @@ let canon_of_segment = function
   | "Pool" -> Some "Pool"
   | "Runtime_intf" | "Sim_rt" | "Native_rt" -> Some "Rt"
   | "Smr_intf" -> Some "Smr"
-  | "Spinlock" -> Some "Lock"
   | "Atomic" -> Some "Atomic"
   | _ -> None
 
@@ -151,7 +147,6 @@ let canon_by_convention = function
   | "Smr" -> Some "Smr"
   | "Rt" -> Some "Rt"
   | "P" -> Some "Pool"
-  | "Lock" -> Some "Lock"
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -329,7 +324,7 @@ let rec peel_fun (e : Parsetree.expression) =
 (* Structure-level [module Smr = Nbr_core.Nbr_plus.Make (Sim)]: resolve
    structurally, then fall back to the bound-name convention — scheme
    functors are not in the canonical-segment table, but a module *named*
-   Smr/Rt/P/Lock is filling the codebase's conventional role. *)
+   Smr/Rt/P is filling the codebase's conventional role. *)
 let str_module_target t info ~name segs =
   match target_of_segments t ~local:info.locals segs with
   | Benign -> (

@@ -5,7 +5,7 @@
     observes; effects inside phase-combinator lambdas are masked
     because the combinator provides the guard) and [closure] (the
     unmasked transitive union, used by the per-scheme R2 checks).
-    Protocol builtins (Smr / Pool / Rt / Atomic / Spinlock) come from a
+    Protocol builtins (Smr / Pool / Rt / Atomic) come from a
     curated table; module aliases, functor parameters and first-class
     module unpacks are resolved to it; other analyzed files resolve to
     their computed summaries; everything else is benign. *)

@@ -143,17 +143,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      paired with HP; the benchmarks never do. *)
   let read_raw c ~src ~field = P.raw_load_ptr c.b.pool src field
 
-  let mem_sorted a n x =
-    let rec go lo hi =
-      if lo >= hi then false
-      else
-        let mid = (lo + hi) / 2 in
-        if a.(mid) = x then true
-        else if a.(mid) < x then go (mid + 1) hi
-        else go lo mid
-    in
-    go 0 n
-
   (* Hazard scan + sweep — the threshold-crossing body of [retire], also
      run threshold-free under pool pressure.  Own hazards are skipped, as
      in the retire-time scan: records in our bag were retired by us and
@@ -181,7 +170,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       Array.blit a 0 x.scratch 0 !k;
       let freed =
         Limbo_bag.sweep x.bag ~upto:(Limbo_bag.abs_tail x.bag)
-          ~keep:(fun slot -> mem_sorted x.scratch !k slot)
+          ~keep:(fun slot -> Smr_base.mem_sorted x.scratch !k slot)
           ~free:(fun slot -> P.free c.b.pool slot)
       in
       Smr_stats.add_freed c.st freed;

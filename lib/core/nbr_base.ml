@@ -362,17 +362,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Array.blit a 0 scratch 0 !k;
     !k
 
-  let mem_sorted a n x =
-    let rec go lo hi =
-      if lo >= hi then false
-      else
-        let mid = (lo + hi) / 2 in
-        if a.(mid) = x then true
-        else if a.(mid) < x then go (mid + 1) hi
-        else go lo mid
-    in
-    go 0 n
-
   (* Free every unreserved record retired before absolute bag position
      [upto]. *)
   let reclaim_freeable c ~upto =
@@ -381,7 +370,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let before = Limbo_bag.size x.bag in
     let freed =
       Limbo_bag.sweep x.bag ~upto
-        ~keep:(fun slot -> mem_sorted x.scratch k slot)
+        ~keep:(fun slot -> Smr_base.mem_sorted x.scratch k slot)
         ~free:(fun slot -> P.free c.b.pool slot)
     in
     Smr_stats.add_freed c.st freed;

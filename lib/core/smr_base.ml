@@ -13,6 +13,17 @@ module type SCHEME = sig
   val retract : inst -> int -> unit
 end
 
+let mem_sorted a n x =
+  let rec go lo hi =
+    if lo >= hi then false
+    else
+      let mid = (lo + hi) / 2 in
+      if a.(mid) = x then true
+      else if a.(mid) < x then go (mid + 1) hi
+      else go lo mid
+  in
+  go 0 n
+
 module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
   module P = Nbr_pool.Pool.Make (Rt)
   module L = Lifecycle.Make (Rt)

@@ -61,6 +61,11 @@ module type SCHEME = sig
       nothing (on departure, and when a watchdog reaps it). *)
 end
 
+val mem_sorted : int array -> int -> int -> bool
+(** [mem_sorted a n x]: binary search for [x] in the sorted prefix
+    [a.(0 .. n-1)] — the sweep's "is this record reserved / hazardous"
+    test in NBR and HP. *)
+
 module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
   type aint = Rt.aint
   type pool = Nbr_pool.Pool.Make(Rt).t

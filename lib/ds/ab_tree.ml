@@ -24,9 +24,9 @@
     victim), matching the paper's count for the ABTree (§6).
 
     Record layout (with branching factor [b]): data0..data(b-1) = keys,
-    data b = size, data b+1 = marked; ptr0..ptr(b-1) = children.  A node is
-    a leaf iff child0 = nil; internal routing keys live in key[1..size-1]
-    (child i covers keys in [key i, key (i+1))). *)
+    data b = size, data b+1 = marked, data b+2 = lock; ptr0..ptr(b-1) =
+    children.  A node is a leaf iff child0 = nil; internal routing keys
+    live in key[1..size-1] (child i covers keys in [key i, key (i+1))). *)
 
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
@@ -35,17 +35,17 @@ module Make
               and type pool = Nbr_pool.Pool.Make(Rt).t) =
 struct
   module P = Nbr_pool.Pool.Make (Rt)
-  module Lock = Spinlock.Make (Rt)
 
   let b = 8
   let name = "ab-tree"
 
-  let data_fields = b + 2
+  let data_fields = b + 3
   let ptr_fields = b
   let max_reservations = 3
 
   let f_size = b
   let f_marked = b + 1
+  let f_lock = b + 2
 
   type t = { pool : P.t; anchor : int }
 
@@ -215,12 +215,10 @@ struct
   (* Lock [cells] in order; return false (after unlocking) if [valid]
      fails. *)
   let with_locks t cells ~valid ~body =
-    List.iter (fun s -> Lock.lock (P.locks t.pool) (P.uid t.pool s)) cells;
+    List.iter (fun s -> P.lock t.pool s f_lock) cells;
     let ok = valid () in
     let r = if ok then Some (body ()) else None in
-    List.iter
-      (fun s -> Lock.unlock (P.locks t.pool) (P.uid t.pool s))
-      (List.rev cells);
+    List.iter (fun s -> P.unlock t.pool s f_lock) (List.rev cells);
     r
 
   let scratch_keys () = Array.make (b + 1) 0

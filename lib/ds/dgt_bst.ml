@@ -21,7 +21,8 @@
     a parent, every parent a grandparent (the root never needs one because
     its direct leaves — the sentinels — are never deleted).
 
-    Record layout: data0 = key, data1 = marked; ptr0 = left, ptr1 = right.
+    Record layout: data0 = key, data1 = marked, data2 = lock; ptr0 = left,
+    ptr1 = right.
     A node is a leaf iff both children are nil. *)
 
 module Make
@@ -31,16 +32,16 @@ module Make
               and type pool = Nbr_pool.Pool.Make(Rt).t) =
 struct
   module P = Nbr_pool.Pool.Make (Rt)
-  module Lock = Spinlock.Make (Rt)
 
   let name = "dgt-tree"
 
-  let data_fields = 2
+  let data_fields = 3
   let ptr_fields = 2
   let max_reservations = 3
 
   let f_key = 0
   let f_marked = 1
+  let f_lock = 2
 
   type t = { pool : P.t; root : int }
 
@@ -111,10 +112,9 @@ struct
           ~write:(fun (p, pdir, l) ->
             if key t l = k then Done false
             else begin
-              let locks = P.locks t.pool and pl = P.uid t.pool p in
-              Lock.lock locks pl;
+              P.lock t.pool p f_lock;
               if marked t p || P.get_ptr t.pool p pdir <> l then begin
-                Lock.unlock locks pl;
+                P.unlock t.pool p f_lock;
                 Retry
               end
               else begin
@@ -138,7 +138,7 @@ struct
                   P.set_ptr t.pool router 1 leaf
                 end;
                 P.set_ptr t.pool p pdir router;
-                Lock.unlock locks pl;
+                P.unlock t.pool p f_lock;
                 Done true
               end
             end)
@@ -160,17 +160,15 @@ struct
           ~write:(fun (gp, gdir, p, pdir, l) ->
             if key t l <> k then Done false
             else begin
-              let locks = P.locks t.pool in
-              let gpl = P.uid t.pool gp and pl = P.uid t.pool p in
-              Lock.lock locks gpl;
-              Lock.lock locks pl;
+              P.lock t.pool gp f_lock;
+              P.lock t.pool p f_lock;
               if
                 marked t gp || marked t p
                 || P.get_ptr t.pool gp gdir <> p
                 || P.get_ptr t.pool p pdir <> l
               then begin
-                Lock.unlock locks pl;
-                Lock.unlock locks gpl;
+                P.unlock t.pool p f_lock;
+                P.unlock t.pool gp f_lock;
                 Retry
               end
               else begin
@@ -180,8 +178,8 @@ struct
                 P.set_data t.pool p f_marked 1;
                 P.set_data t.pool l f_marked 1;
                 P.set_ptr t.pool gp gdir sibling;
-                Lock.unlock locks pl;
-                Lock.unlock locks gpl;
+                P.unlock t.pool p f_lock;
+                P.unlock t.pool gp f_lock;
                 Smr.retire ctx p;
                 Smr.retire ctx l;
                 Done true

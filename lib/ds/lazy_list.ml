@@ -12,7 +12,7 @@
     never span phases, so plain NBR/NBR+ applies (the "compatible
     pattern", §5.2).
 
-    Record layout: data0 = key, data1 = marked; ptr0 = next. *)
+    Record layout: data0 = key, data1 = marked, data2 = lock; ptr0 = next. *)
 
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
@@ -21,16 +21,16 @@ module Make
               and type pool = Nbr_pool.Pool.Make(Rt).t) =
 struct
   module P = Nbr_pool.Pool.Make (Rt)
-  module Lock = Spinlock.Make (Rt)
 
   let name = "lazy-list"
 
-  let data_fields = 2
+  let data_fields = 3
   let ptr_fields = 1
   let max_reservations = 2
 
   let f_key = 0
   let f_marked = 1
+  let f_lock = 2
   let f_next = 0
 
   type t = { pool : P.t; head : int; tail : int }
@@ -81,15 +81,15 @@ struct
 
   (* Φwrite helper: lock the window and validate it is still intact. *)
   let lock_window t pred curr =
-    Lock.lock (P.locks t.pool) (P.uid t.pool pred);
-    Lock.lock (P.locks t.pool) (P.uid t.pool curr);
+    P.lock t.pool pred f_lock;
+    P.lock t.pool curr f_lock;
     (not (marked t pred))
     && (not (marked t curr))
     && P.get_ptr t.pool pred f_next = curr
 
   let unlock_window t pred curr =
-    Lock.unlock (P.locks t.pool) (P.uid t.pool curr);
-    Lock.unlock (P.locks t.pool) (P.uid t.pool pred)
+    P.unlock t.pool curr f_lock;
+    P.unlock t.pool pred f_lock
 
   type 'a outcome = Done of 'a | Retry
 

@@ -9,10 +9,10 @@
     - {!Hash_set}: lock-free hash set of Harris-list buckets (extension).
     - {!Skip_list}: optimistic skiplist, up to 17 reservations (extension).
 
-    {!Spinlock} (test-and-test-and-set over runtime cells) lives here with
-    its only users, keeping [nbr.sync] free of runtime dependencies. *)
+    The four lock-based structures (lazy list, DGT tree, (a,b)-tree, skip
+    list) declare a lock word as their last data field, [f_lock], and take
+    it with [Pool.lock]; the Harris list and the hash set carry none. *)
 
-module Spinlock = Spinlock
 module Lazy_list = Lazy_list
 module Dgt_bst = Dgt_bst
 module Harris_list = Harris_list

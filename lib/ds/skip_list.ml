@@ -18,7 +18,8 @@
     the key, which keeps executions reproducible.
 
     Record layout (max_level L = 8): data0 = key, data1 = marked,
-    data2 = top level (1..L); ptr0..ptr(L-1) = next-by-level. *)
+    data2 = top level (1..L), data3 = lock; ptr0..ptr(L-1) =
+    next-by-level. *)
 
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
@@ -27,17 +28,17 @@ module Make
               and type pool = Nbr_pool.Pool.Make(Rt).t) =
 struct
   module P = Nbr_pool.Pool.Make (Rt)
-  module Lock = Spinlock.Make (Rt)
 
   let max_level = 8
   let name = "skip-list"
-  let data_fields = 3
+  let data_fields = 4
   let ptr_fields = max_level
   let max_reservations = (2 * max_level) + 1
 
   let f_key = 0
   let f_marked = 1
   let f_top = 2
+  let f_lock = 3
 
   type t = { pool : P.t; head : int; tail : int }
 
@@ -115,13 +116,11 @@ struct
     let by_key =
       List.sort (fun a b -> compare (key t a) (key t b)) sorted
     in
-    List.iter (fun s -> Lock.lock (P.locks t.pool) (P.uid t.pool s)) by_key;
+    List.iter (fun s -> P.lock t.pool s f_lock) by_key;
     by_key
 
   let unlock_all t locked =
-    List.iter
-      (fun s -> Lock.unlock (P.locks t.pool) (P.uid t.pool s))
-      (List.rev locked)
+    List.iter (fun s -> P.unlock t.pool s f_lock) (List.rev locked)
 
   type 'a outcome = Done of 'a | Retry
 

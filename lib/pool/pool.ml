@@ -21,8 +21,10 @@
       (Sheffi/Herlihy/Petrank, arXiv 2107.13843) builds reclamation out
       of.
     - Record fields are flat: each data/pointer field of a class is one
-      runtime cell block indexed by slot, and the lock words one
-      pool-wide block indexed by {!uid} — never a heap object per word.
+      runtime cell block indexed by slot — never a heap object per word.
+      A structure that locks declares its lock word as one of its data
+      fields (see {!lock}); records of structures that do not lock carry
+      none.
     - Allocation is two-level, per Bonwick's magazine design: each thread
       caches up to a magazine of ready handles per class (padded,
       single-owner — the fast path touches no shared state), backed by a
@@ -184,8 +186,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   type t = {
     classes : cls array;
     total_capacity : int;
-    locks : Rt.cells;
-        (** one lock word per slot across all classes, indexed by {!uid} *)
     nthreads : int;
     mutable gen_check : bool;
         (** ablation A4 ([Smr_config.unsafe_no_generation_check]) sets
@@ -269,7 +269,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     {
       classes = cls;
       total_capacity = !base;
-      locks = Rt.make_cells !base 0;
       nthreads;
       gen_check = true;
       starving = Atomic.make 0;
@@ -702,8 +701,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
        generation check at all: they are the substrate the SMR schemes
        build their protected reads on, and the Harris list's tagged-word
        traversal.  Uses are instrumented at the call sites via
-       {!record_read}.  Lock words are addressed by {!uid} in the
-       pool-wide {!locks} block.
+       {!record_read}.  Record locks ({!lock} and friends) are
+       unchecked too: a lock word is a data field the structure names.
 
      The pre-rewrite index-clamping guard ([deref]) is gone: handles
      carry their class and index, so there is no out-of-range index to
@@ -712,8 +711,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let check t h =
     if t.gen_check && not (valid t h) then note_stale t h
-
-  let locks t = t.locks
 
   let raw_load_ptr t h f =
     let c = cls_of t h in
@@ -769,6 +766,50 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     check t h;
     let c = cls_of t h in
     Rt.store_at c.c_ptr.(f) (slot_of c h) v
+
+  (* ---------------- record locks ---------------- *)
+
+  (* Test-and-test-and-set spinlocks on the data field a structure
+     declares as its lock word (pool.mli, "Record locks").  Unchecked like
+     the raw tier; [lock] asserts the write-phase discipline. *)
+
+  let unlocked = 0
+  let locked_by tid = tid + 1
+
+  let try_lock t h f =
+    let c = cls_of t h in
+    Rt.cas_at c.c_data.(f) (slot_of c h) unlocked (locked_by (Rt.self ()))
+
+  let lock t h f =
+    assert (not (Rt.is_restartable ()));
+    let c = cls_of t h in
+    let cells = c.c_data.(f) and i = slot_of c h in
+    let me = locked_by (Rt.self ()) in
+    let rec go spins =
+      if Rt.cas_at cells i unlocked me then ()
+      else begin
+        (* Test-and-TAS: spin on plain loads before retrying the RMW. *)
+        let rec wait n =
+          if n > 0 && Rt.plain_load_at cells i <> unlocked then begin
+            Rt.cpu_relax ();
+            wait (n - 1)
+          end
+        in
+        wait (min spins 64);
+        go (spins * 2)
+      end
+    in
+    go 4
+
+  let unlock t h f =
+    let c = cls_of t h in
+    let cells = c.c_data.(f) and i = slot_of c h in
+    assert (Rt.plain_load_at cells i = locked_by (Rt.self ()));
+    Rt.store_at cells i unlocked
+
+  let is_locked t h f =
+    let c = cls_of t h in
+    Rt.plain_load_at c.c_data.(f) (slot_of c h) <> unlocked
 
   (* ---------------- instrumentation ---------------- *)
 

@@ -221,14 +221,44 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   (** [raw_cas_ptr t h f old v]: CAS on pointer field [f], unchecked like
       {!raw_load_ptr}. *)
 
-  val locks : t -> Rt.cells
-  (** The pool-wide lock-word block: record [h]'s lock is cell
-      [uid t h].  Structures take it with an indexed spinlock. *)
-
   val get_data : t -> int -> int -> int
   val set_data : t -> int -> int -> int -> unit
   val get_ptr : t -> int -> int -> int
   val set_ptr : t -> int -> int -> int -> unit
+
+  (** {1 Record locks}
+
+      Test-and-test-and-set spinlocks for the lock-based structures (lazy
+      list, skip list, DGT tree, (a,b)-tree).  A record's lock word is an
+      ordinary data field that the structure declares (by convention its
+      last, [f_lock]), so records of structures that never lock carry no
+      lock word.  Like the raw tier, lock operations do no generation
+      check.  A lock is released before its record is retired, so a
+      recycled slot's lock is free.
+
+      NBR interplay: locks may only be taken in a write phase (the thread
+      is non-restartable there), so a lock holder can never be
+      neutralized while holding a lock — the deadlock that rules out
+      DEBRA+ for these structures (paper §1) cannot happen by
+      construction.  An assertion in [lock] enforces the discipline; the
+      static analyzer (DESIGN.md §16, rule R1) enforces it at build
+      time. *)
+
+  val try_lock : t -> int -> int -> bool
+  (** [try_lock t h f] attempts to acquire the lock in data field [f] of
+      record [h]; never blocks. *)
+
+  val lock : t -> int -> int -> unit
+  (** [lock t h f] spins until it holds the lock in data field [f] of
+      record [h].  Must not be called while the calling thread is
+      restartable (read phase). *)
+
+  val unlock : t -> int -> int -> unit
+  (** [unlock t h f] releases; the caller must hold the lock. *)
+
+  val is_locked : t -> int -> int -> bool
+  (** Whether the lock in data field [f] of record [h] is held by anyone
+      (validation aid). *)
 
   (** {1 Instrumentation} *)
 

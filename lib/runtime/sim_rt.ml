@@ -499,10 +499,8 @@ module Heap = struct
       else up := false
     done
 
-  let pop h =
-    let top = h.a.(0) in
-    h.n <- h.n - 1;
-    h.a.(0) <- h.a.(h.n);
+  (* Restore the order below the top after its key grew. *)
+  let sift_down h =
     let i = ref 0 in
     let down = ref true in
     while !down do
@@ -515,8 +513,12 @@ module Heap = struct
         i := !m
       end
       else down := false
-    done;
-    top
+    done
+
+  let pop h =
+    h.n <- h.n - 1;
+    h.a.(0) <- h.a.(h.n);
+    sift_down h
 end
 
 let run ~nthreads:n body =
@@ -595,13 +597,17 @@ let run ~nthreads:n body =
   (match !sched_ctl with
   | None ->
       Array.iter (fun f -> Heap.push heap f) fs;
+      (* The top fiber runs in place.  A resume moves only that fiber's
+         clock, and only forward, so one sift-down restores the heap;
+         (clock, id) is a strict total order, so the run order does not
+         depend on the heap's shape. *)
       while heap.Heap.n > 0 && !failure = None do
-        let f = Heap.pop heap in
-        if not f.finished then
-          if not (budget_blown ()) then begin
-            resume_one f;
-            if not f.finished then Heap.push heap f
-          end
+        let f = heap.Heap.a.(0) in
+        if f.finished then Heap.pop heap
+        else if not (budget_blown ()) then begin
+          resume_one f;
+          if f.finished then Heap.pop heap else Heap.sift_down heap
+        end
       done
   | Some pick ->
       (* Controlled mode: gather the unfinished fibers in id order and ask

@@ -3,8 +3,8 @@
 
     Runtime-independent building blocks, below {!Nbr_runtime} in the
     dependency order (the native runtime itself uses {!Padded} for its
-    per-thread signal state).  The runtime-parametric spinlock lives in
-    [nbr.ds] with its users. *)
+    per-thread signal state).  Record locks are runtime-parametric and
+    live in [nbr.pool] ([Pool.lock]). *)
 
 module Rng = Rng
 module Int_vec = Int_vec

@@ -1,0 +1,19 @@
+(* R1 fixture: a record lock taken inside a restartable read phase.  A
+   neutralized reader restarts from its checkpoint still holding the
+   lock, and every writer that needs the record then spins forever.
+   Locks belong in the write phase: r4_clean.ml takes the same lock
+   there and is silent. *)
+
+let find t ctx k =
+  Smr.begin_op ctx;
+  let hit =
+    Smr.phase ctx
+      ~read:(fun () ->
+        P.lock t k 1;
+        Smr.read_data ctx ~src:k ~field:0)
+      ~write:(fun v ->
+        P.unlock t k 1;
+        v)
+  in
+  Smr.end_op ctx;
+  hit

@@ -8,9 +8,9 @@ let find t ctx k =
     Smr.phase ctx
       ~read:(fun () -> Smr.read_data ctx ~src:k ~field:0)
       ~write:(fun v ->
-        Lock.lock t;
+        P.lock t k 1;
         let w = P.get_data t k 0 in
-        Lock.unlock t;
+        P.unlock t k 1;
         v + w)
   in
   Smr.end_op ctx;

@@ -47,6 +47,16 @@ let test_r1 =
           "[read-phase-write] Rt.store: shared-write in read phase";
       ]
 
+(* A record lock is a pool operation: [P.lock] in a read phase is an R1
+   finding, and the same lock in the write phase is clean. *)
+let test_r1_lock =
+  check_pair ~violating:"r1_lock_violation.ml" ~clean:"r4_clean.ml"
+    ~expected:
+      [
+        exp "r1_lock_violation.ml" 12
+          "[read-phase-write] P.lock: shared-write+lock in read phase";
+      ]
+
 let test_r2 =
   check_pair ~violating:"r2_violation.ml" ~clean:"r2_clean.ml"
     ~expected:
@@ -234,6 +244,7 @@ let test_broken_ds_dynamic () =
 let suite =
   [
     Alcotest.test_case "R1 read-phase write" `Quick test_r1;
+    Alcotest.test_case "R1 lock in read phase" `Quick test_r1_lock;
     Alcotest.test_case "R2 unguarded deref" `Quick test_r2;
     Alcotest.test_case "R3 phase bracket" `Quick test_r3;
     Alcotest.test_case "R4 write-phase read" `Quick test_r4;

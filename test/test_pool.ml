@@ -107,6 +107,21 @@ let test_ptr_fields_nil_initialized () =
   Alcotest.(check int) "ptr0 nil" P.nil (P.get_ptr p a 0);
   Alcotest.(check int) "ptr1 nil" P.nil (P.get_ptr p a 1)
 
+(* A slot of a one-data, one-pointer record is two 10-byte simulated
+   cells plus the pool's 8-byte metadata word: 28 B.  Nothing else in
+   the pool grows with capacity — in particular no lock word, which only
+   the structures that lock declare, as a data field. *)
+let test_bytes_per_slot () =
+  let capacity = 65536 in
+  let p = P.create ~capacity ~data_fields:1 ~ptr_fields:1 ~nthreads:1 () in
+  let bytes = Obj.reachable_words (Obj.repr p) * (Sys.word_size / 8) in
+  let bound = (28 * capacity) + 16384 in
+  if bytes > bound then
+    Alcotest.failf "pool of %d slots holds %d B (%.2f B per slot), over %d"
+      capacity bytes
+      (float_of_int bytes /. float_of_int capacity)
+      bound
+
 (* ------------------------------------------------------------------ *)
 (* Generational handles: codec and size-class routing.                 *)
 
@@ -245,15 +260,16 @@ let prop_alloc_free_trace =
       !ok && st.P.s_in_use = Hashtbl.length live)
 
 (* ------------------------------------------------------------------ *)
-(* Flat field layout, on both runtimes: every data field, pointer field
-   and lock word of every slot of every size-class is its own cell of a
-   per-class (or pool-wide, for locks) block.  Fill them all with
-   distinct values, free and recycle every slot, and check that nothing
-   aliased, nothing was lost, and the generations moved exactly once.   *)
+(* Flat field layout, on both runtimes: every data and pointer field of
+   every slot of every size-class is its own cell of a per-class block,
+   and a record's lock is one of its data fields — here each class names
+   its last data field as its lock.  Fill the other fields with distinct
+   values, lock each record in turn, free and recycle every slot, and
+   check that nothing aliased, nothing was lost, the generations moved
+   exactly once and every recycled slot's lock is free.                 *)
 
 module Recycle (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
-  module Lock = Nbr_ds.Spinlock.Make (Rt)
 
   let specs =
     [|
@@ -261,6 +277,8 @@ module Recycle (Rt : Nbr_runtime.Runtime_intf.S) = struct
       { Nbr_pool.Pool.cc_capacity = 8; cc_data_fields = 1; cc_ptr_fields = 3 };
       { Nbr_pool.Pool.cc_capacity = 4; cc_data_fields = 3; cc_ptr_fields = 0 };
     |]
+
+  let lock_field cls = specs.(cls).Nbr_pool.Pool.cc_data_fields - 1
 
   (* A value no other (class, index, kind, field) shares. *)
   let tag cls h kind f = (((((cls * 100) + H.index h) * 2) + kind) * 10) + f
@@ -271,7 +289,7 @@ module Recycle (Rt : Nbr_runtime.Runtime_intf.S) = struct
         let sp = specs.(cls) in
         Array.iter
           (fun h ->
-            for f = 0 to sp.Nbr_pool.Pool.cc_data_fields - 1 do
+            for f = 0 to lock_field cls - 1 do
               P.set_data p h f (tag cls h 0 f)
             done;
             for f = 0 to sp.Nbr_pool.Pool.cc_ptr_fields - 1 do
@@ -280,20 +298,24 @@ module Recycle (Rt : Nbr_runtime.Runtime_intf.S) = struct
           hs)
       hs
 
-  let check_fields what p hs =
+  (* Every field holds its tag, and exactly the records [held] selects
+     hold their lock. *)
+  let check_fields ?(held = fun _ -> false) what p hs =
     Array.iteri
       (fun cls hs ->
         let sp = specs.(cls) in
         Array.iter
           (fun h ->
-            for f = 0 to sp.Nbr_pool.Pool.cc_data_fields - 1 do
+            for f = 0 to lock_field cls - 1 do
               Alcotest.(check int) (what ^ ": data") (tag cls h 0 f)
                 (P.get_data p h f)
             done;
             for f = 0 to sp.Nbr_pool.Pool.cc_ptr_fields - 1 do
               Alcotest.(check int) (what ^ ": ptr") (tag cls h 1 f)
                 (P.get_ptr p h f)
-            done)
+            done;
+            Alcotest.(check bool) (what ^ ": lock") (held h)
+              (P.is_locked p h (lock_field cls)))
           hs)
       hs
 
@@ -308,23 +330,21 @@ module Recycle (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let hs = alloc_all () in
     fill p hs;
     check_fields "written" p hs;
-    (* Lock every odd uid: lock words are independent cells. *)
-    let locks = P.locks p in
-    let held h = P.uid p h land 1 = 1 in
-    Array.iter
-      (Array.iter (fun h ->
-           if held h then
-             Alcotest.(check bool) "lock acquired" true
-               (Lock.try_lock locks (P.uid p h))))
+    (* Lock one record at a time: its lock is its own data field, and
+       taking it moves no other lock and no other field. *)
+    Array.iteri
+      (fun cls ->
+        Array.iter (fun h ->
+            let f = lock_field cls in
+            P.lock p h f;
+            Alcotest.(check bool) "lock is the data field" true
+              (P.get_data p h f <> 0);
+            Alcotest.(check bool) "a held lock refuses try_lock" false
+              (P.try_lock p h f);
+            check_fields ~held:(fun h' -> h' = h) "one locked" p hs;
+            P.unlock p h f))
       hs;
-    Array.iter
-      (Array.iter (fun h ->
-           Alcotest.(check bool) "only the taken locks are held" (held h)
-             (Lock.is_locked locks (P.uid p h))))
-      hs;
-    Array.iter
-      (Array.iter (fun h -> if held h then Lock.unlock locks (P.uid p h)))
-      hs;
+    check_fields "all unlocked" p hs;
     Array.iter (Array.iter (P.free p)) hs;
     Array.iter
       (Array.iter (fun h ->
@@ -332,8 +352,9 @@ module Recycle (Rt : Nbr_runtime.Runtime_intf.S) = struct
            Alcotest.(check int) "generation bumped once" (H.gen h + 1)
              (P.seqno p h)))
       hs;
-    (* Recycle every slot: same addresses, next generation, and the
-       memory still holds what the previous occupant wrote. *)
+    (* Recycle every slot: same addresses, next generation, the memory
+       still holds what the previous occupant wrote, and the lock every
+       occupant took and released is free. *)
     let hs' = alloc_all () in
     let sorted a =
       let a = Array.map (fun h -> (H.index h, h)) a in
@@ -351,12 +372,7 @@ module Recycle (Rt : Nbr_runtime.Runtime_intf.S) = struct
             Alcotest.(check int) "next generation" (H.gen h + 1) (H.gen h'))
           news)
       hs';
-    check_fields "recycled" p hs';
-    Array.iter
-      (Array.iter (fun h ->
-           Alcotest.(check bool) "locks released across recycle" false
-             (Lock.is_locked locks (P.uid p h))))
-      hs'
+    check_fields "recycled" p hs'
 end
 
 module Recycle_sim = Recycle (Sim)
@@ -372,6 +388,7 @@ let suite =
     Alcotest.test_case "UAF read detection" `Quick test_uaf_detection;
     Alcotest.test_case "pointer fields nil" `Quick
       test_ptr_fields_nil_initialized;
+    Alcotest.test_case "28 bytes per slot" `Quick test_bytes_per_slot;
     QCheck_alcotest.to_alcotest prop_handle_roundtrip;
     Alcotest.test_case "size-class routing" `Quick test_size_class_routing;
     Alcotest.test_case "magazine load/drain/flush" `Quick
