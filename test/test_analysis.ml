@@ -244,7 +244,6 @@ let test_broken_ds_dynamic () =
 let suite =
   [
     Alcotest.test_case "R1 read-phase write" `Quick test_r1;
-    Alcotest.test_case "R1 lock in read phase" `Quick test_r1_lock;
     Alcotest.test_case "R2 unguarded deref" `Quick test_r2;
     Alcotest.test_case "R3 phase bracket" `Quick test_r3;
     Alcotest.test_case "R4 write-phase read" `Quick test_r4;
@@ -257,4 +256,5 @@ let suite =
     Alcotest.test_case "sarif emission" `Quick test_sarif;
     Alcotest.test_case "cross-check: static" `Quick test_broken_ds_static;
     Alcotest.test_case "cross-check: dynamic" `Quick test_broken_ds_dynamic;
+    Alcotest.test_case "R1 lock in read phase" `Quick test_r1_lock;
   ]
