@@ -41,9 +41,7 @@ module RtBench (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 256
 
   module Read_path
-      (Smr : Nbr_core.Smr_intf.S
-               with type aint = Rt.aint
-                and type pool = Nbr_pool.Pool.Make(Rt).t) =
+      (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) =
   struct
     module L = Nbr_ds.Lazy_list.Make (Rt) (Smr)
 

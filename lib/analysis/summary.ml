@@ -81,8 +81,7 @@ let smr_table = function
   | "begin_op" -> begins
   | "end_op" -> ends
   | "phase" | "read_only" -> phase
-  | "read_root" | "read_ptr" | "read_raw" | "read_data" | "peek_ptr" ->
-      validated
+  | "read_ptr" | "read_raw" | "read_data" | "peek_ptr" -> validated
   | "alloc" -> alloc
   | "retire" -> retire
   | "on_pressure" | "collect_handoffs" | "adopt_orphans"
@@ -91,13 +90,13 @@ let smr_table = function
   | _ -> 0
 
 let pool_table = function
-  | "get_data" | "get_ptr" | "get_key" | "raw_load_ptr" -> plain
-  | "set_data" | "set_ptr" | "set_key" | "raw_cas_ptr" | "flush_thread"
+  | "get_data" | "get_ptr" | "raw_load_ptr" -> plain
+  | "set_data" | "set_ptr" | "raw_cas_ptr" | "flush_thread"
   | "set_watermarks" | "set_generation_check" ->
       shared_write
   | "free" -> free lor shared_write
   | "alloc" -> alloc
-  | "read_data" | "read_ptr" | "read_root" -> validated
+  | "read_data" | "read_ptr" -> validated
   | "live" | "stamp" -> validate
   | "lock" | "unlock" | "try_lock" -> lock lor shared_write
   | "is_locked" -> plain

@@ -89,18 +89,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let scheme_name = "debra"
 
+  (* A whole epoch bag at once: nothing in it is pinned, so a non-empty
+     bag is exactly one that frees something. *)
   let free_bag c bag =
-    let freed =
-      Limbo_bag.sweep bag ~upto:(Limbo_bag.abs_tail bag)
-        ~keep:(fun _ -> false)
-        ~free:(fun slot -> P.free c.b.pool slot)
-    in
-    if freed > 0 then begin
-      Smr_stats.add_freed c.st freed;
-      Smr_stats.add_reclaim_events c.st 1;
-      if !Nbr_obs.Trace.on then
-        Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Reclaim freed (Limbo_bag.size bag)
+    if Limbo_bag.size bag > 0 then begin
+      sweep c bag ~upto:(Limbo_bag.abs_tail bag) ~keep:(fun _ -> false);
+      Smr_stats.add_reclaim_events c.st 1
     end
 
   (* leaveQstate *)
@@ -184,6 +178,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let alloc ?cls c =
     P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
 
+  (* Not the shared [buffer_retired]: DEBRA notes its garbage before the
+     threshold test, and the crossing has no inline flush to fall back
+     on — epochs, not thresholds, free its bags. *)
   let retire c slot =
     count_retire c slot;
     Limbo_bag.push (retire_bag c.b.shared c.local) slot;

@@ -93,13 +93,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let scheme_name = "he"
 
-  let end_op c =
-    note_end_op c;
-    let sl = c.b.shared.slots.(c.tid) in
-    for i = 0 to c.b.shared.window - 1 do
-      Rt.store sl.(i) empty_slot
-    done;
-    adopt_pending c
+  let end_op = retract_end_op
 
   (* Protect-by-era: publish the current era in the next rotation slot,
      then read; if the era moved during the read, republish and re-read —
@@ -108,24 +102,17 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      linked when the era was published: a record born and retired entirely
      inside our operation can be reached through a stale interior edge
      with every published era outside its lifetime, so the target's
-     lifecycle state must be validated too (see Hp.protect_from). *)
+     lifecycle state must be validated too (see [Hp.read_ptr]). *)
   exception Validation_failed
 
-  (* The protected word, addressed as in [Hp.link]: [root] when
-     [field < 0], else pointer field [field] of record [src]. *)
-  let no_root = Rt.make P.nil
-
-  let link c root ~src ~field =
-    if field < 0 then Rt.load root else P.raw_load_ptr c.b.pool src field
-
-  let protected_read c root ~src ~field =
+  let read_ptr c ~src ~field =
     let s = c.b.shared and x = c.local in
     let sl = s.slots.(c.tid) in
     let i = x.hpi in
     x.hpi <- (x.hpi + 1) mod s.window;
     let rec go prev_e tries =
       if tries > 64 then raise Rt.Neutralized;
-      let v = link c root ~src ~field in
+      let v = P.raw_load_ptr c.b.pool src field in
       let e = Rt.load s.era in
       if e = prev_e then
         if v < 0 || P.live c.b.pool v then v
@@ -145,9 +132,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
         v
     | exception Validation_failed -> raise Rt.Neutralized
-
-  let read_root c root = protected_read c root ~src:(-1) ~field:(-1)
-  let read_ptr c ~src ~field = protected_read c no_root ~src ~field
 
   (* Unlinked-record traversal cannot be protected by eras; unsafe with
      mark-traversing structures (never benchmarked together). *)
@@ -184,15 +168,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         done;
         !hit
       in
-      let freed =
-        Limbo_bag.sweep x.bag ~upto:(Limbo_bag.abs_tail x.bag) ~keep:pinned
-          ~free:(fun slot -> P.free c.b.pool slot)
-      in
-      Smr_stats.add_freed c.st freed;
-      Smr_stats.add_reclaim_events c.st 1;
-      if !Nbr_obs.Trace.on then
-        Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Reclaim freed (Limbo_bag.size x.bag)
+      sweep c x.bag ~upto:(Limbo_bag.abs_tail x.bag) ~keep:pinned;
+      Smr_stats.add_reclaim_events c.st 1
     end
 
   let on_pressure = flush
@@ -209,11 +186,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let retire c slot =
     count_retire c slot;
-    let bag = c.local.bag in
     Rt.store_at c.b.shared.retire_era (P.uid c.b.pool slot)
       (Rt.load c.b.shared.era);
-    Limbo_bag.push bag slot;
-    if Limbo_bag.size bag >= c.b.cfg.Smr_config.bag_threshold then
-      if not (maybe_offload c) then flush c;
-    Smr_stats.note_garbage c.st (Limbo_bag.size bag)
+    buffer_retired c slot ~flush
 end

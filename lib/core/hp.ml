@@ -82,43 +82,29 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let scheme_name = "hp"
   let max_validate_retries = 64
 
-  let end_op c =
-    note_end_op c;
-    let hz = c.b.shared.hazards.(c.tid) in
-    for i = 0 to c.b.shared.window - 1 do
-      Rt.store hz.(i) P.nil
-    done;
-    adopt_pending c
+  let end_op = retract_end_op
 
-  (* The protected word: the entry-point cell [root] when [field < 0]
-     (read_root), else pointer field [field] of record [src] (read_ptr,
-     which passes the never-read [no_root]).  Plain arguments rather than
-     a closure or an option keep the per-read path allocation-free. *)
-  let no_root = Rt.make P.nil
-
-  let link c root ~src ~field =
-    if field < 0 then Rt.load root else P.raw_load_ptr c.b.pool src field
-
-  (* Announce-and-validate: publish [target] read from the link, then
-     check that the link still holds it, that the target has not been unlinked,
-     and that the slot was not recycled under us.  The link re-read alone
+  (* Announce-and-validate: publish the target read from pointer field
+     [field] of [src], then check that the field still holds it, that the
+     target has not been unlinked, and that the slot was not recycled
+     under us.  The link re-read alone
      is insufficient for structures whose unlink splices an ancestor edge
      (DGT delete leaves the interior parent->leaf edge intact while both
      records retire) — the "check whether the record has already been
      unlinked" obligation the paper ascribes to HP (§2).  Failure aborts
      the read phase through the checkpoint. *)
-  let protect_from c root ~src ~field =
+  let read_ptr c ~src ~field =
     let hz = c.b.shared.hazards.(c.tid) in
     let x = c.local in
     let slot = x.hpi in
     x.hpi <- (x.hpi + 1) mod c.b.shared.window;
     let rec go tries =
-      let p = link c root ~src ~field in
+      let p = P.raw_load_ptr c.b.pool src field in
       if p < 0 then p
       else begin
         let s0 = P.stamp c.b.pool p in
         ignore (Rt.xchg hz.(slot) p) (* fenced publish *);
-        let p' = link c root ~src ~field in
+        let p' = P.raw_load_ptr c.b.pool src field in
         if p = p' && P.live c.b.pool p && P.stamp c.b.pool p = s0 then begin
           if P.record_read c.b.pool p then Smr_stats.note_uaf c.st;
           p
@@ -128,9 +114,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       end
     in
     go 0
-
-  let read_root c root = protect_from c root ~src:(-1) ~field:(-1)
-  let read_ptr c ~src ~field = protect_from c no_root ~src ~field
 
   (* [phase] is the shared restartable one: the reservations passed by
      the data structure are the last few records it protected, and the
@@ -152,32 +135,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      orphaned.  No signals to re-send. *)
   let flush c =
     W.watchdog c ~on_round:(fun ~peer:_ ~round:_ -> ());
-    let s = c.b.shared and x = c.local in
+    let x = c.local in
     if Limbo_bag.size x.bag > 0 then begin
-      let k = ref 0 in
-      for t = 0 to c.b.n - 1 do
-        if t <> c.tid then
-          for i = 0 to s.window - 1 do
-            let v = Rt.load s.hazards.(t).(i) in
-            if v >= 0 then begin
-              x.scratch.(!k) <- v;
-              incr k
-            end
-          done
-      done;
-      let a = Array.sub x.scratch 0 !k in
-      Array.sort compare a;
-      Array.blit a 0 x.scratch 0 !k;
-      let freed =
-        Limbo_bag.sweep x.bag ~upto:(Limbo_bag.abs_tail x.bag)
-          ~keep:(fun slot -> Smr_base.mem_sorted x.scratch !k slot)
-          ~free:(fun slot -> P.free c.b.pool slot)
-      in
-      Smr_stats.add_freed c.st freed;
-      Smr_stats.add_reclaim_events c.st 1;
-      if !Nbr_obs.Trace.on then
-        Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Reclaim freed (Limbo_bag.size x.bag)
+      let k = collect_published c c.b.shared.hazards x.scratch in
+      sweep c x.bag ~upto:(Limbo_bag.abs_tail x.bag) ~keep:(fun slot ->
+          Smr_base.mem_sorted x.scratch k slot);
+      Smr_stats.add_reclaim_events c.st 1
     end
 
   let on_pressure = flush
@@ -185,9 +148,5 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let retire c slot =
     count_retire c slot;
-    let bag = c.local.bag in
-    Limbo_bag.push bag slot;
-    if Limbo_bag.size bag >= c.b.cfg.Smr_config.bag_threshold then
-      if not (maybe_offload c) then flush c;
-    Smr_stats.note_garbage c.st (Limbo_bag.size bag)
+    buffer_retired c slot ~flush
 end

@@ -108,11 +108,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Rt.store s.hi.(c.tid) e;
     c.local.cached_hi <- e
 
-  let end_op c =
-    note_end_op c;
-    Rt.store c.b.shared.lo.(c.tid) inactive_lo;
-    Rt.store c.b.shared.hi.(c.tid) inactive_hi;
-    adopt_pending c
+  let end_op = retract_end_op
 
   (* Interval scan + sweep — the threshold-crossing body of [retire],
      also run threshold-free under pool pressure.  Safe mid-operation:
@@ -140,15 +136,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         done;
         !hit
       in
-      let freed =
-        Limbo_bag.sweep x.bag ~upto:(Limbo_bag.abs_tail x.bag) ~keep:pinned
-          ~free:(fun slot -> P.free c.b.pool slot)
-      in
-      Smr_stats.add_freed c.st freed;
-      Smr_stats.add_reclaim_events c.st 1;
-      if !Nbr_obs.Trace.on then
-        Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Reclaim freed (Limbo_bag.size x.bag)
+      sweep c x.bag ~upto:(Limbo_bag.abs_tail x.bag) ~keep:pinned;
+      Smr_stats.add_reclaim_events c.st 1
     end
 
   let on_pressure = flush
@@ -166,13 +155,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let retire c slot =
     count_retire c slot;
-    let bag = c.local.bag in
     Rt.store_at c.b.shared.retire_era (P.uid c.b.pool slot)
       (Rt.load c.b.shared.era);
-    Limbo_bag.push bag slot;
-    if Limbo_bag.size bag >= c.b.cfg.Smr_config.bag_threshold then
-      if not (maybe_offload c) then flush c;
-    Smr_stats.note_garbage c.st (Limbo_bag.size bag)
+    buffer_retired c slot ~flush
 
   (* The 2GE per-dereference protocol (Wen et al., fig. 4): read the
      pointer, then check that the global era still equals the announced
@@ -190,20 +175,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      value.  So a fired ratchet validates that the source is still live,
      and aborts the read phase through the checkpoint when it is not —
      HP's validation obligation, surfacing in IBR only on the era-moved
-     slow path.  ([src] is [-1] for the root: structure heads are never
-     retired, so their cells are always current and need no validation.
-     The word itself is addressed as in [Hp.link]: [root] when
-     [field < 0], else pointer field [field] of [src], with the never-read
-     [no_root] in [root].  Int sentinels rather than options keep the
-     per-read fast path allocation-free.) *)
-  let no_root = Rt.make P.nil
-
-  let link c root ~src ~field =
-    if field < 0 then Rt.load root else P.raw_load_ptr c.b.pool src field
-
-  let guarded_read c root ~src ~field =
+     slow path. *)
+  let read_ptr c ~src ~field =
     let rec loop () =
-      let v = link c root ~src ~field in
+      let v = P.raw_load_ptr c.b.pool src field in
       let e = Rt.plain_load c.b.shared.era in
       if e <> c.local.cached_hi then begin
         Rt.store c.b.shared.hi.(c.tid) e;
@@ -212,8 +187,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
            reintroduces the PR 4 frozen-link unsoundness, which the
            schedule-explorer regression re-finds from a certificate. *)
         if
-          src >= 0
-          && (not c.b.cfg.Smr_config.unsafe_ibr_no_validate)
+          (not c.b.cfg.Smr_config.unsafe_ibr_no_validate)
           && not (P.live c.b.pool src)
         then raise Rt.Neutralized;
         loop ()
@@ -223,9 +197,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let v = loop () in
     if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
     v
-
-  let read_root c root = guarded_read c root ~src:(-1) ~field:(-1)
-  let read_ptr c ~src ~field = guarded_read c no_root ~src ~field
 
   (* Interval protection covers targets of guarded dereferences, so data
      reads of an already-covered record need no ratchet.  A [Stale]

@@ -19,7 +19,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* Algorithm 1, lines 14–20 — with the threshold crossing first offered
      to the background reclaimer: an accepted handoff replaces the whole
-     signalAll + scan with one channel push. *)
+     signalAll + scan with one channel push.  As in the paper, the
+     threshold is tested before the push, which is why this is not the
+     shared [buffer_retired]. *)
   let retire c slot =
     count_retire c slot;
     let bag = c.local.bag in

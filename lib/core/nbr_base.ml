@@ -159,19 +159,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Smr_stats.add_restarts c.st (!attempts - 1);
     out
 
-  let read_only c f =
-    let attempts = ref 0 in
-    let out =
-      Rt.checkpoint (fun () ->
-          incr attempts;
-          note_attempt c !attempts;
-          begin_read c;
-          let r = f () in
-          end_read c [||];
-          r)
-    in
-    Smr_stats.add_restarts c.st (!attempts - 1);
-    out
+  let read_only c f = phase c ~read:(fun () -> (f (), [||])) ~write:Fun.id
 
   (* ------------------------------------------------------------------ *)
   (* Guarded traversal.                                                  *)
@@ -179,12 +167,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   (* [poll_t c.tid] rather than [poll ()]: the context already knows its
      tid, so the per-dereference DLS lookup the argless form pays in the
      native runtime disappears from the hottest path in the system. *)
-
-  let read_root c root =
-    Rt.poll_t c.tid;
-    let v = Rt.load root in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
 
   let read_ptr c ~src ~field =
     Rt.poll_t c.tid;
@@ -202,24 +184,17 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         raise Rt.Neutralized
 
   (* Validated read-phase reads of non-pointer state (keys, marks,
-     structural predicates): same staleness discipline as [read_ptr],
-     minus the target protection — nothing is dereferenced. *)
+     structural predicates): a poll point, then the shared layer's
+     restart-on-stale read — [read_ptr]'s discipline minus the target
+     protection, since nothing is dereferenced. *)
 
   let read_data c ~src ~field =
     Rt.poll_t c.tid;
-    match P.read_data c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale _ ->
-        Smr_stats.note_uaf c.st;
-        raise Rt.Neutralized
+    B.read_data c ~src ~field
 
   let peek_ptr c ~src ~field =
     Rt.poll_t c.tid;
-    match P.read_ptr c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale _ ->
-        Smr_stats.note_uaf c.st;
-        raise Rt.Neutralized
+    B.peek_ptr c ~src ~field
 
   let read_raw c ~src ~field =
     Rt.poll_t c.tid;
@@ -339,48 +314,13 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     end
     else signal_all c
 
-  (* Collect every other thread's reservations into [scratch], sorted;
-     returns the count.  Scanned *after* signalling (writers' handshake
-     step 3). *)
-  let collect_reservations c =
-    let scratch = c.local.scratch in
-    let k = ref 0 in
-    for t = 0 to c.b.n - 1 do
-      if t <> c.tid then begin
-        let res = c.b.shared.reservations.(t) in
-        for i = 0 to Array.length res - 1 do
-          let v = Rt.load res.(i) in
-          if v >= 0 then begin
-            scratch.(!k) <- v;
-            incr k
-          end
-        done
-      end
-    done;
-    let a = Array.sub scratch 0 !k in
-    Array.sort compare a;
-    Array.blit a 0 scratch 0 !k;
-    !k
-
   (* Free every unreserved record retired before absolute bag position
-     [upto]. *)
+     [upto].  Reservations are scanned {e after} signalling (writers'
+     handshake step 3). *)
   let reclaim_freeable c ~upto =
-    let k = collect_reservations c in
     let x = c.local in
-    let before = Limbo_bag.size x.bag in
-    let freed =
-      Limbo_bag.sweep x.bag ~upto
-        ~keep:(fun slot -> Smr_base.mem_sorted x.scratch k slot)
-        ~free:(fun slot -> P.free c.b.pool slot)
-    in
-    Smr_stats.add_freed c.st freed;
-    if !Nbr_obs.Trace.on then begin
-      let ns = Rt.now_ns () in
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns Nbr_obs.Trace.Bag_sweep before
-        (before - freed);
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns Nbr_obs.Trace.Reclaim freed
-        (Limbo_bag.size x.bag)
-    end
+    let k = collect_published c c.b.shared.reservations x.scratch in
+    sweep c x.bag ~upto ~keep:(fun slot -> Smr_base.mem_sorted x.scratch k slot)
 
   (* Threshold-independent reclamation event, for pool pressure: a full
      broadcast + sweep regardless of bag size (Algorithm 1's HiWatermark

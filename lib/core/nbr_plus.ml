@@ -50,7 +50,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let alloc ?cls c =
     P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
 
-  (* Algorithm 2, lines 5–26. *)
+  (* Algorithm 2, lines 5–26.  Its watermarks are tested before the push
+     and the LoWatermark path has no flush at all, so this is not the
+     shared [buffer_retired]. *)
   let retire c slot =
     count_retire c slot;
     let open Smr_config in

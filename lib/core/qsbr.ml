@@ -128,6 +128,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let alloc ?cls c =
     P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
 
+  (* Not the shared [buffer_retired]: the threshold counts only the
+     current buffer, while the garbage noted counts the parked ones
+     too. *)
   let retire c slot =
     count_retire c slot;
     Iv.push c.local.current slot;

@@ -62,10 +62,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     B.begin_op c;
     Rt.store c.b.shared.ann.(c.tid) (Rt.load c.b.shared.epoch)
 
-  let end_op c =
-    note_end_op c;
-    Rt.store c.b.shared.ann.(c.tid) idle;
-    adopt_pending c
+  let end_op = retract_end_op
 
   (* Bump the epoch and free everything retired strictly before the
      minimum announced epoch — the threshold-crossing body of [retire],
@@ -81,16 +78,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         let a = Rt.load s.ann.(t) in
         if a < !min_ann then min_ann := a
       done;
-      let freed =
-        Limbo_bag.sweep bag ~upto:(Limbo_bag.abs_tail bag)
-          ~keep:(fun slot -> s.retire_ep.(P.uid c.b.pool slot) >= !min_ann)
-          ~free:(fun slot -> P.free c.b.pool slot)
-      in
-      Smr_stats.add_freed c.st freed;
-      Smr_stats.add_reclaim_events c.st 1;
-      if !Nbr_obs.Trace.on then
-        Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Reclaim freed (Limbo_bag.size bag)
+      sweep c bag ~upto:(Limbo_bag.abs_tail bag) ~keep:(fun slot ->
+          s.retire_ep.(P.uid c.b.pool slot) >= !min_ann);
+      Smr_stats.add_reclaim_events c.st 1
     end
 
   let on_pressure = flush
@@ -99,8 +89,5 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let retire c slot =
     count_retire c slot;
     c.b.shared.retire_ep.(P.uid c.b.pool slot) <- Rt.load c.b.shared.epoch;
-    Limbo_bag.push c.local slot;
-    if Limbo_bag.size c.local >= c.b.cfg.Smr_config.bag_threshold then
-      if not (maybe_offload c) then flush c;
-    Smr_stats.note_garbage c.st (Limbo_bag.size c.local)
+    buffer_retired c slot ~flush
 end

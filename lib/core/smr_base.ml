@@ -28,7 +28,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
   module P = Nbr_pool.Pool.Make (Rt)
   module L = Lifecycle.Make (Rt)
 
-  type aint = Rt.aint
   type pool = P.t
 
   type t = {
@@ -109,6 +108,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
     note_end_op c;
     adopt_pending c
 
+  (* For schemes whose published state covers one operation (hazard and
+     era slots, interval bounds, an epoch announcement): withdraw it at
+     operation end, exactly as a departure would. *)
+  let retract_end_op c =
+    note_end_op c;
+    X.retract c.b.shared c.tid;
+    adopt_pending c
+
   let deregister c =
     let b = c.b in
     if L.depart b.lc c.tid then begin
@@ -151,6 +158,54 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
         &&
         (L.push_handoff c.b.lc ~origin:c.tid (X.export c.local);
          true)
+
+  (* The retire tail of the threshold-swept schemes: buffer the record,
+     and at the sweep threshold offer the buffer to the reclaimer or else
+     run the scheme's own [flush]. *)
+  let buffer_retired c slot ~flush =
+    X.push c.b.shared c.local slot;
+    if X.size c.local >= c.b.cfg.Smr_config.bag_threshold then
+      if not (maybe_offload c) then flush c;
+    Smr_stats.note_garbage c.st (X.size c.local)
+
+  (* Every other thread's published non-nil words (reservations, hazard
+     pointers) into a sorted prefix of [scratch]; returns its length, for
+     {!mem_sorted}. *)
+  let collect_published c rows scratch =
+    let k = ref 0 in
+    for t = 0 to c.b.n - 1 do
+      if t <> c.tid then begin
+        let row = rows.(t) in
+        for i = 0 to Array.length row - 1 do
+          let v = Rt.load row.(i) in
+          if v >= 0 then begin
+            scratch.(!k) <- v;
+            incr k
+          end
+        done
+      end
+    done;
+    let a = Array.sub scratch 0 !k in
+    Array.sort compare a;
+    Array.blit a 0 scratch 0 !k;
+    !k
+
+  (* The one limbo-bag sweep: free every entry before [upto] that [keep]
+     does not pin, count the frees, and trace the sweep and its result.
+     Callers count the reclamation event themselves. *)
+  let sweep c bag ~upto ~keep =
+    let before = Limbo_bag.size bag in
+    let freed =
+      Limbo_bag.sweep bag ~upto ~keep ~free:(fun slot -> P.free c.b.pool slot)
+    in
+    Smr_stats.add_freed c.st freed;
+    if !Nbr_obs.Trace.on then begin
+      let ns = Rt.now_ns () in
+      Nbr_obs.Trace.emit ~tid:c.tid ~ns Nbr_obs.Trace.Bag_sweep before
+        (before - freed);
+      Nbr_obs.Trace.emit ~tid:c.tid ~ns Nbr_obs.Trace.Reclaim freed
+        (Limbo_bag.size bag)
+    end
 
   let collect_handoffs c =
     let n = L.take_handoffs c.b.lc ~push:(X.push c.b.shared c.local) in
@@ -208,18 +263,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
       Smr_stats.uaf_commit c.st;
       write payload
 
-    let read_only c f =
-      let r = f () in
-      Smr_stats.uaf_commit c.st;
-      r
+    let read_only c f = phase c ~read:(fun () -> (f (), [||])) ~write:Fun.id
 
     let note_target c v =
       if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st
-
-    let read_root c root =
-      let v = Rt.load root in
-      note_target c v;
-      v
 
     let read_ptr c ~src ~field =
       let v = P.raw_load_ptr c.b.pool src field in
@@ -257,18 +304,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
     Smr_stats.add_restarts c.st (!attempts - 1);
     out
 
-  let read_only c f =
-    let attempts = ref 0 in
-    let out =
-      Rt.checkpoint (fun () ->
-          incr attempts;
-          if !attempts > 1 then Smr_stats.uaf_abort c.st;
-          let r = f () in
-          Smr_stats.uaf_commit c.st;
-          r)
-    in
-    Smr_stats.add_restarts c.st (!attempts - 1);
-    out
+  let read_only c f = phase c ~read:(fun () -> (f (), [||])) ~write:Fun.id
 
   (* Their data reads target records the traversal just protected, so a
      [Stale] result means protection was lost: abort the read phase like

@@ -6,8 +6,10 @@
     and lives here, once: the per-instance and per-thread records,
     [create]/[register]/[deregister], orphan adoption, the retire-path
     offload gate and the reclaimer's [collect_handoffs], the watchdog
-    reap, statistics, and the [begin_op]/[end_op] bookkeeping (expulsion
-    check, fine trace, orphan adoption).
+    reap, statistics, the [begin_op]/[end_op] bookkeeping (expulsion
+    check, fine trace, orphan adoption), the retire tail, the scan of
+    published words, the limbo-bag sweep with its trace, and the three
+    phase implementations.
 
     A scheme supplies a {!SCHEME}: its limbo-buffer shape (push, count,
     flatten), the retraction of its published state, and its
@@ -67,7 +69,6 @@ val mem_sorted : int array -> int -> int -> bool
     test in NBR and HP. *)
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
-  type aint = Rt.aint
   type pool = Nbr_pool.Pool.Make(Rt).t
 
   type t = private {
@@ -108,6 +109,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
   (** {!note_end_op} then {!adopt_pending}: for schemes with nothing to
       withdraw at operation end. *)
 
+  val retract_end_op : ctx -> unit
+  (** {!note_end_op}, {!SCHEME.retract} of the caller's own published
+      state, then {!adopt_pending}: the [end_op] of schemes whose hazard
+      or era slots, interval or announcement cover one operation. *)
+
   val note_end_op : ctx -> unit
   (** The fine [End_op] trace event. *)
 
@@ -124,6 +130,27 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
   (** Offer the {!SCHEME.exportable} records to the background
       reclaimer; [true] if they were handed off, [false] to sweep inline
       (no offload installed, degraded, or backlogged). *)
+
+  val buffer_retired : ctx -> int -> flush:(ctx -> unit) -> unit
+  (** The retire tail of HP, HE, IBR and RCU: {!SCHEME.push} the record;
+      at the sweep threshold {!maybe_offload}, or else [flush]; then note
+      the buffered garbage.  The NBR family, DEBRA and QSBR order their
+      threshold test differently and keep their own tails. *)
+
+  (** {1 Reclamation helpers} *)
+
+  val collect_published : ctx -> Rt.aint array array -> int array -> int
+  (** [collect_published c rows scratch] loads every other thread's row
+      of published words (NBR reservations, HP hazards), skips nil, and
+      leaves them sorted in [scratch.(0 .. k-1)]; returns [k], for
+      {!mem_sorted}.  [scratch] must hold every row. *)
+
+  val sweep : ctx -> Limbo_bag.t -> upto:int -> keep:(int -> bool) -> unit
+  (** {!Limbo_bag.sweep} the caller's bag up to absolute position [upto],
+      freeing to the pool every entry [keep] does not pin; count the
+      frees, and trace [Bag_sweep] (a = bag size before, b = those not
+      freed) then [Reclaim] (a = freed, b = size after).  The caller
+      counts the reclamation event. *)
 
   (** {1 Crash recovery}
 
@@ -153,7 +180,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
   module Unguarded : sig
     val phase : ctx -> read:(unit -> 'a * int array) -> write:('a -> 'b) -> 'b
     val read_only : ctx -> (unit -> 'a) -> 'a
-    val read_root : ctx -> aint -> int
     val read_ptr : ctx -> src:int -> field:int -> int
     val read_raw : ctx -> src:int -> field:int -> int
     val read_data : ctx -> src:int -> field:int -> int

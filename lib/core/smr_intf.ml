@@ -8,12 +8,17 @@
       begin_op ctx;
       ... preamble: globals, allocation ...
       phase ctx
-        ~read:(fun () -> (* Φread: traverse via read_root/read_ptr      *)
+        ~read:(fun () -> (* Φread: traverse from a sentinel record via
+                            read_ptr / read_data                         *)
                          (payload, [| reserved records ... |]))
         ~write:(fun payload -> (* Φwrite: locks, validation, updates,
                                   access only to reserved records       *) ...);
       end_op ctx
     v}
+
+    A traversal starts at a record the structure allocated outside any
+    operation and never retires (a sentinel head or anchor), so every
+    guarded read names a source record and a field.
 
     [phase] encapsulates the whole neutralization discipline: it
     checkpoints ([sigsetjmp]), runs the read phase restartably, publishes
@@ -137,7 +142,6 @@ exception Expelled
     while fault injection is active (see [Lifecycle.check_self]). *)
 
 module type S = sig
-  type aint
   type pool
   type t
   type ctx
@@ -230,22 +234,19 @@ module type S = sig
 
   val phase : ctx -> read:(unit -> 'a * int array) -> write:('a -> 'b) -> 'b
   (** Run one Φread/Φwrite pair.  [read] must obey the paper's read-phase
-      rules (§4.1): traverse shared records only through {!read_root} /
-      {!read_ptr} / field reads, no shared writes, no allocation, no
-      locks — it can be abandoned and replayed at any moment.  Its result
-      array lists every record the write phase will access (at most
-      [max_reservations]).  [write] runs exactly once per successful read
-      phase and must only access reserved records (plus records it
-      allocates). *)
+      rules (§4.1): traverse shared records only through {!read_ptr} /
+      {!read_raw} / {!read_data} / {!peek_ptr}, no shared writes, no
+      allocation, no locks — it can be abandoned and replayed at any
+      moment.  Its result array lists every record the write phase will
+      access (at most [max_reservations]).  [write] runs exactly once per
+      successful read phase and must only access reserved records (plus
+      records it allocates). *)
 
   val read_only : ctx -> (unit -> 'a) -> 'a
   (** A degenerate phase for operations with no write phase (contains):
       equivalent to [phase ~read:(fun () -> (f (), [||])) ~write:Fun.id]. *)
 
   (** {1 Guarded traversal} *)
-
-  val read_root : ctx -> aint -> int
-  (** Dereference an entry-point cell (e.g. the anchor's child pointer). *)
 
   val read_ptr : ctx -> src:int -> field:int -> int
   (** Follow pointer field [field] of record [src] (which must have been

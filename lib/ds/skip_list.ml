@@ -23,9 +23,7 @@
 
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
-    (Smr : Nbr_core.Smr_intf.S
-             with type aint = Rt.aint
-              and type pool = Nbr_pool.Pool.Make(Rt).t) =
+    (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) =
 struct
   module P = Nbr_pool.Pool.Make (Rt)
 

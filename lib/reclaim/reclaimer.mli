@@ -18,9 +18,7 @@ val pp_policy : Format.formatter -> policy -> unit
 
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
-    (Smr : Nbr_core.Smr_intf.S
-             with type aint = Rt.aint
-              and type pool = Nbr_pool.Pool.Make(Rt).t) : sig
+    (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) : sig
   type t
 
   val create :

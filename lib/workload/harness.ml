@@ -6,9 +6,7 @@
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module For_scheme
-      (Smr : Nbr_core.Smr_intf.S
-               with type aint = Rt.aint
-                and type pool = Nbr_pool.Pool.Make(Rt).t) =
+      (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) =
   struct
     module LL = Runner.Make (Rt) (Smr) (Nbr_ds.Lazy_list.Make (Rt) (Smr))
     module DG = Runner.Make (Rt) (Smr) (Nbr_ds.Dgt_bst.Make (Rt) (Smr))

@@ -5,9 +5,7 @@
 
 module type SCHEME = sig
   module Make (Rt : Nbr_runtime.Runtime_intf.S) :
-    Nbr_core.Smr_intf.S
-      with type aint = Rt.aint
-       and type pool = Nbr_pool.Pool.Make(Rt).t
+    Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t
 end
 
 type entry = {

@@ -3,15 +3,15 @@
    cross-check (DESIGN.md §16): one seeded violation, convicted from
    both ends.
 
-   [broken_lookup] begins an operation, dereferences the root through
-   the validated accessor with no phase entered, touches the record it
-   found, and returns with the operation still open.  Statically,
-   nbr_lint flags the unguarded dereference (R2) and the unclosed
-   bracket (R3, in both the helper and its caller).  Dynamically, a
-   DFS-explored simulator run with the PR 5 sanitizer attached convicts
-   the same protocol: [unguarded_access] for the in-op access outside
-   any checkpointed phase, [unbalanced_op] for the operation still open
-   at detach.
+   [broken_lookup] begins an operation, follows the anchor record's
+   link through the validated accessor with no phase entered, touches
+   the record it found, and returns with the operation still open.
+   Statically, nbr_lint flags the unguarded dereference (R2) and the
+   unclosed bracket (R3, in both the helper and its caller).
+   Dynamically, a DFS-explored simulator run with the sanitizer
+   attached convicts the same protocol: [unguarded_access] for the
+   in-op access outside any checkpointed phase, [unbalanced_op] for the
+   operation still open at detach.
 
    This module is compiled into the test binary (for the dynamic run)
    AND parsed from source by [Test_analysis] (for the static run) — do
@@ -23,7 +23,7 @@ module Smr = Nbr_core.Nbr_plus.Make (Sim)
 
 let broken_lookup pool ctx root =
   Smr.begin_op ctx;
-  let a = Smr.read_root ctx root in
+  let a = Smr.read_ptr ctx ~src:root ~field:0 in
   if a >= 0 && P.record_read pool a then ignore (P.get_data pool a 0)
 (* no Smr.end_op: the operation is left open on every path *)
 
@@ -36,14 +36,14 @@ let run () =
     P.create ~capacity:8 ~data_fields:1 ~ptr_fields:1 ~nthreads:2 ()
   in
   let smr = Smr.create pool ~nthreads:2 Nbr_core.Smr_config.default in
-  let root = Sim.make P.nil in
+  let root = P.alloc pool in
   let c0 = Smr.register smr ~tid:0 in
   Sim.run ~nthreads:2 (fun tid ->
       if tid = 0 then begin
         Smr.begin_op c0;
         let a = Smr.alloc c0 in
         P.set_data pool a 0 42;
-        Sim.store root a;
+        P.set_ptr pool root 0 a;
         Smr.end_op c0;
         broken_lookup pool c0 root
       end)

@@ -188,7 +188,7 @@ let test_broken_ds_static () =
     [
       expb 25 "[phase-bracket] operation can exit without end_op";
       expb 26
-        "[unguarded-deref] Smr.read_root: validated dereference outside \
+        "[unguarded-deref] Smr.read_ptr: validated dereference outside \
          any phase";
       expb 43 "[phase-bracket] operation can exit without end_op";
       expb 48

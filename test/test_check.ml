@@ -235,7 +235,8 @@ let unsafe_free_scenario () =
   Sim.set_max_events 500_000;
   let pool = P.create ~capacity:32 ~data_fields:1 ~ptr_fields:1 ~nthreads:2 () in
   let smr = U.create pool ~nthreads:2 Nbr_core.Smr_config.default in
-  let root = Sim.make P.nil in
+  let root = P.alloc pool in
+  P.set_ptr pool root 0 P.nil;
   let c0 = U.register smr ~tid:0 and c1 = U.register smr ~tid:1 in
   let san =
     San.attach
@@ -251,7 +252,7 @@ let unsafe_free_scenario () =
            (* Reader: root, then one hop. *)
            U.begin_op c0;
            U.read_only c0 (fun () ->
-               let a = U.read_root c0 root in
+               let a = U.read_ptr c0 ~src:root ~field:0 in
                if a >= 0 then ignore (U.read_ptr c0 ~src:a ~field:0));
            U.end_op c0
          end
@@ -261,7 +262,7 @@ let unsafe_free_scenario () =
            let a = U.alloc c1 in
            let b = U.alloc c1 in
            P.set_ptr pool a 0 b;
-           Sim.store root a;
+           P.set_ptr pool root 0 a;
            U.end_op c1;
            U.begin_op c1;
            U.retire c1 b;
@@ -374,12 +375,12 @@ let ibr_scenario ~validate () =
     }
   in
   let smr = I.create pool ~nthreads:2 scfg in
-  let root = Sim.make P.nil in
+  let root = P.alloc pool in
   let c0 = I.register smr ~tid:0 and c1 = I.register smr ~tid:1 in
   (* Prefill (outside the fibers): one record A published at the root. *)
   let a = I.alloc c1 in
   P.set_ptr pool a 0 P.nil;
-  Sim.store root a;
+  P.set_ptr pool root 0 a;
   let san =
     San.attach
       {
@@ -394,7 +395,7 @@ let ibr_scenario ~validate () =
            (* Reader: root, then one hop — the hop follows A's link. *)
            I.begin_op c0;
            I.read_only c0 (fun () ->
-               let x = I.read_root c0 root in
+               let x = I.read_ptr c0 ~src:root ~field:0 in
                if x >= 0 then ignore (I.read_ptr c0 ~src:x ~field:0));
            I.end_op c0
          end
@@ -407,9 +408,9 @@ let ibr_scenario ~validate () =
            let c = I.alloc c1 in
            P.set_ptr pool c 0 P.nil;
            P.set_ptr pool a 0 c;
-           Sim.store root c;
+           P.set_ptr pool root 0 c;
            I.retire c1 a;
-           Sim.store root P.nil;
+           P.set_ptr pool root 0 P.nil;
            I.retire c1 c;
            I.end_op c1
          end)

@@ -52,9 +52,7 @@ let model_trace (module D : DS_UNDER_TEST) ~ops ~range ~seed () =
 
 (* Instantiate each structure under a scheme. *)
 module Under
-    (Smr : Nbr_core.Smr_intf.S
-             with type aint = Sim.aint
-              and type pool = Nbr_pool.Pool.Make(Sim).t) =
+    (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Sim).t) =
 struct
   module P = Nbr_pool.Pool.Make (Sim)
 

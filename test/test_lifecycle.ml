@@ -21,7 +21,7 @@ let sim_cfg seed =
    survivor adopts them, and they are actually freed.                  *)
 
 module DeregAdopt
-    (S : Nbr_core.Smr_intf.S with type aint = Sim.aint and type pool = P.t) =
+    (S : Nbr_core.Smr_intf.S with type pool = P.t) =
 struct
   (* Thread 1 buffers [retired] records (threshold high enough that none
      are freed early), departs, and thread 0 adopts and flushes.  All
@@ -246,7 +246,7 @@ let test_watchdog_reaps_crashed () =
    hands exactly once, so no record is freed twice or lost.           *)
 
 module ReapMidSweep
-    (S : Nbr_core.Smr_intf.S with type aint = Sim.aint and type pool = P.t) =
+    (S : Nbr_core.Smr_intf.S with type pool = P.t) =
 struct
   let retired = 32
 
@@ -344,7 +344,7 @@ module R_nbrp = ReapMidSweep (Nbr_core.Nbr_plus.Make (Sim))
    crashes mid-operation; thread 0, which retires nothing, reaps it.   *)
 
 module ReapKeepsOwnStats
-    (S : Nbr_core.Smr_intf.S with type aint = Sim.aint and type pool = P.t) =
+    (S : Nbr_core.Smr_intf.S with type pool = P.t) =
 struct
   let retired = 32
 

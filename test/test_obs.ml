@@ -188,9 +188,7 @@ let test_sim_neutralization_timeline () =
    free records retired in *earlier* epochs, so the op loop is what
    lets their clocks advance between pressure events. *)
 let pressure_recovery (type c s)
-    (module S : Nbr_core.Smr_intf.S
-      with type aint = Sim.aint
-       and type pool = P.t
+    (module S : Nbr_core.Smr_intf.S with type pool = P.t
        and type ctx = c
        and type t = s) ~threshold ~epoch_freq () =
   (* Capacity of exactly one burst: each op's first alloc finds the pool

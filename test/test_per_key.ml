@@ -20,9 +20,7 @@ module Sim = Nbr_runtime.Sim_rt
 module P = Nbr_pool.Pool.Make (Sim)
 
 module Check
-    (Smr : Nbr_core.Smr_intf.S
-             with type aint = Sim.aint
-              and type pool = P.t) =
+    (Smr : Nbr_core.Smr_intf.S with type pool = P.t) =
 struct
   let run (type a) ~name ~data_fields ~ptr_fields ~(create : P.t -> a)
       ~(insert : a -> Smr.ctx -> int -> bool)

@@ -112,7 +112,7 @@ let trial_deterministic =
    [Stale], never [Value].  Checked across all ten schemes. *)
 
 module type SCHEME =
-  Nbr_core.Smr_intf.S with type aint = Sim.aint and type pool = P.t
+  Nbr_core.Smr_intf.S with type pool = P.t
 
 module D = Nbr_core.Debra.Make (Sim)
 module Q = Nbr_core.Qsbr.Make (Sim)

@@ -267,7 +267,7 @@ let prop_bound_under_reclaimer_fates =
 module P = Nbr_pool.Pool.Make (Sim)
 
 module OffloadExact
-    (S : Nbr_core.Smr_intf.S with type aint = Sim.aint and type pool = P.t) =
+    (S : Nbr_core.Smr_intf.S with type pool = P.t) =
 struct
   let retired = 40
 

@@ -307,16 +307,17 @@ let test_hp_hazard_protects () =
   let pool = mk_pool () in
   let smr = H.create pool ~nthreads:2 (cfg 4) in
   let c0 = H.register smr ~tid:0 and c1 = H.register smr ~tid:1 in
-  let root = Sim.make P.nil in
+  let root = P.alloc pool in
+  P.set_ptr pool root 0 P.nil;
   let target = ref (-1) in
   Sim.run ~nthreads:2 (fun tid ->
       if tid = 1 then begin
         H.begin_op c1;
         let s = H.alloc c1 in
         target := s;
-        Sim.store root s;
+        P.set_ptr pool root 0 s;
         (* Protect it via the root, then let thread 0 retire-and-churn. *)
-        let got = H.read_root c1 root in
+        let got = H.read_ptr c1 ~src:root ~field:0 in
         Alcotest.(check int) "protected what root held" s got;
         let spin = Sim.make 0 in
         for _ = 1 to 3_000 do
@@ -328,9 +329,9 @@ let test_hp_hazard_protects () =
         H.begin_op c0;
         (* Wait until the target is published, then retire it and churn
            enough to trigger several scans. *)
-        let rec wait () = if Sim.load root = P.nil then wait () in
+        let rec wait () = if P.get_ptr pool root 0 = P.nil then wait () in
         wait ();
-        let s = Sim.load root in
+        let s = P.get_ptr pool root 0 in
         H.retire c0 s;
         for _ = 1 to 60 do
           let x = H.alloc c0 in
@@ -346,9 +347,9 @@ let test_hp_validation_failure_restarts () =
   let pool = mk_pool () in
   let smr = H.create pool ~nthreads:2 (cfg 64) in
   let _c0 = H.register smr ~tid:0 and c1 = H.register smr ~tid:1 in
-  let root = Sim.make P.nil in
+  let root = P.alloc pool in
   let s1 = P.alloc pool and s2 = P.alloc pool in
-  Sim.store root s1;
+  P.set_ptr pool root 0 s1;
   let attempts = ref 0 in
   Sim.run ~nthreads:2 (fun tid ->
       if tid = 1 then begin
@@ -364,12 +365,12 @@ let test_hp_validation_failure_restarts () =
                 ignore (Sim.load spin)
               done
             end;
-            ignore (H.read_root c1 root));
+            ignore (H.read_ptr c1 ~src:root ~field:0));
         H.end_op c1
       end
       else
         for i = 1 to 3_000 do
-          Sim.store root (if i land 1 = 0 then s1 else s2)
+          P.set_ptr pool root 0 (if i land 1 = 0 then s1 else s2)
         done);
   (* The flipping root forces protect/validate retries internally; the
      operation still completes (bounded retries then checkpoint restart,
@@ -450,15 +451,16 @@ let test_he_era_protects () =
   let pool = mk_pool () in
   let smr = HE.create pool ~nthreads:2 (cfg 4) in
   let c0 = HE.register smr ~tid:0 and c1 = HE.register smr ~tid:1 in
-  let root = Sim.make P.nil in
+  let root = P.alloc pool in
+  P.set_ptr pool root 0 P.nil;
   let target = ref (-1) in
   Sim.run ~nthreads:2 (fun tid ->
       if tid = 1 then begin
         HE.begin_op c1;
         let s = HE.alloc c1 in
         target := s;
-        Sim.store root s;
-        let got = HE.read_root c1 root in
+        P.set_ptr pool root 0 s;
+        let got = HE.read_ptr c1 ~src:root ~field:0 in
         Alcotest.(check int) "protected what root held" s got;
         let spin = Sim.make 0 in
         for _ = 1 to 3_000 do
@@ -468,9 +470,9 @@ let test_he_era_protects () =
       end
       else begin
         HE.begin_op c0;
-        let rec wait () = if Sim.load root = P.nil then wait () in
+        let rec wait () = if P.get_ptr pool root 0 = P.nil then wait () in
         wait ();
-        HE.retire c0 (Sim.load root);
+        HE.retire c0 (P.get_ptr pool root 0);
         for _ = 1 to 60 do
           let x = HE.alloc c0 in
           HE.retire c0 x
@@ -502,17 +504,18 @@ let test_unsafe_free_causes_uaf () =
   let pool = mk_pool () in
   let smr = U.create pool ~nthreads:2 (cfg 4) in
   let c0 = U.register smr ~tid:0 and c1 = U.register smr ~tid:1 in
-  let root = Sim.make P.nil in
+  let root = P.alloc pool in
+  P.set_ptr pool root 0 P.nil;
   Sim.run ~nthreads:2 (fun tid ->
       if tid = 0 then
         for _ = 1 to 500 do
           let s = U.alloc c0 in
-          Sim.store root s;
+          P.set_ptr pool root 0 s;
           U.retire c0 s (* freed immediately, while published! *)
         done
       else
         for _ = 1 to 500 do
-          let s = U.read_root c1 root in
+          let s = U.read_ptr c1 ~src:root ~field:0 in
           ignore s
         done);
   Alcotest.(check bool)
@@ -520,6 +523,81 @@ let test_unsafe_free_causes_uaf () =
        (P.stats pool).P.s_uaf_reads)
     true
     ((P.stats pool).P.s_uaf_reads > 0)
+
+(* ------------------------------------------------------------------ *)
+(* The shared sweep's trace contract, for every scheme that sweeps a
+   limbo bag: each [Reclaim] directly follows its thread's [Bag_sweep],
+   which saw [a] entries and left [b = a - freed]; the [Reclaim] counts
+   sum to the freed statistic.                                         *)
+
+module Sweep_contract (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
+  module Trace = Nbr_obs.Trace
+
+  let check () =
+    let pool = mk_pool () in
+    let smr = S.create pool ~nthreads:2 (cfg 16) in
+    let ctxs = [| S.register smr ~tid:0; S.register smr ~tid:1 |] in
+    Trace.enable ~capacity:65_536 ~nthreads:2 ();
+    Fun.protect ~finally:Trace.clear (fun () ->
+        Sim.run ~nthreads:2 (fun tid ->
+            let c = ctxs.(tid) in
+            for _ = 1 to 300 do
+              S.begin_op c;
+              let s = S.alloc c in
+              S.retire c s;
+              S.end_op c
+            done);
+        Trace.disable ();
+        Alcotest.(check int) "no events dropped" 0 (Trace.dropped ());
+        let evs = Trace.events () in
+        let reclaimed = ref 0 and reclaims = ref 0 in
+        for tid = 0 to 1 do
+          let mine =
+            List.filter (fun e -> e.Trace.e_tid = tid) evs
+            |> List.sort (fun a b -> compare a.Trace.e_seq b.Trace.e_seq)
+          in
+          ignore
+            (List.fold_left
+               (fun prev e ->
+                 (if e.Trace.e_kind = Trace.Reclaim then
+                    match prev with
+                    | Some p when p.Trace.e_kind = Trace.Bag_sweep ->
+                        incr reclaims;
+                        reclaimed := !reclaimed + e.e_a;
+                        Alcotest.(check int)
+                          (S.scheme_name ^ ": sweep left a - freed")
+                          (p.e_a - e.e_a) p.e_b
+                    | _ ->
+                        Alcotest.failf "%s: t%d Reclaim without a Bag_sweep"
+                          S.scheme_name tid);
+                 Some e)
+               None mine)
+        done;
+        let freed = Nbr_core.Smr_stats.freed (S.stats smr) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: retires crossed the threshold (%d reclaims)"
+             S.scheme_name !reclaims)
+          true
+          (!reclaims > 0 && freed > 0);
+        Alcotest.(check int)
+          (S.scheme_name ^ ": Reclaim counts sum to freed")
+          freed !reclaimed)
+end
+
+let test_sweep_contract () =
+  List.iter
+    (fun (module S : Nbr_core.Smr_intf.S with type pool = P.t) ->
+      let module C = Sweep_contract (S) in
+      C.check ())
+    [
+      (module N);
+      (module NP);
+      (module D);
+      (module R);
+      (module H);
+      (module HE);
+      (module I);
+    ]
 
 let suite =
   [
@@ -552,4 +630,6 @@ let suite =
     Alcotest.test_case "leaky: never frees" `Quick test_leaky_never_frees;
     Alcotest.test_case "unsafe-free: UAF observed" `Quick
       test_unsafe_free_causes_uaf;
+    Alcotest.test_case "sweep contract: Bag_sweep then Reclaim" `Quick
+      test_sweep_contract;
   ]
