@@ -24,12 +24,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      shared [buffer_retired]. *)
   let retire c slot =
     count_retire c slot;
-    let bag = c.local.bag in
-    if Limbo_bag.size bag >= c.b.cfg.Smr_config.bag_threshold then
-      if not (maybe_offload c) then begin
-        broadcast c;
-        reclaim_freeable c ~upto:(Limbo_bag.abs_tail bag);
-        Smr_stats.add_reclaim_events c.st 1
-      end;
+    if Limbo_bag.size c.local.bag >= c.b.cfg.Smr_config.bag_threshold then
+      if not (maybe_offload c) then flush c;
     bag_push c slot
 end

@@ -322,11 +322,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let k = collect_published c c.b.shared.reservations x.scratch in
     sweep c x.bag ~upto ~keep:(fun slot -> Smr_base.mem_sorted x.scratch k slot)
 
-  (* Threshold-independent reclamation event, for pool pressure: a full
-     broadcast + sweep regardless of bag size (Algorithm 1's HiWatermark
-     body, run early).  Legal wherever [alloc] is: the caller is
-     non-restartable, holds no locks inside the SMR layer, and never
-     touches records it has retired. *)
+  (* Algorithm 1's HiWatermark body, also run threshold-free under pool
+     pressure: a full broadcast + sweep of a non-empty bag.  Legal
+     wherever [alloc] is: the caller is non-restartable, holds no locks
+     inside the SMR layer, and never touches records it has retired. *)
   let flush c =
     let bag = c.local.bag in
     if Limbo_bag.size bag > 0 then begin

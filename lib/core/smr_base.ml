@@ -108,9 +108,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
     note_end_op c;
     adopt_pending c
 
-  (* For schemes whose published state covers one operation (hazard and
-     era slots, interval bounds, an epoch announcement): withdraw it at
-     operation end, exactly as a departure would. *)
   let retract_end_op c =
     note_end_op c;
     X.retract c.b.shared c.tid;
@@ -159,18 +156,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
         (L.push_handoff c.b.lc ~origin:c.tid (X.export c.local);
          true)
 
-  (* The retire tail of the threshold-swept schemes: buffer the record,
-     and at the sweep threshold offer the buffer to the reclaimer or else
-     run the scheme's own [flush]. *)
   let buffer_retired c slot ~flush =
     X.push c.b.shared c.local slot;
     if X.size c.local >= c.b.cfg.Smr_config.bag_threshold then
       if not (maybe_offload c) then flush c;
     Smr_stats.note_garbage c.st (X.size c.local)
 
-  (* Every other thread's published non-nil words (reservations, hazard
-     pointers) into a sorted prefix of [scratch]; returns its length, for
-     {!mem_sorted}. *)
   let collect_published c rows scratch =
     let k = ref 0 in
     for t = 0 to c.b.n - 1 do
@@ -190,9 +181,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
     Array.blit a 0 scratch 0 !k;
     !k
 
-  (* The one limbo-bag sweep: free every entry before [upto] that [keep]
-     does not pin, count the frees, and trace the sweep and its result.
-     Callers count the reclamation event themselves. *)
   let sweep c bag ~upto ~keep =
     let before = Limbo_bag.size bag in
     let freed =
