@@ -85,9 +85,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
             c
         | None ->
             (* Sized for the live set a Zipfian run actually touches,
-               not the whole keyspace; clamped because sim pool cells
-               are the memory cost of a big run.  Heavy drivers pass it
-               explicitly. *)
+               not the whole keyspace.  A pool's memory follows the
+               slots it hands out, not its capacity, but the capacity
+               still decides when a shard meets allocation pressure,
+               hence the clamp.  Heavy workloads pass it explicitly. *)
             min 262_144 (max 8192 (keyspace / (2 * nshards)))
       in
       {

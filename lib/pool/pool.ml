@@ -9,8 +9,8 @@
     are:
 
     - Records live in {e size-classes}: each class has its own slot width
-      (data/ptr field counts) and its own pre-allocated field arrays, so a
-      process hosting several structures does not pay the widest layout
+      (data/ptr field counts) and its own field arrays, so a process
+      hosting several structures does not pay the widest layout
       everywhere.
     - A record is named by a {e generational handle}: one immutable int
       packing [(generation, class, index)] (see {!Handle}).  [free] bumps
@@ -21,10 +21,12 @@
       (Sheffi/Herlihy/Petrank, arXiv 2107.13843) builds reclamation out
       of.
     - Record fields are flat: each data/pointer field of a class is one
-      runtime cell block indexed by slot — never a heap object per word.
-      A structure that locks declares its lock word as one of its data
-      fields (see {!lock}); records of structures that do not lock carry
-      none.
+      runtime cell block per {e chunk} of {!chunk_slots} slots — never a
+      heap object per word.  A chunk is made when the bump allocator
+      first reaches it and never moves, so a class's memory follows the
+      slots it has ever handed out, not its capacity.  A structure that
+      locks declares its lock word as one of its data fields (see
+      {!lock}); records of structures that do not lock carry none.
     - Allocation is two-level, per Bonwick's magazine design: each thread
       caches up to a magazine of ready handles per class (padded,
       single-owner — the fast path touches no shared state), backed by a
@@ -104,6 +106,11 @@ type class_spec = {
   cc_ptr_fields : int;
 }
 
+(* A power of two, so an index finds its chunk by a constant shift. *)
+let chunk_bits = 12
+let chunk_slots = 1 lsl chunk_bits
+let chunk_mask = chunk_slots - 1
+
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   exception Exhausted = Exhausted
 
@@ -144,22 +151,40 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     mutable t_frees_run : int;  (** consecutive frees since last alloc *)
   }
 
+  (* Metadata of the one-slot placeholder a class's slot 0 collapses onto
+     before its first chunk exists: state Free, and a generation above
+     [Handle.gen_mask] that no handle carries, so a handle that names
+     slot 0 of an empty class never validates. *)
+  let placeholder_meta = -4
+
   type cls = {
     c_id : int;
     c_base : int;  (** flat-uid prefix: sum of preceding class capacities *)
     c_capacity : int;
     c_data_fields : int;
     c_ptr_fields : int;
+    c_dir_bits : int;
+        (** a field's stride in the directories below: the least [b]
+            with [1 lsl b] at least the class's chunk count *)
     c_data : Rt.cells array;
-        (** one flat block per data field, indexed by slot:
-            [c_data.(f)] cell [index] *)
-    c_ptr : Rt.cells array;
-    c_meta : int array;
-        (** per slot, one word: [gen lsl 2 lor st], where [gen] is the
-            current generation (bumped on each free) and [st] the state,
-            0 = Free, 1 = Live, 2 = Retired.  A slot has one writer at a
-            time — the allocating thread, then the unlinking one, then
-            the reclaimer — so a plain store suffices. *)
+        (** the data blocks, field-major:
+            [c_data.((f lsl c_dir_bits) lor j)] holds field [f] of the
+            slots from [j * chunk_slots], slot [i] at offset
+            [i land chunk_mask] *)
+    c_ptr : Rt.cells array;  (** the pointer blocks, likewise *)
+    c_meta : int array array;
+        (** [c_meta.(j)]: chunk [j]'s metadata, one word per slot,
+            [gen lsl 2 lor st], where [gen] is the current generation
+            (bumped on each free) and [st] the state, 0 = Free,
+            1 = Live, 2 = Retired.  A slot has one writer at a time —
+            the allocating thread, then the unlinking one, then the
+            reclaimer — so a plain store suffices. *)
+    c_mat : int Atomic.t;
+        (** materialised prefix: slots [0, c_mat) have their chunk's
+            blocks in place.  Published after they are stored, so a
+            reader that sees the length sees its blocks; the entries of
+            later chunks hold the class's one-slot placeholder. *)
+    c_grow : Mutex.t;  (** serialises materialisation *)
     c_next_fresh : int Atomic.t;  (** bump allocator over never-used slots *)
     c_mags : mag Atomic.t array;
         (** per-thread magazine, detachable: {!flush_thread} (graceful
@@ -228,16 +253,28 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     if spec.cc_capacity <= 0 || spec.cc_capacity > Handle.max_capacity then
       invalid_arg "Pool.create: class capacity";
     let cap = spec.cc_capacity in
+    let nchunks = (cap + chunk_slots - 1) lsr chunk_bits in
+    let dir_bits =
+      let rec go b = if 1 lsl b >= nchunks then b else go (b + 1) in
+      go 0
+    in
+    (* Each field's placeholder fills that field's entries. *)
+    let dirs nfields v =
+      let ph = Array.init nfields (fun _ -> Rt.make_cells 1 v) in
+      Array.init (nfields lsl dir_bits) (fun x -> ph.(x lsr dir_bits))
+    in
     {
       c_id = id;
       c_base = base;
       c_capacity = cap;
       c_data_fields = spec.cc_data_fields;
       c_ptr_fields = spec.cc_ptr_fields;
-      c_data =
-        Array.init spec.cc_data_fields (fun _ -> Rt.make_cells cap 0);
-      c_ptr = Array.init spec.cc_ptr_fields (fun _ -> Rt.make_cells cap nil);
-      c_meta = Array.make cap 0;
+      c_dir_bits = dir_bits;
+      c_data = dirs spec.cc_data_fields 0;
+      c_ptr = dirs spec.cc_ptr_fields nil;
+      c_meta = Array.make nchunks [| placeholder_meta |];
+      c_mat = Nbr_sync.Padded.make_atomic 0;
+      c_grow = Mutex.create ();
       c_next_fresh = Atomic.make 0;
       c_mags = Array.init nthreads (fun _ -> Atomic.make (new_mag ()));
       c_depot_full = Nbr_sync.Treiber.create ();
@@ -313,23 +350,38 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      mark-tag word, garbage read from recycled memory — collapses onto
      class 0 / index 0.  This is the never-unmapped-arena semantics of
      DESIGN.md §3: dereferencing a dangling address reads {e some} arena
-     memory and returns garbage, it never faults.  Only the peek tier
-     (raw accessors, [Stale] payloads) goes through the collapse;
-     validated accessors reject such handles as [Stale] first, which is
-     the whole point of the generational rewrite.  Two functions rather
-     than one returning a pair: every field access decodes its handle,
-     and a pair would be a heap allocation per access. *)
+     memory and returns garbage, it never faults.  An index past the
+     class's materialised prefix collapses too: no handle for it was ever
+     handed out, so only garbage names it.  Only the peek tier (raw
+     accessors, [Stale] payloads) goes through the collapse; validated
+     accessors reject such handles as [Stale] first, which is the whole
+     point of the generational rewrite.  Separate functions rather than
+     one returning a tuple: every field access decodes its handle, and a
+     tuple would be a heap allocation per access. *)
   let[@inline] cls_of t h =
     let ci = Handle.cls h in
     if h < 0 || ci >= Array.length t.classes then t.classes.(0)
-    else t.classes.(ci)
+    else Array.unsafe_get t.classes ci
 
   let[@inline] slot_of c h =
     let i = Handle.index h in
-    if i >= c.c_capacity then 0 else i
+    if i >= Atomic.get c.c_mat then 0 else i
 
-  let[@inline] gen_of c i = c.c_meta.(i) lsr 2
-  let[@inline] st_of c i = c.c_meta.(i) land 3
+  (* Field [f]'s block and the metadata of the chunk holding slot [i],
+     and [i]'s offset in them.  [i] comes from [slot_of] (or is the
+     index of a handle the allocator minted), so it lies in the
+     materialised prefix, where the metadata directory entry and the
+     offset are in range: those two reads, on the hottest path of every
+     run, go unchecked.  A field block's index also carries the caller's
+     [f] and stays checked. *)
+  let[@inline] field c f i = (f lsl c.c_dir_bits) lor (i lsr chunk_bits)
+  let[@inline] data c i f = c.c_data.(field c f i)
+  let[@inline] ptr c i f = c.c_ptr.(field c f i)
+  let[@inline] metas c i = Array.unsafe_get c.c_meta (i lsr chunk_bits)
+  let[@inline] off i = i land chunk_mask
+  let[@inline] meta_of c i = Array.unsafe_get (metas c i) (off i)
+  let[@inline] gen_of c i = meta_of c i lsr 2
+  let[@inline] st_of c i = meta_of c i land 3
 
   (* The metadata word of the slot [h] names, or -1 when [h] names no
      slot: unlike [cls_of]/[slot_of], validation must not collapse a
@@ -337,9 +389,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let[@inline] meta t h =
     if h < 0 || Handle.cls h >= Array.length t.classes then -1
     else
-      let c = t.classes.(Handle.cls h) in
+      let c = Array.unsafe_get t.classes (Handle.cls h) in
       let i = Handle.index h in
-      if i < c.c_capacity then c.c_meta.(i) else -1
+      if i < Atomic.get c.c_mat then meta_of c i else -1
 
   (** A handle is valid iff it names a class/index that exists and its
       packed generation matches the slot's current one.  Every [free]
@@ -348,6 +400,15 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let valid t h =
     let m = meta t h in
     m >= 0 && m lsr 2 = Handle.gen h
+
+  (* [valid t h] for the hot accessors, which have already decoded [h]
+     into [c] and [i = slot_of c h] and read the slot's metadata [m]:
+     [h] is valid iff it is the handle of that slot at its current
+     generation, one comparison instead of decoding [h] again.  A
+     collapsed [h] differs in its class or index; the placeholder's
+     generation packs to a negative word, which no [h >= 0] equals. *)
+  let[@inline] owns c i h m =
+    h >= 0 && h = Handle.pack ~cls:c.c_id ~index:i ~gen:(m lsr 2)
 
   (** Stable flat index in [0, capacity): per-record metadata arrays
       (IBR/HE birth eras, RCU retire epochs) index by this, so they stay
@@ -482,9 +543,35 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Atomic.incr t.depot_exchanges;
     Rt.work t.c_free_slow
 
+  (* Make the chunks of slots [0, upto) that do not exist yet: data
+     cells start at 0, pointer cells at [nil], metadata at 0.  Each
+     chunk's blocks are stored before [c_mat] publishes them; the lock
+     only orders growers, readers never take it.  [make_cells] is not a
+     shared access, so growth costs no virtual time. *)
+  let materialise c upto =
+    if Atomic.get c.c_mat < upto then
+      Mutex.protect c.c_grow @@ fun () ->
+      let rec grow () =
+        let m = Atomic.get c.c_mat in
+        if m < upto then begin
+          let width = min chunk_slots (c.c_capacity - m) in
+          for f = 0 to c.c_data_fields - 1 do
+            c.c_data.(field c f m) <- Rt.make_cells width 0
+          done;
+          for f = 0 to c.c_ptr_fields - 1 do
+            c.c_ptr.(field c f m) <- Rt.make_cells width nil
+          done;
+          c.c_meta.(m lsr chunk_bits) <- Array.make width 0;
+          Atomic.set c.c_mat (m + width);
+          grow ()
+        end
+      in
+      grow ()
+
   (* Refill the (empty) installed magazine: a full magazine from the
-     depot, else a batch of never-used slots from the bump allocator.
-     Returns one handle and leaves the rest cached. *)
+     depot, else a batch of never-used slots from the bump allocator,
+     materialising their chunk if the batch is its first.  Returns one
+     handle and leaves the rest cached. *)
   let refill t c tid =
     match Nbr_sync.Treiber.pop c.c_depot_full with
     | Some m ->
@@ -500,6 +587,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           let got = min fresh_batch (c.c_capacity - s0) in
           if got <= 0 then None
           else begin
+            materialise c (s0 + got);
             let mag = Atomic.get c.c_mags.(tid) in
             for k = 1 to got - 1 do
               let i = s0 + k in
@@ -576,8 +664,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
             in
             retry 1
     in
-    let i = Handle.index h in
-    c.c_meta.(i) <- c.c_meta.(i) land lnot 3 lor 1;
+    let ms = metas c (Handle.index h) and o = off (Handle.index h) in
+    ms.(o) <- ms.(o) land lnot 3 lor 1;
     ts.t_allocs <- ts.t_allocs + 1;
     bump_occ t c ts 1;
     if !Nbr_obs.Trace.fine then
@@ -591,18 +679,18 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       caller) is counted and ignored — retiring it again would corrupt
       the garbage accounting of the slot's {e current} occupant. *)
   let note_retired t h =
-    if not (valid t h) then note_stale t h
-    else begin
-      let c = cls_of t h in
-      let i = slot_of c h in
-      if st_of c i <> 2 then begin
-        c.c_meta.(i) <- c.c_meta.(i) land lnot 3 lor 2;
-        let g = Atomic.fetch_and_add c.c_garbage 1 + 1 in
-        note_peak c.c_peak_garbage g;
-        if !Nbr_obs.Trace.fine then
-          Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
-            Nbr_obs.Trace.Retire h g
-      end
+    let c = cls_of t h in
+    let i = slot_of c h in
+    let ms = metas c i and o = off i in
+    let m = ms.(o) in
+    if not (owns c i h m) then note_stale t h
+    else if m land 3 <> 2 then begin
+      ms.(o) <- m land lnot 3 lor 2;
+      let g = Atomic.fetch_and_add c.c_garbage 1 + 1 in
+      note_peak c.c_peak_garbage g;
+      if !Nbr_obs.Trace.fine then
+        Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
+          Nbr_obs.Trace.Retire h g
     end
 
   (* Flush the thread's (full) magazine to the depot and install an empty
@@ -628,15 +716,17 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       error and raise. *)
   let free t h =
     Rt.work t.c_alloc;
-    if not (valid t h) then
-      invalid_arg
-        (Printf.sprintf "Pool.free: stale or double free of handle %d" h);
     let c = cls_of t h in
     let i = slot_of c h in
+    let ms = metas c i and o = off i in
+    let m = ms.(o) in
+    if not (owns c i h m) then
+      invalid_arg
+        (Printf.sprintf "Pool.free: stale or double free of handle %d" h);
     let ts = c.c_tstats.(Rt.self ()) in
-    if st_of c i = 2 then ignore (Atomic.fetch_and_add c.c_garbage (-1));
+    if m land 3 = 2 then ignore (Atomic.fetch_and_add c.c_garbage (-1));
     let g = (Handle.gen h + 1) land Handle.gen_mask in
-    c.c_meta.(i) <- g lsl 2;
+    ms.(o) <- g lsl 2;
     let h' = Handle.pack ~cls:c.c_id ~index:i ~gen:g in
     ts.t_frees <- ts.t_frees + 1;
     bump_occ t c ts (-1);
@@ -709,16 +799,19 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      clamp — only stale generations, which are detected, not papered
      over. *)
 
-  let check t h =
-    if t.gen_check && not (valid t h) then note_stale t h
+  (* The plain accessors' validation, against the [c]/[i] they decoded. *)
+  let[@inline] check t c i h =
+    if t.gen_check && not (owns c i h (meta_of c i)) then note_stale t h
 
   let raw_load_ptr t h f =
     let c = cls_of t h in
-    Rt.load_at c.c_ptr.(f) (slot_of c h)
+    let i = slot_of c h in
+    Rt.load_at (ptr c i f) (off i)
 
   let raw_cas_ptr t h f old v =
     let c = cls_of t h in
-    Rt.cas_at c.c_ptr.(f) (slot_of c h) old v
+    let i = slot_of c h in
+    Rt.cas_at (ptr c i f) (off i) old v
 
   (* A validated read that caught a stale handle: with the check on it
      fails gracefully ([Stale], traced as such but NOT as an [Access] —
@@ -736,36 +829,45 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       Value v
     end
 
+  (* The generation is read after the value, as [valid] did: a free
+     that recycles the slot between the two shows as [Stale]. *)
   let read_data t h f =
     let c = cls_of t h in
     let i = slot_of c h in
-    let v = Rt.plain_load_at c.c_data.(f) i in
-    if valid t h then Value v else stale_read t h (st_of c i) v
+    let v = Rt.plain_load_at (data c i f) (off i) in
+    let m = meta_of c i in
+    if owns c i h m then Value v else stale_read t h (m land 3) v
 
   let read_ptr t h f =
     let c = cls_of t h in
     let i = slot_of c h in
-    let v = Rt.load_at c.c_ptr.(f) i in
-    if valid t h then Value v else stale_read t h (st_of c i) v
+    let v = Rt.load_at (ptr c i f) (off i) in
+    let m = meta_of c i in
+    if owns c i h m then Value v else stale_read t h (m land 3) v
 
   let get_data t h f =
-    check t h;
     let c = cls_of t h in
-    Rt.plain_load_at c.c_data.(f) (slot_of c h)
+    let i = slot_of c h in
+    check t c i h;
+    Rt.plain_load_at (data c i f) (off i)
 
   let get_ptr t h f =
-    check t h;
-    raw_load_ptr t h f
+    let c = cls_of t h in
+    let i = slot_of c h in
+    check t c i h;
+    Rt.load_at (ptr c i f) (off i)
 
   let set_data t h f v =
-    check t h;
     let c = cls_of t h in
-    Rt.store_at c.c_data.(f) (slot_of c h) v
+    let i = slot_of c h in
+    check t c i h;
+    Rt.store_at (data c i f) (off i) v
 
   let set_ptr t h f v =
-    check t h;
     let c = cls_of t h in
-    Rt.store_at c.c_ptr.(f) (slot_of c h) v
+    let i = slot_of c h in
+    check t c i h;
+    Rt.store_at (ptr c i f) (off i) v
 
   (* ---------------- record locks ---------------- *)
 
@@ -778,12 +880,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let try_lock t h f =
     let c = cls_of t h in
-    Rt.cas_at c.c_data.(f) (slot_of c h) unlocked (locked_by (Rt.self ()))
+    let i = slot_of c h in
+    Rt.cas_at (data c i f) (off i) unlocked (locked_by (Rt.self ()))
 
   let lock t h f =
     assert (not (Rt.is_restartable ()));
     let c = cls_of t h in
-    let cells = c.c_data.(f) and i = slot_of c h in
+    let i = slot_of c h in
+    let cells = data c i f and i = off i in
     let me = locked_by (Rt.self ()) in
     let rec go spins =
       if Rt.cas_at cells i unlocked me then ()
@@ -803,13 +907,15 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let unlock t h f =
     let c = cls_of t h in
-    let cells = c.c_data.(f) and i = slot_of c h in
+    let i = slot_of c h in
+    let cells = data c i f and i = off i in
     assert (Rt.plain_load_at cells i = locked_by (Rt.self ()));
     Rt.store_at cells i unlocked
 
   let is_locked t h f =
     let c = cls_of t h in
-    Rt.plain_load_at c.c_data.(f) (slot_of c h) <> unlocked
+    let i = slot_of c h in
+    Rt.plain_load_at (data c i f) (off i) <> unlocked
 
   (* ---------------- instrumentation ---------------- *)
 

@@ -15,10 +15,14 @@
     out of.
 
     Records live in {e size-classes} (per-class slot widths and
-    capacities), and allocation is two-level in the Bonwick magazine
-    style: a per-thread, padded magazine of ready handles per class,
-    backed by a lock-free depot of full/empty magazines, so steady-state
-    [alloc]/[free] touches only thread-local state.
+    capacities).  A class's capacity is a limit, not an allocation: its
+    storage is made one chunk of {!chunk_slots} slots at a time, when the
+    allocator first hands out a slot of the chunk, and a chunk never
+    moves, so a pool's memory follows the slots it has ever handed out.
+    Allocation is two-level in the Bonwick magazine style: a per-thread,
+    padded magazine of ready handles per class, backed by a lock-free
+    depot of full/empty magazines, so steady-state [alloc]/[free]
+    touches only thread-local state.
 
     Exhaustion is graceful: [alloc] invokes the caller-supplied
     reclamation flush, announces itself as starving (rerouting concurrent
@@ -65,6 +69,10 @@ type class_spec = {
   cc_data_fields : int;
   cc_ptr_fields : int;
 }
+
+val chunk_slots : int
+(** Slots per chunk of a class's storage (a class smaller than this gets
+    exactly its capacity).  A fixed power of two, not a setting. *)
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   exception Exhausted of exhausted_info
@@ -203,9 +211,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
       accessors perform no generation check — the substrate SMR schemes
       build protected reads on, and raw tagged-word traversals — and
       call sites instrument via {!record_read}.  Every accessor is addressed by
-      (handle, field); the fields of a size-class are flat runtime
-      {!Nbr_runtime.Runtime_intf.S.cells} blocks, never one heap object
-      per word.  The pre-rewrite index-clamping accessors are gone. *)
+      (handle, field); each field of a size-class is one flat runtime
+      {!Nbr_runtime.Runtime_intf.S.cells} block per chunk, never one heap
+      object per word.  The pre-rewrite index-clamping accessors are
+      gone.  A handle whose index lies past the slots made so far names
+      no record (none was ever handed out): validation refuses it, and a
+      peek through it reads slot 0, as for any other non-handle. *)
 
   val read_data : t -> int -> int -> read_result
   val read_ptr : t -> int -> int -> read_result

@@ -105,22 +105,54 @@ let test_ptr_fields_nil_initialized () =
   let p = mk () in
   let a = P.alloc p in
   Alcotest.(check int) "ptr0 nil" P.nil (P.get_ptr p a 0);
-  Alcotest.(check int) "ptr1 nil" P.nil (P.get_ptr p a 1)
+  Alcotest.(check int) "ptr1 nil" P.nil (P.get_ptr p a 1);
+  (* A chunk made after the first starts out the same way. *)
+  let w = Nbr_pool.Pool.chunk_slots in
+  let p = mk ~capacity:(2 * w) () in
+  let hs = Array.init (w + 1) (fun _ -> P.alloc p) in
+  match
+    Array.find_opt (fun h -> Nbr_pool.Pool.Handle.index h >= w) hs
+  with
+  | None -> Alcotest.fail "no slot allocated from the second chunk"
+  | Some b ->
+      Alcotest.(check int) "second chunk: ptr0 nil" P.nil (P.get_ptr p b 0);
+      Alcotest.(check int) "second chunk: ptr1 nil" P.nil (P.get_ptr p b 1);
+      Alcotest.(check int) "second chunk: data 0" 0 (P.get_data p b 0)
 
 (* A slot of a one-data, one-pointer record is two 10-byte simulated
-   cells plus the pool's 8-byte metadata word: 28 B.  Nothing else in
-   the pool grows with capacity — in particular no lock word, which only
+   cells plus the pool's 8-byte metadata word: 28 B.  Slots take memory
+   a chunk at a time, once the allocator reaches them, so a fresh pool
+   holds less than one chunk whatever its capacity, and a used one holds
+   28 B per slot of the chunks it has reached.  Besides those, only the
+   chunk directories (one word per chunk for each field and for the
+   metadata) grow with capacity — in particular no lock word, which only
    the structures that lock declare, as a data field. *)
 let test_bytes_per_slot () =
-  let capacity = 65536 in
+  let capacity = 1 lsl 20 and w = Nbr_pool.Pool.chunk_slots in
   let p = P.create ~capacity ~data_fields:1 ~ptr_fields:1 ~nthreads:1 () in
-  let bytes = Obj.reachable_words (Obj.repr p) * (Sys.word_size / 8) in
-  let bound = (28 * capacity) + 16384 in
-  if bytes > bound then
-    Alcotest.failf "pool of %d slots holds %d B (%.2f B per slot), over %d"
-      capacity bytes
-      (float_of_int bytes /. float_of_int capacity)
-      bound
+  let bytes () = Obj.reachable_words (Obj.repr p) * (Sys.word_size / 8) in
+  let dirs = 3 * 8 * (capacity / w) in
+  let fresh = bytes () in
+  if fresh >= (28 * w) + dirs then
+    Alcotest.failf
+      "fresh pool of %d slots holds %d B, not under one chunk (%d B) plus \
+       the directories (%d B)"
+      capacity fresh (28 * w) dirs;
+  (* One slot past two chunk boundaries: three chunks made. *)
+  let n = (2 * w) + 1 in
+  for _ = 1 to n do
+    ignore (P.alloc p)
+  done;
+  let made = 3 * w in
+  let used = bytes () in
+  let bound = (28 * made) + dirs + 16384 in
+  if used > bound then
+    Alcotest.failf
+      "pool of %d slots with %d allocated holds %d B (%.2f B per slot of \
+       its %d made), over %d"
+      capacity n used
+      (float_of_int used /. float_of_int made)
+      made bound
 
 (* ------------------------------------------------------------------ *)
 (* Generational handles: codec and size-class routing.                 *)
@@ -378,6 +410,83 @@ end
 module Recycle_sim = Recycle (Sim)
 module Recycle_native = Recycle (Nbr_runtime.Native_rt)
 
+(* ------------------------------------------------------------------ *)
+(* Slots past the materialised prefix, on both runtimes: no handle for
+   one was ever handed out, so a handle naming one is garbage.  Validated
+   reads refuse it as [Stale], it is not valid and its state is [Free],
+   and a raw peek reads slot 0, as one past the capacity does.          *)
+
+module Suffix (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  module P = Nbr_pool.Pool.Make (Rt)
+
+  let refused what p h =
+    let stale = function P.Stale _ -> true | P.Value _ -> false in
+    Alcotest.(check bool) (what ^ ": read_data stale") true
+      (stale (P.read_data p h 0));
+    Alcotest.(check bool) (what ^ ": read_ptr stale") true
+      (stale (P.read_ptr p h 0));
+    Alcotest.(check bool) (what ^ ": not valid") false (P.valid p h);
+    Alcotest.(check bool) (what ^ ": free") true (P.state p h = P.Free)
+
+  let test () =
+    let w = Nbr_pool.Pool.chunk_slots in
+    let p =
+      P.create ~capacity:(3 * w) ~data_fields:1 ~ptr_fields:1 ~nthreads:1 ()
+    in
+    (* Before the first allocation no chunk exists, slot 0's included. *)
+    refused "empty pool, slot 0" p (H.pack ~cls:0 ~index:0 ~gen:0);
+    let a = P.alloc p in
+    Alcotest.(check int) "the first handle names slot 0" 0 (H.index a);
+    P.set_ptr p a 0 77;
+    List.iter
+      (fun index ->
+        let h = H.pack ~cls:0 ~index ~gen:0 in
+        let what = Printf.sprintf "slot %d" index in
+        refused what p h;
+        Alcotest.(check int) (what ^ ": raw peek reads slot 0") 77
+          (P.raw_load_ptr p h 0))
+      [ w; w + 5; (3 * w) - 1 ]
+end
+
+module Suffix_sim = Suffix (Sim)
+module Suffix_native = Suffix (Nbr_runtime.Native_rt)
+
+(* Chunks made while several domains allocate: four domains each take
+   two chunks' worth of records, tag every one and read every tag back,
+   then the main domain reads them all again. *)
+let test_native_chunk_growth () =
+  let module N = Nbr_runtime.Native_rt in
+  let module P = Nbr_pool.Pool.Make (N) in
+  let nd = 4 and per = 2 * Nbr_pool.Pool.chunk_slots in
+  let p =
+    P.create ~capacity:(nd * per * 2) ~data_fields:1 ~ptr_fields:1
+      ~nthreads:nd ()
+  in
+  let tag tid k = (tid * per) + k in
+  let got = Array.make nd [||] in
+  let check_tags tid hs =
+    Array.iteri
+      (fun k h ->
+        if P.get_data p h 0 <> tag tid k || P.get_ptr p h 0 <> h then
+          failwith (Printf.sprintf "domain %d, record %d: wrong tag" tid k))
+      hs
+  in
+  N.run ~nthreads:nd (fun tid ->
+      let hs = Array.init per (fun _ -> P.alloc p) in
+      Array.iteri
+        (fun k h ->
+          P.set_data p h 0 (tag tid k);
+          P.set_ptr p h 0 h)
+        hs;
+      check_tags tid hs;
+      got.(tid) <- hs);
+  Array.iteri check_tags got;
+  let seen = Hashtbl.create (nd * per) in
+  Array.iter (Array.iter (fun h -> Hashtbl.replace seen h ())) got;
+  Alcotest.(check int) "all handles distinct" (nd * per) (Hashtbl.length seen);
+  Alcotest.(check int) "allocs are the sum over domains" (nd * per)
+    (P.stats p).P.s_allocs
+
 let suite =
   [
     Alcotest.test_case "alloc/free lifecycle" `Quick test_alloc_free_cycle;
@@ -400,4 +509,10 @@ let suite =
       Recycle_sim.test;
     Alcotest.test_case "flat fields survive recycle (native)" `Quick
       Recycle_native.test;
+    Alcotest.test_case "unmaterialised slots collapse (sim)" `Quick
+      Suffix_sim.test;
+    Alcotest.test_case "unmaterialised slots collapse (native)" `Quick
+      Suffix_native.test;
+    Alcotest.test_case "chunk growth across domains (native)" `Quick
+      test_native_chunk_growth;
   ]
