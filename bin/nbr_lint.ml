@@ -2,8 +2,8 @@
 
    A thin shell over [Nbr_analysis.Driver]: the concurrency-idiom rules
    (atomic-make, domain-dls, obj-magic, pool-raw-index, missing-mli)
-   plus the R1–R4 phase-discipline dataflow rules (read-phase-write,
-   unguarded-deref, phase-bracket, write-phase-read) over CFGs and
+   plus the phase-discipline rules the SMR interface's types leave
+   open (read-phase-write, unguarded-deref, write-phase-read) over
    per-callee effect summaries.
 
    Usage: nbr_lint [--github] [--allowlist FILE] [--sarif FILE] DIR...

@@ -1,7 +1,7 @@
 (* Findings, allowlists and waivers: the shared reporting engine of the
    static analysis (DESIGN.md §16).
 
-   Every rule — the R1–R4 phase-discipline checks in [Rules] and the
+   Every rule — the R1/R2/R4 phase-discipline checks in [Rules] and the
    concurrency-idiom checks in [Idiom] — reports through this module, so
    exemption handling, rendering (plain / GitHub annotations / SARIF)
    and the exit-status decision live in exactly one place. *)
@@ -154,8 +154,8 @@ module Waivers = struct
 
   let create () : t = ref []
 
-  (* Accept both [@nbr.allow "phase-bracket"] and the unquoted
-     [@nbr.allow phase-bracket] — the latter parses as the application
+  (* Accept both [@nbr.allow "write-phase-read"] and the unquoted
+     [@nbr.allow write-phase-read] — the latter parses as the application
      of (-) to identifiers, which we render back to kebab-case. *)
   let rule_of_payload (p : Parsetree.payload) =
     let buf = Buffer.create 16 in

@@ -40,9 +40,9 @@ end
 module Waivers : sig
   (** [@nbr.allow rule-id] / [@@nbr.allow rule-id] spans collected while
       walking a file: findings of [rule-id] anchored inside the
-      attributed source range are suppressed.  Used for deliberate
-      protocol departures (fault injection's die-mid-operation paths)
-      where a whole-file allowlist entry would mask real bugs. *)
+      attributed source range are suppressed.  For a deliberate
+      protocol departure at one site, where a whole-file allowlist entry
+      would mask real bugs. *)
 
   type t
 

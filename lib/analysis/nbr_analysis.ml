@@ -1,15 +1,15 @@
 (** Static phase-discipline analysis for the NBR protocol
     (DESIGN.md §16), exposed as [Nbr.Analysis].
 
-    A compiler-libs dataflow pass over the library sources proving the
-    paper's source-level contract at build time: read phases are pure
-    and restartable, every validated dereference sits under an active
-    guard, begin_op/end_op bracket every exit, and plain field reads
-    stay on locked windows.  Runs as [dune build @lint] via
-    [bin/nbr_lint], alongside the older concurrency-idiom rules. *)
+    The types of {!Nbr_core.Smr_intf.S} keep phases inside operations,
+    operations balanced and validated reads inside read phases.  This
+    compiler-libs pass over the library sources checks the rest of the
+    paper's source-level contract at build time: read lambdas are pure
+    and restartable and read no plain fields, and each scheme's read
+    path installs the guard of its family.  Runs as [dune build @lint]
+    via [bin/nbr_lint], alongside the concurrency-idiom rules. *)
 
 module Findings = Findings
-module Cfg = Cfg
 module Summary = Summary
 module Rules = Rules
 module Idiom = Idiom

@@ -2,7 +2,6 @@
     (DESIGN.md §16), exposed as [Nbr.Analysis]. *)
 
 module Findings = Findings
-module Cfg = Cfg
 module Summary = Summary
 module Rules = Rules
 module Idiom = Idiom

@@ -1,22 +1,22 @@
-(* The R1–R4 phase-discipline rules (DESIGN.md §16).
+(* The phase-discipline rules R1, R2 and R4 (DESIGN.md §16).
+
+   The types of [Smr_intf.S] already keep a structure's phases inside
+   an operation, its operations balanced and its validated reads inside
+   a read phase.  What they cannot see is what a read lambda does with
+   the plain [Pool] accessors, and whether a scheme's own read path
+   installs the guard it promises.  Those are the rules here.
 
    Client files (data structures, kv, workload, reclaim) are walked
-   with a phase-context lattice {Other, Read, Write}: the lambdas of
-   [Smr.phase ~read ~write] and [Smr.read_only] switch context, as do
-   helpers annotated [@@nbr.read_phase] / [@@nbr.write_phase].  At each
-   resolved call site:
+   with a read-phase flag: the lambda of a [reader]/[viewer] record
+   literal sets it, wherever the record is written, and so does a bare
+   lambda handed to a phase combinator other than as [~write].  At each
+   resolved call site in a read phase:
 
    - R1 [read-phase-write]  — impure effects (shared writes, locks,
-     alloc/retire/free, op bracketing) in Read context;
-   - R2 [unguarded-deref]   — validated accessors (or read-phase
-     helpers) in Other context, i.e. with no guard installed; plus the
-     CFG dominance query: phase entries on paths not dominated by
-     begin_op;
-   - R3 [phase-bracket]     — the begin/end depth dataflow over each
-     function's CFG, exception edges included;
-   - R4 [write-phase-read]  — plain (unvalidated) shared reads in Read
-     context; they are legal only on locked/reserved windows (Write)
-     or in sequential code (Other).
+     alloc/retire/free, op bracketing, phase entry);
+   - R4 [write-phase-read]  — plain (unvalidated) shared reads; they
+     are legal only on locked/reserved windows (the write phase) or in
+     sequential code.
 
    SMR-implementation files (schemes, the pool, the shared base) are
    exempt from the client rules — they *implement* the guards — and
@@ -27,14 +27,11 @@
    (the PR 4 unvalidated-ratchet bug class), and EBR-family begin_op
    must publish an epoch. *)
 
-type phase_ctx = Other | Read | Write
-
 let rule_r1 = "read-phase-write"
 let rule_r2 = "unguarded-deref"
-let rule_r3 = "phase-bracket"
 let rule_r4 = "write-phase-read"
 
-let all_rules = [ rule_r1; rule_r2; rule_r3; rule_r4 ]
+let all_rules = [ rule_r1; rule_r2; rule_r4 ]
 
 let callee_name (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -101,95 +98,29 @@ let check (sum : Summary.t) (info : Summary.info)
     fs := Findings.v ~rule ~file:info.path ~loc msg :: !fs
   in
   let client = not (Summary.is_smr_impl info) in
-  let cur = ref Other in
-  let with_ctx c f =
-    let saved = !cur in
-    cur := c;
+  let reading = ref false in
+  let with_reading r f =
+    let saved = !reading in
+    reading := r;
     f ();
-    cur := saved
+    reading := saved
   in
-  let classify (e : Parsetree.expression) : Cfg.event list =
-    match Summary.call_effect sum info e with
-    | Some (ce, _, _) ->
-        let ev = [] in
-        let ev = if ce land Summary.begins <> 0 then Cfg.Begins :: ev else ev in
-        let ev = if ce land Summary.ends <> 0 then Cfg.Ends :: ev else ev in
-        let ev = if ce land Summary.phase <> 0 then Cfg.Phase :: ev else ev in
-        let ev = if ce land Summary.raises <> 0 then Cfg.Raise :: ev else ev in
-        ev
-    | None -> []
-  in
-  let cfg_check (body : Parsetree.expression) =
-    if client then begin
-      let g = Cfg.build ~classify body in
-      let interesting =
-        Array.exists
-          (fun n -> Cfg.has Cfg.Begins n || Cfg.has Cfg.Ends n)
-          g.Cfg.nodes
+  let node_checks ce name loc =
+    if client && !reading then begin
+      let bad =
+        ce
+        land (Summary.impure lor Summary.begins lor Summary.ends
+             lor Summary.phase)
       in
-      if interesting then begin
-        List.iter
-          (fun v ->
-            match v with
-            | Cfg.Stray_end loc ->
-                report ~rule:rule_r3 ~loc
-                  "end_op with no matching begin_op on this path"
-            | Cfg.Nested_begin loc ->
-                report ~rule:rule_r3 ~loc
-                  "begin_op while an operation is already open"
-            | Cfg.Open_at_return loc ->
-                report ~rule:rule_r3 ~loc "operation can exit without end_op"
-            | Cfg.Open_at_raise loc ->
-                report ~rule:rule_r3 ~loc
-                  "operation left open on an exception path")
-          (Cfg.check_balance g);
-        List.iter
-          (fun loc ->
-            report ~rule:rule_r2 ~loc
-              "phase entered on a path not dominated by begin_op")
-          (Cfg.unguarded_phases g)
-      end
+      if bad <> 0 then
+        report ~rule:rule_r1 ~loc
+          (Printf.sprintf "%s: %s in read phase" name (Summary.pp_bits bad));
+      if ce land Summary.plain <> 0 then
+        report ~rule:rule_r4 ~loc
+          (Printf.sprintf
+             "%s: plain shared read in read phase (use a validated accessor)"
+             name)
     end
-  in
-  let node_checks ce (cann : Summary.ann option) name loc =
-    if client then
-      match !cur with
-      | Read -> (
-          match cann with
-          | Some Summary.Write_phase ->
-              report ~rule:rule_r1 ~loc
-                (Printf.sprintf "write-phase helper %s called in read phase"
-                   name)
-          | Some Summary.Read_phase -> ()
-          | None ->
-              let bad =
-                ce
-                land (Summary.impure lor Summary.begins lor Summary.ends
-                     lor Summary.phase)
-              in
-              if bad <> 0 then
-                report ~rule:rule_r1 ~loc
-                  (Printf.sprintf "%s: %s in read phase" name
-                     (Summary.pp_bits bad));
-              if ce land Summary.plain <> 0 then
-                report ~rule:rule_r4 ~loc
-                  (Printf.sprintf
-                     "%s: plain shared read in read phase (use a validated \
-                      accessor)"
-                     name))
-      | Other -> (
-          match cann with
-          | Some Summary.Read_phase ->
-              report ~rule:rule_r2 ~loc
-                (Printf.sprintf "read-phase helper %s called outside any phase"
-                   name)
-          | Some Summary.Write_phase -> ()
-          | None ->
-              if ce land Summary.validated <> 0 then
-                report ~rule:rule_r2 ~loc
-                  (Printf.sprintf "%s: validated dereference outside any phase"
-                     name))
-      | Write -> ()
   in
   let rec enter_fn (e : Parsetree.expression) =
     let body = Summary.peel_fun e in
@@ -200,9 +131,7 @@ let check (sum : Summary.t) (info : Summary.info)
             (match c.pc_guard with Some g -> it.expr it g | None -> ());
             it.expr it c.pc_rhs)
           cases
-    | _ ->
-        cfg_check body;
-        it.expr it body
+    | _ -> it.expr it body
   and it =
     {
       Ast_iterator.default_iterator with
@@ -212,24 +141,22 @@ let check (sum : Summary.t) (info : Summary.info)
             (Findings.Waivers.note waivers ~file:info.path ~loc:e.pexp_loc)
             e.pexp_attributes;
           match e.pexp_desc with
+          | Pexp_record ([ (_, f) ], None) when Summary.read_lambda e <> None
+            ->
+              with_reading true (fun () -> enter_fn f)
           | Pexp_fun _ | Pexp_function _ -> enter_fn e
           | Pexp_apply ({ pexp_desc = Pexp_ident _; _ }, args) -> (
               match Summary.call_effect sum info e with
-              | Some (ce, _, cann) ->
-                  node_checks ce cann (callee_name e) e.pexp_loc;
+              | Some (ce, _) ->
+                  node_checks ce (callee_name e) e.pexp_loc;
+                  let combinator =
+                    ce land (Summary.phase lor Summary.checkpoint) <> 0
+                  in
                   List.iter
                     (fun ((lbl : Asttypes.arg_label), a) ->
-                      if Summary.is_function a then
-                        if
-                          ce land (Summary.phase lor Summary.checkpoint) <> 0
-                        then
-                          let actx =
-                            match lbl with
-                            | Labelled "write" -> Write
-                            | _ -> Read
-                          in
-                          with_ctx actx (fun () -> enter_fn a)
-                        else enter_fn a
+                      if combinator && Summary.is_function a then
+                        with_reading (lbl <> Labelled "write") (fun () ->
+                            enter_fn a)
                       else self.expr self a)
                     args
               | None -> Ast_iterator.default_iterator.expr self e)
@@ -239,14 +166,7 @@ let check (sum : Summary.t) (info : Summary.info)
           List.iter
             (Findings.Waivers.note waivers ~file:info.path ~loc:vb.pvb_loc)
             vb.pvb_attributes;
-          if Summary.is_function vb.pvb_expr then
-            let ctx =
-              match Summary.ann_of_attrs vb.pvb_attributes with
-              | Some Summary.Read_phase -> Read
-              | Some Summary.Write_phase -> Write
-              | None -> !cur
-            in
-            with_ctx ctx (fun () -> enter_fn vb.pvb_expr)
+          if Summary.is_function vb.pvb_expr then enter_fn vb.pvb_expr
           else self.expr self vb.pvb_expr);
     }
   in

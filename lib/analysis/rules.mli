@@ -1,19 +1,17 @@
-(** The R1–R4 phase-discipline rules (DESIGN.md §16):
+(** The phase-discipline rules the types of {!Nbr_core.Smr_intf.S} do
+    not already enforce (DESIGN.md §16):
 
-    - R1 [read-phase-write] — no shared-memory writes between begin_op /
-      the last checkpoint and the protect point (i.e. in Read context);
-    - R2 [unguarded-deref] — every validated accessor call is dominated
-      by an active guard appropriate to the scheme family;
-    - R3 [phase-bracket] — begin_op/end_op balanced on all exits,
-      exception edges included;
+    - R1 [read-phase-write] — no shared-memory writes, locks,
+      allocation, retirement, operation bracketing or nested phases
+      inside a read lambda;
+    - R2 [unguarded-deref] — each scheme's read path installs the guard
+      of its family (restart checkpoint, neutralization poll,
+      reservation publication and validation, epoch announcement);
     - R4 [write-phase-read] — plain (unvalidated) field reads only on
-      locked/reserved windows. *)
-
-type phase_ctx = Other | Read | Write
+      locked/reserved windows, never inside a read lambda. *)
 
 val rule_r1 : string
 val rule_r2 : string
-val rule_r3 : string
 val rule_r4 : string
 val all_rules : string list
 
@@ -31,6 +29,6 @@ val check_scheme : Summary.t -> Summary.info -> Findings.t list
 
 val check :
   Summary.t -> Summary.info -> Findings.Waivers.t -> Findings.t list
-(** Run all four rules over one file (client rules for structure/service
-    code, scheme checks for SMR implementations), collecting
+(** Run the rules over one file (R1/R4 for structure and service code,
+    the R2 scheme checks for SMR implementations), collecting
     [@nbr.allow] waivers into [waivers] along the way. *)

@@ -1,5 +1,5 @@
 (* Per-function effect summaries: the interprocedural substrate of the
-   R1–R4 rules (DESIGN.md §16).
+   R1, R2 and R4 rules (DESIGN.md §16).
 
    Every function in the analyzed file set gets two effect bitmasks:
 
@@ -8,9 +8,9 @@
      [Smr.read_only], [Rt.checkpoint]) are masked out, because the
      combinator establishes the guard internally: calling a complete
      operation from plain code is effect-free from the protocol's point
-     of view.  Helpers annotated [@@nbr.read_phase] /
-     [@@nbr.write_phase] export their full effects — the annotation is
-     a *requirement on the caller* to provide the guard.
+     of view.  So are the effects of a read lambda in a [reader] or
+     [viewer] record literal, wherever the record is written: the phase
+     it is handed to runs it.
    - [closure] — the unmasked transitive union, used by the R2 scheme
      checks (does [read_ptr]'s implementation validate liveness? does
      [phase] install a checkpoint?).
@@ -32,7 +32,6 @@ let lock = 2
 let alloc = 4
 let retire = 8
 let free = 16
-let validated = 32 (* validated dereference (read_ptr / read_data / ...) *)
 let plain = 64 (* plain read of a shared cell: Rt.load / P.get_data *)
 let poll = 128 (* neutralization poll *)
 let begins = 256
@@ -40,7 +39,6 @@ let ends = 512
 let phase = 1024 (* enters a read/write phase *)
 let checkpoint = 2048
 let validate = 4096 (* slot liveness / stamp validation *)
-let raises = 8192 (* unconditionally diverges *)
 
 let impure = shared_write lor lock lor alloc lor retire lor free
 
@@ -52,7 +50,6 @@ let pp_bits b =
       (alloc, "alloc");
       (retire, "retire");
       (free, "free");
-      (validated, "validated-deref");
       (plain, "plain-deref");
       (poll, "poll");
       (begins, "begin_op");
@@ -65,23 +62,15 @@ let pp_bits b =
   List.filter_map (fun (bit, n) -> if b land bit <> 0 then Some n else None) names
   |> String.concat "+"
 
-type ann = Read_phase | Write_phase
-
-type entry = {
-  exposed : int;
-  closure : int;
-  ann : ann option;
-  ent_loc : Location.t;
-}
+type entry = { exposed : int; closure : int; ent_loc : Location.t }
 
 (* ------------------------------------------------------------------ *)
 (* Builtin effect tables, keyed by canonical module name. *)
 
 let smr_table = function
-  | "begin_op" -> begins
-  | "end_op" -> ends
+  | "op" -> begins lor ends
+  | "abandon" -> begins
   | "phase" | "read_only" -> phase
-  | "read_ptr" | "read_raw" | "read_data" | "peek_ptr" -> validated
   | "alloc" -> alloc
   | "retire" -> retire
   | "on_pressure" | "collect_handoffs" | "adopt_orphans"
@@ -96,7 +85,6 @@ let pool_table = function
       shared_write
   | "free" -> free lor shared_write
   | "alloc" -> alloc
-  | "read_data" | "read_ptr" -> validated
   | "live" | "stamp" -> validate
   | "lock" | "unlock" | "try_lock" -> lock lor shared_write
   | "is_locked" -> plain
@@ -240,9 +228,6 @@ let target_of_modexpr (t : t) (info : info) (m : Parsetree.module_expr) =
 type resolution =
   | R_bits of int  (** builtin / benign: exposed = closure *)
   | R_entry of entry  (** a summarized function *)
-  | R_raise
-
-let raise_like = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 
 let lookup_fn (t : t) (info : info) name =
   match Hashtbl.find_opt info.fns name with
@@ -262,11 +247,9 @@ let resolve_ident (t : t) (info : info) (lid : Longident.t) : resolution =
   | name :: rev_mods -> (
       let mods = List.rev rev_mods in
       if mods = [] then
-        if List.mem name raise_like then R_raise
-        else
-          match lookup_fn t info name with
-          | Some e -> R_entry e
-          | None -> R_bits 0
+        match lookup_fn t info name with
+        | Some e -> R_entry e
+        | None -> R_bits 0
       else
         match target_of_segments t ~local:info.locals mods with
         | Builtin c -> (
@@ -282,28 +265,18 @@ let resolve_ident (t : t) (info : info) (lid : Longident.t) : resolution =
             | None -> R_bits 0)
         | Benign -> R_bits 0)
 
-(* Effects a call site observes (exposed, closure, callee annotation). *)
+(* Effects a call site observes (exposed, closure). *)
 let call_effect (t : t) (info : info) (e : Parsetree.expression) :
-    (int * int * ann option) option =
+    (int * int) option =
   match e.Parsetree.pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
       match resolve_ident t info txt with
-      | R_bits b -> Some (b, b, None)
-      | R_entry en -> Some (en.exposed, en.closure, en.ann)
-      | R_raise -> Some (raises, raises, None))
+      | R_bits b -> Some (b, b)
+      | R_entry en -> Some (en.exposed, en.closure))
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Walking: compute (exposed, closure) of an expression. *)
-
-let ann_of_attrs (attrs : Parsetree.attributes) =
-  List.find_map
-    (fun (a : Parsetree.attribute) ->
-      match a.attr_name.Location.txt with
-      | "nbr.read_phase" -> Some Read_phase
-      | "nbr.write_phase" -> Some Write_phase
-      | _ -> None)
-    attrs
 
 let rec is_function (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -319,6 +292,15 @@ let rec peel_fun (e : Parsetree.expression) =
   | Pexp_fun (_, _, _, body) -> peel_fun body
   | Pexp_constraint (e, _) | Pexp_newtype (_, e) -> peel_fun e
   | _ -> e
+
+(* The lambda of a [reader]/[viewer] record literal ([{ read = f }] or
+   [{ view = f }], the field qualified or not): a read phase's body,
+   wherever the record is written. *)
+let read_lambda (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_record ([ ({ txt; _ }, f) ], None) when is_function f -> (
+      match Longident.last txt with "read" | "view" -> Some f | _ -> None)
+  | _ -> None
 
 (* Structure-level [module Smr = Nbr_core.Nbr_plus.Make (Sim)]: resolve
    structurally, then fall back to the bound-name convention — scheme
@@ -343,11 +325,10 @@ let rec effects_of (t : t) (info : info) (e : Parsetree.expression) : int * int
          passed by name carry the referent's effects. *)
       match resolve_ident t info txt with
       | R_entry en -> (en.exposed, en.closure)
-      | R_bits b -> (b, b)
-      | R_raise -> (0, 0))
+      | R_bits b -> (b, b))
   | Pexp_apply (({ pexp_desc = Pexp_ident _; _ } as _f), args) -> (
       match call_effect t info e with
-      | Some (ce, cc, _ann) ->
+      | Some (ce, cc) ->
           let mask_lambdas = ce land (phase lor checkpoint) <> 0 in
           List.fold_left
             (fun acc (_, a) ->
@@ -405,9 +386,16 @@ let rec effects_of (t : t) (info : info) (e : Parsetree.expression) : int * int
         (effects_of t info body)
   | Pexp_construct (_, Some a) | Pexp_variant (_, Some a) -> effects_of t info a
   | Pexp_tuple es | Pexp_array es -> seq es
-  | Pexp_record (fields, base) ->
-      let acc = match base with Some b -> effects_of t info b | None -> (0, 0) in
-      List.fold_left (fun acc (_, x) -> join acc (effects_of t info x)) acc fields
+  | Pexp_record (fields, base) -> (
+      match read_lambda e with
+      | Some f -> (0, snd (effects_of t info f))
+      | None ->
+          let acc =
+            match base with Some b -> effects_of t info b | None -> (0, 0)
+          in
+          List.fold_left
+            (fun acc (_, x) -> join acc (effects_of t info x))
+            acc fields)
   | Pexp_field (a, _) -> effects_of t info a
   | Pexp_setfield (a, _, b) ->
       (* Record-field mutation is thread-local by codebase convention. *)
@@ -436,15 +424,9 @@ and record_binding t info (vb : Parsetree.value_binding) =
   match vb.pvb_pat.ppat_desc with
   | Ppat_var { txt = name; _ }
   | Ppat_constraint ({ ppat_desc = Ppat_var { txt = name; _ }; _ }, _) ->
-      let ann = ann_of_attrs vb.pvb_attributes in
       let body = peel_fun vb.pvb_expr in
       let exposed, closure = effects_of t info body in
-      (* Unannotated functions mask phase-internal effects (done by the
-         walker); annotated helpers export everything — the caller owes
-         them the guard. *)
-      let exposed = if ann <> None then closure else exposed in
-      Hashtbl.replace info.fns name
-        { exposed; closure; ann; ent_loc = vb.pvb_loc }
+      Hashtbl.replace info.fns name { exposed; closure; ent_loc = vb.pvb_loc }
   | _ -> ()
 
 and walk_module_bindings t info (m : Parsetree.module_expr) =

@@ -1,9 +1,10 @@
 (** Per-function effect summaries — the interprocedural substrate of
-    the R1–R4 phase-discipline rules (DESIGN.md §16).
+    the R1, R2 and R4 phase-discipline rules (DESIGN.md §16).
 
     Each function gets two effect bitmasks: [exposed] (what a caller
-    observes; effects inside phase-combinator lambdas are masked
-    because the combinator provides the guard) and [closure] (the
+    observes; effects inside phase-combinator lambdas and
+    [reader]/[viewer] record literals are masked because the phase
+    provides the guard) and [closure] (the
     unmasked transitive union, used by the per-scheme R2 checks).
     Protocol builtins (Smr / Pool / Rt / Atomic) come from a
     curated table; module aliases, functor parameters and first-class
@@ -17,7 +18,6 @@ val lock : int
 val alloc : int
 val retire : int
 val free : int
-val validated : int
 val plain : int
 val poll : int
 val begins : int
@@ -25,7 +25,6 @@ val ends : int
 val phase : int
 val checkpoint : int
 val validate : int
-val raises : int
 
 val impure : int
 (** The read-phase-purity mask: shared writes, locking, allocation,
@@ -34,14 +33,7 @@ val impure : int
 val pp_bits : int -> string
 (** Human-readable ["a+b+c"] rendering of a mask, for messages. *)
 
-type ann = Read_phase | Write_phase
-
-type entry = {
-  exposed : int;
-  closure : int;
-  ann : ann option;
-  ent_loc : Location.t;
-}
+type entry = { exposed : int; closure : int; ent_loc : Location.t }
 
 type target = Builtin of string | File of string | Benign
 
@@ -62,14 +54,16 @@ val build : (string * Parsetree.structure) list -> t
 (** Compute summaries for a set of parsed files, iterating the
     cross-file fixpoint to stability. *)
 
-val call_effect :
-  t -> info -> Parsetree.expression -> (int * int * ann option) option
-(** [(exposed, closure, callee annotation)] for an application node
-    whose head is an identifier; [None] for anything else. *)
+val call_effect : t -> info -> Parsetree.expression -> (int * int) option
+(** [(exposed, closure)] for an application node whose head is an
+    identifier; [None] for anything else. *)
 
-val ann_of_attrs : Parsetree.attributes -> ann option
 val is_function : Parsetree.expression -> bool
 val peel_fun : Parsetree.expression -> Parsetree.expression
+
+val read_lambda : Parsetree.expression -> Parsetree.expression option
+(** The read lambda of a [reader]/[viewer] record literal
+    ([{ read = f }] / [{ view = f }], qualified or not). *)
 
 val is_smr_impl : info -> bool
 (** Files that implement the SMR protocol (define [scheme_name] or

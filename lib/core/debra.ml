@@ -147,6 +147,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Rt.store c.b.shared.announce.(c.tid) ((c.local.local_epoch lsl 1) lor 1);
     adopt_pending c
 
+  let op c body = bracket ~begin_op ~end_op c body
+  let abandon = begin_op
+
   (* Pool-pressure flush.  While this thread is inside an operation its
      own announcement pins the global epoch to at most [local_epoch + 1],
      so at most one bag (records retired two epochs back) can be released

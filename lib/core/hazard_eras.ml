@@ -94,6 +94,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let scheme_name = "he"
 
   let end_op = retract_end_op
+  let op c body = bracket ~begin_op ~end_op c body
+  let abandon = begin_op
 
   (* Protect-by-era: publish the current era in the next rotation slot,
      then read; if the era moved during the read, republish and re-read —

@@ -83,6 +83,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let max_validate_retries = 64
 
   let end_op = retract_end_op
+  let op c body = bracket ~begin_op ~end_op c body
+  let abandon = begin_op
 
   (* Announce-and-validate: publish the target read from pointer field
      [field] of [src], then check that the field still holds it, that the

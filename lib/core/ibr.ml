@@ -109,6 +109,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     c.local.cached_hi <- e
 
   let end_op = retract_end_op
+  let op c body = bracket ~begin_op ~end_op c body
+  let abandon = begin_op
 
   (* Interval scan + sweep — the threshold-crossing body of [retire],
      also run threshold-free under pool pressure.  Safe mid-operation:

@@ -29,6 +29,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let scheme_name = "none"
   let end_op = note_end_op
+  let op c body = bracket ~begin_op ~end_op c body
+  let abandon = begin_op
 
   (* Nothing to flush: abandoned records are gone for good, which is the
      point of the baseline — under pool pressure it simply exhausts. *)

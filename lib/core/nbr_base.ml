@@ -145,21 +145,27 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           (attempts - 1) 0
     end
 
-  let phase c ~read ~write =
+  (* The restartable read phase of both verbs: [read], then publish the
+     reservations [recs] picks out of its result.  A write phase runs
+     after it returns: the thread is non-restartable by then, so the
+     checkpoint could never replay it, and a lookup needs no payload
+     tuple. *)
+  let read_phase c read recs =
     let attempts = ref 0 in
     let out =
       Rt.checkpoint (fun () ->
           incr attempts;
           note_attempt c !attempts;
           begin_read c;
-          let payload, recs = read () in
-          end_read c recs;
-          write payload)
+          let r = read c in
+          end_read c (recs r);
+          r)
     in
     Smr_stats.add_restarts c.st (!attempts - 1);
     out
 
-  let read_only c f = phase c ~read:(fun () -> (f (), [||])) ~write:Fun.id
+  let phase c ~read ~write = write (fst (read_phase c read.read snd))
+  let read_only c v = read_phase c v.view (fun _ -> [||])
 
   (* ------------------------------------------------------------------ *)
   (* Guarded traversal.                                                  *)
@@ -346,4 +352,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.Bag_push
         slot n;
     Smr_stats.note_garbage c.st n
+
+  (* NBR and NBR+ keep the shared layer's operation start and end. *)
+  let op c body = bracket ~begin_op ~end_op c body
+  let abandon = begin_op
 end

@@ -85,6 +85,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     note_end_op c;
     ignore (Rt.faa c.b.shared.(c.tid) 1) (* even: quiescent *);
     adopt_pending c
+  let op c body = bracket ~begin_op ~end_op c body
+  let abandon = begin_op
 
   let grace_elapsed c (p : parked) =
     let ok = ref true in

@@ -63,6 +63,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Rt.store c.b.shared.ann.(c.tid) (Rt.load c.b.shared.epoch)
 
   let end_op = retract_end_op
+  let op c body = bracket ~begin_op ~end_op c body
+  let abandon = begin_op
 
   (* Bump the epoch and free everything retired strictly before the
      minimum announced epoch — the threshold-crossing body of [retire],

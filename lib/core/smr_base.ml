@@ -44,6 +44,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
 
   and ctx = { b : t; tid : int; st : Smr_stats.t; local : X.thr }
 
+  type op = ctx
+  type 's rd = ctx
+  type 'a reader = { read : 's. 's rd -> 'a * int array } [@@unboxed]
+  type 'a viewer = { view : 's. 's rd -> 'a } [@@unboxed]
+
   let bounded_garbage = X.bounded_garbage
 
   let create pool ~nthreads cfg =
@@ -112,6 +117,17 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
     note_end_op c;
     X.retract c.b.shared c.tid;
     adopt_pending c
+
+  let bracket ~begin_op ~end_op c body =
+    begin_op c;
+    match body c with
+    | v ->
+        end_op c;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        end_op c;
+        Printexc.raise_with_backtrace e bt
 
   let deregister c =
     let b = c.b in
@@ -246,12 +262,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
   end
 
   module Unguarded = struct
-    let phase c ~read ~write =
-      let payload, _recs = read () in
+    let read_only c v =
+      let r = v.view c in
       Smr_stats.uaf_commit c.st;
-      write payload
+      r
 
-    let read_only c f = phase c ~read:(fun () -> (f (), [||])) ~write:Fun.id
+    let phase c ~read ~write = write (fst (read_only c { view = read.read }))
 
     let note_target c v =
       if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st
@@ -279,20 +295,20 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
      [Unguarded]: the phase analysis keys a file's bindings by name, and
      the last [phase] / [read_only] here is the one its R2 check resolves
      for the schemes that include this layer. *)
-  let phase c ~read ~write =
+  let read_only c v =
     let attempts = ref 0 in
     let out =
       Rt.checkpoint (fun () ->
           incr attempts;
           if !attempts > 1 then Smr_stats.uaf_abort c.st;
-          let payload, _recs = read () in
+          let r = v.view c in
           Smr_stats.uaf_commit c.st;
-          write payload)
+          r)
     in
     Smr_stats.add_restarts c.st (!attempts - 1);
     out
 
-  let read_only c f = phase c ~read:(fun () -> (f (), [||])) ~write:Fun.id
+  let phase c ~read ~write = write (fst (read_only c { view = read.read }))
 
   (* Their data reads target records the traversal just protected, so a
      [Stale] result means protection was lost: abort the read phase like

@@ -6,10 +6,11 @@
     and lives here, once: the per-instance and per-thread records,
     [create]/[register]/[deregister], orphan adoption, the retire-path
     offload gate and the reclaimer's [collect_handoffs], the watchdog
-    reap, statistics, the [begin_op]/[end_op] bookkeeping (expulsion
-    check, fine trace, orphan adoption), the retire tail, the scan of
-    published words, the limbo-bag sweep with its trace, and the three
-    phase implementations.
+    reap, statistics, the operation bracket and the [begin_op]/[end_op]
+    bookkeeping (expulsion check, fine trace, orphan adoption) it runs,
+    the phase tokens, the retire tail, the scan of published words, the
+    limbo-bag sweep with its trace, and the three phase
+    implementations.
 
     A scheme supplies a {!SCHEME}: its limbo-buffer shape (push, count,
     flatten), the retraction of its published state, and its
@@ -22,7 +23,12 @@
       include B
       let scheme_name = "..."
       let begin_op c = B.begin_op c; (* publish *) ...
-    v} *)
+      let op c body = bracket ~begin_op ~end_op c body
+      let abandon = begin_op
+    v}
+
+    The bracket is applied after the scheme's own [begin_op]/[end_op],
+    so the operation it opens runs them and not this layer's defaults. *)
 
 (** What a scheme plugs into the shared layer. *)
 module type SCHEME = sig
@@ -88,6 +94,18 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
 
   and ctx = private { b : t; tid : int; st : Smr_stats.t; local : X.thr }
 
+  (** {1 Phase tokens}
+
+      Inside a scheme both tokens are the context itself, so the
+      schemes' [ctx -> ...] read paths already have the types
+      {!Smr_intf.S} gives them; the abstraction happens at the
+      signature. *)
+
+  type op = ctx
+  type 's rd = ctx
+  type 'a reader = { read : 's. 's rd -> 'a * int array } [@@unboxed]
+  type 'a viewer = { view : 's. 's rd -> 'a } [@@unboxed]
+
   (** {1 The shared half of {!Smr_intf.S}} *)
 
   val bounded_garbage : bool
@@ -113,6 +131,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
   (** {!note_end_op}, {!SCHEME.retract} of the caller's own published
       state, then {!adopt_pending}: the [end_op] of schemes whose hazard
       or era slots, interval or announcement cover one operation. *)
+
+  val bracket :
+    begin_op:(ctx -> unit) -> end_op:(ctx -> unit) -> ctx -> (op -> 'a) -> 'a
+  (** [bracket ~begin_op ~end_op c body]: {!Smr_intf.S.op} for a scheme
+      whose operation start and end are [begin_op] and [end_op].  [end_op]
+      also runs when [body] raises, before the exception is re-raised;
+      an exception from [begin_op] (an {!Smr_intf.Expelled} verdict)
+      leaves before the operation opens, so [end_op] does not run. *)
 
   val note_end_op : ctx -> unit
   (** The fine [End_op] trace event. *)
@@ -178,8 +204,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
       and the caller's statistics, and consumes the recycled memory as
       the unprotected read it is. *)
   module Unguarded : sig
-    val phase : ctx -> read:(unit -> 'a * int array) -> write:('a -> 'b) -> 'b
-    val read_only : ctx -> (unit -> 'a) -> 'a
+    val phase : op -> read:'a reader -> write:('a -> 'b) -> 'b
+    val read_only : op -> 'a viewer -> 'a
     val read_ptr : ctx -> src:int -> field:int -> int
     val read_raw : ctx -> src:int -> field:int -> int
     val read_data : ctx -> src:int -> field:int -> int
@@ -189,10 +215,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
   (** The restartable phases and data reads of the validating schemes
       (HP, HE; IBR takes the phases only): an aborted read phase replays
       through {!Rt.checkpoint} and its UAF reads count as benign; a data
-      read that finds its record recycled aborts the phase. *)
+      read that finds its record recycled aborts the phase.  [phase] is
+      [read_only] over its reader, then the write phase, which runs
+      once the checkpointed read phase has returned. *)
 
-  val phase : ctx -> read:(unit -> 'a * int array) -> write:('a -> 'b) -> 'b
-  val read_only : ctx -> (unit -> 'a) -> 'a
+  val phase : op -> read:'a reader -> write:('a -> 'b) -> 'b
+  val read_only : op -> 'a viewer -> 'a
   val read_data : ctx -> src:int -> field:int -> int
   val peek_ptr : ctx -> src:int -> field:int -> int
 end

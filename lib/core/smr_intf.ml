@@ -5,16 +5,25 @@
     operation protocol mirrors the paper's Figure 1/2b:
 
     {v
-      begin_op ctx;
-      ... preamble: globals, allocation ...
-      phase ctx
-        ~read:(fun () -> (* Φread: traverse from a sentinel record via
-                            read_ptr / read_data                         *)
-                         (payload, [| reserved records ... |]))
-        ~write:(fun payload -> (* Φwrite: locks, validation, updates,
-                                  access only to reserved records       *) ...);
-      end_op ctx
+      op ctx (fun op ->
+        ... preamble: globals, allocation ...
+        phase op
+          ~read:{ read = (fun rd -> (* Φread: traverse from a sentinel
+                                       record via read_ptr rd / read_data rd *)
+                                    (payload, [| reserved records ... |])) }
+          ~write:(fun payload -> (* Φwrite: locks, validation, updates,
+                                    access only to reserved records       *) ...))
     v}
+
+    The types carry the protocol.  Only {!op} opens an operation, and it
+    closes it on every exit, exceptions included; {!phase} and
+    {!read_only} demand the [op] token it hands out, so a phase cannot
+    run outside an operation.  The validated reads demand a read token
+    ['s rd], which only a running read phase hands out; its record field
+    is polymorphic in ['s], so the token cannot be returned, stored in an
+    outer reference or otherwise outlive the phase that issued it.  What
+    the types cannot see, plain {!Nbr_pool.Pool} writes and reads inside
+    a read lambda, is left to the [nbr_lint] rules R1 and R4.
 
     A traversal starts at a record the structure allocated outside any
     operation and never retires (a sentinel head or anchor), so every
@@ -132,14 +141,15 @@ module Offload = struct
 end
 
 exception Expelled
-(** Raised by {!S.begin_op} when the calling thread was declared dead by a
-    peer's crash-recovery watchdog while it was frozen (stalled or
-    descheduled past the watchdog threshold) and its SMR state has been
-    reaped.  The context is unusable from then on: the thread must stop,
-    or rejoin with a fresh {!S.register}.  Raised before the operation
-    touches any shared state, so a mistaken claim of a live-but-slow
-    thread never races its reaper through an operation.  Only possible
-    while fault injection is active (see [Lifecycle.check_self]). *)
+(** Raised by {!S.op} (and {!S.abandon}) when the calling thread was
+    declared dead by a peer's crash-recovery watchdog while it was frozen
+    (stalled or descheduled past the watchdog threshold) and its SMR
+    state has been reaped.  The context is unusable from then on: the
+    thread must stop, or rejoin with a fresh {!S.register}.  Raised
+    before the operation touches any shared state, so a mistaken claim
+    of a live-but-slow thread never races its reaper through an
+    operation.  Only possible while fault injection is active (see
+    [Lifecycle.check_self]). *)
 
 module type S = sig
   type pool
@@ -176,7 +186,7 @@ module type S = sig
   (** Drain any orphan parcels (buffered retires of departed or crashed
       threads) into the calling thread's own limbo state, where they are
       reclaimed by its normal sweeps and counted against {e its} garbage
-      bound.  Called automatically from [end_op] when orphans are
+      bound.  Called automatically when an operation ends with orphans
       pending; exposed for explicit end-of-run draining. *)
 
   (** {1 Limbo-bag externalization}
@@ -203,10 +213,32 @@ module type S = sig
       and credit the offload record; returns the number collected.  The
       reclaimer's main verb, also used by the end-of-trial drainer. *)
 
-  (** {1 Operation lifecycle} *)
+  (** {1 Operations} *)
 
-  val begin_op : ctx -> unit
-  val end_op : ctx -> unit
+  type op
+  (** Proof that an operation is open: only {!op} issues one. *)
+
+  type 's rd
+  (** A read token: only a running read phase issues one, and the
+      polymorphic ['s] keeps it from leaving that phase. *)
+
+  type 'a reader = { read : 's. 's rd -> 'a * int array } [@@unboxed]
+  (** The read phase of {!phase}. *)
+
+  type 'a viewer = { view : 's. 's rd -> 'a } [@@unboxed]
+  (** The read phase of {!read_only}. *)
+
+  val op : ctx -> (op -> 'a) -> 'a
+  (** [op ctx body] runs [body] as one operation: the scheme's operation
+      start (expulsion check, epoch or era publication), then [body],
+      then its operation end (retraction, orphan adoption) — also when
+      [body] raises, before the exception is re-raised.  An {!Expelled}
+      verdict is raised before the operation opens. *)
+
+  val abandon : ctx -> unit
+  (** Fault injection: enter an operation and never leave it, as a
+      thread that dies mid-operation does.  Whatever the scheme publishes
+      at operation start stays published. *)
 
   val alloc : ?cls:int -> ctx -> int
   (** Allocate a record from pool size-class [cls] (default 0), applying
@@ -232,7 +264,7 @@ module type S = sig
 
   (** {1 Phases} *)
 
-  val phase : ctx -> read:(unit -> 'a * int array) -> write:('a -> 'b) -> 'b
+  val phase : op -> read:'a reader -> write:('a -> 'b) -> 'b
   (** Run one Φread/Φwrite pair.  [read] must obey the paper's read-phase
       rules (§4.1): traverse shared records only through {!read_ptr} /
       {!read_raw} / {!read_data} / {!peek_ptr}, no shared writes, no
@@ -242,19 +274,20 @@ module type S = sig
       successful read phase and must only access reserved records (plus
       records it allocates). *)
 
-  val read_only : ctx -> (unit -> 'a) -> 'a
+  val read_only : op -> 'a viewer -> 'a
   (** A degenerate phase for operations with no write phase (contains):
-      equivalent to [phase ~read:(fun () -> (f (), [||])) ~write:Fun.id]. *)
+      for a viewer [v], equivalent to
+      [phase ~read:{ read = (fun rd -> (v.view rd, [||])) } ~write:Fun.id]. *)
 
   (** {1 Guarded traversal} *)
 
-  val read_ptr : ctx -> src:int -> field:int -> int
+  val read_ptr : 's rd -> src:int -> field:int -> int
   (** Follow pointer field [field] of record [src] (which must have been
       obtained through guarded traversal in the current read phase).  This
       is the delivery/poll point of the neutralization discipline and the
       protect point of HP-style schemes. *)
 
-  val read_raw : ctx -> src:int -> field:int -> int
+  val read_raw : 's rd -> src:int -> field:int -> int
   (** Guarded load of pointer field [field] of record [src] when the word
       is not a plain record pointer — e.g. a mark-tagged link in the
       Harris list, where the slot id and the mark share the word.  A
@@ -264,7 +297,7 @@ module type S = sig
       of HP with structures that traverse marked nodes, and the
       benchmarks never pair HP with such structures. *)
 
-  val read_data : ctx -> src:int -> field:int -> int
+  val read_data : 's rd -> src:int -> field:int -> int
   (** Read data field [field] of record [src] inside a read phase.  The
       generation-validated counterpart of a plain [Pool.get_data]: the
       scheme decides what a [Stale] result means for its protocol —
@@ -275,7 +308,7 @@ module type S = sig
       Structures use this for every key/mark read along an unvalidated
       traversal. *)
 
-  val peek_ptr : ctx -> src:int -> field:int -> int
+  val peek_ptr : 's rd -> src:int -> field:int -> int
   (** Read pointer field [field] of record [src] as a {e value}, without
       following it: no protection is published for the target and no
       poll point is crossed for it.  For structural predicates on the

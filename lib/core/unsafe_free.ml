@@ -32,6 +32,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let scheme_name = "unsafe-free"
   let end_op = note_end_op
+  let op c body = bracket ~begin_op ~end_op c body
+  let abandon = begin_op
 
   (* Nothing is ever buffered; [max_garbage] stays 0. *)
   let on_pressure _ = ()

@@ -68,13 +68,9 @@ struct
   (* Read-phase variants: generation-validated, so a stale handle fails
      through the scheme's own policy instead of routing the descent (or
      deciding membership) by a recycled occupant's fields. *)
-  let rsize_of ctx s = min (max (Smr.read_data ctx ~src:s ~field:f_size) 0) b
-  [@@nbr.read_phase]
-
-  let rkey_at ctx s i = Smr.read_data ctx ~src:s ~field:i [@@nbr.read_phase]
-
-  let ris_leaf ctx s = Smr.peek_ptr ctx ~src:s ~field:0 = P.nil
-  [@@nbr.read_phase]
+  let rsize_of rd s = min (max (Smr.read_data rd ~src:s ~field:f_size) 0) b
+  let rkey_at rd s i = Smr.read_data rd ~src:s ~field:i
+  let ris_leaf rd s = Smr.peek_ptr rd ~src:s ~field:0 = P.nil
 
   (* Child index for key [k] at internal node [s]: the largest [i] with
      [i = 0 || key i <= k]. *)
@@ -86,14 +82,13 @@ struct
     done;
     !i
 
-  let rroute ctx s k =
-    let m = rsize_of ctx s in
+  let rroute rd s k =
+    let m = rsize_of rd s in
     let i = ref 0 in
     for j = 1 to m - 1 do
-      if rkey_at ctx s j <= k then i := j
+      if rkey_at rd s j <= k then i := j
     done;
     !i
-  [@@nbr.read_phase]
 
   (* Position of [k] in leaf [s], or -1. *)
   let leaf_find t s k =
@@ -104,14 +99,13 @@ struct
     done;
     !pos
 
-  let rleaf_find ctx s k =
-    let m = rsize_of ctx s in
+  let rleaf_find rd s k =
+    let m = rsize_of rd s in
     let pos = ref (-1) in
     for j = 0 to m - 1 do
-      if rkey_at ctx s j = k then pos := j
+      if rkey_at rd s j = k then pos := j
     done;
     !pos
-  [@@nbr.read_phase]
 
   (* ---------------- node construction (write phases only) -------------- *)
 
@@ -150,29 +144,24 @@ struct
 
   (* Φread: descend to the leaf for [k], tracking grandparent and parent
      (the anchor serves as both for shallow trees). *)
-  let descend t ctx k =
+  let descend t rd k =
     let gp = ref t.anchor and gdir = ref 0 in
     let p = ref t.anchor and pdir = ref 0 in
-    let n = ref (Smr.read_ptr ctx ~src:t.anchor ~field:0) in
-    while not (ris_leaf ctx !n) do
+    let n = ref (Smr.read_ptr rd ~src:t.anchor ~field:0) in
+    while not (ris_leaf rd !n) do
       gp := !p;
       gdir := !pdir;
       p := !n;
-      pdir := rroute ctx !n k;
-      n := Smr.read_ptr ctx ~src:!n ~field:!pdir
+      pdir := rroute rd !n k;
+      n := Smr.read_ptr rd ~src:!n ~field:!pdir
     done;
     (!gp, !gdir, !p, !pdir, !n)
-  [@@nbr.read_phase]
 
   let contains t ctx k =
-    Smr.begin_op ctx;
-    let r =
-      Smr.read_only ctx (fun () ->
-          let _, _, _, _, leaf = descend t ctx k in
-          rleaf_find ctx leaf k >= 0)
-    in
-    Smr.end_op ctx;
-    r
+    let v = { Smr.view = (fun rd ->
+          let _, _, _, _, leaf = descend t rd k in
+          rleaf_find rd leaf k >= 0) } in
+    Smr.op ctx (fun op -> Smr.read_only op v)
 
   (* ---------------- repair phases (k-NBR wrap-up) ---------------- *)
 
@@ -185,30 +174,29 @@ struct
     | Absorb of int * int * int * int * int  (** gp, gdir, p, pdir, router *)
     | Prune of int * int * int * int * int  (** gp, gdir, p, pdir, leaf *)
 
-  let find_violation t ctx k =
+  let find_violation t rd k =
     let gp = ref t.anchor and gdir = ref 0 in
     let p = ref t.anchor and pdir = ref 0 in
-    let n = ref (Smr.read_ptr ctx ~src:t.anchor ~field:0) in
+    let n = ref (Smr.read_ptr rd ~src:t.anchor ~field:0) in
     let v = ref Clean in
-    while !v = Clean && not (ris_leaf ctx !n) do
-      let m = rsize_of ctx !n in
-      if m = 2 && !p <> t.anchor && rsize_of ctx !p < b then
+    while !v = Clean && not (ris_leaf rd !n) do
+      let m = rsize_of rd !n in
+      if m = 2 && !p <> t.anchor && rsize_of rd !p < b then
         v := Absorb (!gp, !gdir, !p, !pdir, !n)
       else begin
         gp := !p;
         gdir := !pdir;
         p := !n;
-        pdir := rroute ctx !n k;
-        n := Smr.read_ptr ctx ~src:!n ~field:!pdir
+        pdir := rroute rd !n k;
+        n := Smr.read_ptr rd ~src:!n ~field:!pdir
       end
     done;
     (if
-       !v = Clean && ris_leaf ctx !n
-       && rsize_of ctx !n = 0
+       !v = Clean && ris_leaf rd !n
+       && rsize_of rd !n = 0
        && !p <> t.anchor
      then v := Prune (!gp, !gdir, !p, !pdir, !n));
     !v
-  [@@nbr.read_phase]
 
   (* Lock [cells] in order; return false (after unlocking) if [valid]
      fails. *)
@@ -225,9 +213,9 @@ struct
   (* Absorb router [r] (size 2) into parent [p] at child position [pdir],
      replacing [p] by a copy with both of [r]'s children.  [p] gains one
      child; requires p.size < b. *)
-  let do_absorb t ctx (gp, gdir, p, pdir, r) =
-    Smr.phase ctx
-      ~read:(fun () -> ((), [| gp; p; r |]))
+  let do_absorb t ctx op (gp, gdir, p, pdir, r) =
+    Smr.phase op
+      ~read:{ Smr.read = (fun _ -> ((), [| gp; p; r |])) }
       ~write:(fun () ->
         (* [r] must be locked too: its children are copied into the
            replacement, and leaf operations under [r] swing r's child
@@ -279,9 +267,9 @@ struct
   (* Prune empty leaf [leaf] out of parent [p]: copy [p] without that
      child; if [p] would drop to one child, replace [p] by its surviving
      child instead. *)
-  let do_prune t ctx (gp, gdir, p, pdir, leaf) =
-    Smr.phase ctx
-      ~read:(fun () -> ((), [| gp; p; leaf |]))
+  let do_prune t ctx op (gp, gdir, p, pdir, leaf) =
+    Smr.phase op
+      ~read:{ Smr.read = (fun _ -> ((), [| gp; p; leaf |])) }
       ~write:(fun () ->
         with_locks t [ gp; p ]
           ~valid:(fun () ->
@@ -327,20 +315,20 @@ struct
 
   let max_repair_passes = 8
 
-  let repair t ctx k =
+  let repair t ctx op k =
     let pass = ref 0 in
     let continue_ = ref true in
     while !continue_ && !pass < max_repair_passes do
       incr pass;
       let v =
-        Smr.read_only ctx (fun () -> find_violation t ctx k)
+        Smr.read_only op { Smr.view = (fun rd -> find_violation t rd k) }
       in
       match v with
       | Clean -> continue_ := false
       | Absorb (a1, a2, a3, a4, a5) ->
-          ignore (do_absorb t ctx (a1, a2, a3, a4, a5))
+          ignore (do_absorb t ctx op (a1, a2, a3, a4, a5))
       | Prune (a1, a2, a3, a4, a5) ->
-          ignore (do_prune t ctx (a1, a2, a3, a4, a5))
+          ignore (do_prune t ctx op (a1, a2, a3, a4, a5))
     done
 
   (* ---------------- updates ---------------- *)
@@ -348,14 +336,13 @@ struct
   type 'a outcome = Done of 'a | Again
 
   let insert t ctx k =
-    Smr.begin_op ctx;
     let split = ref false in
-    let rec attempt () =
+    let rec attempt op =
       let out =
-        Smr.phase ctx
-          ~read:(fun () ->
-            let _, _, p, pdir, leaf = descend t ctx k in
-            ((p, pdir, leaf), [| p; leaf |]))
+        Smr.phase op
+          ~read:{ Smr.read = (fun rd ->
+            let _, _, p, pdir, leaf = descend t rd k in
+            ((p, pdir, leaf), [| p; leaf |])) }
           ~write:(fun (p, pdir, leaf) ->
             if leaf_find t leaf k >= 0 then Done false
             else
@@ -415,22 +402,22 @@ struct
                   split := did_split;
                   Done true)
       in
-      match out with Done r -> r | Again -> attempt ()
+      match out with
+      | Done r ->
+          if r && !split then repair t ctx op k;
+          r
+      | Again -> attempt op
     in
-    let r = attempt () in
-    if r && !split then repair t ctx k;
-    Smr.end_op ctx;
-    r
+    Smr.op ctx attempt
 
   let delete t ctx k =
-    Smr.begin_op ctx;
     let emptied = ref false in
-    let rec attempt () =
+    let rec attempt op =
       let out =
-        Smr.phase ctx
-          ~read:(fun () ->
-            let _, _, p, pdir, leaf = descend t ctx k in
-            ((p, pdir, leaf), [| p; leaf |]))
+        Smr.phase op
+          ~read:{ Smr.read = (fun rd ->
+            let _, _, p, pdir, leaf = descend t rd k in
+            ((p, pdir, leaf), [| p; leaf |])) }
           ~write:(fun (p, pdir, leaf) ->
             if leaf_find t leaf k < 0 then Done false
             else
@@ -463,12 +450,13 @@ struct
                   emptied := now_empty;
                   Done true)
       in
-      match out with Done r -> r | Again -> attempt ()
+      match out with
+      | Done r ->
+          if r && !emptied then repair t ctx op k;
+          r
+      | Again -> attempt op
     in
-    let r = attempt () in
-    if r && !emptied then repair t ctx k;
-    Smr.end_op ctx;
-    r
+    Smr.op ctx attempt
 
   (* ---------------- sequential helpers (tests only) ---------------- *)
 

@@ -63,50 +63,43 @@ struct
   (* Read-phase variants: generation-validated, so a stale handle fails
      through the scheme's own policy instead of routing the descent by a
      recycled occupant's key. *)
-  let rkey ctx s = Smr.read_data ctx ~src:s ~field:f_key [@@nbr.read_phase]
-  let rdir ctx s k = (if k < rkey ctx s then 0 else 1) [@@nbr.read_phase]
+  let rkey rd s = Smr.read_data rd ~src:s ~field:f_key
+  let rdir rd s k = if k < rkey rd s then 0 else 1
 
-  let ris_leaf ctx s = Smr.peek_ptr ctx ~src:s ~field:0 = P.nil
-  [@@nbr.read_phase]
+  let ris_leaf rd s = Smr.peek_ptr rd ~src:s ~field:0 = P.nil
 
   (* Φread: descend to the leaf for [k], tracking grandparent and parent.
      Returns (gparent, gdir, parent, pdir, leaf). The root is its own
      grandparent for depth-1 leaves; those leaves are sentinels and are
      never deleted, so the slot is never dereferenced in that case. *)
-  let search t ctx k =
+  let search t rd k =
     let gp = ref t.root and gdir = ref 0 in
-    let p = ref t.root and pdir = ref (rdir ctx t.root k) in
-    let l = ref (Smr.read_ptr ctx ~src:t.root ~field:!pdir) in
-    while not (ris_leaf ctx !l) do
+    let p = ref t.root and pdir = ref (rdir rd t.root k) in
+    let l = ref (Smr.read_ptr rd ~src:t.root ~field:!pdir) in
+    while not (ris_leaf rd !l) do
       gp := !p;
       gdir := !pdir;
       p := !l;
-      pdir := rdir ctx !l k;
-      l := Smr.read_ptr ctx ~src:!l ~field:!pdir
+      pdir := rdir rd !l k;
+      l := Smr.read_ptr rd ~src:!l ~field:!pdir
     done;
     (!gp, !gdir, !p, !pdir, !l)
-  [@@nbr.read_phase]
 
   let contains t ctx k =
-    Smr.begin_op ctx;
-    let r =
-      Smr.read_only ctx (fun () ->
-          let _, _, _, _, l = search t ctx k in
-          rkey ctx l = k)
-    in
-    Smr.end_op ctx;
-    r
+    let v = { Smr.view = (fun rd ->
+          let _, _, _, _, l = search t rd k in
+          rkey rd l = k) } in
+    Smr.op ctx (fun op -> Smr.read_only op v)
 
   type 'a outcome = Done of 'a | Retry
 
   let insert t ctx k =
-    Smr.begin_op ctx;
-    let rec attempt () =
+    let rec attempt op =
       let out =
-        Smr.phase ctx
-          ~read:(fun () ->
-            let _, _, p, pdir, l = search t ctx k in
-            ((p, pdir, l), [| p; l |]))
+        Smr.phase op
+          ~read:{ Smr.read = (fun rd ->
+            let _, _, p, pdir, l = search t rd k in
+            ((p, pdir, l), [| p; l |])) }
           ~write:(fun (p, pdir, l) ->
             if key t l = k then Done false
             else begin
@@ -141,20 +134,17 @@ struct
               end
             end)
       in
-      match out with Done r -> r | Retry -> attempt ()
+      match out with Done r -> r | Retry -> attempt op
     in
-    let r = attempt () in
-    Smr.end_op ctx;
-    r
+    Smr.op ctx attempt
 
   let delete t ctx k =
-    Smr.begin_op ctx;
-    let rec attempt () =
+    let rec attempt op =
       let out =
-        Smr.phase ctx
-          ~read:(fun () ->
-            let gp, gdir, p, pdir, l = search t ctx k in
-            ((gp, gdir, p, pdir, l), [| gp; p; l |]))
+        Smr.phase op
+          ~read:{ Smr.read = (fun rd ->
+            let gp, gdir, p, pdir, l = search t rd k in
+            ((gp, gdir, p, pdir, l), [| gp; p; l |])) }
           ~write:(fun (gp, gdir, p, pdir, l) ->
             if key t l <> k then Done false
             else begin
@@ -184,11 +174,9 @@ struct
               end
             end)
       in
-      match out with Done r -> r | Retry -> attempt ()
+      match out with Done r -> r | Retry -> attempt op
     in
-    let r = attempt () in
-    Smr.end_op ctx;
-    r
+    Smr.op ctx attempt
 
   (** Sequential key list (tests only). *)
   let to_list t =

@@ -55,7 +55,7 @@ struct
   (* Tagged-link access.  The link word is not a handle, so it is read
      raw in both phases: [Smr.read_raw] in read phases (instrumented via
      [record_read]), the pool's raw accessors in write phases. *)
-  let next ctx s = Smr.read_raw ctx ~src:s ~field:f_next [@@nbr.read_phase]
+  let next rd s = Smr.read_raw rd ~src:s ~field:f_next
   let load_next t s = P.raw_load_ptr t.pool s f_next
   let cas_next t s old v = P.raw_cas_ptr t.pool s f_next old v
 
@@ -63,7 +63,7 @@ struct
      themselves must stay raw — but a key compare through a stale handle would
      route the traversal by the recycled occupant's key, so it goes
      through the scheme's validated path. *)
-  let rkey ctx s = Smr.read_data ctx ~src:s ~field:f_key [@@nbr.read_phase]
+  let rkey rd s = Smr.read_data rd ~src:s ~field:f_key
 
   (* What a read phase discovers: either the target window, or a marked
      node that must be unlinked first (one auxiliary update per phase). *)
@@ -74,43 +74,38 @@ struct
   (* Φread: walk from the head; stop at the first marked node or at the
      window for [k].  Reads links through [read_raw] and records the
      dereference for the pool's UAF instrumentation. *)
-  let traverse t ctx k =
+  let traverse t ctx rd k =
     let pred = ref t.head in
-    let pe = ref (next ctx t.head) in
+    let pe = ref (next rd t.head) in
     (* head is never marked *)
     let curr = ref (dec_slot !pe) in
     let result = ref None in
     while !result = None do
       if P.record_read t.pool !curr then
         Nbr_core.Smr_stats.note_uaf (Smr.ctx_stats ctx);
-      let ce = next ctx !curr in
+      let ce = next rd !curr in
       if is_marked ce then result := Some (Marked (!pred, !curr, dec_slot ce))
-      else if rkey ctx !curr >= k then result := Some (Window (!pred, !curr))
+      else if rkey rd !curr >= k then result := Some (Window (!pred, !curr))
       else begin
         pred := !curr;
         curr := dec_slot ce
       end
     done;
     Option.get !result
-  [@@nbr.read_phase]
 
   (* Membership traversal: skips marked nodes without helping (Harris's
      wait-free search; it may walk through unlinked records). *)
   let contains t ctx k =
-    Smr.begin_op ctx;
-    let r =
-      Smr.read_only ctx (fun () ->
-          let curr = ref (dec_slot (next ctx t.head)) in
-          while rkey ctx !curr < k do
+    let v = { Smr.view = (fun rd ->
+          let curr = ref (dec_slot (next rd t.head)) in
+          while rkey rd !curr < k do
             if P.record_read t.pool !curr then
               Nbr_core.Smr_stats.note_uaf (Smr.ctx_stats ctx);
-            curr := dec_slot (next ctx !curr)
+            curr := dec_slot (next rd !curr)
           done;
-          rkey ctx !curr = k
-          && not (is_marked (next ctx !curr)))
-    in
-    Smr.end_op ctx;
-    r
+          rkey rd !curr = k
+          && not (is_marked (next rd !curr))) } in
+    Smr.op ctx (fun op -> Smr.read_only op v)
 
   type 'a outcome = Done of 'a | Again
 
@@ -123,14 +118,13 @@ struct
     Again
 
   let insert t ctx k =
-    Smr.begin_op ctx;
-    let rec attempt () =
+    let rec attempt op =
       let out =
-        Smr.phase ctx
-          ~read:(fun () ->
-            match traverse t ctx k with
+        Smr.phase op
+          ~read:{ Smr.read = (fun rd ->
+            match traverse t ctx rd k with
             | Window (pred, curr) as w -> (w, [| pred; curr |])
-            | Marked (pred, curr, succ) as m -> (m, [| pred; curr; succ |]))
+            | Marked (pred, curr, succ) as m -> (m, [| pred; curr; succ |])) }
           ~write:(function
             | Marked (pred, curr, succ) -> unlink_phase t ctx pred curr succ
             | Window (pred, curr) ->
@@ -148,21 +142,18 @@ struct
                   end
                 end)
       in
-      match out with Done r -> r | Again -> attempt ()
+      match out with Done r -> r | Again -> attempt op
     in
-    let r = attempt () in
-    Smr.end_op ctx;
-    r
+    Smr.op ctx attempt
 
   let delete t ctx k =
-    Smr.begin_op ctx;
-    let rec attempt () =
+    let rec attempt op =
       let out =
-        Smr.phase ctx
-          ~read:(fun () ->
-            match traverse t ctx k with
+        Smr.phase op
+          ~read:{ Smr.read = (fun rd ->
+            match traverse t ctx rd k with
             | Window (pred, curr) as w -> (w, [| pred; curr |])
-            | Marked (pred, curr, succ) as m -> (m, [| pred; curr; succ |]))
+            | Marked (pred, curr, succ) as m -> (m, [| pred; curr; succ |])) }
           ~write:(function
             | Marked (pred, curr, succ) -> unlink_phase t ctx pred curr succ
             | Window (pred, curr) ->
@@ -185,11 +176,9 @@ struct
                   else Again
                 end)
       in
-      match out with Done r -> r | Again -> attempt ()
+      match out with Done r -> r | Again -> attempt op
     in
-    let r = attempt () in
-    Smr.end_op ctx;
-    r
+    Smr.op ctx attempt
 
   (** Sequential snapshot of unmarked keys (tests only). *)
   let to_list t =

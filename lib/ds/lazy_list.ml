@@ -51,31 +51,24 @@ struct
      through the scheme's own policy (NBR restarts via [Neutralized],
      epoch schemes consume-and-count) instead of yielding the recycled
      occupant's fields as if they were [s]'s. *)
-  let rkey ctx s = Smr.read_data ctx ~src:s ~field:f_key [@@nbr.read_phase]
-
-  let rmarked ctx s = Smr.read_data ctx ~src:s ~field:f_marked = 1
-  [@@nbr.read_phase]
+  let rkey rd s = Smr.read_data rd ~src:s ~field:f_key
+  let rmarked rd s = Smr.read_data rd ~src:s ~field:f_marked = 1
 
   (* Φread: locate the window ⟨pred, curr⟩ with key pred < k ≤ key curr. *)
-  let search t ctx k =
+  let search t rd k =
     let pred = ref t.head in
-    let curr = ref (Smr.read_ptr ctx ~src:t.head ~field:f_next) in
-    while rkey ctx !curr < k do
+    let curr = ref (Smr.read_ptr rd ~src:t.head ~field:f_next) in
+    while rkey rd !curr < k do
       pred := !curr;
-      curr := Smr.read_ptr ctx ~src:!curr ~field:f_next
+      curr := Smr.read_ptr rd ~src:!curr ~field:f_next
     done;
     (!pred, !curr)
-  [@@nbr.read_phase]
 
   let contains t ctx k =
-    Smr.begin_op ctx;
-    let r =
-      Smr.read_only ctx (fun () ->
-          let _, curr = search t ctx k in
-          rkey ctx curr = k && not (rmarked ctx curr))
-    in
-    Smr.end_op ctx;
-    r
+    let v = { Smr.view = (fun rd ->
+          let _, curr = search t rd k in
+          rkey rd curr = k && not (rmarked rd curr)) } in
+    Smr.op ctx (fun op -> Smr.read_only op v)
 
   (* Φwrite helper: lock the window and validate it is still intact. *)
   let lock_window t pred curr =
@@ -92,13 +85,12 @@ struct
   type 'a outcome = Done of 'a | Retry
 
   let insert t ctx k =
-    Smr.begin_op ctx;
-    let rec attempt () =
+    let rec attempt op =
       let out =
-        Smr.phase ctx
-          ~read:(fun () ->
-            let pred, curr = search t ctx k in
-            ((pred, curr), [| pred; curr |]))
+        Smr.phase op
+          ~read:{ Smr.read = (fun rd ->
+            let pred, curr = search t rd k in
+            ((pred, curr), [| pred; curr |])) }
           ~write:(fun (pred, curr) ->
             if not (lock_window t pred curr) then begin
               unlock_window t pred curr;
@@ -118,20 +110,17 @@ struct
               Done true
             end)
       in
-      match out with Done r -> r | Retry -> attempt ()
+      match out with Done r -> r | Retry -> attempt op
     in
-    let r = attempt () in
-    Smr.end_op ctx;
-    r
+    Smr.op ctx attempt
 
   let delete t ctx k =
-    Smr.begin_op ctx;
-    let rec attempt () =
+    let rec attempt op =
       let out =
-        Smr.phase ctx
-          ~read:(fun () ->
-            let pred, curr = search t ctx k in
-            ((pred, curr), [| pred; curr |]))
+        Smr.phase op
+          ~read:{ Smr.read = (fun rd ->
+            let pred, curr = search t rd k in
+            ((pred, curr), [| pred; curr |])) }
           ~write:(fun (pred, curr) ->
             if not (lock_window t pred curr) then begin
               unlock_window t pred curr;
@@ -151,11 +140,9 @@ struct
               Done true
             end)
       in
-      match out with Done r -> r | Retry -> attempt ()
+      match out with Done r -> r | Retry -> attempt op
     in
-    let r = attempt () in
-    Smr.end_op ctx;
-    r
+    Smr.op ctx attempt
 
   (** Sequential snapshot of the set contents (tests/debugging only; not
       linearizable under concurrency). *)

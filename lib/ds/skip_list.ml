@@ -60,12 +60,9 @@ struct
   (* Read-phase variants: generation-validated, so a stale handle fails
      through the scheme's own policy instead of routing the descent by a
      recycled occupant's key. *)
-  let rkey ctx s = Smr.read_data ctx ~src:s ~field:f_key [@@nbr.read_phase]
-
-  let rmarked ctx s = Smr.read_data ctx ~src:s ~field:f_marked = 1
-  [@@nbr.read_phase]
-
-  let rtop ctx s = Smr.read_data ctx ~src:s ~field:f_top [@@nbr.read_phase]
+  let rkey rd s = Smr.read_data rd ~src:s ~field:f_key
+  let rmarked rd s = Smr.read_data rd ~src:s ~field:f_marked = 1
+  let rtop rd s = Smr.read_data rd ~src:s ~field:f_top
 
   (* Deterministic geometric level: P(level > i) = 2^-i. *)
   let level_of k =
@@ -80,30 +77,25 @@ struct
 
   (* Φread: collect the per-level window.  [preds.(l)] is the rightmost
      node with key < k at level l; [succs.(l)] its successor. *)
-  let find t ctx k preds succs =
+  let find t rd k preds succs =
     let pred = ref t.head in
     for lvl = max_level - 1 downto 0 do
-      let curr = ref (Smr.read_ptr ctx ~src:!pred ~field:lvl) in
-      while rkey ctx !curr < k do
+      let curr = ref (Smr.read_ptr rd ~src:!pred ~field:lvl) in
+      while rkey rd !curr < k do
         pred := !curr;
-        curr := Smr.read_ptr ctx ~src:!pred ~field:lvl
+        curr := Smr.read_ptr rd ~src:!pred ~field:lvl
       done;
       preds.(lvl) <- !pred;
       succs.(lvl) <- !curr
     done
-  [@@nbr.read_phase]
 
   let contains t ctx k =
-    Smr.begin_op ctx;
     let preds = Array.make max_level t.head in
     let succs = Array.make max_level t.tail in
-    let r =
-      Smr.read_only ctx (fun () ->
-          find t ctx k preds succs;
-          rkey ctx succs.(0) = k && not (rmarked ctx succs.(0)))
-    in
-    Smr.end_op ctx;
-    r
+    let v = { Smr.view = (fun rd ->
+          find t rd k preds succs;
+          rkey rd succs.(0) = k && not (rmarked rd succs.(0))) } in
+    Smr.op ctx (fun op -> Smr.read_only op v)
 
   (* Lock the given records in increasing-key order, skipping duplicates.
      Returns the list actually locked (for unlock). *)
@@ -132,16 +124,15 @@ struct
     r
 
   let insert t ctx k =
-    Smr.begin_op ctx;
     let tl = level_of k in
     let preds = Array.make max_level t.head in
     let succs = Array.make max_level t.tail in
-    let rec attempt () =
+    let rec attempt op =
       let out =
-        Smr.phase ctx
-          ~read:(fun () ->
-            find t ctx k preds succs;
-            ((), reservations preds succs (-1) tl))
+        Smr.phase op
+          ~read:{ Smr.read = (fun rd ->
+            find t rd k preds succs;
+            ((), reservations preds succs (-1) tl)) }
           ~write:(fun () ->
             if key t succs.(0) = k then
               if marked t succs.(0) then Retry (* deletion in flight *)
@@ -182,28 +173,25 @@ struct
               end
             end)
       in
-      match out with Done r -> r | Retry -> attempt ()
+      match out with Done r -> r | Retry -> attempt op
     in
-    let r = attempt () in
-    Smr.end_op ctx;
-    r
+    Smr.op ctx attempt
 
   let delete t ctx k =
-    Smr.begin_op ctx;
     let preds = Array.make max_level t.head in
     let succs = Array.make max_level t.tail in
-    let rec attempt () =
+    let rec attempt op =
       let out =
-        Smr.phase ctx
-          ~read:(fun () ->
-            find t ctx k preds succs;
+        Smr.phase op
+          ~read:{ Smr.read = (fun rd ->
+            find t rd k preds succs;
             let victim = succs.(0) in
             let tl =
-              if rkey ctx victim = k then
-                min max_level (max 1 (rtop ctx victim))
+              if rkey rd victim = k then
+                min max_level (max 1 (rtop rd victim))
               else 1
             in
-            ((victim, tl), reservations preds succs victim tl))
+            ((victim, tl), reservations preds succs victim tl)) }
           ~write:(fun (victim, tl) ->
             if key t victim <> k then Done false
             else if marked t victim then Done false
@@ -236,11 +224,9 @@ struct
               end
             end)
       in
-      match out with Done r -> r | Retry -> attempt ()
+      match out with Done r -> r | Retry -> attempt op
     in
-    let r = attempt () in
-    Smr.end_op ctx;
-    r
+    Smr.op ctx attempt
 
   (** Sequential snapshot via level 0 (tests only). *)
   let to_list t =

@@ -193,19 +193,17 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
               (* E2's delayed thread, at the serving layer: pause inside
                  a read phase on this shard, pinning whatever the scheme
                  pins for in-flight operations. *)
-              let ctx = ctxs.(tid) in
               let stalled = ref false in
-              Smr.begin_op ctx;
-              Smr.read_only ctx (fun () ->
-                  if not !stalled then begin
-                    stalled := true;
-                    Rt.stall_ns ns
-                  end);
-              Smr.end_op ctx);
+              Smr.op ctxs.(tid) (fun op ->
+                  Smr.read_only op { Smr.view = (fun _ ->
+                      if not !stalled then begin
+                        stalled := true;
+                        Rt.stall_ns ns
+                      end) }));
           sh_crash =
             (fun ~tid ->
               (* Die mid-operation: enter but never leave. *)
-              (Smr.begin_op ctxs.(tid) [@nbr.allow phase-bracket]));
+              Smr.abandon ctxs.(tid));
           sh_hog =
             (fun ~slots ~ns ->
               (* Manufactured pool pressure against this shard: raw

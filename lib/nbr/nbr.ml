@@ -104,12 +104,12 @@ module Reclaim = Nbr_reclaim.Reclaimer
     schedule certificates).  See DESIGN.md §11. *)
 module Check = Nbr_check
 
-(** Static phase-discipline analysis (DESIGN.md §16): compiler-libs
-    dataflow over per-callee effect summaries, checking the four
-    protocol rules (R1 read-phase purity, R2 guarded dereference, R3
-    phase bracketing, R4 write-phase coverage) plus the concurrency
-    idiom rules, with SARIF output.  Drives [bin/nbr_lint] /
-    [dune build @lint]. *)
+(** Static phase-discipline analysis (DESIGN.md §16) for what the
+    types of {!Scheme.S} do not enforce: a compiler-libs pass over
+    per-callee effect summaries checking R1 read-phase purity, R2 the
+    scheme-family guard closures and R4 write-phase coverage of plain
+    reads, plus the concurrency idiom rules, with SARIF output.  Drives
+    [bin/nbr_lint] / [dune build @lint]. *)
 module Analysis = Nbr_analysis
 
 (** SplitMix64 PRNG, the repo-wide randomness source. *)

@@ -10,7 +10,7 @@
     pressure flush, off every operation's critical path.
 
     The reclaimer is an ordinary scheme client: it registers a context,
-    brackets each drain in [begin_op]/[end_op] (so its announcements
+    runs each drain as one [op] (so its announcements
     participate in epochs — under DEBRA/RCU its quiescence pulses
     actively {e help} the epoch advance), adopts orphans like any other
     member, and answers neutralization handshakes through its poll
@@ -92,13 +92,13 @@ struct
   let stop t = Atomic.set t.stop_flag true
 
   (* One guarded drain: collect whatever workers exported, and decide —
-     by policy — whether to sweep it now.  The begin/end bracket makes
-     the reclaimer a first-class scheme member for this step: epoch
-     schemes see its announcement (and its quiescence helps them
+     by policy — whether to sweep it now.  Running it as an operation
+     makes the reclaimer a first-class scheme member for this step:
+     epoch schemes see its announcement (and its quiescence helps them
      advance), NBR peers can reserve against it, orphan parcels of
-     crashed workers get adopted on its end_op like anyone else's. *)
+     crashed workers get adopted when it ends like anyone else's. *)
   let drain_once t ctx ~last_sweep_ns ~since_sweep =
-    Smr.begin_op ctx;
+    Smr.op ctx @@ fun _ ->
     let collected = Smr.collect_handoffs ctx in
     since_sweep := !since_sweep + collected;
     let now = Rt.now_ns () in
@@ -120,8 +120,7 @@ struct
         Nbr_obs.Trace.emit ~tid:t.tid ~ns:(Rt.now_ns ())
           Nbr_obs.Trace.Async_sweep freed
           (Atomic.get t.offload.Offload.backlog)
-    end;
-    Smr.end_op ctx
+    end
 
   (* The role body: call from the extra thread of [Rt.run].  Returns when
      {!stop} has been observed (after a final drain) or when a
@@ -196,10 +195,9 @@ struct
       (match !ctx with
       | Some c ->
           (try
-             Smr.begin_op c;
-             ignore (Smr.collect_handoffs c);
-             Smr.on_pressure c;
-             Smr.end_op c
+             Smr.op c (fun _ ->
+                 ignore (Smr.collect_handoffs c);
+                 Smr.on_pressure c)
            with Nbr_core.Smr_intf.Expelled -> ctx := None)
       | None -> ());
       Smr.set_offload t.smr None;

@@ -39,7 +39,7 @@ module Make
 
   val run : t -> unit
   (** The role body: register, then loop — poll signals, interpret
-      faults, collect handoffs under a [begin_op]/[end_op] bracket,
+      faults, collect handoffs inside one operation ([Smr.op]),
       sweep per policy (emitting [Async_sweep]), restore the offload
       switch once a degraded channel has drained — until {!stop} is
       observed (then: final drain, offload uninstalled, deregister) or a

@@ -106,13 +106,12 @@ struct
        in-flight operations (E2's delayed thread). *)
     let stall_in_op ctx ns =
       let stalled = ref false in
-      Smr.begin_op ctx;
-      Smr.read_only ctx (fun () ->
-          if not !stalled then begin
-            stalled := true;
-            Rt.stall_ns ns
-          end);
-      Smr.end_op ctx
+      Smr.op ctx (fun op ->
+          Smr.read_only op { Smr.view = (fun _ ->
+              if not !stalled then begin
+                stalled := true;
+                Rt.stall_ns ns
+              end) })
     in
     let thread_faults =
       match cfg.faults with
@@ -186,7 +185,7 @@ struct
                      scheme's in-op state — epoch/interval announcements,
                      the reservations left published by the previous
                      phase, the whole limbo bag — is orphaned forever. *)
-                  (Smr.begin_op !ctx [@nbr.allow phase-bracket]);
+                  Smr.abandon !ctx;
                   crashed := true
               | Nbr_fault.Fault_plan.Hog { slots; ns; _ }
               | Nbr_fault.Fault_plan.Shard_hog { slots; ns; _ } ->

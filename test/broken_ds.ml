@@ -1,21 +1,22 @@
-(* A deliberately protocol-breaking operation, shared between the
-   static analyzer's fixture tests and the dynamic sanitizer
-   cross-check (DESIGN.md §16): one seeded violation, convicted from
-   both ends.
+(* A deliberately protocol-breaking operation for the dynamic half of
+   the sanitizer cross-check (DESIGN.md §16): one seeded violation,
+   convicted from both ends.
 
    [broken_lookup] begins an operation, follows the anchor record's
    link through the validated accessor with no phase entered, touches
    the record it found, and returns with the operation still open.
-   Statically, nbr_lint flags the unguarded dereference (R2) and the
-   unclosed bracket (R3, in both the helper and its caller).
-   Dynamically, a DFS-explored simulator run with the sanitizer
-   attached convicts the same protocol: [unguarded_access] for the
-   in-op access outside any checkpointed phase, [unbalanced_op] for the
-   operation still open at detach.
+   Statically, its copy written against [Smr_intf.S]
+   (fixtures/types/broken_lookup.ml) does not compile: the interface
+   has no begin_op, and its validated reads take a read token only a
+   phase hands out.  This one uses the concrete NBR+ module, whose
+   white-box begin_op and [ctx]-typed reads are still visible, so it
+   compiles and runs.  Dynamically, a DFS-explored simulator run with
+   the sanitizer attached convicts the protocol: [unguarded_access] for
+   the in-op access outside any checkpointed phase, [unbalanced_op] for
+   the operation still open at detach.
 
-   This module is compiled into the test binary (for the dynamic run)
-   AND parsed from source by [Test_analysis] (for the static run) — do
-   not fix it. *)
+   This module is compiled into the test binary for the dynamic run —
+   do not fix it. *)
 
 module Sim = Nbr_runtime.Sim_rt
 module P = Nbr_pool.Pool.Make (Sim)

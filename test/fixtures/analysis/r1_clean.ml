@@ -2,13 +2,9 @@
    the thread is non-restartable there, so it runs exactly once. *)
 
 let lookup t ctx k =
-  Smr.begin_op ctx;
-  let hit =
-    Smr.phase ctx
-      ~read:(fun () -> Smr.read_data ctx ~src:k ~field:0)
-      ~write:(fun v ->
-        Rt.store t 1;
-        v)
-  in
-  Smr.end_op ctx;
-  hit
+  Smr.op ctx (fun op ->
+      Smr.phase op
+        ~read:{ Smr.read = (fun rd -> (Smr.read_data rd ~src:k ~field:0, [||])) }
+        ~write:(fun v ->
+          Rt.store t 1;
+          v))

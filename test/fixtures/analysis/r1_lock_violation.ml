@@ -2,18 +2,15 @@
    neutralized reader restarts from its checkpoint still holding the
    lock, and every writer that needs the record then spins forever.
    Locks belong in the write phase: r4_clean.ml takes the same lock
-   there and is silent. *)
+   there and is silent.  [P.lock] takes no read token, so only the
+   analyzer sees this. *)
 
 let find t ctx k =
-  Smr.begin_op ctx;
-  let hit =
-    Smr.phase ctx
-      ~read:(fun () ->
-        P.lock t k 1;
-        Smr.read_data ctx ~src:k ~field:0)
-      ~write:(fun v ->
-        P.unlock t k 1;
-        v)
-  in
-  Smr.end_op ctx;
-  hit
+  Smr.op ctx (fun op ->
+      Smr.phase op
+        ~read:{ Smr.read = (fun rd ->
+          P.lock t k 1;
+          (Smr.read_data rd ~src:k ~field:0, [||])) }
+        ~write:(fun v ->
+          P.unlock t k 1;
+          v))

@@ -4,7 +4,5 @@
    mid-traversal and the read returns the new occupant's bytes. *)
 
 let find t ctx k =
-  Smr.begin_op ctx;
-  let hit = Smr.read_only ctx (fun () -> P.get_data t k 0 = 0) in
-  Smr.end_op ctx;
-  hit
+  Smr.op ctx (fun op ->
+      Smr.read_only op { Smr.view = (fun _ -> P.get_data t k 0 = 0) })

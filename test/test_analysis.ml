@@ -1,8 +1,11 @@
-(* The static phase analyzer (lib/analysis), end to end: each protocol
-   rule R1–R4 against a violating/clean fixture pair, the ported idiom
-   rules, in-source waivers, allowlist path normalization, SARIF
-   emission — and the cross-validation story: one seeded-violation
-   module ([Broken_ds]) convicted by BOTH the static pass and a
+(* The phase discipline checked before anything runs, end to end: the
+   analyzer's rules R1, R2 (scheme closures) and R4 against
+   violating/clean fixture pairs, the ported idiom rules, in-source
+   waivers, allowlist path normalization, SARIF emission; the compiler's
+   verdicts on the compile-must-fail fixtures that stand for what the
+   types of [Smr_intf.S] now enforce (R2's client half, R3); and the
+   cross-validation story: one seeded-violation module ([Broken_ds])
+   convicted both by the compiler, as an S-typed copy, and by a
    DFS-explored dynamic sanitizer run (DESIGN.md §16).
 
    The rendered findings are asserted byte-for-byte: rule id, file,
@@ -31,6 +34,31 @@ let strings_of (r : D.result) = List.map F.to_string r.D.findings
 let analyze ?allowlist names =
   D.analyze_files ?allowlist ~check_mli:false (List.map fix names)
 
+(* The output test/dune captured when the compiler rejected
+   fixtures/types/[name].ml, with runs of blanks and newlines squashed
+   to one space (the compiler wraps long messages). *)
+let compiler_output name =
+  let f = "types_" ^ name ^ ".out" in
+  let f = if Sys.file_exists f then f else "_build/default/test/" ^ f in
+  let s = In_channel.with_open_text f In_channel.input_all in
+  String.split_on_char '\n' s
+  |> List.concat_map (String.split_on_char ' ')
+  |> List.filter (( <> ) "")
+  |> String.concat " "
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+(* [name] was rejected at [line] with [error]. *)
+let rejected name ~line error =
+  let out = compiler_output name in
+  let at = Printf.sprintf "fixtures/types/%s.ml\", line %d," name line in
+  if not (contains out at && contains out ("Error: " ^ error)) then
+    Alcotest.failf "%s.ml: expected %S at line %d, compiler said: %s" name
+      error line out
+
 let check_pair ~violating ~clean ~expected () =
   let r = analyze [ violating ] in
   Alcotest.(check (list string)) "violating fixture flagged" expected
@@ -57,22 +85,25 @@ let test_r1_lock =
           "[read-phase-write] P.lock: shared-write+lock in read phase";
       ]
 
-let test_r2 =
-  check_pair ~violating:"r2_violation.ml" ~clean:"r2_clean.ml"
-    ~expected:
-      [
-        exp "r2_violation.ml" 6
-          "[unguarded-deref] Smr.read_ptr: validated dereference outside \
-           any phase";
-      ]
+(* R2's client half is the read token: a validated read needs one, only
+   a running read phase hands one out, it cannot leave that phase, and
+   a phase needs the token of an open operation. *)
+let test_r2 () =
+  rejected "unguarded_read" ~line:6
+    "This expression has type S.ctx but an expression was expected of \
+     type 'a S.rd";
+  rejected "token_escape" ~line:8
+    "This field value has type 'a S.rd -> 'a S.rd * int array which is \
+     less general than 's. 's S.rd -> 'b * int array";
+  rejected "phase_ctx" ~line:7
+    "This expression has type S.ctx but an expression was expected of \
+     type S.op"
 
-let test_r3 =
-  check_pair ~violating:"r3_violation.ml" ~clean:"r3_clean.ml"
-    ~expected:
-      [
-        exp "r3_violation.ml" 6
-          "[phase-bracket] operation can exit without end_op";
-      ]
+(* R3 is the operation bracket: [Smr_intf.S] has no begin_op or end_op
+   to unbalance. *)
+let test_r3 () =
+  rejected "begin_op" ~line:5 "Unbound value S.begin_op";
+  rejected "end_op" ~line:6 "Unbound value S.end_op"
 
 let test_r4 =
   check_pair ~violating:"r4_violation.ml" ~clean:"r4_clean.ml"
@@ -143,16 +174,16 @@ let test_allowlist_normalization () =
   with_temp_allowlist
     [
       "# comment";
-      ("unguarded-deref:" ^ root ^ "fixtures//analysis/./r2_violation.ml");
-      ("unguarded-deref:" ^ root ^ "fixtures/analysis/r2_violation.ml/");
+      ("write-phase-read:" ^ root ^ "fixtures//analysis/./r4_violation.ml");
+      ("write-phase-read:" ^ root ^ "fixtures/analysis/r4_violation.ml/");
     ]
   @@ fun (allowlist, warnings) ->
   Alcotest.(check int) "second spelling warned as duplicate" 1
     (List.length warnings);
   Alcotest.(check bool) "normalized spelling matches" true
-    (F.Allowlist.mem allowlist ~rule:"unguarded-deref"
-       ~file:(fix "r2_violation.ml"));
-  let r = analyze ~allowlist [ "r2_violation.ml" ] in
+    (F.Allowlist.mem allowlist ~rule:"write-phase-read"
+       ~file:(fix "r4_violation.ml"));
+  let r = analyze ~allowlist [ "r4_violation.ml" ] in
   Alcotest.(check (list string)) "allowlisted finding dropped" []
     (strings_of r);
   Alcotest.(check int) "and counted as suppressed" 1 r.D.suppressed
@@ -174,28 +205,15 @@ let test_sarif () =
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation: the same seeded violation, convicted from both
-   ends.  Statically, nbr_lint flags Broken_ds's unguarded dereference
-   (R2) and unclosed bracket (R3).  Dynamically, a DFS-explored
-   simulator run of [Broken_ds.run] with the sanitizer attached
-   convicts unguarded_access and unbalanced_op. *)
+   ends.  Statically, Broken_ds's [broken_lookup] written against
+   [Smr_intf.S] does not compile: the hand-opened operation is the
+   first of its faults the compiler meets.  Dynamically, a DFS-explored
+   simulator run of [Broken_ds.run] (on the concrete NBR+ module, which
+   still exposes its begin_op) with the sanitizer attached convicts
+   unguarded_access and unbalanced_op. *)
 
 let test_broken_ds_static () =
-  let path = root ^ "broken_ds.ml" in
-  let expb line rest = Printf.sprintf "%s:%d: %s" path line rest in
-  let r = D.analyze_files ~check_mli:false [ path ] in
-  Alcotest.(check (list string))
-    "R2 and R3 both fire on the seeded-violation module"
-    [
-      expb 25 "[phase-bracket] operation can exit without end_op";
-      expb 26
-        "[unguarded-deref] Smr.read_ptr: validated dereference outside \
-         any phase";
-      expb 43 "[phase-bracket] operation can exit without end_op";
-      expb 48
-        "[unguarded-deref] broken_lookup: validated dereference outside \
-         any phase";
-    ]
-    (strings_of r)
+  rejected "broken_lookup" ~line:16 "Unbound value S.begin_op"
 
 let det_config =
   { Sim.default_config with cores = 2; granularity = 1; jitter = 0; seed = 7 }
@@ -207,11 +225,6 @@ let with_clean_globals f =
       Trace.subscribe None;
       Trace.set_verbose false;
       if Trace.enabled () then Trace.disable ())
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
 
 let broken_scenario () =
   Sim.set_config det_config;

@@ -251,9 +251,9 @@ let unsafe_free_scenario () =
          if tid = 0 then begin
            (* Reader: root, then one hop. *)
            U.begin_op c0;
-           U.read_only c0 (fun () ->
+           U.read_only c0 { U.view = (fun _ ->
                let a = U.read_ptr c0 ~src:root ~field:0 in
-               if a >= 0 then ignore (U.read_ptr c0 ~src:a ~field:0));
+               if a >= 0 then ignore (U.read_ptr c0 ~src:a ~field:0)) };
            U.end_op c0
          end
          else begin
@@ -394,9 +394,9 @@ let ibr_scenario ~validate () =
          if tid = 0 then begin
            (* Reader: root, then one hop — the hop follows A's link. *)
            I.begin_op c0;
-           I.read_only c0 (fun () ->
+           I.read_only c0 { I.view = (fun _ ->
                let x = I.read_ptr c0 ~src:root ~field:0 in
-               if x >= 0 then ignore (I.read_ptr c0 ~src:x ~field:0));
+               if x >= 0 then ignore (I.read_ptr c0 ~src:x ~field:0)) };
            I.end_op c0
          end
          else begin
@@ -582,6 +582,53 @@ let smoke_tests =
         H.structure_names)
     safe_schemes
 
+(* ------------------------------------------------------------------ *)
+(* An operation whose body raises still ends.  Kv.Service absorbs a
+   pool exhaustion raised by a write phase's allocation and carries on
+   with the thread; the scheme's operation end must have run by then.
+   Under QSBR it flips the thread's counter back to even: skipped, the
+   next operation start leaves the counter even — "quiescent" — for a
+   whole operation of reads, and a peer's grace period can free what
+   the thread traverses.  HP covers the schemes whose operation end
+   retracts published protection.                                      *)
+
+module Raising_op (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
+  module L = Nbr_ds.Lazy_list.Make (Sim) (S)
+
+  let test () =
+    with_clean_globals @@ fun () ->
+    Sim.set_config det_config;
+    let pool =
+      P.create ~capacity:8 ~data_fields:L.data_fields ~ptr_fields:L.ptr_fields
+        ~nthreads:1 ()
+    in
+    let smr = S.create pool ~nthreads:1 Nbr_core.Smr_config.default in
+    let l = L.create pool in
+    let c = S.register smr ~tid:0 in
+    let san =
+      San.attach
+        {
+          San.family = San.family_of_scheme S.scheme_name;
+          nthreads = 1;
+          garbage_bound = None;
+        }
+    in
+    let exhausted = ref false in
+    Sim.run ~nthreads:1 (fun _ ->
+        (try
+           for k = 1 to 64 do
+             ignore (L.insert l c k)
+           done
+         with P.Exhausted _ -> exhausted := true);
+        ignore (L.contains l c 1));
+    San.detach san;
+    Alcotest.(check bool) "an insert ran the pool dry" true !exhausted;
+    Alcotest.(check (option string)) "sanitizer silent" None (verdict san)
+end
+
+module Raising_qsbr = Raising_op (Nbr_core.Qsbr.Make (Sim))
+module Raising_hp = Raising_op (Nbr_core.Hp.Make (Sim))
+
 let suite =
   [
     Alcotest.test_case "certificate round-trip" `Quick test_cert_roundtrip;
@@ -603,3 +650,9 @@ let suite =
       test_gen_check_ablation;
   ]
   @ smoke_tests
+  @ [
+      Alcotest.test_case "qsbr: a raising operation still ends" `Quick
+        Raising_qsbr.test;
+      Alcotest.test_case "hp: a raising operation still ends" `Quick
+        Raising_hp.test;
+    ]

@@ -38,12 +38,11 @@ struct
     let departed = ref false in
     Sim.run ~nthreads:2 (fun tid ->
         if tid = 1 then begin
-          S.begin_op c1;
-          for _ = 1 to retired do
-            let s = S.alloc c1 in
-            S.retire c1 s
-          done;
-          S.end_op c1;
+          S.op c1 (fun _ ->
+              for _ = 1 to retired do
+                let s = S.alloc c1 in
+                S.retire c1 s
+              done);
           S.deregister c1;
           departed := true
         end
@@ -55,8 +54,7 @@ struct
           (* Epoch-based schemes need a few clean operations from the
              only remaining member before their grace periods elapse. *)
           for _ = 1 to 3 do
-            S.begin_op c0;
-            S.end_op c0;
+            S.op c0 ignore;
             S.on_pressure c0
           done
         end);
@@ -81,18 +79,16 @@ struct
     Sim.run ~nthreads:1 (fun _ ->
         let c1 = ref (S.register smr ~tid:1) in
         for _ = 1 to 3 do
-          S.begin_op !c1;
-          let s = S.alloc !c1 in
-          S.retire !c1 s;
-          S.end_op !c1;
+          S.op !c1 (fun _ ->
+              let s = S.alloc !c1 in
+              S.retire !c1 s);
           S.deregister !c1;
           c1 := S.register smr ~tid:1
         done;
         (* The final incarnation is fully functional. *)
-        S.begin_op !c1;
-        let s = S.alloc !c1 in
-        S.retire !c1 s;
-        S.end_op !c1);
+        S.op !c1 (fun _ ->
+            let s = S.alloc !c1 in
+            S.retire !c1 s));
     Alcotest.(check int)
       "retires accumulate across incarnations" 4
       (Nbr_core.Smr_stats.retires (S.stats smr))
@@ -281,22 +277,16 @@ struct
     Sim.set_schedule_controller (Some pick);
     Sim.run ~nthreads:2 (fun tid ->
         if tid = 1 then begin
-          S.begin_op c1;
-          for _ = 1 to retired do
-            S.retire c1 (S.alloc c1)
-          done;
           (* Outside any operation nothing pins the bag: the sweep frees
              record after record, yielding in each [P.free].  Inside its
              own operation the victim pins every record it retired, so
              the sweep keeps them all and hands them over as it ends. *)
-          if in_op then begin
-            S.on_pressure c1;
-            S.end_op c1
-          end
-          else begin
-            S.end_op c1;
-            S.on_pressure c1
-          end
+          S.op c1 (fun _ ->
+              for _ = 1 to retired do
+                S.retire c1 (S.alloc c1)
+              done;
+              if in_op then S.on_pressure c1);
+          if not in_op then S.on_pressure c1
         end
         else
           (* Empty bag: each flush is a bare watchdog scan. *)
@@ -321,8 +311,7 @@ struct
         S.on_pressure c0;
         S.adopt_orphans c0;
         for _ = 1 to 3 do
-          S.begin_op c0;
-          S.end_op c0;
+          S.op c0 ignore;
           S.on_pressure c0
         done);
     let ps = P.stats pool in
@@ -366,11 +355,12 @@ struct
     @@ fun () ->
     Sim.run ~nthreads:2 (fun tid ->
         if tid = 1 then begin
-          S.begin_op c1;
+          S.abandon c1;
           for _ = 1 to retired do
             S.retire c1 (S.alloc c1)
           done
-          (* crashed: no end_op, and nothing more from this thread *)
+          (* crashed: the operation never ends, and nothing more from
+             this thread *)
         end
         else
           for _ = 1 to 20 do

@@ -133,7 +133,7 @@ let test_sim_neutralization_timeline () =
       if tid = 1 then begin
         N.begin_op c1;
         let attempts = ref 0 in
-        N.read_only c1 (fun () ->
+        N.read_only c1 { N.view = (fun _ ->
             incr attempts;
             if !attempts = 1 then begin
               (* Linger in the read phase long enough to eat a signal. *)
@@ -141,7 +141,7 @@ let test_sim_neutralization_timeline () =
               for _ = 1 to 3_000 do
                 ignore (Sim.load spin)
               done
-            end);
+            end) };
         N.end_op c1
       end
       else begin
@@ -206,12 +206,11 @@ let pressure_recovery (type c s)
   Tr.enable ~nthreads:1 ();
   Sim.run ~nthreads:1 (fun _ ->
       for _ = 1 to ops do
-        S.begin_op c;
-        for _ = 1 to burst do
-          let s = S.alloc c in
-          S.retire c s
-        done;
-        S.end_op c
+        S.op c (fun _ ->
+            for _ = 1 to burst do
+              let s = S.alloc c in
+              S.retire c s
+            done)
       done);
   Tr.disable ();
   let evs = Tr.events () in

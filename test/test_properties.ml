@@ -39,7 +39,7 @@ let bounded_garbage_nbr_plus =
             if Nbr_sync.Rng.below rng 4 = 0 then begin
               let s = NP.alloc c in
               NP.phase c
-                ~read:(fun () -> ((), [| s |]))
+                ~read:{ NP.read = (fun _ -> ((), [| s |])) }
                 ~write:(fun () -> NP.retire c s)
             end
             else begin
@@ -48,7 +48,7 @@ let bounded_garbage_nbr_plus =
             end;
             (* A few threads stall mid-run, inside an operation. *)
             if tid < stallers && i = iters / 2 then
-              NP.read_only c (fun () -> Sim.stall_ns 2_000_000);
+              NP.read_only c { NP.view = (fun _ -> Sim.stall_ns 2_000_000) };
             NP.end_op c
           done);
       let st = P.stats pool in
@@ -144,10 +144,8 @@ let stale_never_live (name, (module S : SCHEME)) (v_old, v_new) =
   let c = S.register smr ~tid:0 in
   let ok = ref false in
   Sim.run ~nthreads:1 (fun _ ->
-      S.begin_op c;
-      let s = S.alloc c in
+      let s = S.op c (fun _ -> S.alloc c) in
       P.set_data pool s 0 v_old;
-      S.end_op c;
       (* The record dies and its slot is recycled behind our back. *)
       P.free pool s;
       let s' = P.alloc pool in
@@ -159,13 +157,14 @@ let stale_never_live (name, (module S : SCHEME)) (v_old, v_new) =
         | P.Stale v -> v = v_new
         | P.Value _ -> false
       in
-      S.begin_op c;
+      (* A refusal restarts the read phase: its replay reports it. *)
+      let attempts = ref 0 in
       let scheme_ok =
-        match S.read_data c ~src:s ~field:0 with
-        | v -> v = v_new
-        | exception Sim.Neutralized -> true
+        S.op c (fun op ->
+            S.read_only op { S.view = (fun rd ->
+                incr attempts;
+                !attempts > 1 || S.read_data rd ~src:s ~field:0 = v_new) })
       in
-      (try S.end_op c with Sim.Neutralized -> ());
       ok := pool_ok && scheme_ok && not (P.valid pool s));
   if not !ok then QCheck.Test.fail_reportf "%s yielded live/stale data" name;
   (P.stats pool).P.s_uaf_reads > 0

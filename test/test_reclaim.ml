@@ -287,11 +287,10 @@ struct
     let retiring = ref true in
     Sim.run ~nthreads:2 (fun tid ->
         if tid = 1 then begin
-          S.begin_op c1;
-          for _ = 1 to retired do
-            S.retire c1 (S.alloc c1)
-          done;
-          S.end_op c1;
+          S.op c1 (fun _ ->
+              for _ = 1 to retired do
+                S.retire c1 (S.alloc c1)
+              done);
           retiring := false
         end
         else begin
@@ -316,8 +315,7 @@ struct
           Sim.stall_ns 10_000;
           S.adopt_orphans c0;
           for _ = 1 to 3 do
-            S.begin_op c0;
-            S.end_op c0;
+            S.op c0 ignore;
             S.on_pressure c0
           done
         end);

@@ -32,7 +32,7 @@ let test_nbr_reservation_protects () =
         let slot = N.alloc c1 in
         protected_slot := slot;
         N.phase c1
-          ~read:(fun () -> ((), [| slot |]))
+          ~read:{ N.read = (fun _ -> ((), [| slot |])) }
           ~write:(fun () ->
             Sim.store shared slot;
             let spin = Sim.make 0 in
@@ -86,7 +86,7 @@ let test_nbr_neutralizes_readers () =
       if tid = 1 then begin
         N.begin_op c1;
         let attempts = ref 0 in
-        N.read_only c1 (fun () ->
+        N.read_only c1 { N.view = (fun _ ->
             incr attempts;
             if !attempts = 1 then begin
               (* Linger in the read phase long enough to eat a signal. *)
@@ -94,7 +94,7 @@ let test_nbr_neutralizes_readers () =
               for _ = 1 to 3_000 do
                 ignore (Sim.load spin)
               done
-            end);
+            end) };
         restarted := !attempts - 1;
         N.end_op c1
       end
@@ -354,7 +354,7 @@ let test_hp_validation_failure_restarts () =
   Sim.run ~nthreads:2 (fun tid ->
       if tid = 1 then begin
         H.begin_op c1;
-        H.read_only c1 (fun () ->
+        H.read_only c1 { H.view = (fun _ ->
             incr attempts;
             if !attempts = 1 then begin
               (* First attempt: flip the root mid-protection by letting
@@ -365,7 +365,7 @@ let test_hp_validation_failure_restarts () =
                 ignore (Sim.load spin)
               done
             end;
-            ignore (H.read_ptr c1 ~src:root ~field:0));
+            ignore (H.read_ptr c1 ~src:root ~field:0)) };
         H.end_op c1
       end
       else
@@ -542,10 +542,9 @@ module Sweep_contract (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
         Sim.run ~nthreads:2 (fun tid ->
             let c = ctxs.(tid) in
             for _ = 1 to 300 do
-              S.begin_op c;
-              let s = S.alloc c in
-              S.retire c s;
-              S.end_op c
+              S.op c (fun _ ->
+                  let s = S.alloc c in
+                  S.retire c s)
             done);
         Trace.disable ();
         Alcotest.(check int) "no events dropped" 0 (Trace.dropped ());
