@@ -629,6 +629,95 @@ end
 module Raising_qsbr = Raising_op (Nbr_core.Qsbr.Make (Sim))
 module Raising_hp = Raising_op (Nbr_core.Hp.Make (Sim))
 
+(* ------------------------------------------------------------------ *)
+(* A write phase whose allocation raises releases the window's locks
+   and frees what it allocated but never published.  Kv.Service absorbs
+   the [Exhausted] and retries the put; with a lock left held the retry
+   spins on it forever ([Pool.lock] is not reentrant).  Each locking
+   structure fills a small pool to exhaustion behind a reserve of raw
+   slots, gets the reserve back, and retries the failed insert: it must
+   take the same locks and finish under the event budget.  Three
+   capacities move the failure across the allocations of one insert
+   (the DGT tree's leaf then router, the (a,b)-tree's split).          *)
+
+module NP = Nbr_core.Nbr_plus.Make (Sim)
+
+module type LOCKING = sig
+  type t
+
+  val name : string
+  val data_fields : int
+  val ptr_fields : int
+  val create : P.t -> t
+  val insert : t -> NP.ctx -> int -> bool
+end
+
+let reserve = 4
+
+(* One run: how many allocations the failed insert got before the one
+   that raised. *)
+let exhausted_insert (module D : LOCKING) capacity =
+  with_clean_globals @@ fun () ->
+  Sim.set_config det_config;
+  Sim.set_max_events 200_000;
+  let pool =
+    P.create ~capacity:(capacity + reserve) ~data_fields:D.data_fields
+      ~ptr_fields:D.ptr_fields ~nthreads:1 ()
+  in
+  let smr = NP.create pool ~nthreads:1 Nbr_core.Smr_config.default in
+  let d = D.create pool in
+  let c = NP.register smr ~tid:0 in
+  let held = List.init reserve (fun _ -> P.alloc pool) in
+  let san =
+    San.attach
+      {
+        San.family = San.family_of_scheme NP.scheme_name;
+        nthreads = 1;
+        garbage_bound = None;
+      }
+  in
+  let in_use () = (P.stats pool).P.s_in_use in
+  let failed = ref None and retried = ref false in
+  Sim.run ~nthreads:1 (fun _ ->
+      (* Free the garbage before each insert, so that every slot in use
+         when one fails is reachable or its own. *)
+      let rec fill k =
+        NP.op c (fun _ -> NP.on_pressure c);
+        let before = in_use () in
+        match D.insert d c k with
+        | _ -> fill (k + 1)
+        | exception P.Exhausted _ -> failed := Some (k, before, in_use ())
+      in
+      fill 1;
+      match !failed with
+      | None -> ()
+      | Some (k, _, _) ->
+          List.iter (P.free pool) held;
+          retried := D.insert d c k);
+  San.detach san;
+  let what = Printf.sprintf "%s, capacity %d" D.name capacity in
+  match !failed with
+  | None -> Alcotest.failf "%s: no insert ran the pool dry" what
+  | Some (_, before, after) ->
+      Alcotest.(check bool) (what ^ ": the retried insert finished") true
+        !retried;
+      Alcotest.(check (option string)) (what ^ ": sanitizer silent") None
+        (verdict san);
+      Alcotest.(check int) (what ^ ": the failed insert kept no slot") before
+        after;
+      capacity + reserve - before
+
+let test_exhausted_insert ?(mid = false) d () =
+  let got = List.map (exhausted_insert d) [ 12; 13; 14 ] in
+  if mid then
+    Alcotest.(check bool) "a failure came after an allocation that held" true
+      (List.exists (fun n -> n > 0) got)
+
+module Lazy_np = Nbr_ds.Lazy_list.Make (Sim) (NP)
+module Skip_np = Nbr_ds.Skip_list.Make (Sim) (NP)
+module Dgt_np = Nbr_ds.Dgt_bst.Make (Sim) (NP)
+module Ab_np = Nbr_ds.Ab_tree.Make (Sim) (NP)
+
 let suite =
   [
     Alcotest.test_case "certificate round-trip" `Quick test_cert_roundtrip;
@@ -655,4 +744,12 @@ let suite =
         Raising_qsbr.test;
       Alcotest.test_case "hp: a raising operation still ends" `Quick
         Raising_hp.test;
+      Alcotest.test_case "lazy list: exhausted insert unlocks" `Quick
+        (test_exhausted_insert (module Lazy_np));
+      Alcotest.test_case "skip list: exhausted insert unlocks" `Quick
+        (test_exhausted_insert (module Skip_np));
+      Alcotest.test_case "dgt tree: exhausted insert unlocks" `Quick
+        (test_exhausted_insert ~mid:true (module Dgt_np));
+      Alcotest.test_case "ab-tree: exhausted insert unlocks" `Quick
+        (test_exhausted_insert ~mid:true (module Ab_np));
     ]
