@@ -202,7 +202,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* Interval protection covers targets of guarded dereferences, so data
      reads of an already-covered record need no ratchet.  A [Stale]
-     result is the frozen-link unsoundness surfacing (possible only with
+     refusal is the frozen-link unsoundness surfacing (possible only with
      ablation A3, or through the paper's P5-style misuse): the foil-like
      honest behaviour is to consume the recycled memory and let
      [record_read] convict the access — which is exactly what the

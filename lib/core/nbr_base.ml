@@ -177,10 +177,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let read_ptr c ~src ~field =
     Rt.poll_t c.tid;
     match P.read_ptr c.b.pool src field with
-    | P.Value v ->
+    | v ->
         if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
         v
-    | P.Stale _ ->
+    | exception P.Stale _ ->
         (* The source record was freed under us — only possible in the
            native poll window (exact delivery in the sim neutralizes us
            first).  We are restartable by protocol, so abandon the read

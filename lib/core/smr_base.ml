@@ -279,14 +279,20 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
 
     let read_raw c ~src ~field = P.raw_load_ptr c.b.pool src field
 
-    let consume c src = function
-      | P.Value v -> v
-      | P.Stale v ->
-          if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-          v
+    (* A stale read's payload is consumed, and the read counted. *)
+    let consume c src v =
+      if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
+      v
 
-    let read_data c ~src ~field = consume c src (P.read_data c.b.pool src field)
-    let peek_ptr c ~src ~field = consume c src (P.read_ptr c.b.pool src field)
+    let read_data c ~src ~field =
+      match P.read_data c.b.pool src field with
+      | v -> v
+      | exception P.Stale v -> consume c src v
+
+    let peek_ptr c ~src ~field =
+      match P.read_ptr c.b.pool src field with
+      | v -> v
+      | exception P.Stale v -> consume c src v
   end
 
   (* The restart wrapper of the validating schemes (HP, HE, IBR): a read
@@ -311,20 +317,20 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
   let phase c ~read ~write = write (fst (read_only c { view = read.read }))
 
   (* Their data reads target records the traversal just protected, so a
-     [Stale] result means protection was lost: abort the read phase like
+     [Stale] refusal means protection was lost: abort the read phase like
      a failed validation rather than consume recycled memory.  (IBR,
      whose intervals cover the records, takes {!Unguarded}'s.) *)
   let read_data c ~src ~field =
     match P.read_data c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale _ ->
+    | v -> v
+    | exception P.Stale _ ->
         Smr_stats.note_uaf c.st;
         raise Rt.Neutralized
 
   let peek_ptr c ~src ~field =
     match P.read_ptr c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale _ ->
+    | v -> v
+    | exception P.Stale _ ->
         Smr_stats.note_uaf c.st;
         raise Rt.Neutralized
 end

@@ -55,8 +55,8 @@ type t = {
           as a regression. *)
   unsafe_no_generation_check : bool;
       (** Ablation A4 (never enable in real use): disable the pool's
-          generational-handle validation — validated reads never fail
-          with [Stale] and hand back whatever occupies the recycled
+          generational-handle validation — validated reads never raise
+          [Stale] and hand back whatever occupies the recycled
           slot, exactly the pre-generational clamping behaviour.  The
           stale-detection counters keep running, so the sanitizer can
           still observe the use-after-free this re-opens; exists so the

@@ -300,7 +300,7 @@ module type S = sig
   val read_data : 's rd -> src:int -> field:int -> int
   (** Read data field [field] of record [src] inside a read phase.  The
       generation-validated counterpart of a plain [Pool.get_data]: the
-      scheme decides what a [Stale] result means for its protocol —
+      scheme decides what a [Pool.Stale] refusal means for its protocol —
       restartable schemes (NBR family; HP/HE after failed validation)
       abandon the read phase, epoch-based schemes whose guarantees make
       staleness impossible treat it as the benign poll-window read it

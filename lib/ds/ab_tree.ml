@@ -198,13 +198,25 @@ struct
      then v := Prune (!gp, !gdir, !p, !pdir, !n));
     !v
 
-  (* Lock [cells] in order; return false (after unlocking) if [valid]
-     fails. *)
+  let unlock_all t cells =
+    List.iter (fun s -> P.unlock t.pool s f_lock) (List.rev cells)
+
+  (* Lock [cells] in order; return [None] (after unlocking) if [valid]
+     fails.  The locks are released on every exit, a raising [body]
+     (pool exhaustion) included. *)
   let with_locks t cells ~valid ~body =
     List.iter (fun s -> P.lock t.pool s f_lock) cells;
     let ok = valid () in
-    let r = if ok then Some (body ()) else None in
-    List.iter (fun s -> P.unlock t.pool s f_lock) (List.rev cells);
+    let r =
+      if ok then (
+        match body () with
+        | v -> Some v
+        | exception e ->
+            unlock_all t cells;
+            raise e)
+      else None
+    in
+    unlock_all t cells;
     r
 
   let scratch_keys () = Array.make (b + 1) 0
@@ -385,12 +397,27 @@ struct
                       let total = !w in
                       let lo = (total + 1) / 2 in
                       let l1 = new_leaf t ctx keys lo in
+                      (* A later allocation that raises frees the
+                         earlier, never published, nodes plainly. *)
                       let l2 =
-                        new_leaf t ctx (Array.sub keys lo (total - lo))
-                          (total - lo)
+                        match
+                          new_leaf t ctx (Array.sub keys lo (total - lo))
+                            (total - lo)
+                        with
+                        | s -> s
+                        | exception e ->
+                            P.free t.pool l1;
+                            raise e
                       in
                       let rkeys = [| 0; keys.(lo) |] in
-                      let router = new_internal t ctx rkeys [| l1; l2 |] 2 in
+                      let router =
+                        match new_internal t ctx rkeys [| l1; l2 |] 2 with
+                        | s -> s
+                        | exception e ->
+                            P.free t.pool l2;
+                            P.free t.pool l1;
+                            raise e
+                      in
                       P.set_ptr t.pool p pdir router;
                       mark t leaf;
                       true

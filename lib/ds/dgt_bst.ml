@@ -112,12 +112,26 @@ struct
                 (* Replace the leaf edge by router(max k lk) over the two
                    leaves, ordered by key. *)
                 let lk = key t l in
-                let leaf = Smr.alloc ctx in
+                let leaf =
+                  match Smr.alloc ctx with
+                  | n -> n
+                  | exception e ->
+                      P.unlock t.pool p f_lock;
+                      raise e
+                in
                 P.set_data t.pool leaf f_key k;
                 P.set_data t.pool leaf f_marked 0;
                 P.set_ptr t.pool leaf 0 P.nil;
                 P.set_ptr t.pool leaf 1 P.nil;
-                let router = Smr.alloc ctx in
+                let router =
+                  match Smr.alloc ctx with
+                  | n -> n
+                  | exception e ->
+                      (* Never published: plain free, no grace period. *)
+                      P.free t.pool leaf;
+                      P.unlock t.pool p f_lock;
+                      raise e
+                in
                 P.set_data t.pool router f_key (max k lk);
                 P.set_data t.pool router f_marked 0;
                 if k < lk then begin

@@ -101,7 +101,13 @@ struct
               Done false
             end
             else begin
-              let node = Smr.alloc ctx in
+              let node =
+                match Smr.alloc ctx with
+                | n -> n
+                | exception e ->
+                    unlock_window t pred curr;
+                    raise e
+              in
               P.set_data t.pool node f_key k;
               P.set_data t.pool node f_marked 0;
               P.set_ptr t.pool node f_next curr;

@@ -153,7 +153,13 @@ struct
                 Retry
               end
               else begin
-                let node = Smr.alloc ctx in
+                let node =
+                  match Smr.alloc ctx with
+                  | n -> n
+                  | exception e ->
+                      unlock_all t locked;
+                      raise e
+                in
                 P.set_data t.pool node f_key k;
                 P.set_data t.pool node f_marked 0;
                 P.set_data t.pool node f_top tl;

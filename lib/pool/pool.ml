@@ -15,7 +15,7 @@
     - A record is named by a {e generational handle}: one immutable int
       packing [(generation, class, index)] (see {!Handle}).  [free] bumps
       the slot's generation, so every handle minted before the free is
-      {e detectably stale}: validated accessors return {!Stale} (and emit a
+      {e detectably stale}: validated accessors raise {!Stale} (and emit a
       [Stale_handle] trace event) instead of silently reading recycled
       memory.  This is the version-counter substrate VBR
       (Sheffi/Herlihy/Petrank, arXiv 2107.13843) builds reclamation out
@@ -66,6 +66,14 @@ exception Exhausted of exhausted_info
 (** Raised by [alloc] only after the pressure retry loop fails — shared by
     every [Make] instance so CLI entry points can catch it uniformly. *)
 
+exception Stale of int
+(** Raised (without a backtrace) by a validated read through a stale
+    handle.  The payload is what the memory at the recycled address holds
+    {e now} — never the data the handle's record held: foil schemes that
+    knowingly race reclamation consume it, sound schemes treat it as a
+    restart/failure signal.  An exception rather than a result variant,
+    so that the valid path returns a plain, unboxed [int]. *)
+
 let pp_exhausted ppf x =
   Format.fprintf ppf
     "pool exhausted: capacity=%d in_use=%d garbage=%d allocs=%d frees=%d \
@@ -113,17 +121,11 @@ let chunk_mask = chunk_slots - 1
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   exception Exhausted = Exhausted
+  exception Stale = Stale
 
   let nil = -1
 
   type state = Free | Live | Retired
-
-  (** Result of a generation-validated read.  [Stale] carries what the
-      memory at the (recycled) address holds {e now} — never the data the
-      handle's record held: foil schemes that knowingly race reclamation
-      consume it, sound schemes treat [Stale] as a restart/failure
-      signal. *)
-  type read_result = Value of int | Stale of int
 
   (** Handles per magazine.  A full magazine is the unit of transfer
       between a thread's cache and the global depot. *)
@@ -776,7 +778,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   (* Three tiers (DESIGN.md §13), all addressed by (handle, field):
 
      - {e validated} reads ([read_data] / [read_ptr])
-       check the handle's generation and fail with [Stale] — carrying
+       check the handle's generation and raise [Stale] — carrying
        the recycled memory's current contents — instead of handing back
        another record's data as if it were live.  The SMR layer's
        guarded read paths use these.
@@ -814,36 +816,37 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Rt.cas_at (ptr c i f) (off i) old v
 
   (* A validated read that caught a stale handle: with the check on it
-     fails gracefully ([Stale], traced as such but NOT as an [Access] —
-     no freed data crossed over, so the sanitizer stays clean); with the
-     A4 ablation the stale value {e commits}, which is a raw access to
-     freed memory and is traced as one so the sanitizer's [uaf_access]
-     rule can convict it. *)
+     fails gracefully (raises [Stale], traced as such but NOT as an
+     [Access] — no freed data crossed over, so the sanitizer stays
+     clean); with the A4 ablation the stale value {e commits}, which is a
+     raw access to freed memory and is traced as one so the sanitizer's
+     [uaf_access] rule can convict it. *)
   let stale_read t h st v =
     note_stale t h;
-    if t.gen_check then Stale v
+    if t.gen_check then raise_notrace (Stale v)
     else begin
       if !Nbr_obs.Trace.fine then
         Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
           Nbr_obs.Trace.Access h st;
-      Value v
+      v
     end
 
   (* The generation is read after the value, as [valid] did: a free
-     that recycles the slot between the two shows as [Stale]. *)
+     that recycles the slot between the two shows as [Stale].  The valid
+     path returns the bare value: it allocates nothing. *)
   let read_data t h f =
     let c = cls_of t h in
     let i = slot_of c h in
     let v = Rt.plain_load_at (data c i f) (off i) in
     let m = meta_of c i in
-    if owns c i h m then Value v else stale_read t h (m land 3) v
+    if owns c i h m then v else stale_read t h (m land 3) v
 
   let read_ptr t h f =
     let c = cls_of t h in
     let i = slot_of c h in
     let v = Rt.load_at (ptr c i f) (off i) in
     let m = meta_of c i in
-    if owns c i h m then Value v else stale_read t h (m land 3) v
+    if owns c i h m then v else stale_read t h (m land 3) v
 
   let get_data t h f =
     let c = cls_of t h in

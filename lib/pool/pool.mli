@@ -8,7 +8,7 @@
     {e generational handle}: one immutable int packing
     [(generation, size_class, index)] (see {!Handle}).  [free] bumps the
     slot's generation, so every previously-minted handle becomes
-    {e detectably stale}: validated accessors return {!Make.Stale}
+    {e detectably stale}: validated accessors raise {!exception-Stale}
     (carrying what the recycled memory holds {e now}, never the dead
     record's data) instead of silently reading another record — the
     version-counter substrate VBR (arXiv 2107.13843) builds reclamation
@@ -44,6 +44,14 @@ exception Exhausted of exhausted_info
     by every {!Make} instance so CLI entry points can catch it
     uniformly. *)
 
+exception Stale of int
+(** Raised, without a backtrace, by a validated read ([read_data] /
+    [read_ptr]) through a handle whose record was freed.  The payload is
+    the recycled memory's current contents, never the dead record's data
+    (for foil schemes that knowingly race reclamation; sound schemes
+    treat it as a restart/failure signal).  The valid path returns a
+    plain [int] and allocates nothing. *)
+
 val pp_exhausted : Format.formatter -> exhausted_info -> unit
 
 (** Handle packing: [(generation lsl 28) lor (size_class lsl 24) lor index].
@@ -78,6 +86,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   exception Exhausted of exhausted_info
   (** Alias of the top-level {!exception-Exhausted}. *)
 
+  exception Stale of int
+  (** Alias of the top-level {!exception-Stale}. *)
+
   type t
   (** A pool instance.  All mutation goes through the functions below;
       the representation (field arrays, magazines, depots,
@@ -85,12 +96,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
 
   val nil : int
   (** The null "pointer" (-1).  Never a packable handle. *)
-
-  (** Result of a generation-validated read: [Stale] means the handle's
-      record was freed; the payload is the recycled memory's current
-      contents (for foil schemes that knowingly race reclamation — sound
-      schemes treat [Stale] as a restart/failure signal). *)
-  type read_result = Value of int | Stale of int
 
   val create :
     ?c_alloc:int ->
@@ -136,7 +141,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
 
   val set_generation_check : t -> bool -> unit
   (** Ablation A4 ([Smr_config.unsafe_no_generation_check]): with the
-      check off, validated reads never return [Stale] and hand back
+      check off, validated reads never raise [Stale] and hand back
       recycled memory pre-rewrite style.  Detection counters still run. *)
 
   (** {1 Occupancy watermarks}
@@ -203,8 +208,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   (** {1 Field access}
 
       Three tiers (DESIGN.md §13): {e validated} reads ([read_data] /
-      [read_ptr]) check the generation and return [Stale] rather than
-      another record's data; {e plain} accessors ([get_]/[set_]) are for
+      [read_ptr]) check the generation and raise {!Stale} rather than
+      return another record's data; {e plain} accessors ([get_]/[set_]) are for
       write phases and sequential code where the record is reserved — a
       generation miss is counted and traced, then applied to the
       recycled memory (memory-safe, observable, never a crash); {e raw}
@@ -218,8 +223,13 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
       no record (none was ever handed out): validation refuses it, and a
       peek through it reads slot 0, as for any other non-handle. *)
 
-  val read_data : t -> int -> int -> read_result
-  val read_ptr : t -> int -> int -> read_result
+  val read_data : t -> int -> int -> int
+  val read_ptr : t -> int -> int -> int
+  (** [read_data t h f] / [read_ptr t h f]: field [f] of the record [h]
+      names (a plain load / a synchronising load), or [Stale] raised with
+      the slot's current contents when [h] is stale.  With the generation
+      check off (A4) a stale read returns those contents instead, traced
+      as an access. *)
 
   val raw_load_ptr : t -> int -> int -> int
   (** [raw_load_ptr t h f]: synchronising load of pointer field [f] of

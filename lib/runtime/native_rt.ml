@@ -267,9 +267,10 @@ let is_restartable () =
   let ts = !tstates in
   t < Array.length ts && Atomic.get (Array.unsafe_get ts t).restartable
 
-let checkpoint f =
-  let rec go () = try f () with Neutralized -> go () in
-  go ()
+(* Top-level, so that a checkpoint allocates no replay closure. *)
+let rec replay f = try f () with Neutralized -> replay f
+
+let checkpoint f = replay f
 
 (* ------------------------------------------------------------------ *)
 (* Time ([now_ns] is defined above, with the fault machinery). *)

@@ -441,10 +441,12 @@ let signals_seen t =
 
 let fault_injection_active () = !fault_fn <> None
 
+(* Top-level, so that a checkpoint allocates no replay closure. *)
+let rec replay f = try f () with Neutralized -> replay f
+
 let checkpoint f =
   if in_fiber () then prologue !cfg.c_setjmp;
-  let rec go () = try f () with Neutralized -> go () in
-  go ()
+  replay f
 
 (* ------------------------------------------------------------------ *)
 (* Time.                                                               *)
@@ -553,7 +555,10 @@ let run ~nthreads:n body =
         f.kont <- None;
         continue k ()
     | None ->
-        (* First activation of this fiber. *)
+        (* First activation of this fiber.  The handler's answer to a
+           yield is built here, once: [effc] hands back the same value on
+           every event instead of a fresh closure and option. *)
+        let on_yield = Some (fun k -> f.kont <- Some k) in
         match_with
           (fun () -> body f.id)
           ()
@@ -568,11 +573,9 @@ let run ~nthreads:n body =
                 decr live;
                 if !failure = None then failure := Some e);
             effc =
-              (fun (type a) (eff : a Effect.t) ->
-                match eff with
-                | Yield ->
-                    Some (fun (k : (a, unit) continuation) -> f.kont <- Some k)
-                | _ -> None);
+              (fun (type a) (eff : a Effect.t) :
+                   ((a, unit) continuation -> unit) option ->
+                match eff with Yield -> on_yield | _ -> None);
           });
     sentinel.restartable <- false;
     cur := sentinel

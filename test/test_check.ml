@@ -449,7 +449,7 @@ let test_ibr_regression () =
    traced as an [Access] the sanitizer convicts.  With checks on (the
    default; schemes wire [Smr_config.unsafe_no_generation_check] to
    [P.set_generation_check] at create) the same schedule surfaces as a
-   typed [Stale] result: no freed memory crosses over, no finding.     *)
+   typed [Stale] refusal: no freed memory crosses over, no finding.    *)
 
 let gen_check_scenario ~gen_check () =
   Sim.set_config det_config;
@@ -467,7 +467,10 @@ let gen_check_scenario ~gen_check () =
               with no protection at all — the knob alone decides whether
               the read can commit freed memory. *)
            let a = Sim.load root in
-           if a >= 0 then ignore (P.read_data pool a 0)
+           if a >= 0 then
+             match P.read_data pool a 0 with
+             | _ -> ()
+             | exception P.Stale _ -> ()
          end
          else begin
            (* Writer: publish A, free it, recycle the slot (same index,
@@ -648,6 +651,7 @@ module type LOCKING = sig
   val name : string
   val data_fields : int
   val ptr_fields : int
+  val max_reservations : int
   val create : P.t -> t
   val insert : t -> NP.ctx -> int -> bool
 end
@@ -664,7 +668,13 @@ let exhausted_insert (module D : LOCKING) capacity =
     P.create ~capacity:(capacity + reserve) ~data_fields:D.data_fields
       ~ptr_fields:D.ptr_fields ~nthreads:1 ()
   in
-  let smr = NP.create pool ~nthreads:1 Nbr_core.Smr_config.default in
+  let smr =
+    NP.create pool ~nthreads:1
+      {
+        Nbr_core.Smr_config.default with
+        max_reservations = D.max_reservations;
+      }
+  in
   let d = D.create pool in
   let c = NP.register smr ~tid:0 in
   let held = List.init reserve (fun _ -> P.alloc pool) in

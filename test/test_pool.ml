@@ -420,11 +420,13 @@ module Suffix (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
 
   let refused what p h =
-    let stale = function P.Stale _ -> true | P.Value _ -> false in
+    let stale read =
+      match read p h 0 with _ -> false | exception P.Stale _ -> true
+    in
     Alcotest.(check bool) (what ^ ": read_data stale") true
-      (stale (P.read_data p h 0));
+      (stale P.read_data);
     Alcotest.(check bool) (what ^ ": read_ptr stale") true
-      (stale (P.read_ptr p h 0));
+      (stale P.read_ptr);
     Alcotest.(check bool) (what ^ ": not valid") false (P.valid p h);
     Alcotest.(check bool) (what ^ ": free") true (P.state p h = P.Free)
 
@@ -487,6 +489,43 @@ let test_native_chunk_growth () =
   Alcotest.(check int) "allocs are the sum over domains" (nd * per)
     (P.stats p).P.s_allocs
 
+(* A validated read through a valid handle allocates nothing: 10k reads
+   of each kind may cost only the few words that reading the counter
+   takes.  A result boxed per read costs two words a read, 20000 here. *)
+
+module Read_alloc (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  module P = Nbr_pool.Pool.Make (Rt)
+
+  let reads = 10_000
+  let max_words = 16.
+
+  let words read p h =
+    let sum = ref 0 in
+    let before = Gc.minor_words () in
+    for _ = 1 to reads do
+      sum := !sum + read p h 0
+    done;
+    let w = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity !sum);
+    w
+
+  let test () =
+    let p = P.create ~capacity:4 ~data_fields:1 ~ptr_fields:1 ~nthreads:1 () in
+    let h = P.alloc p in
+    P.set_data p h 0 7;
+    P.set_ptr p h 0 h;
+    List.iter
+      (fun (what, read) ->
+        let w = words read p h in
+        if w > max_words then
+          Alcotest.failf "%s: %.0f minor words over %d reads (bound %.0f)" what
+            w reads max_words)
+      [ ("read_data", P.read_data); ("read_ptr", P.read_ptr) ]
+end
+
+module Read_alloc_sim = Read_alloc (Sim)
+module Read_alloc_native = Read_alloc (Nbr_runtime.Native_rt)
+
 let suite =
   [
     Alcotest.test_case "alloc/free lifecycle" `Quick test_alloc_free_cycle;
@@ -515,4 +554,8 @@ let suite =
       Suffix_native.test;
     Alcotest.test_case "chunk growth across domains (native)" `Quick
       test_native_chunk_growth;
+    Alcotest.test_case "validated reads allocate nothing (sim)" `Quick
+      Read_alloc_sim.test;
+    Alcotest.test_case "validated reads allocate nothing (native)" `Quick
+      Read_alloc_native.test;
   ]

@@ -108,8 +108,8 @@ let trial_deterministic =
    validated read path either refuses outright (restart via
    [Neutralized]: NBR family, HP, HE) or hands back the recycled
    occupant's memory with the staleness detected and counted (epoch
-   family and foils) — and the pool-level read itself always fails with
-   [Stale], never [Value].  Checked across all ten schemes. *)
+   family and foils) — and the pool-level read itself always raises
+   [Stale], never returns a value.  Checked across all ten schemes. *)
 
 module type SCHEME =
   Nbr_core.Smr_intf.S with type pool = P.t
@@ -151,11 +151,11 @@ let stale_never_live (name, (module S : SCHEME)) (v_old, v_new) =
       let s' = P.alloc pool in
       P.set_data pool s' 0 v_new;
       (* Pool level: always a typed failure carrying the memory's
-         *current* contents — never the dead record's data as [Value]. *)
+         *current* contents — never the dead record's data as a value. *)
       let pool_ok =
         match P.read_data pool s 0 with
-        | P.Stale v -> v = v_new
-        | P.Value _ -> false
+        | _ -> false
+        | exception P.Stale v -> v = v_new
       in
       (* A refusal restarts the read phase: its replay reports it. *)
       let attempts = ref 0 in

@@ -343,6 +343,32 @@ let test_max_threads () =
        (Printf.sprintf "Sim_rt.run: nthreads must be <= %d" Sim.max_threads))
     (fun () -> Sim.run ~nthreads:(Sim.max_threads + 1) ignore)
 
+(* ------------------------------------------------------------------ *)
+(* The per-access path allocates next to nothing.  Two fibers run loads
+   under checkpoints at granularity 1, so every access is a yield.  The
+   run costs 4 minor words per event on OCaml 5.1: the suspended
+   continuation and the option that holds it.  A handler closure and
+   option built per yield (6 words), or a replay closure per checkpoint
+   (4 words a checkpoint, 2 an event here), break the [yield_words]
+   bound; with both the run costs 12. *)
+
+let yield_words = 5.
+
+let test_yield_allocation () =
+  with_config ~cores:2 (fun () ->
+      let c = Sim.make 0 in
+      let read () = ignore (Sim.load c) in
+      let before = Gc.minor_words () in
+      Sim.run ~nthreads:2 (fun _ ->
+          for _ = 1 to 5_000 do
+            Sim.checkpoint read
+          done);
+      let words = Gc.minor_words () -. before in
+      let per_event = words /. float_of_int (Sim.total_events ()) in
+      if per_event > yield_words then
+        Alcotest.failf "%.2f minor words per event (bound %.1f)" per_event
+          yield_words)
+
 let suite =
   [
     Alcotest.test_case "runs all threads" `Quick test_runs_all_threads;
@@ -367,4 +393,6 @@ let suite =
     Alcotest.test_case "cell index bounds" `Quick test_cells_bounds;
     Alcotest.test_case "owner tags hold tid 300" `Quick test_owner_tag_range;
     Alcotest.test_case "nthreads capped by the tag" `Quick test_max_threads;
+    Alcotest.test_case "per-event allocation bound" `Quick
+      test_yield_allocation;
   ]
