@@ -157,7 +157,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           incr attempts;
           note_attempt c !attempts;
           begin_read c;
-          let r = read c in
+          let r =
+            match read c with r -> r | exception P.Stale _ -> B.restart_stale c
+          in
           end_read c (recs r);
           r)
     in
@@ -174,25 +176,22 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      tid, so the per-dereference DLS lookup the argless form pays in the
      native runtime disappears from the hottest path in the system. *)
 
+  (* A stale [src] — the record was freed under us, only possible in the
+     native poll window (exact delivery in the sim neutralizes us first)
+     — raises [P.Stale] to [read_phase].  We are restartable by protocol,
+     so it abandons the read phase instead of traversing recycled memory;
+     the restart bookkeeping classifies the detected read as benign. *)
   let read_ptr c ~src ~field =
     Rt.poll_t c.tid;
-    match P.read_ptr c.b.pool src field with
-    | v ->
-        if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-        v
-    | exception P.Stale _ ->
-        (* The source record was freed under us — only possible in the
-           native poll window (exact delivery in the sim neutralizes us
-           first).  We are restartable by protocol, so abandon the read
-           phase instead of traversing recycled memory; the restart
-           bookkeeping classifies the detected read as benign. *)
-        Smr_stats.note_uaf c.st;
-        raise Rt.Neutralized
+    let v = P.read_ptr c.b.pool src field in
+    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
+    v
 
   (* Validated read-phase reads of non-pointer state (keys, marks,
      structural predicates): a poll point, then the shared layer's
-     restart-on-stale read — [read_ptr]'s discipline minus the target
-     protection, since nothing is dereferenced. *)
+     read, which restarts on stale through [read_phase] — [read_ptr]'s
+     discipline minus the target protection, since nothing is
+     dereferenced. *)
 
   let read_data c ~src ~field =
     Rt.poll_t c.tid;

@@ -295,6 +295,15 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
       | exception P.Stale v -> consume c src v
   end
 
+  (* A validated read that found its record recycled inside a
+     restartable read phase: protection was lost, so abort the phase like
+     a failed validation rather than consume recycled memory.  The reads
+     let [P.Stale] through and the phase body catches it, so the read
+     path sets up no exception handler per read. *)
+  let restart_stale c =
+    Smr_stats.note_uaf c.st;
+    raise Rt.Neutralized
+
   (* The restart wrapper of the validating schemes (HP, HE, IBR): a read
      phase aborted through the checkpoint is replayed, and the UAF reads
      of the aborted attempt are classified benign.  Keep these after
@@ -307,7 +316,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
       Rt.checkpoint (fun () ->
           incr attempts;
           if !attempts > 1 then Smr_stats.uaf_abort c.st;
-          let r = v.view c in
+          let r =
+            match v.view c with r -> r | exception P.Stale _ -> restart_stale c
+          in
           Smr_stats.uaf_commit c.st;
           r)
     in
@@ -317,20 +328,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
   let phase c ~read ~write = write (fst (read_only c { view = read.read }))
 
   (* Their data reads target records the traversal just protected, so a
-     [Stale] refusal means protection was lost: abort the read phase like
-     a failed validation rather than consume recycled memory.  (IBR,
-     whose intervals cover the records, takes {!Unguarded}'s.) *)
-  let read_data c ~src ~field =
-    match P.read_data c.b.pool src field with
-    | v -> v
-    | exception P.Stale _ ->
-        Smr_stats.note_uaf c.st;
-        raise Rt.Neutralized
-
-  let peek_ptr c ~src ~field =
-    match P.read_ptr c.b.pool src field with
-    | v -> v
-    | exception P.Stale _ ->
-        Smr_stats.note_uaf c.st;
-        raise Rt.Neutralized
+     [Stale] refusal restarts the phase ([restart_stale]).  (IBR, whose
+     intervals cover the records, takes {!Unguarded}'s.) *)
+  let read_data c ~src ~field = P.read_data c.b.pool src field
+  let peek_ptr c ~src ~field = P.read_ptr c.b.pool src field
 end

@@ -215,9 +215,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
   (** The restartable phases and data reads of the validating schemes
       (HP, HE; IBR takes the phases only): an aborted read phase replays
       through {!Rt.checkpoint} and its UAF reads count as benign; a data
-      read that finds its record recycled aborts the phase.  [phase] is
+      read that finds its record recycled raises [Pool.Stale] to the
+      phase, which aborts through [restart_stale].  [phase] is
       [read_only] over its reader, then the write phase, which runs
       once the checkpointed read phase has returned. *)
+
+  val restart_stale : ctx -> 'a
+  (** Count a stale validated read and raise {!Rt.Neutralized}: what a
+      restartable read phase does when [Pool.Stale] reaches it. *)
 
   val phase : op -> read:'a reader -> write:('a -> 'b) -> 'b
   val read_only : op -> 'a viewer -> 'a
