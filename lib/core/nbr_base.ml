@@ -145,6 +145,19 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           (attempts - 1) 0
     end
 
+  (* One attempt of a read phase.  A function of its own, so that the
+     replay closure [read_phase] allocates per phase captures this and
+     its arguments rather than every helper the attempt calls. *)
+  let read_attempt c read recs attempts =
+    incr attempts;
+    note_attempt c !attempts;
+    begin_read c;
+    let r =
+      match read c with r -> r | exception P.Stale _ -> B.restart_stale c
+    in
+    end_read c (recs r);
+    r
+
   (* The restartable read phase of both verbs: [read], then publish the
      reservations [recs] picks out of its result.  A write phase runs
      after it returns: the thread is non-restartable by then, so the
@@ -152,17 +165,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      tuple. *)
   let read_phase c read recs =
     let attempts = ref 0 in
-    let out =
-      Rt.checkpoint (fun () ->
-          incr attempts;
-          note_attempt c !attempts;
-          begin_read c;
-          let r =
-            match read c with r -> r | exception P.Stale _ -> B.restart_stale c
-          in
-          end_read c (recs r);
-          r)
-    in
+    let out = Rt.checkpoint (fun () -> read_attempt c read recs attempts) in
     Smr_stats.add_restarts c.st (!attempts - 1);
     out
 

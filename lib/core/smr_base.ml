@@ -310,18 +310,18 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
      [Unguarded]: the phase analysis keys a file's bindings by name, and
      the last [phase] / [read_only] here is the one its R2 check resolves
      for the schemes that include this layer. *)
+  let view_attempt c v attempts =
+    incr attempts;
+    if !attempts > 1 then Smr_stats.uaf_abort c.st;
+    let r =
+      match v.view c with r -> r | exception P.Stale _ -> restart_stale c
+    in
+    Smr_stats.uaf_commit c.st;
+    r
+
   let read_only c v =
     let attempts = ref 0 in
-    let out =
-      Rt.checkpoint (fun () ->
-          incr attempts;
-          if !attempts > 1 then Smr_stats.uaf_abort c.st;
-          let r =
-            match v.view c with r -> r | exception P.Stale _ -> restart_stale c
-          in
-          Smr_stats.uaf_commit c.st;
-          r)
-    in
+    let out = Rt.checkpoint (fun () -> view_attempt c v attempts) in
     Smr_stats.add_restarts c.st (!attempts - 1);
     out
 
