@@ -2,9 +2,9 @@
 
    A thin shell over [Nbr_analysis.Driver]: the concurrency-idiom rules
    (atomic-make, domain-dls, obj-magic, pool-raw-index, missing-mli)
-   plus the phase-discipline rules the SMR interface's types leave
-   open (read-phase-write, unguarded-deref, write-phase-read) over
-   per-callee effect summaries.
+   plus the phase-discipline rule the SMR interface's types leave open
+   (unguarded-deref: each scheme's read path installs its family's
+   guard) over per-callee effect summaries.
 
    Usage: nbr_lint [--github] [--allowlist FILE] [--sarif FILE] DIR...
    Exit status 1 iff any finding is not allowlisted or waived. *)

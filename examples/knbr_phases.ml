@@ -54,9 +54,9 @@ let () =
     \  %d inserts, %d deletes, final size %d (consistent: %b)\n\
     \  %d retires -> %d freed; %d neutralization restarts; %d signals\n\
     \  peak unreclaimed %d records; use-after-free reads: %d\n"
-    nthreads (total ins) (total del) (HL.size l)
-    (HL.size l = 256 + total ins - total del)
+    nthreads (total ins) (total del) (HL.size pool l)
+    (HL.size pool l = 256 + total ins - total del)
     (Nbr.Scheme.Stats.retires st) (Nbr.Scheme.Stats.freed st) (Nbr.Scheme.Stats.restarts st) (Sim.signals_sent ())
     ps.Pool.s_peak_in_use ps.Pool.s_uaf_reads;
-  assert (HL.size l = 256 + total ins - total del);
+  assert (HL.size pool l = 256 + total ins - total del);
   assert (ps.Pool.s_uaf_reads = 0)

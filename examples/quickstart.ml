@@ -58,7 +58,7 @@ let () =
   (* Set semantics: successful updates and the final size agree (no lost
      or phantom element — which is what an SMR bug would corrupt first). *)
   let expected = !prefill + Atomic.get inserts - Atomic.get deletes in
-  let size = List_set.size set in
+  let size = List_set.size pool set in
   if size <> expected then begin
     Printf.eprintf "quickstart: FINAL SIZE %d <> EXPECTED %d — SMR bug!\n" size
       expected;

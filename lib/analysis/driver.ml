@@ -59,8 +59,9 @@ let analyze_files ?(allowlist = Findings.Allowlist.empty ())
       files;
   List.iter
     (fun (info : Summary.info) ->
+      Findings.Waivers.collect waivers ~file:info.path info.structure;
       raw := Idiom.check_structure ~file:info.path info.structure @ !raw;
-      raw := Rules.check sum info waivers @ !raw)
+      raw := Rules.check_scheme sum info @ !raw)
     sum.Summary.infos;
   let suppressed = ref 0 in
   let kept =

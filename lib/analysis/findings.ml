@@ -1,13 +1,13 @@
 (* Findings, allowlists and waivers: the shared reporting engine of the
    static analysis (DESIGN.md §16).
 
-   Every rule — the R1/R2/R4 phase-discipline checks in [Rules] and the
+   Every rule — the R2 scheme-closure check in [Rules] and the
    concurrency-idiom checks in [Idiom] — reports through this module, so
    exemption handling, rendering (plain / GitHub annotations / SARIF)
    and the exit-status decision live in exactly one place. *)
 
 type t = {
-  rule : string;  (** kebab-case rule id, e.g. ["read-phase-write"] *)
+  rule : string;  (** kebab-case rule id, e.g. ["unguarded-deref"] *)
   file : string;
   line : int;
   col : int;
@@ -139,8 +139,8 @@ end
 (* In-source waivers: [@nbr.allow rule-id] on an expression (or
    [@@nbr.allow rule-id] on a binding) suppresses findings of that rule
    anchored inside the attributed range.  For deliberate protocol
-   departures — fault injection's die-mid-operation paths — where a
-   whole-file allowlist entry would mask real bugs. *)
+   departures, where a whole-file allowlist entry would mask real
+   bugs. *)
 
 module Waivers = struct
   type span = {
@@ -154,8 +154,8 @@ module Waivers = struct
 
   let create () : t = ref []
 
-  (* Accept both [@nbr.allow "write-phase-read"] and the unquoted
-     [@nbr.allow write-phase-read] — the latter parses as the application
+  (* Accept both [@nbr.allow "pool-raw-index"] and the unquoted
+     [@nbr.allow pool-raw-index] — the latter parses as the application
      of (-) to identifiers, which we render back to kebab-case. *)
   let rule_of_payload (p : Parsetree.payload) =
     let buf = Buffer.create 16 in
@@ -203,4 +203,17 @@ module Waivers = struct
         w.w_rule = rule && w.w_file = file && line >= w.w_start
         && line <= w.w_stop)
       !t
+
+  let collect t ~file (ast : Parsetree.structure) =
+    let open Ast_iterator in
+    let expr it (e : Parsetree.expression) =
+      List.iter (note t ~file ~loc:e.pexp_loc) e.pexp_attributes;
+      default_iterator.expr it e
+    in
+    let value_binding it (vb : Parsetree.value_binding) =
+      List.iter (note t ~file ~loc:vb.pvb_loc) vb.pvb_attributes;
+      default_iterator.value_binding it vb
+    in
+    let it = { default_iterator with expr; value_binding } in
+    it.structure it ast
 end

@@ -2,7 +2,7 @@
     engine behind every rule of the static analysis (DESIGN.md §16). *)
 
 type t = {
-  rule : string;  (** kebab-case rule id, e.g. ["read-phase-write"] *)
+  rule : string;  (** kebab-case rule id, e.g. ["unguarded-deref"] *)
   file : string;
   line : int;
   col : int;
@@ -38,15 +38,17 @@ module Allowlist : sig
 end
 
 module Waivers : sig
-  (** [@nbr.allow rule-id] / [@@nbr.allow rule-id] spans collected while
-      walking a file: findings of [rule-id] anchored inside the
-      attributed source range are suppressed.  For a deliberate
-      protocol departure at one site, where a whole-file allowlist entry
-      would mask real bugs. *)
+  (** [@nbr.allow rule-id] / [@@nbr.allow rule-id] spans in a file:
+      findings of [rule-id] anchored inside the attributed source range
+      are suppressed.  For a deliberate departure at one site, where a
+      whole-file allowlist entry would mask real bugs. *)
 
   type t
 
   val create : unit -> t
-  val note : t -> file:string -> loc:Location.t -> Parsetree.attribute -> unit
+
+  val collect : t -> file:string -> Parsetree.structure -> unit
+  (** Record the waivers on every expression and binding of [file]. *)
+
   val waived : t -> rule:string -> file:string -> line:int -> bool
 end

@@ -1,6 +1,6 @@
 (* Concurrency-idiom rules (DESIGN.md §11), ported onto the shared
    findings engine so they report, allowlist and emit SARIF exactly
-   like the R1/R2/R4 phase rules:
+   like the R2 scheme rule:
 
    - [atomic-make]    lib/core and lib/ds must not call [Atomic.make]
                       directly: shared cells go through the runtime

@@ -2,12 +2,12 @@
     (DESIGN.md §16), exposed as [Nbr.Analysis].
 
     The types of {!Nbr_core.Smr_intf.S} keep phases inside operations,
-    operations balanced and validated reads inside read phases.  This
-    compiler-libs pass over the library sources checks the rest of the
-    paper's source-level contract at build time: read lambdas are pure
-    and restartable and read no plain fields, and each scheme's read
-    path installs the guard of its family.  Runs as [dune build @lint]
-    via [bin/nbr_lint], alongside the concurrency-idiom rules. *)
+    operations balanced, validated reads inside read phases and writes,
+    locks and allocation inside write phases.  This compiler-libs pass
+    over the library sources checks what they cannot see: that each
+    scheme's read path installs the guard of its family.  Runs as
+    [dune build @lint] via [bin/nbr_lint], alongside the
+    concurrency-idiom rules. *)
 
 module Findings = Findings
 module Summary = Summary

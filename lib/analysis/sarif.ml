@@ -23,9 +23,7 @@ let escape s =
 
 let rule_descriptions =
   [
-    ("read-phase-write", "R1: no shared-memory writes in a read phase");
     ("unguarded-deref", "R2: each scheme's read path installs its guard");
-    ("write-phase-read", "R4: plain field reads only on locked windows");
     ("atomic-make", "shared cells go through the runtime constructors");
     ("domain-dls", "Domain.DLS is a runtime-layer concern");
     ("obj-magic", "no Obj.magic in library code");

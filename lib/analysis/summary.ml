@@ -1,97 +1,40 @@
 (* Per-function effect summaries: the interprocedural substrate of the
-   R1, R2 and R4 rules (DESIGN.md §16).
+   R2 scheme checks (DESIGN.md §16).
 
-   Every function in the analyzed file set gets two effect bitmasks:
-
-   - [exposed] — the effects a *caller* observes.  Effects that run
-     inside a phase-combinator lambda ([Smr.phase ~read ~write],
-     [Smr.read_only], [Rt.checkpoint]) are masked out, because the
-     combinator establishes the guard internally: calling a complete
-     operation from plain code is effect-free from the protocol's point
-     of view.  So are the effects of a read lambda in a [reader] or
-     [viewer] record literal, wherever the record is written: the phase
-     it is handed to runs it.
-   - [closure] — the unmasked transitive union, used by the R2 scheme
-     checks (does [read_ptr]'s implementation validate liveness? does
-     [phase] install a checkpoint?).
-
-   Effects come from a curated table of protocol builtins (Smr / Pool /
-   Rt / Atomic), keyed by a canonicalized module name; local
-   aliases ([module P = Nbr_pool.Pool.Make (Rt)]) and functor
-   parameters ([(Smr : Nbr_core.Smr_intf.S with ...)]) are resolved to
-   those tables, other analyzed files are resolved to their computed
-   summaries, and everything else is benign.  Thread-local mutation
-   (refs, record fields, arrays) is benign by codebase convention:
-   shared state only lives behind Rt cells, Atomics and the pool. *)
+   Every function in the analyzed file set gets its [closure]: the
+   transitive union of the protocol effects its body may run (does
+   [read_ptr]'s implementation validate liveness?  does [phase] install
+   a checkpoint?).  Effects come from a curated table of protocol
+   builtins (Pool / Rt / Atomic), keyed by a canonicalized module name;
+   local aliases ([module P = Nbr_pool.Pool.Make (Rt)]) and functor
+   parameters are resolved to those tables, other analyzed files are
+   resolved to their computed summaries, and everything else is benign.
+   Thread-local mutation (refs, record fields, arrays) is benign by
+   codebase convention: shared state only lives behind Rt cells,
+   Atomics and the pool. *)
 
 (* ------------------------------------------------------------------ *)
 (* Effect bits *)
 
 let shared_write = 1 (* Atomic.set / CAS / Rt stores / pool mutation *)
-let lock = 2
-let alloc = 4
-let retire = 8
-let free = 16
-let plain = 64 (* plain read of a shared cell: Rt.load / P.get_data *)
-let poll = 128 (* neutralization poll *)
-let begins = 256
-let ends = 512
-let phase = 1024 (* enters a read/write phase *)
-let checkpoint = 2048
-let validate = 4096 (* slot liveness / stamp validation *)
+let poll = 2 (* neutralization poll *)
+let checkpoint = 4
+let validate = 8 (* slot liveness / stamp validation *)
 
-let impure = shared_write lor lock lor alloc lor retire lor free
-
-let pp_bits b =
-  let names =
-    [
-      (shared_write, "shared-write");
-      (lock, "lock");
-      (alloc, "alloc");
-      (retire, "retire");
-      (free, "free");
-      (plain, "plain-deref");
-      (poll, "poll");
-      (begins, "begin_op");
-      (ends, "end_op");
-      (phase, "phase");
-      (checkpoint, "checkpoint");
-      (validate, "validate");
-    ]
-  in
-  List.filter_map (fun (bit, n) -> if b land bit <> 0 then Some n else None) names
-  |> String.concat "+"
-
-type entry = { exposed : int; closure : int; ent_loc : Location.t }
+type entry = { closure : int; ent_loc : Location.t }
 
 (* ------------------------------------------------------------------ *)
 (* Builtin effect tables, keyed by canonical module name. *)
 
-let smr_table = function
-  | "op" -> begins lor ends
-  | "abandon" -> begins
-  | "phase" | "read_only" -> phase
-  | "alloc" -> alloc
-  | "retire" -> retire
-  | "on_pressure" | "collect_handoffs" | "adopt_orphans"
-  | "register" | "deregister" | "set_offload" | "create" ->
-      shared_write
-  | _ -> 0
-
 let pool_table = function
-  | "get_data" | "get_ptr" | "raw_load_ptr" -> plain
   | "set_data" | "set_ptr" | "raw_cas_ptr" | "flush_thread"
-  | "set_watermarks" | "set_generation_check" ->
+  | "set_watermarks" | "set_generation_check" | "free" | "lock" | "unlock"
+  | "try_lock" ->
       shared_write
-  | "free" -> free lor shared_write
-  | "alloc" -> alloc
   | "live" | "stamp" -> validate
-  | "lock" | "unlock" | "try_lock" -> lock lor shared_write
-  | "is_locked" -> plain
   | _ -> 0
 
 let rt_table = function
-  | "load" | "plain_load" | "load_at" | "plain_load_at" -> plain
   | "store" | "cas" | "faa" | "xchg" | "store_at" | "cas_at" | "faa_at"
   | "xchg_at" | "send_signal" | "set_restartable_t" | "drain_signals_t" ->
       shared_write
@@ -107,14 +50,13 @@ let atomic_table = function
 
 let builtin_bits canon name =
   match canon with
-  | "Smr" -> Some (smr_table name)
-  | "Pool" -> Some (pool_table name)
-  | "Rt" -> Some (rt_table name)
-  | "Atomic" -> Some (atomic_table name)
-  | _ -> None
+  | "Pool" -> pool_table name
+  | "Rt" -> rt_table name
+  | "Atomic" -> atomic_table name
+  | _ -> 0
 
 (* Instrumentation modules whose computed summaries must not leak
-   effects into client code: counters and trace rings are benign by
+   effects into their callers': counters and trace rings are benign by
    design even where they CAS. *)
 let benign_modules = [ "Smr_stats"; "Trace"; "Smr_config" ]
 
@@ -123,15 +65,12 @@ let benign_modules = [ "Smr_stats"; "Trace"; "Smr_config" ]
 let canon_of_segment = function
   | "Pool" -> Some "Pool"
   | "Runtime_intf" | "Sim_rt" | "Native_rt" -> Some "Rt"
-  | "Smr_intf" -> Some "Smr"
   | "Atomic" -> Some "Atomic"
   | _ -> None
 
-(* Fallback for module names we cannot resolve structurally, e.g.
-   [let module Smr = S.Make (Rt)] where [S] is a first-class scheme
-   module from the registry: bind by conventional name. *)
+(* Fallback for module names we cannot resolve structurally: bind by
+   conventional name. *)
 let canon_by_convention = function
-  | "Smr" -> Some "Smr"
   | "Rt" -> Some "Rt"
   | "P" -> Some "Pool"
   | _ -> None
@@ -154,15 +93,9 @@ type info = {
       (** flat table of every binding in the file, incl. local lets *)
   mutable includes : string list;
   mutable scheme : string option;  (** [scheme_name] literal, if any *)
-  mutable verb_defs : string list;
-      (** protocol verbs the file defines (identifies SMR impls) *)
 }
 
 type t = { infos : info list; by_mod : (string, info) Hashtbl.t }
-
-let protocol_verbs =
-  [ "begin_op"; "end_op"; "phase"; "read_only"; "read_ptr"; "read_data";
-    "alloc"; "retire" ]
 
 let flatten_longident l = Longident.flatten l
 
@@ -217,17 +150,8 @@ let rec target_of_modtype (t : t) (mty : Parsetree.module_type) =
   | Pmty_with (m, _) -> target_of_modtype t m
   | _ -> Benign
 
-let target_of_modexpr (t : t) (info : info) (m : Parsetree.module_expr) =
-  match mod_path m with
-  | Some segs -> target_of_segments t ~local:info.locals segs
-  | None -> Benign
-
 (* ------------------------------------------------------------------ *)
 (* Call resolution *)
-
-type resolution =
-  | R_bits of int  (** builtin / benign: exposed = closure *)
-  | R_entry of entry  (** a summarized function *)
 
 let lookup_fn (t : t) (info : info) name =
   match Hashtbl.find_opt info.fns name with
@@ -240,43 +164,24 @@ let lookup_fn (t : t) (info : info) name =
           | None -> None)
         info.includes
 
-let resolve_ident (t : t) (info : info) (lid : Longident.t) : resolution =
-  let segs = flatten_longident lid in
-  match List.rev segs with
-  | [] -> R_bits 0
+(* The closure of the function an identifier names: a builtin's bits,
+   an analyzed function's summary, or nothing. *)
+let ident_effect (t : t) (info : info) (lid : Longident.t) =
+  let closure = function Some e -> e.closure | None -> 0 in
+  match List.rev (flatten_longident lid) with
+  | [] -> 0
+  | [ name ] -> closure (lookup_fn t info name)
   | name :: rev_mods -> (
-      let mods = List.rev rev_mods in
-      if mods = [] then
-        match lookup_fn t info name with
-        | Some e -> R_entry e
-        | None -> R_bits 0
-      else
-        match target_of_segments t ~local:info.locals mods with
-        | Builtin c -> (
-            match builtin_bits c name with
-            | Some b -> R_bits b
-            | None -> R_bits 0)
-        | File m -> (
-            match Hashtbl.find_opt t.by_mod m with
-            | Some i -> (
-                match Hashtbl.find_opt i.fns name with
-                | Some e -> R_entry e
-                | None -> R_bits 0)
-            | None -> R_bits 0)
-        | Benign -> R_bits 0)
-
-(* Effects a call site observes (exposed, closure). *)
-let call_effect (t : t) (info : info) (e : Parsetree.expression) :
-    (int * int) option =
-  match e.Parsetree.pexp_desc with
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-      match resolve_ident t info txt with
-      | R_bits b -> Some (b, b)
-      | R_entry en -> Some (en.exposed, en.closure))
-  | _ -> None
+      match target_of_segments t ~local:info.locals (List.rev rev_mods) with
+      | Builtin c -> builtin_bits c name
+      | File m ->
+          closure
+            (Option.bind (Hashtbl.find_opt t.by_mod m) (fun i ->
+                 Hashtbl.find_opt i.fns name))
+      | Benign -> 0)
 
 (* ------------------------------------------------------------------ *)
-(* Walking: compute (exposed, closure) of an expression. *)
+(* Walking: the closure of an expression. *)
 
 let rec is_function (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -293,19 +198,10 @@ let rec peel_fun (e : Parsetree.expression) =
   | Pexp_constraint (e, _) | Pexp_newtype (_, e) -> peel_fun e
   | _ -> e
 
-(* The lambda of a [reader]/[viewer] record literal ([{ read = f }] or
-   [{ view = f }], the field qualified or not): a read phase's body,
-   wherever the record is written. *)
-let read_lambda (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_record ([ ({ txt; _ }, f) ], None) when is_function f -> (
-      match Longident.last txt with "read" | "view" -> Some f | _ -> None)
-  | _ -> None
-
 (* Structure-level [module Smr = Nbr_core.Nbr_plus.Make (Sim)]: resolve
    structurally, then fall back to the bound-name convention — scheme
    functors are not in the canonical-segment table, but a module *named*
-   Smr/Rt/P is filling the codebase's conventional role. *)
+   Rt/P is filling the codebase's conventional role. *)
 let str_module_target t info ~name segs =
   match target_of_segments t ~local:info.locals segs with
   | Benign -> (
@@ -314,33 +210,20 @@ let str_module_target t info ~name segs =
       | None -> Benign)
   | tgt -> tgt
 
-let rec effects_of (t : t) (info : info) (e : Parsetree.expression) : int * int
-    =
+let rec effects_of (t : t) (info : info) (e : Parsetree.expression) : int =
   let open Parsetree in
-  let join (a, b) (c, d) = (a lor c, b lor d) in
-  let seq es = List.fold_left (fun acc x -> join acc (effects_of t info x)) (0, 0) es in
+  let seq es = List.fold_left (fun acc x -> acc lor effects_of t info x) 0 es in
   match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
+  | Pexp_ident { txt; _ } ->
       (* Eta-reduced aliases ([let read_ptr = B.read_ptr]) and callbacks
          passed by name carry the referent's effects. *)
-      match resolve_ident t info txt with
-      | R_entry en -> (en.exposed, en.closure)
-      | R_bits b -> (b, b))
-  | Pexp_apply (({ pexp_desc = Pexp_ident _; _ } as _f), args) -> (
-      match call_effect t info e with
-      | Some (ce, cc) ->
-          let mask_lambdas = ce land (phase lor checkpoint) <> 0 in
-          List.fold_left
-            (fun acc (_, a) ->
-              let ae, ac = effects_of t info a in
-              let ae = if mask_lambdas && is_function a then 0 else ae in
-              join acc (ae, ac))
-            (ce, cc) args
-      | None -> seq (List.map snd args))
+      ident_effect t info txt
+  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
+      ident_effect t info txt lor seq (List.map snd args)
   | Pexp_apply (f, args) -> seq (f :: List.map snd args)
   | Pexp_fun (_, default, _, body) ->
-      let d = match default with Some d -> effects_of t info d | None -> (0, 0) in
-      join d (effects_of t info body)
+      let d = match default with Some d -> effects_of t info d | None -> 0 in
+      d lor effects_of t info body
   | Pexp_function cases -> cases_effects t info cases
   | Pexp_let (_, vbs, body) ->
       let acc =
@@ -352,81 +235,45 @@ let rec effects_of (t : t) (info : info) (e : Parsetree.expression) : int * int
               record_binding t info vb;
               acc
             end
-            else join acc (effects_of t info vb.pvb_expr))
-          (0, 0) vbs
+            else acc lor effects_of t info vb.pvb_expr)
+          0 vbs
       in
-      join acc (effects_of t info body)
-  | Pexp_letmodule ({ txt = Some name; _ }, mexpr, body) ->
-      let tgt = target_of_modexpr t info mexpr in
-      let tgt =
-        match tgt with
-        | Benign -> (
-            match canon_by_convention name with
-            | Some c -> Builtin c
-            | None -> Benign)
-        | _ -> tgt
-      in
-      Hashtbl.add info.locals name tgt;
-      walk_module_bindings t info mexpr;
-      let r = effects_of t info body in
-      Hashtbl.remove info.locals name;
-      r
-  | Pexp_letmodule ({ txt = None; _ }, mexpr, body) ->
-      walk_module_bindings t info mexpr;
-      effects_of t info body
-  | Pexp_sequence (a, b) -> join (effects_of t info a) (effects_of t info b)
+      acc lor effects_of t info body
+  | Pexp_sequence (a, b) | Pexp_while (a, b) | Pexp_setfield (a, _, b) ->
+      (* Record-field mutation is thread-local by codebase convention. *)
+      effects_of t info a lor effects_of t info b
   | Pexp_ifthenelse (c, th, el) ->
-      let acc = join (effects_of t info c) (effects_of t info th) in
-      (match el with Some e -> join acc (effects_of t info e) | None -> acc)
+      effects_of t info c lor effects_of t info th
+      lor (match el with Some e -> effects_of t info e | None -> 0)
   | Pexp_match (s, cases) | Pexp_try (s, cases) ->
-      join (effects_of t info s) (cases_effects t info cases)
-  | Pexp_while (c, b) -> join (effects_of t info c) (effects_of t info b)
-  | Pexp_for (_, a, b, _, body) ->
-      join (join (effects_of t info a) (effects_of t info b))
-        (effects_of t info body)
+      effects_of t info s lor cases_effects t info cases
+  | Pexp_for (_, a, b, _, body) -> seq [ a; b; body ]
   | Pexp_construct (_, Some a) | Pexp_variant (_, Some a) -> effects_of t info a
   | Pexp_tuple es | Pexp_array es -> seq es
-  | Pexp_record (fields, base) -> (
-      match read_lambda e with
-      | Some f -> (0, snd (effects_of t info f))
-      | None ->
-          let acc =
-            match base with Some b -> effects_of t info b | None -> (0, 0)
-          in
-          List.fold_left
-            (fun acc (_, x) -> join acc (effects_of t info x))
-            acc fields)
-  | Pexp_field (a, _) -> effects_of t info a
-  | Pexp_setfield (a, _, b) ->
-      (* Record-field mutation is thread-local by codebase convention. *)
-      join (effects_of t info a) (effects_of t info b)
+  | Pexp_record (fields, base) ->
+      (match base with Some b -> effects_of t info b | None -> 0)
+      lor seq (List.map snd fields)
+  | Pexp_field (a, _)
   | Pexp_constraint (a, _) | Pexp_coerce (a, _, _) | Pexp_newtype (_, a)
   | Pexp_open (_, a) | Pexp_lazy a | Pexp_assert a | Pexp_letexception (_, a)
     ->
       effects_of t info a
-  | _ -> (0, 0)
+  | _ -> 0
 
 and cases_effects t info cases =
   List.fold_left
     (fun acc (c : Parsetree.case) ->
-      let acc =
-        match c.pc_guard with
-        | Some g ->
-            let a, b = effects_of t info g in
-            (fst acc lor a, snd acc lor b)
-        | None -> acc
-      in
-      let a, b = effects_of t info c.pc_rhs in
-      (fst acc lor a, snd acc lor b))
-    (0, 0) cases
+      acc
+      lor (match c.pc_guard with Some g -> effects_of t info g | None -> 0)
+      lor effects_of t info c.pc_rhs)
+    0 cases
 
 and record_binding t info (vb : Parsetree.value_binding) =
   match vb.pvb_pat.ppat_desc with
   | Ppat_var { txt = name; _ }
   | Ppat_constraint ({ ppat_desc = Ppat_var { txt = name; _ }; _ }, _) ->
-      let body = peel_fun vb.pvb_expr in
-      let exposed, closure = effects_of t info body in
-      Hashtbl.replace info.fns name { exposed; closure; ent_loc = vb.pvb_loc }
+      let closure = effects_of t info (peel_fun vb.pvb_expr) in
+      Hashtbl.replace info.fns name { closure; ent_loc = vb.pvb_loc }
   | _ -> ()
 
 and walk_module_bindings t info (m : Parsetree.module_expr) =
@@ -448,41 +295,27 @@ and walk_structure t info (items : Parsetree.structure) =
       | Pstr_value (_, vbs) ->
           List.iter
             (fun (vb : Parsetree.value_binding) ->
-              (* Track scheme_name and protocol-verb definitions for
-                 file classification. *)
               (match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt = name; _ } ->
-                  (if name = "scheme_name" then
-                     match (peel_fun vb.pvb_expr).pexp_desc with
-                     | Pexp_constant (Pconst_string (s, _, _)) ->
-                         info.scheme <- Some s
-                     | _ -> ());
-                  if
-                    List.mem name protocol_verbs
-                    && not (List.mem name info.verb_defs)
-                  then info.verb_defs <- name :: info.verb_defs
+              | Ppat_var { txt = "scheme_name"; _ } -> (
+                  match (peel_fun vb.pvb_expr).pexp_desc with
+                  | Pexp_constant (Pconst_string (s, _, _)) ->
+                      info.scheme <- Some s
+                  | _ -> ())
               | _ -> ());
-              if is_function vb.pvb_expr then record_binding t info vb
-              else begin
-                record_binding t info vb;
-                ignore (effects_of t info vb.pvb_expr)
-              end)
+              record_binding t info vb;
+              if not (is_function vb.pvb_expr) then
+                ignore (effects_of t info vb.pvb_expr))
             vbs
       | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
+          (match mod_path pmb_expr with
+          | Some segs ->
+              Hashtbl.replace info.locals name
+                (str_module_target t info ~name segs)
+          | None -> ());
           match pmb_expr.pmod_desc with
           | Pmod_structure _ | Pmod_functor _ | Pmod_constraint _ ->
-              (match mod_path pmb_expr with
-              | Some segs ->
-                  Hashtbl.replace info.locals name
-                    (str_module_target t info ~name segs)
-              | None -> ());
               walk_module_bindings t info pmb_expr
-          | _ -> (
-              match mod_path pmb_expr with
-              | Some segs ->
-                  Hashtbl.replace info.locals name
-                    (str_module_target t info ~name segs)
-              | None -> ()))
+          | _ -> ())
       | Pstr_include { pincl_mod; _ } -> (
           match mod_path pincl_mod with
           | Some segs -> (
@@ -514,7 +347,6 @@ let build (files : (string * Parsetree.structure) list) : t =
           fns = Hashtbl.create 64;
           includes = [];
           scheme = None;
-          verb_defs = [];
         })
       files
   in
@@ -524,7 +356,7 @@ let build (files : (string * Parsetree.structure) list) : t =
   let snapshot () =
     List.map
       (fun i ->
-        Hashtbl.fold (fun k e acc -> (k, e.exposed, e.closure) :: acc) i.fns [])
+        Hashtbl.fold (fun k e acc -> (k, e.closure) :: acc) i.fns [])
       infos
   in
   let prev = ref [] in
@@ -542,6 +374,3 @@ let build (files : (string * Parsetree.structure) list) : t =
     if s = !prev then continue_ := false else prev := s
   done;
   t
-
-let is_smr_impl (i : info) =
-  i.scheme <> None || List.length i.verb_defs >= 3

@@ -178,8 +178,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
          two bags [retire_bag] can select mid-operation. *)
       free_bag c c.local.bags.((e' + 1) mod 3)
 
-  let alloc ?cls c =
-    P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
+  let register = register_flushing ~flush:on_pressure
 
   (* Not the shared [buffer_retired]: DEBRA notes its garbage before the
      threshold test, and the crossing has no inline flush to fall back

@@ -137,7 +137,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* Unlinked-record traversal cannot be protected by eras; unsafe with
      mark-traversing structures (never benchmarked together). *)
-  let read_raw c ~src ~field = P.raw_load_ptr c.b.pool src field
+  let read_raw = Unguarded.read_raw
 
   (* Era scan + sweep — the threshold-crossing body of [retire], also run
      threshold-free under pool pressure.  Safe mid-operation: our own
@@ -175,9 +175,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     end
 
   let on_pressure = flush
+  let register = register_flushing ~flush
 
+  (* The shared [alloc], then the birth-era stamp. *)
   let alloc ?cls c =
-    let slot = P.alloc ~on_pressure:(fun () -> flush c) ?cls c.b.pool in
+    let slot = B.alloc ?cls c in
     let s = c.b.shared and x = c.local in
     x.alloc_count <- x.alloc_count + 1;
     if x.alloc_count mod c.b.cfg.Smr_config.epoch_freq = 0 then

@@ -126,7 +126,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      encoding) — the P5 limitation the paper describes.  Structures that
      need [read_raw] (Harris list, traversal over marked nodes) must not be
      paired with HP; the benchmarks never do. *)
-  let read_raw c ~src ~field = P.raw_load_ptr c.b.pool src field
+  let read_raw = Unguarded.read_raw
 
   (* Hazard scan + sweep — the threshold-crossing body of [retire], also
      run threshold-free under pool pressure.  Own hazards are skipped, as
@@ -146,7 +146,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     end
 
   let on_pressure = flush
-  let alloc ?cls c = P.alloc ~on_pressure:(fun () -> flush c) ?cls c.b.pool
+  let register = register_flushing ~flush
 
   let retire c slot =
     count_retire c slot;

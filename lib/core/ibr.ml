@@ -143,9 +143,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     end
 
   let on_pressure = flush
+  let register = register_flushing ~flush
 
+  (* The shared [alloc], then the birth-era stamp. *)
   let alloc ?cls c =
-    let slot = P.alloc ~on_pressure:(fun () -> flush c) ?cls c.b.pool in
+    let slot = B.alloc ?cls c in
     let s = c.b.shared and x = c.local in
     x.alloc_count <- x.alloc_count + 1;
     if x.alloc_count mod c.b.cfg.Smr_config.epoch_freq = 0 then
@@ -215,6 +217,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      as for HP/HE.  Structures that need [read_raw] are never paired with
      IBR; the ratchet is kept so the announced interval stays monotone. *)
   let read_raw c ~src ~field =
+    note_read c src;
     let rec loop () =
       let v = P.raw_load_ptr c.b.pool src field in
       let e = Rt.plain_load c.b.shared.era in

@@ -35,7 +35,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   (* Nothing to flush: abandoned records are gone for good, which is the
      point of the baseline — under pool pressure it simply exhausts. *)
   let on_pressure _ = ()
-  let alloc ?cls c = P.alloc ?cls c.b.pool
 
   let retire c slot =
     count_retire c slot;

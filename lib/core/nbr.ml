@@ -16,6 +16,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let scheme_name = "nbr"
   let on_pressure = flush
+  let register = register_flushing ~flush
 
   (* Algorithm 1, lines 14–20 — with the threshold crossing first offered
      to the background reclaimer: an accepted handoff replaces the whole

@@ -169,7 +169,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Smr_stats.add_restarts c.st (!attempts - 1);
     out
 
-  let phase c ~read ~write = write (fst (read_phase c read.read snd))
+  let phase c ~read ~write =
+    run_write c write (fst (read_phase c read.read snd))
   let read_only c v = read_phase c v.view (fun _ -> [||])
 
   (* ------------------------------------------------------------------ *)
@@ -204,7 +205,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Rt.poll_t c.tid;
     B.peek_ptr c ~src ~field
 
+  (* The dereference of [src] is reported here rather than through
+     [note_read]: this is the Harris list's per-node read, and the
+     shared layer's function would cost a call per node. *)
   let read_raw c ~src ~field =
+    if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
     Rt.poll_t c.tid;
     P.raw_load_ptr c.b.pool src field
 
@@ -342,8 +347,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       Smr_stats.add_reclaim_events c.st 1
     end
     else watchdog c
-
-  let alloc ?cls c = P.alloc ~on_pressure:(fun () -> flush c) ?cls c.b.pool
 
   (* Buffer an unlinked record: the tail of both schemes' [retire]. *)
   let bag_push c slot =

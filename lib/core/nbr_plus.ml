@@ -47,8 +47,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let on_pressure c =
     if Limbo_bag.size c.local.bag > 0 then reclaim_all c else watchdog c
 
-  let alloc ?cls c =
-    P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
+  let register = register_flushing ~flush:on_pressure
 
   (* Algorithm 2, lines 5–26.  Its watermarks are tested before the push
      and the LoWatermark path has no flush at all, so this is not the

@@ -127,8 +127,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     if Iv.length c.local.current > 0 then park c;
     try_collect c
 
-  let alloc ?cls c =
-    P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
+  let register = register_flushing ~flush:on_pressure
 
   (* Not the shared [buffer_retired]: the threshold counts only the
      current buffer, while the garbage noted counts the parked ones

@@ -86,7 +86,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     end
 
   let on_pressure = flush
-  let alloc ?cls c = P.alloc ~on_pressure:(fun () -> flush c) ?cls c.b.pool
+  let register = register_flushing ~flush
 
   let retire c slot =
     count_retire c slot;

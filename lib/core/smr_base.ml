@@ -42,12 +42,22 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
     shared : X.inst;
   }
 
-  and ctx = { b : t; tid : int; st : Smr_stats.t; local : X.thr }
+  and ctx = {
+    b : t;
+    tid : int;
+    st : Smr_stats.t;
+    local : X.thr;
+    pressure : (unit -> unit) option;
+    mutable held : int array;
+    mutable nheld : int;
+  }
 
   type op = ctx
   type 's rd = ctx
   type 'a reader = { read : 's. 's rd -> 'a * int array } [@@unboxed]
   type 'a viewer = { view : 's. 's rd -> 'a } [@@unboxed]
+  type 's wr = ctx
+  type ('a, 'b) writer = { write : 's. 's wr -> 'a -> 'b } [@@unboxed]
 
   let bounded_garbage = X.bounded_garbage
 
@@ -65,12 +75,32 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
       shared = X.create_inst ~capacity:(P.capacity pool) ~nthreads cfg;
     }
 
-  let register b ~tid =
+  (* The pressure flush closure is built here, once per context, so
+     [alloc] passes it to the pool without allocating.  The lock stack
+     holds (slot, field) pairs and grows only past [max_reservations]
+     locks, which a write phase that locks only reserved records never
+     reaches. *)
+  let register_with flush b ~tid =
     L.reset_slot b.lc tid;
     let local = X.create_thr ~nthreads:b.n b.cfg in
-    let c = { b; tid; st = Smr_stats.zero (); local } in
+    let held = Array.make (2 * max 1 b.cfg.Smr_config.max_reservations) 0 in
+    let rec c =
+      {
+        b;
+        tid;
+        st = Smr_stats.zero ();
+        local;
+        pressure =
+          (match flush with None -> None | Some f -> Some (fun () -> f c));
+        held;
+        nheld = 0;
+      }
+    in
     b.ctxs.(tid) <- Some c;
     c
+
+  let register b ~tid = register_with None b ~tid
+  let register_flushing ~flush b ~tid = register_with (Some flush) b ~tid
 
   let set_offload b o = b.offload <- o
   let limbo_size c = X.size c.local
@@ -261,27 +291,97 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
           reap c v)
   end
 
+  (* ---------------------------------------------------------------- *)
+  (* The write phase.                                                    *)
+
+  let alloc ?cls c = P.alloc ?on_pressure:c.pressure ?cls c.b.pool
+  let free c slot = P.free c.b.pool slot
+  let get_data c s f = P.get_data c.b.pool s f
+  let set_data c s f v = P.set_data c.b.pool s f v
+  let get_ptr c s f = P.get_ptr c.b.pool s f
+  let set_ptr c s f v = P.set_ptr c.b.pool s f v
+  let load_tagged c s f = P.raw_load_ptr c.b.pool s f
+  let cas_tagged c s f old v = P.raw_cas_ptr c.b.pool s f old v
+
+  (* Locks taken through the token go on the context's stack once held,
+     and leave it before they are released, so the stack never names a
+     lock this thread does not hold. *)
+  let lock c s f =
+    P.lock c.b.pool s f;
+    let n = c.nheld in
+    if 2 * n = Array.length c.held then begin
+      let a = Array.make (4 * n) 0 in
+      Array.blit c.held 0 a 0 (2 * n);
+      c.held <- a
+    end;
+    c.held.(2 * n) <- s;
+    c.held.((2 * n) + 1) <- f;
+    c.nheld <- n + 1
+
+  (* Take (s, f) off the stack, searching from the top, where the
+     structures' last-taken-first unlocks find it at once. *)
+  let rec forget c s f i =
+    if i >= 0 then
+      if c.held.(2 * i) = s && c.held.((2 * i) + 1) = f then begin
+        let n = c.nheld - 1 in
+        if i < n then
+          Array.blit c.held (2 * (i + 1)) c.held (2 * i) (2 * (n - i));
+        c.nheld <- n
+      end
+      else forget c s f (i - 1)
+
+  let unlock c s f =
+    forget c s f (c.nheld - 1);
+    P.unlock c.b.pool s f
+
+  (* Release, last taken first, the locks taken since the stack stood at
+     [base]. *)
+  let release_from c base =
+    while c.nheld > base do
+      let n = c.nheld - 1 in
+      c.nheld <- n;
+      P.unlock c.b.pool c.held.(2 * n) c.held.((2 * n) + 1)
+    done
+
+  (* The write phase of every [phase]: a lock the phase still holds when
+     it returns or raises is released here. *)
+  let run_write c w payload =
+    let base = c.nheld in
+    match w.write c payload with
+    | v ->
+        release_from c base;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        release_from c base;
+        Printexc.raise_with_backtrace e bt
+
+  (* A dereference of [src] reported to the pool's use-after-free
+     instrumentation, for reads that cannot validate. *)
+  let note_read c src =
+    if src >= 0 && P.record_read c.b.pool src then Smr_stats.note_uaf c.st
+
   module Unguarded = struct
     let read_only c v =
       let r = v.view c in
       Smr_stats.uaf_commit c.st;
       r
 
-    let phase c ~read ~write = write (fst (read_only c { view = read.read }))
-
-    let note_target c v =
-      if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st
+    let phase c ~read ~write =
+      run_write c write (fst (read_only c { view = read.read }))
 
     let read_ptr c ~src ~field =
       let v = P.raw_load_ptr c.b.pool src field in
-      note_target c v;
+      note_read c v;
       v
 
-    let read_raw c ~src ~field = P.raw_load_ptr c.b.pool src field
+    let read_raw c ~src ~field =
+      note_read c src;
+      P.raw_load_ptr c.b.pool src field
 
     (* A stale read's payload is consumed, and the read counted. *)
     let consume c src v =
-      if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
+      note_read c src;
       v
 
     let read_data c ~src ~field =
@@ -325,7 +425,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
     Smr_stats.add_restarts c.st (!attempts - 1);
     out
 
-  let phase c ~read ~write = write (fst (read_only c { view = read.read }))
+  let phase c ~read ~write =
+    run_write c write (fst (read_only c { view = read.read }))
 
   (* Their data reads target records the traversal just protected, so a
      [Stale] refusal restarts the phase ([restart_stale]).  (IBR, whose

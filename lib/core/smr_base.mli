@@ -8,9 +8,11 @@
     offload gate and the reclaimer's [collect_handoffs], the watchdog
     reap, statistics, the operation bracket and the [begin_op]/[end_op]
     bookkeeping (expulsion check, fine trace, orphan adoption) it runs,
-    the phase tokens, the retire tail, the scan of published words, the
-    limbo-bag sweep with its trace, and the three phase
-    implementations.
+    the phase tokens, the write phase (allocation with the scheme's
+    pressure flush, plain field access, record locks, and the runner
+    that releases the locks a write phase still holds when it exits),
+    the retire tail, the scan of published words, the limbo-bag sweep
+    with its trace, and the three read-phase implementations.
 
     A scheme supplies a {!SCHEME}: its limbo-buffer shape (push, count,
     flatten), the retraction of its published state, and its
@@ -25,6 +27,9 @@
       let begin_op c = B.begin_op c; (* publish *) ...
       let op c body = bracket ~begin_op ~end_op c body
       let abandon = begin_op
+      let flush c = ...
+      let on_pressure = flush
+      let register = register_flushing ~flush
     v}
 
     The bracket is applied after the scheme's own [begin_op]/[end_op],
@@ -92,25 +97,46 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
     shared : X.inst;
   }
 
-  and ctx = private { b : t; tid : int; st : Smr_stats.t; local : X.thr }
+  and ctx = private {
+    b : t;
+    tid : int;
+    st : Smr_stats.t;
+    local : X.thr;
+    pressure : (unit -> unit) option;
+        (** the scheme's flush, closed over this context *)
+    mutable held : int array;
+        (** locks held through the write token: (slot, field) pairs *)
+    mutable nheld : int;
+  }
 
   (** {1 Phase tokens}
 
-      Inside a scheme both tokens are the context itself, so the
-      schemes' [ctx -> ...] read paths already have the types
-      {!Smr_intf.S} gives them; the abstraction happens at the
-      signature. *)
+      Inside a scheme every token is the context itself, so the
+      schemes' [ctx -> ...] read paths and the write-phase accessors
+      below already have the types {!Smr_intf.S} gives them; the
+      abstraction happens at the signature. *)
 
   type op = ctx
   type 's rd = ctx
   type 'a reader = { read : 's. 's rd -> 'a * int array } [@@unboxed]
   type 'a viewer = { view : 's. 's rd -> 'a } [@@unboxed]
+  type 's wr = ctx
+  type ('a, 'b) writer = { write : 's. 's wr -> 'a -> 'b } [@@unboxed]
 
   (** {1 The shared half of {!Smr_intf.S}} *)
 
   val bounded_garbage : bool
   val create : pool -> nthreads:int -> Smr_config.t -> t
+
   val register : t -> tid:int -> ctx
+  (** {!Smr_intf.S.register} for a scheme with no pressure flush: its
+      {!alloc} passes none to the pool. *)
+
+  val register_flushing : flush:(ctx -> unit) -> t -> tid:int -> ctx
+  (** {!Smr_intf.S.register} for a scheme whose {!alloc} runs [flush] on
+      the new context under pool pressure; the closure is built here,
+      once per context. *)
+
   val deregister : ctx -> unit
   val adopt_orphans : ctx -> unit
   val set_offload : t -> Smr_intf.Offload.t option -> unit
@@ -146,6 +172,39 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
   val adopt_pending : ctx -> unit
   (** Adopt orphan parcels if any are pending (one stdlib atomic load
       otherwise) and the thread still holds its slot. *)
+
+  (** {1 The write phase}
+
+      {!Smr_intf.S}'s write-phase accessors, once for every scheme. *)
+
+  val alloc : ?cls:int -> ctx -> int
+  (** [Pool.alloc] with the context's flush, if it has one.  IBR and HE
+      wrap it with their birth-era stamp. *)
+
+  val free : ctx -> int -> unit
+  val get_data : ctx -> int -> int -> int
+  val set_data : ctx -> int -> int -> int -> unit
+  val get_ptr : ctx -> int -> int -> int
+  val set_ptr : ctx -> int -> int -> int -> unit
+  val load_tagged : ctx -> int -> int -> int
+  val cas_tagged : ctx -> int -> int -> int -> int -> bool
+
+  val lock : ctx -> int -> int -> unit
+  (** [Pool.lock], then push the lock on the context's stack. *)
+
+  val unlock : ctx -> int -> int -> unit
+  (** Take the lock off the stack, then [Pool.unlock]. *)
+
+  val run_write : ctx -> ('a, 'b) writer -> 'a -> 'b
+  (** Run a write phase on [payload]; release, last taken first, the
+      locks it took and still holds when it returns or raises.  The
+      write half of every [phase] here and in the NBR family.
+      Allocates nothing. *)
+
+  val note_read : ctx -> int -> unit
+  (** Report a dereference of a record to the pool's use-after-free
+      detector ([Pool.record_read]) and count a stale one; for reads
+      that do not validate.  Negative words (nil) are skipped. *)
 
   (** {1 Retire-path helpers} *)
 
@@ -204,7 +263,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
       and the caller's statistics, and consumes the recycled memory as
       the unprotected read it is. *)
   module Unguarded : sig
-    val phase : op -> read:'a reader -> write:('a -> 'b) -> 'b
+    val phase : op -> read:'a reader -> write:('a, 'b) writer -> 'b
     val read_only : op -> 'a viewer -> 'a
     val read_ptr : ctx -> src:int -> field:int -> int
     val read_raw : ctx -> src:int -> field:int -> int
@@ -224,7 +283,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
   (** Count a stale validated read and raise {!Rt.Neutralized}: what a
       restartable read phase does when [Pool.Stale] reaches it. *)
 
-  val phase : op -> read:'a reader -> write:('a -> 'b) -> 'b
+  val phase : op -> read:'a reader -> write:('a, 'b) writer -> 'b
   val read_only : op -> 'a viewer -> 'a
   val read_data : ctx -> src:int -> field:int -> int
   val peek_ptr : ctx -> src:int -> field:int -> int

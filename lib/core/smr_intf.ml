@@ -6,24 +6,31 @@
 
     {v
       op ctx (fun op ->
-        ... preamble: globals, allocation ...
+        ... preamble: globals ...
         phase op
           ~read:{ read = (fun rd -> (* Φread: traverse from a sentinel
                                        record via read_ptr rd / read_data rd *)
                                     (payload, [| reserved records ... |])) }
-          ~write:(fun payload -> (* Φwrite: locks, validation, updates,
-                                    access only to reserved records       *) ...))
+          ~write:{ write = (fun wr payload ->
+                    (* Φwrite: locks, validation, allocation, updates —
+                       all through wr, on reserved records only *) ...) })
     v}
 
     The types carry the protocol.  Only {!op} opens an operation, and it
     closes it on every exit, exceptions included; {!phase} and
     {!read_only} demand the [op] token it hands out, so a phase cannot
     run outside an operation.  The validated reads demand a read token
-    ['s rd], which only a running read phase hands out; its record field
-    is polymorphic in ['s], so the token cannot be returned, stored in an
-    outer reference or otherwise outlive the phase that issued it.  What
-    the types cannot see, plain {!Nbr_pool.Pool} writes and reads inside
-    a read lambda, is left to the [nbr_lint] rules R1 and R4.
+    ['s rd], which only a running read phase hands out; everything a
+    write phase does (allocation, retirement, plain field access, record
+    locks, the tagged-word load and CAS) demands a write token ['s wr],
+    which only a running write phase hands out.  Both tokens' record
+    fields are polymorphic in ['s], so a token cannot be returned, stored
+    in an outer reference or otherwise outlive the phase that issued it,
+    and a read lambda, holding no write token, can neither write, lock
+    nor allocate (paper §4.1).  The phase releases, last taken first,
+    every lock taken through its write token that is still held when the
+    write phase exits, by any path, so a write phase that raises (a
+    [Pool.Exhausted] allocation) cannot leave a record locked.
 
     A traversal starts at a record the structure allocated outside any
     operation and never retires (a sentinel head or anchor), so every
@@ -228,6 +235,14 @@ module type S = sig
   type 'a viewer = { view : 's. 's rd -> 'a } [@@unboxed]
   (** The read phase of {!read_only}. *)
 
+  type 's wr
+  (** A write token: only a running write phase issues one, and the
+      polymorphic ['s] keeps it from leaving that phase. *)
+
+  type ('a, 'b) writer = { write : 's. 's wr -> 'a -> 'b } [@@unboxed]
+  (** The write phase of {!phase}: the token, then the read phase's
+      payload. *)
+
   val op : ctx -> (op -> 'a) -> 'a
   (** [op ctx body] runs [body] as one operation: the scheme's operation
       start (expulsion check, epoch or era publication), then [body],
@@ -240,44 +255,36 @@ module type S = sig
       thread that dies mid-operation does.  Whatever the scheme publishes
       at operation start stays published. *)
 
-  val alloc : ?cls:int -> ctx -> int
-  (** Allocate a record from pool size-class [cls] (default 0), applying
-      scheme hooks (e.g. IBR birth eras).  Legal in the preamble and in
-      write phases; never in a read phase. *)
-
-  val retire : ctx -> int -> unit
-  (** Hand an {e unlinked} record to the scheme.  May trigger reclamation
-      (and, for NBR/NBR+, neutralization signals).  The caller must not
-      touch the record afterwards. *)
-
   val on_pressure : ctx -> unit
   (** Reclamation flush for pool pressure: free whatever the scheme can
       free {e right now}, ignoring thresholds and amortization — NBR
       broadcasts and sweeps, epoch schemes attempt a full (non-amortized)
       epoch advance, QSBR parks and collects.  Invoked by the pool's
-      graceful-exhaustion retry loop (each scheme's [alloc] passes it to
-      [Pool.alloc ?on_pressure]), so it must be legal wherever [alloc] is
-      — preamble or write phase — and must not itself allocate.  Schemes
-      that pin memory through a stalled peer can only shed what that peer
-      does not pin: this is exactly the degradation the chaos suite
-      measures. *)
+      graceful-exhaustion retry loop ({!alloc} passes it to
+      [Pool.alloc ?on_pressure]), so it must be legal in a write phase,
+      and must not itself allocate.  Schemes that pin memory through a
+      stalled peer can only shed what that peer does not pin: this is
+      exactly the degradation the chaos suite measures. *)
 
   (** {1 Phases} *)
 
-  val phase : op -> read:'a reader -> write:('a -> 'b) -> 'b
+  val phase : op -> read:'a reader -> write:('a, 'b) writer -> 'b
   (** Run one Φread/Φwrite pair.  [read] must obey the paper's read-phase
       rules (§4.1): traverse shared records only through {!read_ptr} /
-      {!read_raw} / {!read_data} / {!peek_ptr}, no shared writes, no
-      allocation, no locks — it can be abandoned and replayed at any
-      moment.  Its result array lists every record the write phase will
-      access (at most [max_reservations]).  [write] runs exactly once per
-      successful read phase and must only access reserved records (plus
-      records it allocates). *)
+      {!read_raw} / {!read_data} / {!peek_ptr} — with no write token it
+      cannot write, allocate or lock — since it can be abandoned and
+      replayed at any moment.  Its result array lists every record the
+      write phase will access (at most [max_reservations]).  [write] runs
+      exactly once per successful read phase and must only access
+      reserved records (plus records it allocates).  Locks [write] took
+      through its token and still holds when it returns or raises are
+      released, last taken first, before [phase] returns or re-raises. *)
 
   val read_only : op -> 'a viewer -> 'a
   (** A degenerate phase for operations with no write phase (contains):
       for a viewer [v], equivalent to
-      [phase ~read:{ read = (fun rd -> (v.view rd, [||])) } ~write:Fun.id]. *)
+      [phase ~read:{ read = (fun rd -> (v.view rd, [||])) }
+      ~write:{ write = (fun _ x -> x) }]. *)
 
   (** {1 Guarded traversal} *)
 
@@ -295,18 +302,21 @@ module type S = sig
       [src] nor the target, and hazard-pointer schemes cannot publish
       protection through it: this is precisely the paper's P5 limitation
       of HP with structures that traverse marked nodes, and the
-      benchmarks never pair HP with such structures. *)
+      benchmarks never pair HP with such structures.  It reports the
+      dereference of [src] to the pool's use-after-free detector
+      ([Pool.record_read]) before it loads, and counts it in the
+      caller's statistics if [src] is stale. *)
 
   val read_data : 's rd -> src:int -> field:int -> int
   (** Read data field [field] of record [src] inside a read phase.  The
-      generation-validated counterpart of a plain [Pool.get_data]: the
-      scheme decides what a [Pool.Stale] refusal means for its protocol —
-      restartable schemes (NBR family; HP/HE after failed validation)
-      abandon the read phase, epoch-based schemes whose guarantees make
-      staleness impossible treat it as the benign poll-window read it
-      is, and foil schemes consume the recycled memory knowingly.
-      Structures use this for every key/mark read along an unvalidated
-      traversal. *)
+      generation-validated counterpart of the write phase's plain
+      {!get_data}: the scheme decides what a [Pool.Stale] refusal means
+      for its protocol — restartable schemes (NBR family; HP/HE after
+      failed validation) abandon the read phase, epoch-based schemes
+      whose guarantees make staleness impossible treat it as the benign
+      poll-window read it is, and foil schemes consume the recycled
+      memory knowingly.  Structures use this for every key/mark read
+      along an unvalidated traversal. *)
 
   val peek_ptr : 's rd -> src:int -> field:int -> int
   (** Read pointer field [field] of record [src] as a {e value}, without
@@ -314,6 +324,49 @@ module type S = sig
       poll point is crossed for it.  For structural predicates on the
       current record ("is this node a leaf?") where the target is never
       dereferenced.  Validates [src] like {!read_data}. *)
+
+  (** {1 Write-phase access}
+
+      Everything a write phase does to shared records goes through its
+      token.  The field accessors are the pool's plain tier: the records
+      are reserved or locked, so their handles cannot go stale under a
+      sound scheme. *)
+
+  val alloc : ?cls:int -> 's wr -> int
+  (** Allocate a record from pool size-class [cls] (default 0), applying
+      scheme hooks (e.g. IBR birth eras); under pool pressure the
+      scheme's {!on_pressure} flush runs before each retry. *)
+
+  val retire : 's wr -> int -> unit
+  (** Hand an {e unlinked} record to the scheme.  May trigger reclamation
+      (and, for NBR/NBR+, neutralization signals).  The caller must not
+      touch the record afterwards. *)
+
+  val free : 's wr -> int -> unit
+  (** Give back, with no grace period, a record this write phase
+      allocated and never published. *)
+
+  val get_data : 's wr -> int -> int -> int
+  val set_data : 's wr -> int -> int -> int -> unit
+  val get_ptr : 's wr -> int -> int -> int
+  val set_ptr : 's wr -> int -> int -> int -> unit
+  (** [get_data wr h f] / [set_data wr h f v] and the pointer-field pair:
+      plain access to field [f] of record [h]. *)
+
+  val lock : 's wr -> int -> int -> unit
+  (** [lock wr h f] spins until it holds the lock in data field [f] of
+      record [h].  The phase releases it if the write phase exits still
+      holding it. *)
+
+  val unlock : 's wr -> int -> int -> unit
+  (** Release a lock taken with {!lock}. *)
+
+  val load_tagged : 's wr -> int -> int -> int
+  (** [load_tagged wr h f]: synchronising load of pointer field [f] when
+      the word is not a plain handle (a mark-tagged Harris link). *)
+
+  val cas_tagged : 's wr -> int -> int -> int -> int -> bool
+  (** [cas_tagged wr h f old v]: CAS on such a word. *)
 
   (** {1 Introspection} *)
 

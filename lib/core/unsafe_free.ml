@@ -37,7 +37,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* Nothing is ever buffered; [max_garbage] stays 0. *)
   let on_pressure _ = ()
-  let alloc ?cls c = P.alloc ?cls c.b.pool
 
   let retire c slot =
     count_retire c slot;

@@ -45,7 +45,7 @@ struct
   let f_marked = b + 1
   let f_lock = b + 2
 
-  type t = { pool : P.t; anchor : int }
+  type t = { anchor : int }
 
   (** The anchor is a permanent degree-1 internal node above the real root;
       replacing the root subtree means swinging [anchor.child0] under the
@@ -56,14 +56,14 @@ struct
     P.set_data pool anchor f_size 1;
     P.set_data pool empty f_size 0;
     P.set_ptr pool anchor 0 empty;
-    { pool; anchor }
+    { anchor }
 
   (* Write-phase field reads: the node is locked / reserved, so the handle
      cannot go stale under a sound scheme. *)
-  let size_of t s = min (max (P.get_data t.pool s f_size) 0) b
-  let marked t s = P.get_data t.pool s f_marked = 1
-  let key_at t s i = P.get_data t.pool s i
-  let is_leaf t s = P.get_ptr t.pool s 0 = P.nil
+  let size_of wr s = min (max (Smr.get_data wr s f_size) 0) b
+  let marked wr s = Smr.get_data wr s f_marked = 1
+  let key_at wr s i = Smr.get_data wr s i
+  let is_leaf wr s = Smr.get_ptr wr s 0 = P.nil
 
   (* Read-phase variants: generation-validated, so a stale handle fails
      through the scheme's own policy instead of routing the descent (or
@@ -74,14 +74,6 @@ struct
 
   (* Child index for key [k] at internal node [s]: the largest [i] with
      [i = 0 || key i <= k]. *)
-  let route t s k =
-    let m = size_of t s in
-    let i = ref 0 in
-    for j = 1 to m - 1 do
-      if key_at t s j <= k then i := j
-    done;
-    !i
-
   let rroute rd s k =
     let m = rsize_of rd s in
     let i = ref 0 in
@@ -91,11 +83,11 @@ struct
     !i
 
   (* Position of [k] in leaf [s], or -1. *)
-  let leaf_find t s k =
-    let m = size_of t s in
+  let leaf_find wr s k =
+    let m = size_of wr s in
     let pos = ref (-1) in
     for j = 0 to m - 1 do
-      if key_at t s j = k then pos := j
+      if key_at wr s j = k then pos := j
     done;
     !pos
 
@@ -109,28 +101,28 @@ struct
 
   (* ---------------- node construction (write phases only) -------------- *)
 
-  let new_leaf t ctx keys n =
-    let s = Smr.alloc ctx in
+  let new_leaf wr keys n =
+    let s = Smr.alloc wr in
     for j = 0 to n - 1 do
-      P.set_data t.pool s j keys.(j)
+      Smr.set_data wr s j keys.(j)
     done;
-    P.set_data t.pool s f_size n;
-    P.set_data t.pool s f_marked 0;
+    Smr.set_data wr s f_size n;
+    Smr.set_data wr s f_marked 0;
     for j = 0 to b - 1 do
-      P.set_ptr t.pool s j P.nil
+      Smr.set_ptr wr s j P.nil
     done;
     s
 
-  let new_internal t ctx keys children n =
-    let s = Smr.alloc ctx in
+  let new_internal wr keys children n =
+    let s = Smr.alloc wr in
     for j = 0 to n - 1 do
-      P.set_data t.pool s j keys.(j);
-      P.set_ptr t.pool s j children.(j)
+      Smr.set_data wr s j keys.(j);
+      Smr.set_ptr wr s j children.(j)
     done;
-    P.set_data t.pool s f_size n;
-    P.set_data t.pool s f_marked 0;
+    Smr.set_data wr s f_size n;
+    Smr.set_data wr s f_marked 0;
     for j = n to b - 1 do
-      P.set_ptr t.pool s j P.nil
+      Smr.set_ptr wr s j P.nil
     done;
     s
 
@@ -138,7 +130,7 @@ struct
      must happen only after every lock is released — retiring a locked
      record would let the reclaimer free (and the allocator recycle) a slot
      whose lock word is still held. *)
-  let mark t s = P.set_data t.pool s f_marked 1
+  let mark wr s = Smr.set_data wr s f_marked 1
 
   (* ---------------- search ---------------- *)
 
@@ -198,25 +190,26 @@ struct
      then v := Prune (!gp, !gdir, !p, !pdir, !n));
     !v
 
-  let unlock_all t cells =
-    List.iter (fun s -> P.unlock t.pool s f_lock) (List.rev cells)
+  let rec lock_all wr = function
+    | [] -> ()
+    | s :: rest ->
+        Smr.lock wr s f_lock;
+        lock_all wr rest
 
-  (* Lock [cells] in order; return [None] (after unlocking) if [valid]
-     fails.  The locks are released on every exit, a raising [body]
-     (pool exhaustion) included. *)
-  let with_locks t cells ~valid ~body =
-    List.iter (fun s -> P.lock t.pool s f_lock) cells;
-    let ok = valid () in
-    let r =
-      if ok then (
-        match body () with
-        | v -> Some v
-        | exception e ->
-            unlock_all t cells;
-            raise e)
-      else None
-    in
-    unlock_all t cells;
+  (* Last taken first. *)
+  let rec unlock_all wr = function
+    | [] -> ()
+    | s :: rest ->
+        unlock_all wr rest;
+        Smr.unlock wr s f_lock
+
+  (* Lock [cells] in order; return [None] if [valid] fails.  The locks
+     are released here when [body] returns, and by the phase when it
+     raises (pool exhaustion). *)
+  let with_locks wr cells ~valid ~body =
+    lock_all wr cells;
+    let r = if valid () then Some (body ()) else None in
+    unlock_all wr cells;
     r
 
   let scratch_keys () = Array.make (b + 1) 0
@@ -225,81 +218,81 @@ struct
   (* Absorb router [r] (size 2) into parent [p] at child position [pdir],
      replacing [p] by a copy with both of [r]'s children.  [p] gains one
      child; requires p.size < b. *)
-  let do_absorb t ctx op (gp, gdir, p, pdir, r) =
+  let do_absorb op (gp, gdir, p, pdir, r) =
     Smr.phase op
       ~read:{ Smr.read = (fun _ -> ((), [| gp; p; r |])) }
-      ~write:(fun () ->
+      ~write:{ Smr.write = (fun wr () ->
         (* [r] must be locked too: its children are copied into the
            replacement, and leaf operations under [r] swing r's child
            edges under r's lock — without holding it the copy could
            capture a just-retired child, leaving a retired node
            reachable. *)
-        with_locks t [ gp; p; r ]
+        with_locks wr [ gp; p; r ]
           ~valid:(fun () ->
-            (not (marked t gp))
-            && (not (marked t p))
-            && (not (marked t r))
-            && P.get_ptr t.pool gp gdir = p
-            && P.get_ptr t.pool p pdir = r
-            && size_of t r = 2
-            && size_of t p < b
-            && not (is_leaf t r))
+            (not (marked wr gp))
+            && (not (marked wr p))
+            && (not (marked wr r))
+            && Smr.get_ptr wr gp gdir = p
+            && Smr.get_ptr wr p pdir = r
+            && size_of wr r = 2
+            && size_of wr p < b
+            && not (is_leaf wr r))
           ~body:(fun () ->
-            let m = size_of t p in
+            let m = size_of wr p in
             let keys = scratch_keys () and children = scratch_children () in
             let w = ref 0 in
             for j = 0 to m - 1 do
               if j = pdir then begin
                 (* Splice r's two children in place of r; r's routing key
                    separates them. *)
-                keys.(!w) <- key_at t p j;
-                children.(!w) <- P.get_ptr t.pool r 0;
+                keys.(!w) <- key_at wr p j;
+                children.(!w) <- Smr.get_ptr wr r 0;
                 incr w;
-                keys.(!w) <- key_at t r 1;
-                children.(!w) <- P.get_ptr t.pool r 1;
+                keys.(!w) <- key_at wr r 1;
+                children.(!w) <- Smr.get_ptr wr r 1;
                 incr w
               end
               else begin
-                keys.(!w) <- key_at t p j;
-                children.(!w) <- P.get_ptr t.pool p j;
+                keys.(!w) <- key_at wr p j;
+                children.(!w) <- Smr.get_ptr wr p j;
                 incr w
               end
             done;
-            let p' = new_internal t ctx keys children !w in
-            P.set_ptr t.pool gp gdir p';
-            mark t p;
-            mark t r;
+            let p' = new_internal wr keys children !w in
+            Smr.set_ptr wr gp gdir p';
+            mark wr p;
+            mark wr r;
             [ p; r ])
         |> function
         | None -> false
         | Some victims ->
-            List.iter (Smr.retire ctx) victims;
-            true)
+            List.iter (Smr.retire wr) victims;
+            true) }
 
   (* Prune empty leaf [leaf] out of parent [p]: copy [p] without that
      child; if [p] would drop to one child, replace [p] by its surviving
      child instead. *)
-  let do_prune t ctx op (gp, gdir, p, pdir, leaf) =
+  let do_prune op (gp, gdir, p, pdir, leaf) =
     Smr.phase op
       ~read:{ Smr.read = (fun _ -> ((), [| gp; p; leaf |])) }
-      ~write:(fun () ->
-        with_locks t [ gp; p ]
+      ~write:{ Smr.write = (fun wr () ->
+        with_locks wr [ gp; p ]
           ~valid:(fun () ->
-            (not (marked t gp))
-            && (not (marked t p))
-            && (not (marked t leaf))
-            && P.get_ptr t.pool gp gdir = p
-            && P.get_ptr t.pool p pdir = leaf
-            && is_leaf t leaf
-            && size_of t leaf = 0
-            && size_of t p >= 2)
+            (not (marked wr gp))
+            && (not (marked wr p))
+            && (not (marked wr leaf))
+            && Smr.get_ptr wr gp gdir = p
+            && Smr.get_ptr wr p pdir = leaf
+            && is_leaf wr leaf
+            && size_of wr leaf = 0
+            && size_of wr p >= 2)
           ~body:(fun () ->
-            let m = size_of t p in
+            let m = size_of wr p in
             if m = 2 then begin
-              let sibling = P.get_ptr t.pool p (1 - pdir) in
-              P.set_ptr t.pool gp gdir sibling;
-              mark t p;
-              mark t leaf;
+              let sibling = Smr.get_ptr wr p (1 - pdir) in
+              Smr.set_ptr wr gp gdir sibling;
+              mark wr p;
+              mark wr leaf;
               [ p; leaf ]
             end
             else begin
@@ -307,27 +300,27 @@ struct
               let w = ref 0 in
               for j = 0 to m - 1 do
                 if j <> pdir then begin
-                  keys.(!w) <- key_at t p j;
-                  children.(!w) <- P.get_ptr t.pool p j;
+                  keys.(!w) <- key_at wr p j;
+                  children.(!w) <- Smr.get_ptr wr p j;
                   incr w
                 end
               done;
               (* Child 0's routing key is unused; normalise it. *)
-              let p' = new_internal t ctx keys children !w in
-              P.set_ptr t.pool gp gdir p';
-              mark t p;
-              mark t leaf;
+              let p' = new_internal wr keys children !w in
+              Smr.set_ptr wr gp gdir p';
+              mark wr p;
+              mark wr leaf;
               [ p; leaf ]
             end)
         |> function
         | None -> false
         | Some victims ->
-            List.iter (Smr.retire ctx) victims;
-            true)
+            List.iter (Smr.retire wr) victims;
+            true) }
 
   let max_repair_passes = 8
 
-  let repair t ctx op k =
+  let repair t op k =
     let pass = ref 0 in
     let continue_ = ref true in
     while !continue_ && !pass < max_repair_passes do
@@ -338,9 +331,9 @@ struct
       match v with
       | Clean -> continue_ := false
       | Absorb (a1, a2, a3, a4, a5) ->
-          ignore (do_absorb t ctx op (a1, a2, a3, a4, a5))
+          ignore (do_absorb op (a1, a2, a3, a4, a5))
       | Prune (a1, a2, a3, a4, a5) ->
-          ignore (do_prune t ctx op (a1, a2, a3, a4, a5))
+          ignore (do_prune op (a1, a2, a3, a4, a5))
     done
 
   (* ---------------- updates ---------------- *)
@@ -355,23 +348,23 @@ struct
           ~read:{ Smr.read = (fun rd ->
             let _, _, p, pdir, leaf = descend t rd k in
             ((p, pdir, leaf), [| p; leaf |])) }
-          ~write:(fun (p, pdir, leaf) ->
-            if leaf_find t leaf k >= 0 then Done false
+          ~write:{ Smr.write = (fun wr (p, pdir, leaf) ->
+            if leaf_find wr leaf k >= 0 then Done false
             else
               match
-                with_locks t [ p ]
+                with_locks wr [ p ]
                   ~valid:(fun () ->
-                    (not (marked t p))
-                    && (not (marked t leaf))
-                    && P.get_ptr t.pool p pdir = leaf
-                    && leaf_find t leaf k < 0)
+                    (not (marked wr p))
+                    && (not (marked wr leaf))
+                    && Smr.get_ptr wr p pdir = leaf
+                    && leaf_find wr leaf k < 0)
                   ~body:(fun () ->
-                    let m = size_of t leaf in
+                    let m = size_of wr leaf in
                     let keys = scratch_keys () in
                     (* Merge k into the sorted keys. *)
                     let w = ref 0 and placed = ref false in
                     for j = 0 to m - 1 do
-                      let kj = key_at t leaf j in
+                      let kj = key_at wr leaf j in
                       if (not !placed) && k < kj then begin
                         keys.(!w) <- k;
                         incr w;
@@ -385,9 +378,9 @@ struct
                       incr w
                     end;
                     if m < b then begin
-                      let leaf' = new_leaf t ctx keys !w in
-                      P.set_ptr t.pool p pdir leaf';
-                      mark t leaf;
+                      let leaf' = new_leaf wr keys !w in
+                      Smr.set_ptr wr p pdir leaf';
+                      mark wr leaf;
                       false (* no split *)
                     end
                     else begin
@@ -396,42 +389,42 @@ struct
                          a later absorb phase). *)
                       let total = !w in
                       let lo = (total + 1) / 2 in
-                      let l1 = new_leaf t ctx keys lo in
+                      let l1 = new_leaf wr keys lo in
                       (* A later allocation that raises frees the
                          earlier, never published, nodes plainly. *)
                       let l2 =
                         match
-                          new_leaf t ctx (Array.sub keys lo (total - lo))
+                          new_leaf wr (Array.sub keys lo (total - lo))
                             (total - lo)
                         with
                         | s -> s
                         | exception e ->
-                            P.free t.pool l1;
+                            Smr.free wr l1;
                             raise e
                       in
                       let rkeys = [| 0; keys.(lo) |] in
                       let router =
-                        match new_internal t ctx rkeys [| l1; l2 |] 2 with
+                        match new_internal wr rkeys [| l1; l2 |] 2 with
                         | s -> s
                         | exception e ->
-                            P.free t.pool l2;
-                            P.free t.pool l1;
+                            Smr.free wr l2;
+                            Smr.free wr l1;
                             raise e
                       in
-                      P.set_ptr t.pool p pdir router;
-                      mark t leaf;
+                      Smr.set_ptr wr p pdir router;
+                      mark wr leaf;
                       true
                     end)
               with
               | None -> Again
               | Some did_split ->
-                  Smr.retire ctx leaf;
+                  Smr.retire wr leaf;
                   split := did_split;
-                  Done true)
+                  Done true) }
       in
       match out with
       | Done r ->
-          if r && !split then repair t ctx op k;
+          if r && !split then repair t op k;
           r
       | Again -> attempt op
     in
@@ -445,41 +438,41 @@ struct
           ~read:{ Smr.read = (fun rd ->
             let _, _, p, pdir, leaf = descend t rd k in
             ((p, pdir, leaf), [| p; leaf |])) }
-          ~write:(fun (p, pdir, leaf) ->
-            if leaf_find t leaf k < 0 then Done false
+          ~write:{ Smr.write = (fun wr (p, pdir, leaf) ->
+            if leaf_find wr leaf k < 0 then Done false
             else
               match
-                with_locks t [ p ]
+                with_locks wr [ p ]
                   ~valid:(fun () ->
-                    (not (marked t p))
-                    && (not (marked t leaf))
-                    && P.get_ptr t.pool p pdir = leaf
-                    && leaf_find t leaf k >= 0)
+                    (not (marked wr p))
+                    && (not (marked wr leaf))
+                    && Smr.get_ptr wr p pdir = leaf
+                    && leaf_find wr leaf k >= 0)
                   ~body:(fun () ->
-                    let m = size_of t leaf in
+                    let m = size_of wr leaf in
                     let keys = scratch_keys () in
                     let w = ref 0 in
                     for j = 0 to m - 1 do
-                      let kj = key_at t leaf j in
+                      let kj = key_at wr leaf j in
                       if kj <> k then begin
                         keys.(!w) <- kj;
                         incr w
                       end
                     done;
-                    let leaf' = new_leaf t ctx keys !w in
-                    P.set_ptr t.pool p pdir leaf';
-                    mark t leaf;
+                    let leaf' = new_leaf wr keys !w in
+                    Smr.set_ptr wr p pdir leaf';
+                    mark wr leaf;
                     !w = 0)
               with
               | None -> Again
               | Some now_empty ->
-                  Smr.retire ctx leaf;
+                  Smr.retire wr leaf;
                   emptied := now_empty;
-                  Done true)
+                  Done true) }
       in
       match out with
       | Done r ->
-          if r && !emptied then repair t ctx op k;
+          if r && !emptied then repair t op k;
           r
       | Again -> attempt op
     in
@@ -487,57 +480,55 @@ struct
 
   (* ---------------- sequential helpers (tests only) ---------------- *)
 
-  let to_list t =
+  let seq_size pool s = min (max (P.get_data pool s f_size) 0) b
+
+  let to_list pool t =
     let rec go s acc =
       if s = P.nil then acc
-      else if is_leaf t s then begin
-        let m = size_of t s in
-        let acc = ref acc in
-        for j = m - 1 downto 0 do
-          acc := key_at t s j :: !acc
-        done;
-        !acc
-      end
       else begin
-        let m = size_of t s in
+        let m = seq_size pool s in
+        let leaf = P.get_ptr pool s 0 = P.nil in
         let acc = ref acc in
         for j = m - 1 downto 0 do
-          acc := go (P.get_ptr t.pool s j) !acc
+          acc :=
+            if leaf then P.get_data pool s j :: !acc
+            else go (P.get_ptr pool s j) !acc
         done;
         !acc
       end
     in
-    go (P.get_ptr t.pool t.anchor 0) []
+    go (P.get_ptr pool t.anchor 0) []
 
-  let size t = List.length (to_list t)
+  let size pool t = List.length (to_list pool t)
 
   (** Structural checks for tests: sorted leaves, router ranges respected,
       sizes within bounds.  Returns an error description if violated. *)
-  let check t =
+  let check pool t =
     let err = ref None in
     let note m = if !err = None then err := Some m in
+    let key_at s i = P.get_data pool s i in
     let rec go s lo hi =
       if s <> P.nil then begin
-        let m = size_of t s in
-        if is_leaf t s then begin
+        let m = seq_size pool s in
+        if P.get_ptr pool s 0 = P.nil then begin
           for j = 0 to m - 1 do
-            let kj = key_at t s j in
-            if j > 0 && key_at t s (j - 1) >= kj then note "leaf unsorted";
+            let kj = key_at s j in
+            if j > 0 && key_at s (j - 1) >= kj then note "leaf unsorted";
             if kj < lo || kj >= hi then note "leaf key out of range"
           done
         end
         else begin
           if m < 1 || m > b then note "internal size out of bounds";
           for j = 0 to m - 1 do
-            let l = if j = 0 then lo else key_at t s j in
-            let h = if j = m - 1 then hi else key_at t s (j + 1) in
-            if j > 0 && j < m - 1 && key_at t s j >= key_at t s (j + 1) then
+            let l = if j = 0 then lo else key_at s j in
+            let h = if j = m - 1 then hi else key_at s (j + 1) in
+            if j > 0 && j < m - 1 && key_at s j >= key_at s (j + 1) then
               note "routers unsorted";
-            go (P.get_ptr t.pool s j) l h
+            go (P.get_ptr pool s j) l h
           done
         end
       end
     in
-    go (P.get_ptr t.pool t.anchor 0) min_int max_int;
+    go (P.get_ptr pool t.anchor 0) min_int max_int;
     !err
 end

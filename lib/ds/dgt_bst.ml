@@ -41,7 +41,7 @@ struct
   let f_marked = 1
   let f_lock = 2
 
-  type t = { pool : P.t; root : int }
+  type t = { root : int }
 
   let create pool =
     let root = P.alloc pool in
@@ -52,13 +52,12 @@ struct
     P.set_data pool r f_key max_int;
     P.set_ptr pool root 0 l;
     P.set_ptr pool root 1 r;
-    { pool; root }
+    { root }
 
   (* Write-phase field reads: the node is locked / reserved, so the
      handle cannot go stale under a sound scheme. *)
-  let key t s = P.get_data t.pool s f_key
-  let marked t s = P.get_data t.pool s f_marked = 1
-  let is_leaf t s = P.get_ptr t.pool s 0 = P.nil
+  let key wr s = Smr.get_data wr s f_key
+  let marked wr s = Smr.get_data wr s f_marked = 1
 
   (* Read-phase variants: generation-validated, so a stale handle fails
      through the scheme's own policy instead of routing the descent by a
@@ -93,6 +92,8 @@ struct
 
   type 'a outcome = Done of 'a | Retry
 
+  (* The parent's lock is released on every exit: here on the paths that
+     return, by the phase when an allocation raises. *)
   let insert t ctx k =
     let rec attempt op =
       let out =
@@ -100,53 +101,46 @@ struct
           ~read:{ Smr.read = (fun rd ->
             let _, _, p, pdir, l = search t rd k in
             ((p, pdir, l), [| p; l |])) }
-          ~write:(fun (p, pdir, l) ->
-            if key t l = k then Done false
+          ~write:{ Smr.write = (fun wr (p, pdir, l) ->
+            if key wr l = k then Done false
             else begin
-              P.lock t.pool p f_lock;
-              if marked t p || P.get_ptr t.pool p pdir <> l then begin
-                P.unlock t.pool p f_lock;
+              Smr.lock wr p f_lock;
+              if marked wr p || Smr.get_ptr wr p pdir <> l then begin
+                Smr.unlock wr p f_lock;
                 Retry
               end
               else begin
                 (* Replace the leaf edge by router(max k lk) over the two
                    leaves, ordered by key. *)
-                let lk = key t l in
-                let leaf =
-                  match Smr.alloc ctx with
-                  | n -> n
-                  | exception e ->
-                      P.unlock t.pool p f_lock;
-                      raise e
-                in
-                P.set_data t.pool leaf f_key k;
-                P.set_data t.pool leaf f_marked 0;
-                P.set_ptr t.pool leaf 0 P.nil;
-                P.set_ptr t.pool leaf 1 P.nil;
+                let lk = key wr l in
+                let leaf = Smr.alloc wr in
+                Smr.set_data wr leaf f_key k;
+                Smr.set_data wr leaf f_marked 0;
+                Smr.set_ptr wr leaf 0 P.nil;
+                Smr.set_ptr wr leaf 1 P.nil;
                 let router =
-                  match Smr.alloc ctx with
+                  match Smr.alloc wr with
                   | n -> n
                   | exception e ->
                       (* Never published: plain free, no grace period. *)
-                      P.free t.pool leaf;
-                      P.unlock t.pool p f_lock;
+                      Smr.free wr leaf;
                       raise e
                 in
-                P.set_data t.pool router f_key (max k lk);
-                P.set_data t.pool router f_marked 0;
+                Smr.set_data wr router f_key (max k lk);
+                Smr.set_data wr router f_marked 0;
                 if k < lk then begin
-                  P.set_ptr t.pool router 0 leaf;
-                  P.set_ptr t.pool router 1 l
+                  Smr.set_ptr wr router 0 leaf;
+                  Smr.set_ptr wr router 1 l
                 end
                 else begin
-                  P.set_ptr t.pool router 0 l;
-                  P.set_ptr t.pool router 1 leaf
+                  Smr.set_ptr wr router 0 l;
+                  Smr.set_ptr wr router 1 leaf
                 end;
-                P.set_ptr t.pool p pdir router;
-                P.unlock t.pool p f_lock;
+                Smr.set_ptr wr p pdir router;
+                Smr.unlock wr p f_lock;
                 Done true
               end
-            end)
+            end) }
       in
       match out with Done r -> r | Retry -> attempt op
     in
@@ -159,50 +153,50 @@ struct
           ~read:{ Smr.read = (fun rd ->
             let gp, gdir, p, pdir, l = search t rd k in
             ((gp, gdir, p, pdir, l), [| gp; p; l |])) }
-          ~write:(fun (gp, gdir, p, pdir, l) ->
-            if key t l <> k then Done false
+          ~write:{ Smr.write = (fun wr (gp, gdir, p, pdir, l) ->
+            if key wr l <> k then Done false
             else begin
-              P.lock t.pool gp f_lock;
-              P.lock t.pool p f_lock;
+              Smr.lock wr gp f_lock;
+              Smr.lock wr p f_lock;
               if
-                marked t gp || marked t p
-                || P.get_ptr t.pool gp gdir <> p
-                || P.get_ptr t.pool p pdir <> l
+                marked wr gp || marked wr p
+                || Smr.get_ptr wr gp gdir <> p
+                || Smr.get_ptr wr p pdir <> l
               then begin
-                P.unlock t.pool p f_lock;
-                P.unlock t.pool gp f_lock;
+                Smr.unlock wr p f_lock;
+                Smr.unlock wr gp f_lock;
                 Retry
               end
               else begin
                 (* Splice the router [p] out: its other child replaces it
                    under [gp]. *)
-                let sibling = P.get_ptr t.pool p (1 - pdir) in
-                P.set_data t.pool p f_marked 1;
-                P.set_data t.pool l f_marked 1;
-                P.set_ptr t.pool gp gdir sibling;
-                P.unlock t.pool p f_lock;
-                P.unlock t.pool gp f_lock;
-                Smr.retire ctx p;
-                Smr.retire ctx l;
+                let sibling = Smr.get_ptr wr p (1 - pdir) in
+                Smr.set_data wr p f_marked 1;
+                Smr.set_data wr l f_marked 1;
+                Smr.set_ptr wr gp gdir sibling;
+                Smr.unlock wr p f_lock;
+                Smr.unlock wr gp f_lock;
+                Smr.retire wr p;
+                Smr.retire wr l;
                 Done true
               end
-            end)
+            end) }
       in
       match out with Done r -> r | Retry -> attempt op
     in
     Smr.op ctx attempt
 
   (** Sequential key list (tests only). *)
-  let to_list t =
+  let to_list pool t =
     let rec go s acc =
       if s = P.nil then acc
-      else if is_leaf t s then begin
-        let k = P.get_data t.pool s f_key in
+      else if P.get_ptr pool s 0 = P.nil then begin
+        let k = P.get_data pool s f_key in
         if k = min_int || k = max_int then acc else k :: acc
       end
-      else go (P.get_ptr t.pool s 0) (go (P.get_ptr t.pool s 1) acc)
+      else go (P.get_ptr pool s 0) (go (P.get_ptr pool s 1) acc)
     in
     go t.root []
 
-  let size t = List.length (to_list t)
+  let size pool t = List.length (to_list pool t)
 end

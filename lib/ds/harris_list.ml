@@ -38,7 +38,7 @@ struct
   let dec_slot e = e asr 1
   let is_marked e = e land 1 = 1
 
-  type t = { pool : P.t; head : int; tail : int }
+  type t = { head : int; tail : int }
 
   let create pool =
     let head = P.alloc pool and tail = P.alloc pool in
@@ -46,18 +46,20 @@ struct
     P.set_data pool tail f_key max_int;
     P.set_ptr pool head f_next (enc tail 0);
     P.set_ptr pool tail f_next (enc P.nil 0);
-    { pool; head; tail }
+    { head; tail }
 
   (* Write-phase key read: the window is reserved, so the handle cannot
      go stale under a sound scheme. *)
-  let key t s = P.get_data t.pool s f_key
+  let key wr s = Smr.get_data wr s f_key
 
   (* Tagged-link access.  The link word is not a handle, so it is read
-     raw in both phases: [Smr.read_raw] in read phases (instrumented via
-     [record_read]), the pool's raw accessors in write phases. *)
+     unvalidated in both phases: [Smr.read_raw] in read phases (which
+     reports the dereference of [s] to the pool's use-after-free
+     instrumentation), the write token's tagged load and CAS in write
+     phases. *)
   let next rd s = Smr.read_raw rd ~src:s ~field:f_next
-  let load_next t s = P.raw_load_ptr t.pool s f_next
-  let cas_next t s old v = P.raw_cas_ptr t.pool s f_next old v
+  let load_next wr s = Smr.load_tagged wr s f_next
+  let cas_next wr s old v = Smr.cas_tagged wr s f_next old v
 
   (* Read-phase key read: generation-validated.  The tagged links
      themselves must stay raw — but a key compare through a stale handle would
@@ -72,17 +74,14 @@ struct
     | Marked of int * int * int  (** pred, marked curr, its successor *)
 
   (* Φread: walk from the head; stop at the first marked node or at the
-     window for [k].  Reads links through [read_raw] and records the
-     dereference for the pool's UAF instrumentation. *)
-  let traverse t ctx rd k =
+     window for [k]. *)
+  let traverse t rd k =
     let pred = ref t.head in
     let pe = ref (next rd t.head) in
     (* head is never marked *)
     let curr = ref (dec_slot !pe) in
     let result = ref None in
     while !result = None do
-      if P.record_read t.pool !curr then
-        Nbr_core.Smr_stats.note_uaf (Smr.ctx_stats ctx);
       let ce = next rd !curr in
       if is_marked ce then result := Some (Marked (!pred, !curr, dec_slot ce))
       else if rkey rd !curr >= k then result := Some (Window (!pred, !curr))
@@ -99,9 +98,7 @@ struct
     let v = { Smr.view = (fun rd ->
           let curr = ref (dec_slot (next rd t.head)) in
           while rkey rd !curr < k do
-            if P.record_read t.pool !curr then
-              Nbr_core.Smr_stats.note_uaf (Smr.ctx_stats ctx);
-            curr := dec_slot (next rd !curr)
+                  curr := dec_slot (next rd !curr)
           done;
           rkey rd !curr = k
           && not (is_marked (next rd !curr))) } in
@@ -112,9 +109,9 @@ struct
   (* One auxiliary write phase: unlink a marked node, then force a fresh
      read phase from the head (k-NBR rule: every new Φread forgets all
      pointers and restarts from the root). *)
-  let unlink_phase t ctx pred curr succ =
-    if cas_next t pred (enc curr 0) (enc succ 0) then
-      Smr.retire ctx curr;
+  let unlink_phase wr pred curr succ =
+    if cas_next wr pred (enc curr 0) (enc succ 0) then
+      Smr.retire wr curr;
     Again
 
   let insert t ctx k =
@@ -122,25 +119,25 @@ struct
       let out =
         Smr.phase op
           ~read:{ Smr.read = (fun rd ->
-            match traverse t ctx rd k with
+            match traverse t rd k with
             | Window (pred, curr) as w -> (w, [| pred; curr |])
             | Marked (pred, curr, succ) as m -> (m, [| pred; curr; succ |])) }
-          ~write:(function
-            | Marked (pred, curr, succ) -> unlink_phase t ctx pred curr succ
+          ~write:{ Smr.write = (fun wr -> function
+            | Marked (pred, curr, succ) -> unlink_phase wr pred curr succ
             | Window (pred, curr) ->
-                if key t curr = k then Done false
+                if key wr curr = k then Done false
                 else begin
-                  let node = Smr.alloc ctx in
-                  P.set_data t.pool node f_key k;
-                  P.set_ptr t.pool node f_next (enc curr 0);
-                  if cas_next t pred (enc curr 0) (enc node 0) then
+                  let node = Smr.alloc wr in
+                  Smr.set_data wr node f_key k;
+                  Smr.set_ptr wr node f_next (enc curr 0);
+                  if cas_next wr pred (enc curr 0) (enc node 0) then
                     Done true
                   else begin
                     (* Never published: plain free, no grace period needed. *)
-                    P.free t.pool node;
+                    Smr.free wr node;
                     Again
                   end
-                end)
+                end) }
       in
       match out with Done r -> r | Again -> attempt op
     in
@@ -151,46 +148,46 @@ struct
       let out =
         Smr.phase op
           ~read:{ Smr.read = (fun rd ->
-            match traverse t ctx rd k with
+            match traverse t rd k with
             | Window (pred, curr) as w -> (w, [| pred; curr |])
             | Marked (pred, curr, succ) as m -> (m, [| pred; curr; succ |])) }
-          ~write:(function
-            | Marked (pred, curr, succ) -> unlink_phase t ctx pred curr succ
+          ~write:{ Smr.write = (fun wr -> function
+            | Marked (pred, curr, succ) -> unlink_phase wr pred curr succ
             | Window (pred, curr) ->
-                if key t curr <> k then Done false
+                if key wr curr <> k then Done false
                 else begin
-                  let ce = load_next t curr in
+                  let ce = load_next wr curr in
                   if is_marked ce then Again (* another deleter won *)
                   else if
                     (* Logical deletion: mark curr's next word. *)
-                    cas_next t curr ce (enc (dec_slot ce) 1)
+                    cas_next wr curr ce (enc (dec_slot ce) 1)
                   then begin
                     (* Physical unlink; on failure a later traversal will
                        clean up (auxiliary phase). *)
                     if
-                      cas_next t pred (enc curr 0)
+                      cas_next wr pred (enc curr 0)
                         (enc (dec_slot ce) 0)
-                    then Smr.retire ctx curr;
+                    then Smr.retire wr curr;
                     Done true
                   end
                   else Again
-                end)
+                end) }
       in
       match out with Done r -> r | Again -> attempt op
     in
     Smr.op ctx attempt
 
   (** Sequential snapshot of unmarked keys (tests only). *)
-  let to_list t =
+  let to_list pool t =
     let rec go s acc =
       if s = t.tail then List.rev acc
       else
-        let e = P.get_ptr t.pool s f_next in
-        let k = P.get_data t.pool s f_key in
+        let e = P.get_ptr pool s f_next in
+        let k = P.get_data pool s f_key in
         let acc = if is_marked e then acc else k :: acc in
         go (dec_slot e) acc
     in
-    go (dec_slot (P.get_ptr t.pool t.head f_next)) []
+    go (dec_slot (P.get_ptr pool t.head f_next)) []
 
-  let size t = List.length (to_list t)
+  let size pool t = List.length (to_list pool t)
 end

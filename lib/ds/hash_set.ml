@@ -40,9 +40,10 @@ struct
   let delete t ctx k = HL.delete (bucket t k) ctx k
 
   (** Sequential snapshot, sorted (tests only). *)
-  let to_list t =
+  let to_list pool t =
     List.sort compare
-      (Array.to_list t.buckets |> List.concat_map HL.to_list)
+      (Array.to_list t.buckets |> List.concat_map (HL.to_list pool))
 
-  let size t = Array.fold_left (fun acc b -> acc + HL.size b) 0 t.buckets
+  let size pool t =
+    Array.fold_left (fun acc b -> acc + HL.size pool b) 0 t.buckets
 end

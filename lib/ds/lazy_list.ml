@@ -31,7 +31,7 @@ struct
   let f_lock = 2
   let f_next = 0
 
-  type t = { pool : P.t; head : int; tail : int }
+  type t = { head : int; tail : int }
 
   (** Sentinels are allocated outside any operation and never retired. *)
   let create pool =
@@ -40,12 +40,12 @@ struct
     P.set_data pool tail f_key max_int;
     P.set_ptr pool head f_next tail;
     P.set_ptr pool tail f_next P.nil;
-    { pool; head; tail }
+    { head; tail }
 
   (* Write-phase field reads: the window is locked and reserved /
      protected, so the handle cannot go stale under a sound scheme. *)
-  let key t s = P.get_data t.pool s f_key
-  let marked t s = P.get_data t.pool s f_marked = 1
+  let key wr s = Smr.get_data wr s f_key
+  let marked wr s = Smr.get_data wr s f_marked = 1
 
   (* Read-phase variants: generation-validated, so a stale handle fails
      through the scheme's own policy (NBR restarts via [Neutralized],
@@ -71,19 +71,21 @@ struct
     Smr.op ctx (fun op -> Smr.read_only op v)
 
   (* Φwrite helper: lock the window and validate it is still intact. *)
-  let lock_window t pred curr =
-    P.lock t.pool pred f_lock;
-    P.lock t.pool curr f_lock;
-    (not (marked t pred))
-    && (not (marked t curr))
-    && P.get_ptr t.pool pred f_next = curr
+  let lock_window wr pred curr =
+    Smr.lock wr pred f_lock;
+    Smr.lock wr curr f_lock;
+    (not (marked wr pred))
+    && (not (marked wr curr))
+    && Smr.get_ptr wr pred f_next = curr
 
-  let unlock_window t pred curr =
-    P.unlock t.pool curr f_lock;
-    P.unlock t.pool pred f_lock
+  let unlock_window wr pred curr =
+    Smr.unlock wr curr f_lock;
+    Smr.unlock wr pred f_lock
 
   type 'a outcome = Done of 'a | Retry
 
+  (* The window's locks are released on every exit: here on the paths
+     that return, by the phase when [Smr.alloc] raises. *)
   let insert t ctx k =
     let rec attempt op =
       let out =
@@ -91,30 +93,24 @@ struct
           ~read:{ Smr.read = (fun rd ->
             let pred, curr = search t rd k in
             ((pred, curr), [| pred; curr |])) }
-          ~write:(fun (pred, curr) ->
-            if not (lock_window t pred curr) then begin
-              unlock_window t pred curr;
+          ~write:{ Smr.write = (fun wr (pred, curr) ->
+            if not (lock_window wr pred curr) then begin
+              unlock_window wr pred curr;
               Retry
             end
-            else if key t curr = k then begin
-              unlock_window t pred curr;
+            else if key wr curr = k then begin
+              unlock_window wr pred curr;
               Done false
             end
             else begin
-              let node =
-                match Smr.alloc ctx with
-                | n -> n
-                | exception e ->
-                    unlock_window t pred curr;
-                    raise e
-              in
-              P.set_data t.pool node f_key k;
-              P.set_data t.pool node f_marked 0;
-              P.set_ptr t.pool node f_next curr;
-              P.set_ptr t.pool pred f_next node;
-              unlock_window t pred curr;
+              let node = Smr.alloc wr in
+              Smr.set_data wr node f_key k;
+              Smr.set_data wr node f_marked 0;
+              Smr.set_ptr wr node f_next curr;
+              Smr.set_ptr wr pred f_next node;
+              unlock_window wr pred curr;
               Done true
-            end)
+            end) }
       in
       match out with Done r -> r | Retry -> attempt op
     in
@@ -127,24 +123,24 @@ struct
           ~read:{ Smr.read = (fun rd ->
             let pred, curr = search t rd k in
             ((pred, curr), [| pred; curr |])) }
-          ~write:(fun (pred, curr) ->
-            if not (lock_window t pred curr) then begin
-              unlock_window t pred curr;
+          ~write:{ Smr.write = (fun wr (pred, curr) ->
+            if not (lock_window wr pred curr) then begin
+              unlock_window wr pred curr;
               Retry
             end
-            else if key t curr <> k then begin
-              unlock_window t pred curr;
+            else if key wr curr <> k then begin
+              unlock_window wr pred curr;
               Done false
             end
             else begin
               (* Logical then physical deletion. *)
-              P.set_data t.pool curr f_marked 1;
-              let succ = P.get_ptr t.pool curr f_next in
-              P.set_ptr t.pool pred f_next succ;
-              unlock_window t pred curr;
-              Smr.retire ctx curr;
+              Smr.set_data wr curr f_marked 1;
+              let succ = Smr.get_ptr wr curr f_next in
+              Smr.set_ptr wr pred f_next succ;
+              unlock_window wr pred curr;
+              Smr.retire wr curr;
               Done true
-            end)
+            end) }
       in
       match out with Done r -> r | Retry -> attempt op
     in
@@ -152,16 +148,16 @@ struct
 
   (** Sequential snapshot of the set contents (tests/debugging only; not
       linearizable under concurrency). *)
-  let to_list t =
+  let to_list pool t =
     let rec go s acc =
       if s = t.tail then List.rev acc
       else
-        let k = P.get_data t.pool s f_key in
-        let nxt = P.get_ptr t.pool s f_next in
-        go nxt (if P.get_data t.pool s f_marked = 1 then acc else k :: acc)
+        let k = P.get_data pool s f_key in
+        let nxt = P.get_ptr pool s f_next in
+        go nxt (if P.get_data pool s f_marked = 1 then acc else k :: acc)
     in
-    go (P.get_ptr t.pool t.head f_next) []
+    go (P.get_ptr pool t.head f_next) []
 
   (** Number of unmarked elements (sequential use only). *)
-  let size t = List.length (to_list t)
+  let size pool t = List.length (to_list pool t)
 end

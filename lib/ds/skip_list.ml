@@ -38,7 +38,7 @@ struct
   let f_top = 2
   let f_lock = 3
 
-  type t = { pool : P.t; head : int; tail : int }
+  type t = { head : int; tail : int }
 
   let create pool =
     let head = P.alloc pool and tail = P.alloc pool in
@@ -50,12 +50,12 @@ struct
       P.set_ptr pool head lvl tail;
       P.set_ptr pool tail lvl P.nil
     done;
-    { pool; head; tail }
+    { head; tail }
 
   (* Write-phase field reads: the record is locked / reserved, so the
      handle cannot go stale under a sound scheme. *)
-  let key t s = P.get_data t.pool s f_key
-  let marked t s = P.get_data t.pool s f_marked = 1
+  let key wr s = Smr.get_data wr s f_key
+  let marked wr s = Smr.get_data wr s f_marked = 1
 
   (* Read-phase variants: generation-validated, so a stale handle fails
      through the scheme's own policy instead of routing the descent by a
@@ -99,18 +99,19 @@ struct
 
   (* Lock the given records in increasing-key order, skipping duplicates.
      Returns the list actually locked (for unlock). *)
-  let lock_unique t nodes =
+  let lock_unique wr nodes =
     let sorted = List.sort_uniq compare nodes in
     (* increasing slot id is NOT key order; sort by key instead (ids are
        arbitrary).  Keys are distinct across live distinct nodes. *)
     let by_key =
-      List.sort (fun a b -> compare (key t a) (key t b)) sorted
+      List.sort (fun a b -> compare (key wr a) (key wr b)) sorted
     in
-    List.iter (fun s -> P.lock t.pool s f_lock) by_key;
+    List.iter (fun s -> Smr.lock wr s f_lock) by_key;
     by_key
 
-  let unlock_all t locked =
-    List.iter (fun s -> P.unlock t.pool s f_lock) (List.rev locked)
+  (* Also released by the phase when an allocation raises. *)
+  let unlock_all wr locked =
+    List.iter (fun s -> Smr.unlock wr s f_lock) (List.rev locked)
 
   type 'a outcome = Done of 'a | Retry
 
@@ -133,51 +134,45 @@ struct
           ~read:{ Smr.read = (fun rd ->
             find t rd k preds succs;
             ((), reservations preds succs (-1) tl)) }
-          ~write:(fun () ->
-            if key t succs.(0) = k then
-              if marked t succs.(0) then Retry (* deletion in flight *)
+          ~write:{ Smr.write = (fun wr () ->
+            if key wr succs.(0) = k then
+              if marked wr succs.(0) then Retry (* deletion in flight *)
               else Done false
             else begin
               let to_lock = Array.to_list (Array.sub preds 0 tl) in
-              let locked = lock_unique t to_lock in
+              let locked = lock_unique wr to_lock in
               let valid = ref true in
               for lvl = 0 to tl - 1 do
                 if
-                  marked t preds.(lvl)
-                  || marked t succs.(lvl)
-                  || P.get_ptr t.pool preds.(lvl) lvl <> succs.(lvl)
+                  marked wr preds.(lvl)
+                  || marked wr succs.(lvl)
+                  || Smr.get_ptr wr preds.(lvl) lvl <> succs.(lvl)
                 then valid := false
               done;
               if not !valid then begin
-                unlock_all t locked;
+                unlock_all wr locked;
                 Retry
               end
               else begin
-                let node =
-                  match Smr.alloc ctx with
-                  | n -> n
-                  | exception e ->
-                      unlock_all t locked;
-                      raise e
-                in
-                P.set_data t.pool node f_key k;
-                P.set_data t.pool node f_marked 0;
-                P.set_data t.pool node f_top tl;
+                let node = Smr.alloc wr in
+                Smr.set_data wr node f_key k;
+                Smr.set_data wr node f_marked 0;
+                Smr.set_data wr node f_top tl;
                 for lvl = 0 to tl - 1 do
-                  P.set_ptr t.pool node lvl succs.(lvl)
+                  Smr.set_ptr wr node lvl succs.(lvl)
                 done;
                 for lvl = tl to max_level - 1 do
-                  P.set_ptr t.pool node lvl P.nil
+                  Smr.set_ptr wr node lvl P.nil
                 done;
                 (* Bottom-up: the node becomes logically present when its
                    level-0 link is published. *)
                 for lvl = 0 to tl - 1 do
-                  P.set_ptr t.pool preds.(lvl) lvl node
+                  Smr.set_ptr wr preds.(lvl) lvl node
                 done;
-                unlock_all t locked;
+                unlock_all wr locked;
                 Done true
               end
-            end)
+            end) }
       in
       match out with Done r -> r | Retry -> attempt op
     in
@@ -198,80 +193,81 @@ struct
               else 1
             in
             ((victim, tl), reservations preds succs victim tl)) }
-          ~write:(fun (victim, tl) ->
-            if key t victim <> k then Done false
-            else if marked t victim then Done false
+          ~write:{ Smr.write = (fun wr (victim, tl) ->
+            if key wr victim <> k then Done false
+            else if marked wr victim then Done false
             else begin
               let to_lock = victim :: Array.to_list (Array.sub preds 0 tl) in
-              let locked = lock_unique t to_lock in
-              let valid = ref (not (marked t victim)) in
+              let locked = lock_unique wr to_lock in
+              let valid = ref (not (marked wr victim)) in
               for lvl = 0 to tl - 1 do
                 if
-                  marked t preds.(lvl)
-                  || P.get_ptr t.pool preds.(lvl) lvl <> victim
+                  marked wr preds.(lvl)
+                  || Smr.get_ptr wr preds.(lvl) lvl <> victim
                 then valid := false
               done;
               (* The victim must be linked at exactly its levels by these
                  preds; a concurrent insert above cannot happen (levels
                  are fixed at creation). *)
               if not !valid then begin
-                unlock_all t locked;
+                unlock_all wr locked;
                 Retry
               end
               else begin
-                P.set_data t.pool victim f_marked 1;
+                Smr.set_data wr victim f_marked 1;
                 for lvl = tl - 1 downto 0 do
-                  P.set_ptr t.pool preds.(lvl) lvl
-                    (P.get_ptr t.pool victim lvl)
+                  Smr.set_ptr wr preds.(lvl) lvl
+                    (Smr.get_ptr wr victim lvl)
                 done;
-                unlock_all t locked;
-                Smr.retire ctx victim;
+                unlock_all wr locked;
+                Smr.retire wr victim;
                 Done true
               end
-            end)
+            end) }
       in
       match out with Done r -> r | Retry -> attempt op
     in
     Smr.op ctx attempt
 
   (** Sequential snapshot via level 0 (tests only). *)
-  let to_list t =
+  let to_list pool t =
     let rec go s acc =
       if s = t.tail then List.rev acc
       else
         let acc =
-          if P.get_data t.pool s f_marked = 1 then acc else key t s :: acc
+          if P.get_data pool s f_marked = 1 then acc
+          else P.get_data pool s f_key :: acc
         in
-        go (P.get_ptr t.pool s 0) acc
+        go (P.get_ptr pool s 0) acc
     in
-    go (P.get_ptr t.pool t.head 0) []
+    go (P.get_ptr pool t.head 0) []
 
-  let size t = List.length (to_list t)
+  let size pool t = List.length (to_list pool t)
 
   (** Structural check: every level sorted, every upper-level node present
       at level 0 (tests only, quiescent state). *)
-  let check t =
+  let check pool t =
     let err = ref None in
     let note m = if !err = None then err := Some m in
     let level0 = Hashtbl.create 64 in
     let rec walk0 s =
       if s <> t.tail then begin
         Hashtbl.replace level0 s ();
-        walk0 (P.get_ptr t.pool s 0)
+        walk0 (P.get_ptr pool s 0)
       end
     in
-    walk0 (P.get_ptr t.pool t.head 0);
+    walk0 (P.get_ptr pool t.head 0);
     for lvl = 0 to max_level - 1 do
       let rec walk s last =
         if s <> t.tail && s <> P.nil then begin
-          let k = key t s in
+          let k = P.get_data pool s f_key in
           if k <= last then note "level unsorted";
           if lvl > 0 && not (Hashtbl.mem level0 s) then
             note "upper-level node missing at level 0";
-          walk (P.get_ptr t.pool s lvl) k
+          walk (P.get_ptr pool s lvl) k
         end
       in
-      walk (P.get_ptr t.pool t.head lvl) min_int
+      walk (P.get_ptr pool t.head lvl) min_int
     done;
     !err
 end

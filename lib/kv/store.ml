@@ -144,7 +144,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
            val contains : t -> Smr.ctx -> int -> bool
            val insert : t -> Smr.ctx -> int -> bool
            val delete : t -> Smr.ctx -> int -> bool
-           val size : t -> int
+           val size : P.t -> t -> int
          end) =
     struct
       module R = Nbr_reclaim.Reclaimer.Make (Rt) (Smr)
@@ -187,7 +187,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           sh_contains = (fun ~tid k -> Ds.contains ds ctxs.(tid) k);
           sh_insert = (fun ~tid k -> Ds.insert ds ctxs.(tid) k);
           sh_delete = (fun ~tid k -> Ds.delete ds ctxs.(tid) k);
-          sh_size = (fun () -> Ds.size ds);
+          sh_size = (fun () -> Ds.size pool ds);
           sh_stall =
             (fun ~tid ns ->
               (* E2's delayed thread, at the serving layer: pause inside

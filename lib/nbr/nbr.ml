@@ -106,9 +106,8 @@ module Check = Nbr_check
 
 (** Static phase-discipline analysis (DESIGN.md §16) for what the
     types of {!Scheme.S} do not enforce: a compiler-libs pass over
-    per-callee effect summaries checking R1 read-phase purity, R2 the
-    scheme-family guard closures and R4 write-phase coverage of plain
-    reads, plus the concurrency idiom rules, with SARIF output.  Drives
+    per-callee effect summaries checking R2, the scheme-family guard
+    closures, plus the concurrency idiom rules, with SARIF output.  Drives
     [bin/nbr_lint] / [dune build @lint]. *)
 module Analysis = Nbr_analysis
 

@@ -886,27 +886,27 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let i = slot_of c h in
     Rt.cas_at (data c i f) (off i) unlocked (locked_by (Rt.self ()))
 
+  (* Test-and-TAS: spin on plain loads before retrying the RMW.  Both
+     loops are top-level, so taking a lock allocates nothing. *)
+  let rec lock_wait cells i n =
+    if n > 0 && Rt.plain_load_at cells i <> unlocked then begin
+      Rt.cpu_relax ();
+      lock_wait cells i (n - 1)
+    end
+
+  let rec lock_spin cells i me spins =
+    if not (Rt.cas_at cells i unlocked me) then begin
+      lock_wait cells i (min spins 64);
+      lock_spin cells i me (spins * 2)
+    end
+
   let lock t h f =
     assert (not (Rt.is_restartable ()));
     let c = cls_of t h in
     let i = slot_of c h in
     let cells = data c i f and i = off i in
     let me = locked_by (Rt.self ()) in
-    let rec go spins =
-      if Rt.cas_at cells i unlocked me then ()
-      else begin
-        (* Test-and-TAS: spin on plain loads before retrying the RMW. *)
-        let rec wait n =
-          if n > 0 && Rt.plain_load_at cells i <> unlocked then begin
-            Rt.cpu_relax ();
-            wait (n - 1)
-          end
-        in
-        wait (min spins 64);
-        go (spins * 2)
-      end
-    in
-    go 4
+    lock_spin cells i me 4
 
   let unlock t h f =
     let c = cls_of t h in

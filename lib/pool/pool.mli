@@ -262,8 +262,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
       neutralized while holding a lock — the deadlock that rules out
       DEBRA+ for these structures (paper §1) cannot happen by
       construction.  An assertion in [lock] enforces the discipline; the
-      static analyzer (DESIGN.md §16, rule R1) enforces it at build
-      time. *)
+      write token of [Smr_intf.S] (DESIGN.md §16) enforces it
+      at compile time for structures, which lock only through it. *)
 
   val try_lock : t -> int -> int -> bool
   (** [try_lock t h f] attempts to acquire the lock in data field [f] of

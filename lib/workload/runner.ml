@@ -25,7 +25,7 @@ module Make
        val contains : t -> Smr.ctx -> int -> bool
        val insert : t -> Smr.ctx -> int -> bool
        val delete : t -> Smr.ctx -> int -> bool
-       val size : t -> int
+       val size : Nbr_pool.Pool.Make(Rt).t -> t -> int
      end) =
 struct
   module P = Nbr_pool.Pool.Make (Rt)
@@ -291,7 +291,7 @@ struct
       pressure_events = ps.P.s_pressure_events;
       alloc_retries = ps.P.s_alloc_retries;
       smr_stats = Smr.stats smr;
-      final_size = Ds.size ds;
+      final_size = Ds.size pool ds;
       expected_size = cfg.prefill + ins - del;
       latency =
         (match lat with

@@ -25,7 +25,7 @@ module Make
        val contains : t -> Smr.ctx -> int -> bool
        val insert : t -> Smr.ctx -> int -> bool
        val delete : t -> Smr.ctx -> int -> bool
-       val size : t -> int
+       val size : Nbr_pool.Pool.Make(Rt).t -> t -> int
      end) : sig
   val run : Trial.cfg -> Trial.result
   (** One complete trial under [Rt.run]: deterministic seed-shuffled

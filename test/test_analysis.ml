@@ -1,10 +1,11 @@
 (* The phase discipline checked before anything runs, end to end: the
-   analyzer's rules R1, R2 (scheme closures) and R4 against
-   violating/clean fixture pairs, the ported idiom rules, in-source
-   waivers, allowlist path normalization, SARIF emission; the compiler's
-   verdicts on the compile-must-fail fixtures that stand for what the
-   types of [Smr_intf.S] now enforce (R2's client half, R3); and the
-   cross-validation story: one seeded-violation module ([Broken_ds])
+   analyzer's R2 scheme-closure rule against a violating/clean fixture
+   pair, the ported idiom rules, in-source waivers, allowlist path
+   normalization, SARIF emission; the compiler's verdicts on the
+   compile-must-fail fixtures that stand for what the types of
+   [Smr_intf.S] enforce (R1 and R4 through the write token, R2's client
+   half through the read token, R3 through the operation bracket); and
+   the cross-validation story: one seeded-violation module ([Broken_ds])
    convicted both by the compiler, as an S-typed copy, and by a
    DFS-explored dynamic sanitizer run (DESIGN.md §16).
 
@@ -59,6 +60,13 @@ let rejected name ~line error =
     Alcotest.failf "%s.ml: expected %S at line %d, compiler said: %s" name
       error line out
 
+(* The clean twin compiled: its captured output is the inferred
+   signature, with no error. *)
+let compiled name =
+  let out = compiler_output name in
+  if contains out "Error" then
+    Alcotest.failf "%s.ml: expected to compile, compiler said: %s" name out
+
 let check_pair ~violating ~clean ~expected () =
   let r = analyze [ violating ] in
   Alcotest.(check (list string)) "violating fixture flagged" expected
@@ -67,23 +75,29 @@ let check_pair ~violating ~clean ~expected () =
   Alcotest.(check (list string)) "clean twin silent" [] (strings_of rc);
   Alcotest.(check int) "nothing suppressed" 0 rc.D.suppressed
 
-let test_r1 =
-  check_pair ~violating:"r1_violation.ml" ~clean:"r1_clean.ml"
-    ~expected:
-      [
-        exp "r1_violation.ml" 11
-          "[read-phase-write] Rt.store: shared-write in read phase";
-      ]
+(* R1 is the write token: writes, allocations and retirements take one,
+   only a running write phase hands one out, and it cannot leave that
+   phase.  The clean twin does all of them in its write phase. *)
+let rd_not_wr =
+  "This expression has type 'a S.rd but an expression was expected of \
+   type 'b S.wr"
 
-(* A record lock is a pool operation: [P.lock] in a read phase is an R1
-   finding, and the same lock in the write phase is clean. *)
-let test_r1_lock =
-  check_pair ~violating:"r1_lock_violation.ml" ~clean:"r4_clean.ml"
-    ~expected:
-      [
-        exp "r1_lock_violation.ml" 12
-          "[read-phase-write] P.lock: shared-write+lock in read phase";
-      ]
+let test_r1 () =
+  rejected "read_write" ~line:13 rd_not_wr;
+  rejected "read_alloc" ~line:11
+    "This expression has type S.op but an expression was expected of type \
+     'a S.wr";
+  rejected "read_retire" ~line:10 rd_not_wr;
+  rejected "write_escape" ~line:11
+    "This field value has type 'a S.wr -> unit -> 'a S.wr which is less \
+     general than 's. 's S.wr -> 'b -> 'c";
+  compiled "write_clean"
+
+(* A record lock takes the write token too: [lock] in a read phase does
+   not compile, and the same lock in the write phase does. *)
+let test_r1_lock () =
+  rejected "read_lock" ~line:12 rd_not_wr;
+  compiled "write_clean"
 
 (* R2's client half is the read token: a validated read needs one, only
    a running read phase hands one out, it cannot leave that phase, and
@@ -105,14 +119,11 @@ let test_r3 () =
   rejected "begin_op" ~line:5 "Unbound value S.begin_op";
   rejected "end_op" ~line:6 "Unbound value S.end_op"
 
-let test_r4 =
-  check_pair ~violating:"r4_violation.ml" ~clean:"r4_clean.ml"
-    ~expected:
-      [
-        exp "r4_violation.ml" 8
-          "[write-phase-read] P.get_data: plain shared read in read phase \
-           (use a validated accessor)";
-      ]
+(* R4 is the write token as well: the plain field read takes one, so a
+   read phase has only the validated reads. *)
+let test_r4 () =
+  rejected "plain_read" ~line:10 rd_not_wr;
+  compiled "write_clean"
 
 (* The acceptance criterion from PR 4: an IBR-family read_ptr that
    ratchets its reservation interval but never validates the slot must
@@ -142,7 +153,7 @@ let test_idiom () =
     (strings_of r)
 
 let test_waiver () =
-  let r = analyze [ "r2_waived.ml" ] in
+  let r = analyze [ "idiom_waived.ml" ] in
   Alcotest.(check (list string)) "waived finding not reported" []
     (strings_of r);
   Alcotest.(check int) "but counted as suppressed" 1 r.D.suppressed
@@ -174,22 +185,23 @@ let test_allowlist_normalization () =
   with_temp_allowlist
     [
       "# comment";
-      ("write-phase-read:" ^ root ^ "fixtures//analysis/./r4_violation.ml");
-      ("write-phase-read:" ^ root ^ "fixtures/analysis/r4_violation.ml/");
+      "unguarded-deref:" ^ root
+      ^ "fixtures//analysis/./scheme_ibr_violation.ml";
+      "unguarded-deref:" ^ root ^ "fixtures/analysis/scheme_ibr_violation.ml/";
     ]
   @@ fun (allowlist, warnings) ->
   Alcotest.(check int) "second spelling warned as duplicate" 1
     (List.length warnings);
   Alcotest.(check bool) "normalized spelling matches" true
-    (F.Allowlist.mem allowlist ~rule:"write-phase-read"
-       ~file:(fix "r4_violation.ml"));
-  let r = analyze ~allowlist [ "r4_violation.ml" ] in
+    (F.Allowlist.mem allowlist ~rule:"unguarded-deref"
+       ~file:(fix "scheme_ibr_violation.ml"));
+  let r = analyze ~allowlist [ "scheme_ibr_violation.ml" ] in
   Alcotest.(check (list string)) "allowlisted finding dropped" []
     (strings_of r);
   Alcotest.(check int) "and counted as suppressed" 1 r.D.suppressed
 
 let test_sarif () =
-  let r = analyze [ "r1_violation.ml" ] in
+  let r = analyze [ "scheme_ibr_violation.ml" ] in
   let s = Sarif.to_string r.D.findings in
   let contains needle =
     let nh = String.length s and nn = String.length needle in
@@ -198,10 +210,10 @@ let test_sarif () =
   in
   Alcotest.(check bool) "sarif version" true (contains "\"version\": \"2.1.0\"");
   Alcotest.(check bool) "rule id present" true
-    (contains "\"ruleId\": \"read-phase-write\"");
+    (contains "\"ruleId\": \"unguarded-deref\"");
   Alcotest.(check bool) "location present" true
-    (contains (fix "r1_violation.ml"));
-  Alcotest.(check bool) "start line present" true (contains "\"startLine\": 11")
+    (contains (fix "scheme_ibr_violation.ml"));
+  Alcotest.(check bool) "start line present" true (contains "\"startLine\": 24")
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation: the same seeded violation, convicted from both

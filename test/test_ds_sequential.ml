@@ -72,12 +72,12 @@ struct
     in
     let t = create pool in
     let ctx = Smr.register smr ~tid:0 in
-    (t, insert t ctx, delete t ctx, contains t ctx)
+    ((pool, t), insert t ctx, delete t ctx, contains t ctx)
 
   module LL = Nbr_ds.Lazy_list.Make (Sim) (Smr)
 
   module Lazy_list_t : DS_UNDER_TEST = struct
-    type t = LL.t
+    type t = P.t * LL.t
 
     let name = "lazy-list/" ^ Smr.scheme_name
 
@@ -86,14 +86,14 @@ struct
         ~create:LL.create ~insert:LL.insert ~delete:LL.delete
         ~contains:LL.contains ()
 
-    let to_list = LL.to_list
+    let to_list (pool, t) = LL.to_list pool t
     let check _ = None
   end
 
   module DG = Nbr_ds.Dgt_bst.Make (Sim) (Smr)
 
   module Dgt_t : DS_UNDER_TEST = struct
-    type t = DG.t
+    type t = P.t * DG.t
 
     let name = "dgt-tree/" ^ Smr.scheme_name
 
@@ -102,14 +102,14 @@ struct
         ~create:DG.create ~insert:DG.insert ~delete:DG.delete
         ~contains:DG.contains ()
 
-    let to_list t = List.sort compare (DG.to_list t)
+    let to_list (pool, t) = List.sort compare (DG.to_list pool t)
     let check _ = None
   end
 
   module HL = Nbr_ds.Harris_list.Make (Sim) (Smr)
 
   module Harris_t : DS_UNDER_TEST = struct
-    type t = HL.t
+    type t = P.t * HL.t
 
     let name = "harris-list/" ^ Smr.scheme_name
 
@@ -118,14 +118,14 @@ struct
         ~create:HL.create ~insert:HL.insert ~delete:HL.delete
         ~contains:HL.contains ()
 
-    let to_list = HL.to_list
+    let to_list (pool, t) = HL.to_list pool t
     let check _ = None
   end
 
   module AB = Nbr_ds.Ab_tree.Make (Sim) (Smr)
 
   module Ab_t : DS_UNDER_TEST = struct
-    type t = AB.t
+    type t = P.t * AB.t
 
     let name = "ab-tree/" ^ Smr.scheme_name
 
@@ -134,14 +134,14 @@ struct
         ~create:AB.create ~insert:AB.insert ~delete:AB.delete
         ~contains:AB.contains ()
 
-    let to_list = AB.to_list
-    let check = AB.check
+    let to_list (pool, t) = AB.to_list pool t
+    let check (pool, t) = AB.check pool t
   end
 
   module HS = Nbr_ds.Hash_set.Make (Sim) (Smr)
 
   module Hash_t : DS_UNDER_TEST = struct
-    type t = HS.t
+    type t = P.t * HS.t
 
     let name = "hash-set/" ^ Smr.scheme_name
 
@@ -150,14 +150,14 @@ struct
         ~create:(HS.create ~buckets:8)
         ~insert:HS.insert ~delete:HS.delete ~contains:HS.contains ()
 
-    let to_list = HS.to_list
+    let to_list (pool, t) = HS.to_list pool t
     let check _ = None
   end
 
   module SK = Nbr_ds.Skip_list.Make (Sim) (Smr)
 
   module Skip_t : DS_UNDER_TEST = struct
-    type t = SK.t
+    type t = P.t * SK.t
 
     let name = "skip-list/" ^ Smr.scheme_name
 
@@ -166,8 +166,8 @@ struct
         ~max_reservations:SK.max_reservations ~create:SK.create
         ~insert:SK.insert ~delete:SK.delete ~contains:SK.contains ()
 
-    let to_list = SK.to_list
-    let check = SK.check
+    let to_list (pool, t) = SK.to_list pool t
+    let check (pool, t) = SK.check pool t
   end
 
   (* Mark-traversing structures are excluded for HP/HE by callers. *)

@@ -38,11 +38,13 @@ struct
     let departed = ref false in
     Sim.run ~nthreads:2 (fun tid ->
         if tid = 1 then begin
-          S.op c1 (fun _ ->
-              for _ = 1 to retired do
-                let s = S.alloc c1 in
-                S.retire c1 s
-              done);
+          S.op c1 (fun op ->
+              S.phase op ~read:{ S.read = (fun _ -> ((), [||])) }
+                ~write:{ S.write = (fun wr () ->
+                  for _ = 1 to retired do
+                    let s = S.alloc wr in
+                    S.retire wr s
+                  done) });
           S.deregister c1;
           departed := true
         end
@@ -79,16 +81,16 @@ struct
     Sim.run ~nthreads:1 (fun _ ->
         let c1 = ref (S.register smr ~tid:1) in
         for _ = 1 to 3 do
-          S.op !c1 (fun _ ->
-              let s = S.alloc !c1 in
-              S.retire !c1 s);
+          S.op !c1 (fun op ->
+              S.phase op ~read:{ S.read = (fun _ -> ((), [||])) }
+                ~write:{ S.write = (fun wr () -> S.retire wr (S.alloc wr)) });
           S.deregister !c1;
           c1 := S.register smr ~tid:1
         done;
         (* The final incarnation is fully functional. *)
-        S.op !c1 (fun _ ->
-            let s = S.alloc !c1 in
-            S.retire !c1 s));
+        S.op !c1 (fun op ->
+            S.phase op ~read:{ S.read = (fun _ -> ((), [||])) }
+              ~write:{ S.write = (fun wr () -> S.retire wr (S.alloc wr)) }));
     Alcotest.(check int)
       "retires accumulate across incarnations" 4
       (Nbr_core.Smr_stats.retires (S.stats smr))
@@ -281,11 +283,13 @@ struct
              record after record, yielding in each [P.free].  Inside its
              own operation the victim pins every record it retired, so
              the sweep keeps them all and hands them over as it ends. *)
-          S.op c1 (fun _ ->
-              for _ = 1 to retired do
-                S.retire c1 (S.alloc c1)
-              done;
-              if in_op then S.on_pressure c1);
+          S.op c1 (fun op ->
+              S.phase op ~read:{ S.read = (fun _ -> ((), [||])) }
+                ~write:{ S.write = (fun wr () ->
+                  for _ = 1 to retired do
+                    S.retire wr (S.alloc wr)
+                  done;
+                  if in_op then S.on_pressure c1) });
           if not in_op then S.on_pressure c1
         end
         else
@@ -329,8 +333,9 @@ module R_nbrp = ReapMidSweep (Nbr_core.Nbr_plus.Make (Sim))
 (* ------------------------------------------------------------------ *)
 (* A reaper's own statistics stay its own: the runner, the reclaimer and
    the KV guard read per-operation deltas of [ctx_stats], so a victim's
-   lifetime counts must not land there.  Thread 1 retires records and
-   crashes mid-operation; thread 0, which retires nothing, reaps it.   *)
+   lifetime counts must not land there.  Thread 1 retires records in one
+   operation and crashes inside the next; thread 0, which retires
+   nothing, reaps it.                                                  *)
 
 module ReapKeepsOwnStats
     (S : Nbr_core.Smr_intf.S with type pool = P.t) =
@@ -355,10 +360,13 @@ struct
     @@ fun () ->
     Sim.run ~nthreads:2 (fun tid ->
         if tid = 1 then begin
-          S.abandon c1;
-          for _ = 1 to retired do
-            S.retire c1 (S.alloc c1)
-          done
+          S.op c1 (fun op ->
+              S.phase op ~read:{ S.read = (fun _ -> ((), [||])) }
+                ~write:{ S.write = (fun wr () ->
+                  for _ = 1 to retired do
+                    S.retire wr (S.alloc wr)
+                  done) });
+          S.abandon c1
           (* crashed: the operation never ends, and nothing more from
              this thread *)
         end

@@ -206,11 +206,13 @@ let pressure_recovery (type c s)
   Tr.enable ~nthreads:1 ();
   Sim.run ~nthreads:1 (fun _ ->
       for _ = 1 to ops do
-        S.op c (fun _ ->
-            for _ = 1 to burst do
-              let s = S.alloc c in
-              S.retire c s
-            done)
+        S.op c (fun op ->
+            S.phase op ~read:{ S.read = (fun _ -> ((), [||])) }
+              ~write:{ S.write = (fun wr () ->
+                for _ = 1 to burst do
+                  let s = S.alloc wr in
+                  S.retire wr s
+                done) })
       done);
   Tr.disable ();
   let evs = Tr.events () in

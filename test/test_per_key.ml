@@ -25,7 +25,7 @@ struct
   let run (type a) ~name ~data_fields ~ptr_fields ~(create : P.t -> a)
       ~(insert : a -> Smr.ctx -> int -> bool)
       ~(delete : a -> Smr.ctx -> int -> bool)
-      ~(member : a -> int -> bool) () =
+      ~(member : P.t -> a -> int -> bool) () =
     let nthreads = 5 and range = 64 and ops = 3_000 in
     Sim.set_config
       { Sim.default_config with cores = 3; granularity = 1; seed = 23 };
@@ -64,7 +64,7 @@ struct
         i := !i + ins.(tid).(k);
         d := !d + del.(tid).(k)
       done;
-      let fin = member t k in
+      let fin = member pool t k in
       let init = initial.(k) in
       if abs (!i - !d) > 1 then
         Alcotest.failf "%s key %d: %d inserts vs %d deletes" name k !i !d;
@@ -96,20 +96,20 @@ let suite =
       (C_nbrp.run ~name:"lazy-list" ~data_fields:LL.data_fields
          ~ptr_fields:LL.ptr_fields ~create:LL.create ~insert:LL.insert
          ~delete:LL.delete
-         ~member:(fun t k -> List.mem k (LL.to_list t)));
+         ~member:(fun pool t k -> List.mem k (LL.to_list pool t)));
     Alcotest.test_case "harris-list/nbr+ per-key conservation" `Slow
       (C_nbrp.run ~name:"harris-list" ~data_fields:HL.data_fields
          ~ptr_fields:HL.ptr_fields ~create:HL.create ~insert:HL.insert
          ~delete:HL.delete
-         ~member:(fun t k -> List.mem k (HL.to_list t)));
+         ~member:(fun pool t k -> List.mem k (HL.to_list pool t)));
     Alcotest.test_case "dgt-tree/nbr per-key conservation" `Slow
       (C_nbr.run ~name:"dgt-tree" ~data_fields:DG.data_fields
          ~ptr_fields:DG.ptr_fields ~create:DG.create ~insert:DG.insert
          ~delete:DG.delete
-         ~member:(fun t k -> List.mem k (DG.to_list t)));
+         ~member:(fun pool t k -> List.mem k (DG.to_list pool t)));
     Alcotest.test_case "ab-tree/nbr+ per-key conservation" `Slow
       (C_nbrp.run ~name:"ab-tree" ~data_fields:AB.data_fields
          ~ptr_fields:AB.ptr_fields ~create:AB.create ~insert:AB.insert
          ~delete:AB.delete
-         ~member:(fun t k -> List.mem k (AB.to_list t)));
+         ~member:(fun pool t k -> List.mem k (AB.to_list pool t)));
   ]

@@ -40,7 +40,7 @@ let bounded_garbage_nbr_plus =
               let s = NP.alloc c in
               NP.phase c
                 ~read:{ NP.read = (fun _ -> ((), [| s |])) }
-                ~write:(fun () -> NP.retire c s)
+                ~write:{ NP.write = (fun wr () -> NP.retire wr s) }
             end
             else begin
               let s = NP.alloc c in
@@ -144,7 +144,11 @@ let stale_never_live (name, (module S : SCHEME)) (v_old, v_new) =
   let c = S.register smr ~tid:0 in
   let ok = ref false in
   Sim.run ~nthreads:1 (fun _ ->
-      let s = S.op c (fun _ -> S.alloc c) in
+      let s =
+        S.op c (fun op ->
+            S.phase op ~read:{ S.read = (fun _ -> ((), [||])) }
+              ~write:{ S.write = (fun wr () -> S.alloc wr) })
+      in
       P.set_data pool s 0 v_old;
       (* The record dies and its slot is recycled behind our back. *)
       P.free pool s;

@@ -287,10 +287,12 @@ struct
     let retiring = ref true in
     Sim.run ~nthreads:2 (fun tid ->
         if tid = 1 then begin
-          S.op c1 (fun _ ->
-              for _ = 1 to retired do
-                S.retire c1 (S.alloc c1)
-              done);
+          S.op c1 (fun op ->
+              S.phase op ~read:{ S.read = (fun _ -> ((), [||])) }
+                ~write:{ S.write = (fun wr () ->
+                  for _ = 1 to retired do
+                    S.retire wr (S.alloc wr)
+                  done) });
           retiring := false
         end
         else begin

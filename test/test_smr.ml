@@ -33,12 +33,12 @@ let test_nbr_reservation_protects () =
         protected_slot := slot;
         N.phase c1
           ~read:{ N.read = (fun _ -> ((), [| slot |])) }
-          ~write:(fun () ->
+          ~write:{ N.write = (fun _ () ->
             Sim.store shared slot;
             let spin = Sim.make 0 in
             for _ = 1 to 4_000 do
               ignore (Sim.load spin)
-            done);
+            done) };
         N.end_op c1
       end
       else begin
@@ -542,9 +542,10 @@ module Sweep_contract (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
         Sim.run ~nthreads:2 (fun tid ->
             let c = ctxs.(tid) in
             for _ = 1 to 300 do
-              S.op c (fun _ ->
-                  let s = S.alloc c in
-                  S.retire c s)
+              S.op c (fun op ->
+                  S.phase op ~read:{ S.read = (fun _ -> ((), [||])) }
+                    ~write:{ S.write =
+                               (fun wr () -> S.retire wr (S.alloc wr)) })
             done);
         Trace.disable ();
         Alcotest.(check int) "no events dropped" 0 (Trace.dropped ());
@@ -598,6 +599,98 @@ let test_sweep_contract () =
       (module I);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The write phase owns the locks taken through its token: a phase that
+   raises with two of them held releases both, last taken first, and a
+   second operation that takes the same locks finishes instead of
+   spinning on them.  One scheme per phase implementation: the NBR
+   family's, the shared restartable one (HP) and the unguarded one
+   (DEBRA).                                                            *)
+
+module Lock_release (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
+  let f_lock = 1
+
+  let check () =
+    let pool =
+      P.create ~capacity:64 ~data_fields:2 ~ptr_fields:1 ~nthreads:1 ()
+    in
+    let smr = S.create pool ~nthreads:1 (cfg 8) in
+    let c = S.register smr ~tid:0 in
+    let a = P.alloc pool and b = P.alloc pool in
+    let lock_both ~fail =
+      S.op c (fun op ->
+          S.phase op
+            ~read:{ S.read = (fun _ -> ((), [| a; b |])) }
+            ~write:{ S.write = (fun wr () ->
+              S.lock wr a f_lock;
+              S.lock wr b f_lock;
+              if fail then failwith "write phase fails";
+              S.set_data wr a 0 1;
+              S.unlock wr b f_lock;
+              S.unlock wr a f_lock) })
+    in
+    let raised = ref false and finished = ref false in
+    Fun.protect ~finally:(fun () -> Sim.set_max_events 0) (fun () ->
+        Sim.set_max_events 200_000;
+        Sim.run ~nthreads:1 (fun _ ->
+            (try lock_both ~fail:true with Failure _ -> raised := true);
+            Alcotest.(check (pair bool bool))
+              (S.scheme_name ^ ": both locks released")
+              (false, false)
+              (P.is_locked pool a f_lock, P.is_locked pool b f_lock);
+            lock_both ~fail:false;
+            finished := true));
+    Alcotest.(check bool) (S.scheme_name ^ ": the phase raised") true !raised;
+    Alcotest.(check bool)
+      (S.scheme_name ^ ": the second operation finished")
+      true !finished;
+    Alcotest.(check int) (S.scheme_name ^ ": and wrote") 1 (P.get_data pool a 0)
+end
+
+let test_lock_release () =
+  List.iter
+    (fun (module S : Nbr_core.Smr_intf.S with type pool = P.t) ->
+      let module L = Lock_release (S) in
+      L.check ())
+    [ (module NP); (module H); (module D) ]
+
+(* The write path allocates nothing per operation: [alloc] passes the
+   flush closure its context built at [register], and the lock stack is
+   preallocated.  On the native runtime, so no simulator event is
+   counted; the bound leaves room for nothing per iteration. *)
+
+module NN = Nbr_core.Nbr_plus.Make (Nbr_runtime.Native_rt)
+module PN = Nbr_pool.Pool.Make (Nbr_runtime.Native_rt)
+
+let test_write_path_allocation () =
+  let iters = 10_000 and max_words = 16. in
+  let pool =
+    PN.create ~capacity:64 ~data_fields:2 ~ptr_fields:1 ~nthreads:1 ()
+  in
+  let smr = NN.create pool ~nthreads:1 (cfg 8) in
+  let c = NN.register smr ~tid:0 in
+  let w =
+    { NN.write = (fun wr s ->
+          NN.lock wr s 1;
+          NN.set_data wr s 0 s;
+          NN.unlock wr s 1) }
+  in
+  let round () =
+    let s = NN.alloc c in
+    NN.run_write c w s;
+    PN.free pool s
+  in
+  (* The first allocation makes the pool's storage. *)
+  round ();
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > max_words then
+    Alcotest.failf "%.0f minor words over %d alloc+lock+free (bound %.0f)"
+      words iters max_words
+
 let suite =
   [
     Alcotest.test_case "nbr: reservation protects" `Quick
@@ -631,4 +724,8 @@ let suite =
       test_unsafe_free_causes_uaf;
     Alcotest.test_case "sweep contract: Bag_sweep then Reclaim" `Quick
       test_sweep_contract;
+    Alcotest.test_case "write phase releases its locks on raise" `Quick
+      test_lock_release;
+    Alcotest.test_case "write path allocates nothing" `Quick
+      test_write_path_allocation;
   ]
