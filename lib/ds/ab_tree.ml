@@ -155,6 +155,61 @@ struct
           rleaf_find rd leaf k >= 0) } in
     Smr.op ctx (fun op -> Smr.read_only op v)
 
+  (* ---------------- range count ---------------- *)
+
+  (* Φread: the number of keys in [lo, hi), from node [n] down.  The
+     descent toward [lo] narrows [ub], the exclusive upper bound of [n]'s
+     subtree, to the smallest [key (i+1)] among the routers it passes:
+     routing is [rroute] with that key kept, so a level reads the same
+     fields as [descend].  At the leaf it counts the keys in
+     [lo, min hi ub) and, if the range runs past the leaf, descends again
+     from the anchor toward [ub].  A bound [<= lo], which only a recycled
+     node's fields can give, counts the one key [lo], so each leaf moves
+     [lo] forward.  Every value is an int argument of a tail call, so the
+     viewer allocates nothing. *)
+  let rec count_from anchor rd n lo hi ub acc =
+    if ris_leaf rd n then begin
+      let lim = min hi ub in
+      let lim = if lim <= lo then lo + 1 else lim in
+      let m = rsize_of rd n in
+      let c = ref acc in
+      for j = 0 to m - 1 do
+        let kj = rkey_at rd n j in
+        if lo <= kj && kj < lim then incr c
+      done;
+      if lim >= hi then !c
+      else
+        count_from anchor rd
+          (Smr.read_ptr rd ~src:anchor ~field:0)
+          lim hi max_int !c
+    end
+    else begin
+      let m = rsize_of rd n in
+      let i = ref 0 and next = ref max_int in
+      for j = 1 to m - 1 do
+        let kj = rkey_at rd n j in
+        if kj <= lo then begin
+          i := j;
+          next := max_int
+        end
+        else if j = !i + 1 then next := kj
+      done;
+      count_from anchor rd
+        (Smr.read_ptr rd ~src:n ~field:!i)
+        lo hi (min ub !next) acc
+    end
+
+  (* The number of keys in [lo, hi), in one read phase: one descent per
+     leaf the range reaches. *)
+  let count t ctx lo hi =
+    if hi <= lo then 0
+    else
+      let v = { Smr.view = (fun rd ->
+            count_from t.anchor rd
+              (Smr.read_ptr rd ~src:t.anchor ~field:0)
+              lo hi max_int 0) } in
+      Smr.op ctx (fun op -> Smr.read_only op v)
+
   (* ---------------- repair phases (k-NBR wrap-up) ---------------- *)
 
   (* One repair attempt: re-descend towards [k]; if the path crosses a

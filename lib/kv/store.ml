@@ -110,6 +110,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     sh_contains : tid:int -> int -> bool;
     sh_insert : tid:int -> int -> bool;
     sh_delete : tid:int -> int -> bool;
+    sh_count : tid:int -> int -> int -> int;
     sh_size : unit -> int;
     sh_stall : tid:int -> int -> unit;
     sh_crash : tid:int -> unit;
@@ -144,6 +145,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
            val contains : t -> Smr.ctx -> int -> bool
            val insert : t -> Smr.ctx -> int -> bool
            val delete : t -> Smr.ctx -> int -> bool
+           val count : t -> Smr.ctx -> int -> int -> int
            val size : P.t -> t -> int
          end) =
     struct
@@ -187,6 +189,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           sh_contains = (fun ~tid k -> Ds.contains ds ctxs.(tid) k);
           sh_insert = (fun ~tid k -> Ds.insert ds ctxs.(tid) k);
           sh_delete = (fun ~tid k -> Ds.delete ds ctxs.(tid) k);
+          sh_count = (fun ~tid lo hi -> Ds.count ds ctxs.(tid) lo hi);
           sh_size = (fun () -> Ds.size pool ds);
           sh_stall =
             (fun ~tid ns ->
@@ -290,6 +293,16 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           let contains = H.contains
           let insert = H.insert
           let delete = H.delete
+
+          (* One membership probe per key: a bucket holds no key
+             order to scan. *)
+          let count h ctx lo hi =
+            let hits = ref 0 in
+            for k = lo to hi - 1 do
+              if H.contains h ctx k then incr hits
+            done;
+            !hits
+
           let size = H.size
         end) in
         B.shard ()
@@ -332,16 +345,19 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let put t ~tid k = t.shards.(shard_of t k).sh_insert ~tid k
   let delete t ~tid k = t.shards.(shard_of t k).sh_delete ~tid k
 
-  (* Shard-local scan: [len] membership probes starting at [k], all
-     against [k]'s shard — the single-partition leg of a scatter-gather
-     range read on a hash-partitioned store.  Returns the hit count. *)
+  (* Shard-local scan: the keys of [k, k+len) (mod keyspace) present
+     in [k]'s shard — the single-partition leg of a scatter-gather
+     range read on a hash-partitioned store.  A range that wraps past
+     the keyspace is counted in two pieces, [k]'s first. *)
   let scan t ~tid k len =
-    let sh = t.shards.(shard_of t k) in
-    let hits = ref 0 in
-    for i = 0 to len - 1 do
-      if sh.sh_contains ~tid ((k + i) mod t.cfg.Cfg.keyspace) then incr hits
-    done;
-    !hits
+    let sh = t.shards.(shard_of t k) and ks = t.cfg.Cfg.keyspace in
+    if len > ks then invalid_arg "Kv.Store.scan: len > keyspace";
+    let lo = k mod ks in
+    let hi = lo + len in
+    if hi <= ks then sh.sh_count ~tid lo hi
+    else
+      let upper = sh.sh_count ~tid lo ks in
+      upper + sh.sh_count ~tid 0 (hi - ks)
 
   let shard_of_op t (op : Nbr_workload.Traffic.op) =
     match op with
@@ -357,13 +373,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     | Get k -> if sh.sh_contains ~tid k then 1 else 0
     | Put k -> if sh.sh_insert ~tid k then 1 else 0
     | Delete k -> if sh.sh_delete ~tid k then 1 else 0
-    | Scan (k, len) ->
-        let hits = ref 0 in
-        for i = 0 to len - 1 do
-          if sh.sh_contains ~tid ((k + i) mod t.cfg.Cfg.keyspace) then
-            incr hits
-        done;
-        !hits
+    | Scan (k, len) -> scan t ~tid k len
 
   let size t =
     Array.fold_left (fun acc sh -> acc + sh.sh_size ()) 0 t.shards

@@ -107,18 +107,31 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   val delete : t -> tid:int -> int -> bool
 
   val scan : t -> tid:int -> int -> int -> int
-  (** [scan t ~tid k len]: [len] membership probes starting at [k], all
-      against [k]'s shard — the single-partition leg of a scatter-gather
-      range read on a hash-partitioned store.  Returns the hit count. *)
+  (** [scan t ~tid k len]: how many keys of [k, k+len) (mod the
+      keyspace) are present in [k]'s shard — the single-partition leg of
+      a scatter-gather range read on a hash-partitioned store.  A range
+      that wraps past the keyspace is counted in two pieces.
+
+      On an (a,b)-tree shard a piece is one read phase that descends
+      once per leaf it reaches: it counts that leaf's keys in the range
+      and descends again from the leaf's upper bound.  On a hash-set
+      shard it is one membership probe per key.  Under concurrent
+      updates each leaf is read atomically (a published leaf never
+      changes), but the scan as a whole is not: a leaf reached later may
+      hold updates made after an earlier one was counted, just as a
+      later probe may.  Under a sound scheme the answer is at most
+      [len].  Raises [Invalid_argument] when [len] exceeds the
+      keyspace, where the wrapped range would meet itself. *)
 
   val shard_of_op : t -> Nbr_workload.Traffic.op -> int
 
   val exec_on : t -> tid:int -> shard:int -> Nbr_workload.Traffic.op -> int
   (** Execute one request on shard [shard] (which must be its
       [shard_of_op] — the batching pipeline groups per shard first).
-      Returns 1 for a successful update / present key, else 0; scans
-      return their hit count.  May raise {!Nbr_core.Smr_intf.Expelled}
-      under fault injection, like any structure operation. *)
+      Returns 1 for a successful update / present key, else 0; a
+      [Scan (k, len)] is {!scan}[ t ~tid k len] and returns its count.
+      May raise {!Nbr_core.Smr_intf.Expelled} under fault injection,
+      like any structure operation. *)
 
   val size : t -> int
   (** Total keys across shards.  Quiescent callers only. *)

@@ -81,7 +81,7 @@ type op =
   | Get of int
   | Put of int
   | Delete of int
-  | Scan of int * int  (** start key, probe count *)
+  | Scan of int * int  (** start key, range length *)
 
 type mix = {
   m_get : int;
@@ -159,6 +159,10 @@ type t = { zipf : Zipf.t; mx : mix; shape : shape; base_gap_ns : int }
 let make ?(theta = 0.99) ?(mx = read_heavy) ?(shape = Steady)
     ?(rate_rps = 0) ~keyspace () =
   if rate_rps < 0 then invalid_arg "Traffic.make: negative rate";
+  (* A scan's range wraps once past the keyspace end; a longer one
+     would count keys twice. *)
+  if mx.m_scan > 0 && mx.m_scan_len > keyspace then
+    invalid_arg "Traffic.make: scan_len > keyspace";
   let base_gap_ns =
     if rate_rps = 0 then 0 else max 1 (1_000_000_000 / rate_rps)
   in

@@ -34,7 +34,7 @@ type op =
   | Get of int
   | Put of int
   | Delete of int
-  | Scan of int * int  (** start key, probe count *)
+  | Scan of int * int  (** start key, range length *)
 
 type mix = {
   m_get : int;
@@ -55,7 +55,7 @@ val write_heavy : mix
 (** 50/25/25/0 — the paper's E1 update-heavy shape. *)
 
 val scan_heavy : mix
-(** 70/10/10/10, scans probing 16 keys. *)
+(** 70/10/10/10, scans of 16-key ranges. *)
 
 val mix_name : mix -> string
 val mix_of_name : string -> mix option
@@ -88,7 +88,10 @@ val make :
   unit ->
   t
 (** [rate_rps] is the per-worker base arrival rate; 0 (default) means
-    closed-loop (issue back-to-back, no queueing model). *)
+    closed-loop (issue back-to-back, no queueing model).  Raises
+    [Invalid_argument] on a negative rate, and when [mx] scans with a
+    [m_scan_len] longer than [keyspace]: a scan's range wraps past the
+    keyspace end at most once. *)
 
 val open_loop : t -> bool
 

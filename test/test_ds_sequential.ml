@@ -202,4 +202,64 @@ let cases =
     (Under_nbrp.all @ Under_debra.all @ Under_hp.no_mark_traversal
    @ Under_he.no_mark_traversal)
 
-let suite = cases
+(* The (a,b)-tree's range count against the model, on the native
+   runtime: ranges from one key to the whole key space, across many
+   leaves.  The count's read phase walks one leaf or a hundred with the
+   same allocation, the op and viewer closures: nothing per leaf. *)
+module Ab_count = struct
+  module Rt = Nbr_runtime.Native_rt
+  module P = Nbr_pool.Pool.Make (Rt)
+  module Smr = Nbr_core.Nbr_plus.Make (Rt)
+  module T = Nbr_ds.Ab_tree.Make (Rt) (Smr)
+
+  let test () =
+    let pool =
+      P.create ~capacity:16_384 ~data_fields:T.data_fields
+        ~ptr_fields:T.ptr_fields ~nthreads:1 ()
+    in
+    let smr =
+      Smr.create pool ~nthreads:1
+        (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 32)
+    in
+    let t = T.create pool and c = Smr.register smr ~tid:0 in
+    let rng = Nbr_sync.Rng.create 5 and range = 2048 in
+    let model = ref S.empty in
+    for i = 1 to 6_000 do
+      let k = Nbr_sync.Rng.below rng range in
+      if Nbr_sync.Rng.below rng 3 = 0 then begin
+        ignore (T.delete t c k);
+        model := S.remove k !model
+      end
+      else begin
+        ignore (T.insert t c k);
+        model := S.add k !model
+      end;
+      if i mod 200 = 0 then
+        for _ = 1 to 20 do
+          let lo = Nbr_sync.Rng.below rng range in
+          let hi = lo + Nbr_sync.Rng.below rng 300 in
+          let want = S.cardinal (S.filter (fun k -> lo <= k && k < hi) !model) in
+          let got = T.count t c lo hi in
+          if got <> want then
+            Alcotest.failf "count [%d, %d) = %d, want %d at op %d" lo hi got
+              want i
+        done
+    done;
+    Alcotest.(check int) "count of everything" (S.cardinal !model)
+      (T.count t c min_int max_int);
+    Alcotest.(check int) "empty range" 0 (T.count t c 10 10);
+    let words lo hi =
+      let before = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        ignore (Sys.opaque_identity (T.count t c lo hi))
+      done;
+      Gc.minor_words () -. before
+    in
+    let one = words 100 101 and all = words 0 range in
+    if all > one +. 16. then
+      Alcotest.failf "1000 whole-tree counts: %.0f minor words; 1000 \
+                      one-key counts: %.0f" all one
+end
+
+let suite =
+  cases @ [ Alcotest.test_case "ab-tree range count" `Quick Ab_count.test ]

@@ -173,6 +173,164 @@ let test_cfg_validation () =
     | _ -> true
     | exception Invalid_argument _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Scans.  An (a,b)-tree shard answers a scan with one descent per leaf
+   the range reaches; a hash-set shard probes key by key.  Both must
+   give the answer of the old per-key probes: the keys of
+   [k, k+len) (mod keyspace) that are present in [k]'s shard.          *)
+
+let scan_structures scheme =
+  List.filter
+    (fun structure -> Registry.supported ~scheme ~structure)
+    [ "ab-tree"; "hash-set" ]
+
+(* One worker, so every answer is exact.  Keyspaces this small (and half
+   the keys drawn near the keyspace end) make scans cross leaf
+   boundaries and wrap past the end. *)
+let test_scan_exact () =
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun structure ->
+          List.iter
+            (fun keyspace ->
+              let seed = keyspace + String.length scheme in
+              Sim.set_config { Sim.default_config with cores = 1; seed };
+              let st =
+                St.create
+                  (St.Cfg.make ~structure ~nshards:3 ~keyspace
+                     ~shard_capacity:8192 ~scheme ~nthreads:1 ())
+              in
+              let present = Array.make keyspace false in
+              let expect k len =
+                let home = St.shard_of st k and hits = ref 0 in
+                for i = 0 to len - 1 do
+                  let k' = (k + i) mod keyspace in
+                  if present.(k') && St.shard_of st k' = home then incr hits
+                done;
+                !hits
+              in
+              let rng = Rng.for_thread ~seed ~tid:0 in
+              let key () =
+                if Rng.below rng 2 = 0 then Rng.below rng keyspace
+                else (keyspace - 300 + Rng.below rng 600) mod keyspace
+              in
+              let scans = ref 0 and wrong = ref [] in
+              Sim.run ~nthreads:1 (fun tid ->
+                  for _ = 1 to 3000 do
+                    let k = key () in
+                    match Rng.below rng 10 with
+                    | 0 | 1 | 2 | 3 ->
+                        ignore (St.put st ~tid k);
+                        present.(k) <- true
+                    | 4 | 5 ->
+                        ignore (St.delete st ~tid k);
+                        present.(k) <- false
+                    | _ ->
+                        let len = 1 + Rng.below rng 40 in
+                        let op = Traffic.Scan (k, len) in
+                        let got =
+                          St.exec_on st ~tid ~shard:(St.shard_of_op st op) op
+                        in
+                        incr scans;
+                        if got <> expect k len && List.length !wrong < 3 then
+                          wrong :=
+                            Printf.sprintf "scan %d+%d = %d, want %d" k len
+                              got (expect k len)
+                            :: !wrong
+                  done);
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s/%s/%d: %d scans exact" scheme structure
+                   keyspace !scans)
+                [] (List.rev !wrong))
+            [ 1024; 2048; 65536 ])
+        (scan_structures scheme))
+    Registry.all_scheme_names;
+  Sim.set_config Sim.default_config
+
+(* Scans race inserts and deletes on one (a,b)-tree shard: 4 workers
+   scan while 4 update a small key range, with the sanitizer attached
+   (one shard, so slot ids name one pool).  A leaf is read atomically
+   and each key of the range is counted at most once, so no answer can
+   exceed its length. *)
+let test_scan_concurrent scheme () =
+  Fun.protect
+    ~finally:(fun () ->
+      Nbr_obs.Trace.subscribe None;
+      Nbr_obs.Trace.set_verbose false;
+      if Nbr_obs.Trace.enabled () then Nbr_obs.Trace.disable ();
+      Sim.set_config Sim.default_config)
+  @@ fun () ->
+  Sim.set_config { Sim.default_config with cores = 8; seed = 11 };
+  let nthreads = 8 and keyspace = 512 in
+  let st =
+    St.create
+      (St.Cfg.make ~structure:"ab-tree" ~nshards:1 ~keyspace
+         ~shard_capacity:8192 ~scheme ~nthreads ())
+  in
+  let san =
+    Nbr_check.Sanitizer.attach
+      {
+        Nbr_check.Sanitizer.family =
+          Nbr_check.Sanitizer.family_of_scheme scheme;
+        nthreads;
+        garbage_bound = None;
+      }
+  in
+  let scans = ref 0 and over = ref 0 in
+  Sim.run ~nthreads (fun tid ->
+      let rng = Rng.for_thread ~seed:11 ~tid in
+      for _ = 1 to 400 do
+        let k = Rng.below rng keyspace in
+        if tid < 4 then begin
+          let len = 1 + Rng.below rng 40 in
+          if St.scan st ~tid k len > len then incr over;
+          incr scans
+        end
+        else if Rng.below rng 2 = 0 then ignore (St.put st ~tid k)
+        else ignore (St.delete st ~tid k)
+      done;
+      St.drain st ~tid);
+  Nbr_check.Sanitizer.detach san;
+  Alcotest.(check (list string))
+    (scheme ^ ": sanitizer silent") []
+    (List.map Nbr_check.Sanitizer.violation_to_string
+       (Nbr_check.Sanitizer.violations san));
+  Alcotest.(check int) (scheme ^ ": scans ran") 1600 !scans;
+  Alcotest.(check int) (scheme ^ ": no answer above its length") 0 !over;
+  Alcotest.(check int)
+    (scheme ^ ": zero committed UAF")
+    0 (St.stats st).Nbr_kv.Store.st_committed_uaf
+
+(* On a quiescent tree a 16-key scan that stays inside one leaf is one
+   descent, so it costs about what one get costs; sixteen per-key
+   probes would cost sixteen.  Keys are multiples of 64, so router keys
+   are too, and [k, k+16) for a present [k] meets no leaf boundary. *)
+let test_scan_cost () =
+  Sim.set_config { Sim.default_config with cores = 1; jitter = 0; seed = 1 };
+  let st =
+    St.create
+      (St.Cfg.make ~structure:"ab-tree" ~nshards:1 ~keyspace:65536
+         ~shard_capacity:8192 ~scheme:"nbr+" ~nthreads:1 ())
+  in
+  let k = 64 * 300 in
+  let get_ns = ref 0 and scan_ns = ref 0 and hits = ref 0 in
+  Sim.run ~nthreads:1 (fun tid ->
+      for i = 0 to 1023 do
+        ignore (St.put st ~tid (64 * i))
+      done;
+      let t0 = Sim.now_ns () in
+      ignore (St.get st ~tid k);
+      let t1 = Sim.now_ns () in
+      hits := St.scan st ~tid k 16;
+      let t2 = Sim.now_ns () in
+      get_ns := t1 - t0;
+      scan_ns := t2 - t1);
+  Sim.set_config Sim.default_config;
+  Alcotest.(check int) "the scan finds its one key" 1 !hits;
+  if !scan_ns > 2 * !get_ns then
+    Alcotest.failf "a one-leaf scan took %d ns, a get %d ns" !scan_ns !get_ns
+
 let suite =
   List.map
     (fun scheme ->
@@ -186,4 +344,12 @@ let suite =
       Alcotest.test_case "service-deterministic" `Quick
         test_service_deterministic;
       Alcotest.test_case "cfg-validation" `Quick test_cfg_validation;
+      Alcotest.test_case "scan-exact" `Quick test_scan_exact;
     ]
+  @ List.map
+      (fun scheme ->
+        Alcotest.test_case
+          (Printf.sprintf "scan-concurrent-%s" scheme)
+          `Quick (test_scan_concurrent scheme))
+      [ "nbr+"; "hp"; "debra" ]
+  @ [ Alcotest.test_case "scan-cost" `Quick test_scan_cost ]

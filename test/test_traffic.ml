@@ -207,6 +207,26 @@ let test_validation () =
     (Traffic.mix_of_name (Traffic.mix_name Traffic.read_heavy)
     = Some Traffic.read_heavy)
 
+(* A scan range wraps past the keyspace end at most once, so a scan
+   longer than the keyspace is rejected when the generator is built;
+   a mix without scans may carry any length. *)
+let test_scan_len_bound () =
+  let raises f =
+    match f () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let mx len = Traffic.mix ~scan_len:len ~get:70 ~put:10 ~del:10 ~scan:10 () in
+  Alcotest.(check bool) "scan_len > keyspace rejected" true
+    (raises (fun () -> Traffic.make ~mx:(mx 1025) ~keyspace:1024 ()));
+  Alcotest.(check bool) "scan_len = keyspace accepted" false
+    (raises (fun () -> Traffic.make ~mx:(mx 1024) ~keyspace:1024 ()));
+  Alcotest.(check bool) "no scans, any length" false
+    (raises (fun () ->
+         Traffic.make
+           ~mx:(Traffic.mix ~scan_len:4096 ~get:100 ~put:0 ~del:0 ~scan:0 ())
+           ~keyspace:1024 ()))
+
 let suite =
   [
     Alcotest.test_case "zipf-shape" `Quick test_zipf_shape;
@@ -216,4 +236,5 @@ let suite =
     Alcotest.test_case "rate-mult" `Quick test_rate_mult;
     Alcotest.test_case "gaps" `Quick test_gaps;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "scan-len-bound" `Quick test_scan_len_bound;
   ]
