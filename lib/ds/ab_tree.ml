@@ -26,7 +26,17 @@
     Record layout (with branching factor [b]): data0..data(b-1) = keys,
     data b = size, data b+1 = marked, data b+2 = lock; ptr0..ptr(b-1) =
     children.  A node is a leaf iff child0 = nil; internal routing keys
-    live in key[1..size-1] (child i covers keys in [key i, key (i+1))). *)
+    live in key[1..size-1] (child i covers keys in [key i, key (i+1))).
+    A new leaf writes its keys, size, marked and child0 = nil; a new
+    internal node writes keys and children [0, size), size and marked.
+    [Pool.alloc] does not clear a slot, so the fields a node leaves
+    unwritten (a leaf's children 1..b-1, an internal node's children at
+    or above its size, any key at or above its size) keep a previous
+    occupant's words, and nothing reads them.
+
+    Keys in a leaf and routing keys in a router are sorted ([check]
+    asserts it), so every search stops at the first key past its target
+    instead of reading the whole node. *)
 
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
@@ -73,44 +83,34 @@ struct
   let ris_leaf rd s = Smr.peek_ptr rd ~src:s ~field:0 = P.nil
 
   (* Child index for key [k] at internal node [s]: the largest [i] with
-     [i = 0 || key i <= k]. *)
-  let rroute rd s k =
-    let m = rsize_of rd s in
-    let i = ref 0 in
-    for j = 1 to m - 1 do
-      if rkey_at rd s j <= k then i := j
-    done;
-    !i
+     [i = 0 || key i <= k], found at the first router [> k]. *)
+  let rec route_from rd s m k j =
+    if j < m && rkey_at rd s j <= k then route_from rd s m k (j + 1)
+    else j - 1
 
-  (* Position of [k] in leaf [s], or -1. *)
-  let leaf_find wr s k =
-    let m = size_of wr s in
-    let pos = ref (-1) in
-    for j = 0 to m - 1 do
-      if key_at wr s j = k then pos := j
-    done;
-    !pos
+  let rroute rd s k = route_from rd s (rsize_of rd s) k 1
 
-  let rleaf_find rd s k =
-    let m = rsize_of rd s in
-    let pos = ref (-1) in
-    for j = 0 to m - 1 do
-      if rkey_at rd s j = k then pos := j
-    done;
-    !pos
+  (* Whether leaf [s] holds [k], from position [j]: stops at the first
+     key [>= k]. *)
+  let rec rleaf_mem_from rd s m k j =
+    j < m
+    &&
+    let kj = rkey_at rd s j in
+    kj = k || (kj < k && rleaf_mem_from rd s m k (j + 1))
+
+  let rleaf_mem rd s k = rleaf_mem_from rd s (rsize_of rd s) k 0
 
   (* ---------------- node construction (write phases only) -------------- *)
 
-  let new_leaf wr keys n =
+  (* A leaf of the [n] keys [keys.(off) .. keys.(off + n - 1)]. *)
+  let new_leaf wr keys off n =
     let s = Smr.alloc wr in
     for j = 0 to n - 1 do
-      Smr.set_data wr s j keys.(j)
+      Smr.set_data wr s j keys.(off + j)
     done;
     Smr.set_data wr s f_size n;
     Smr.set_data wr s f_marked 0;
-    for j = 0 to b - 1 do
-      Smr.set_ptr wr s j P.nil
-    done;
+    Smr.set_ptr wr s 0 P.nil;
     s
 
   let new_internal wr keys children n =
@@ -121,9 +121,6 @@ struct
     done;
     Smr.set_data wr s f_size n;
     Smr.set_data wr s f_marked 0;
-    for j = n to b - 1 do
-      Smr.set_ptr wr s j P.nil
-    done;
     s
 
   (* Tombstone a node inside the critical section; the actual [retire]
@@ -152,52 +149,54 @@ struct
   let contains t ctx k =
     let v = { Smr.view = (fun rd ->
           let _, _, _, _, leaf = descend t rd k in
-          rleaf_find rd leaf k >= 0) } in
+          rleaf_mem rd leaf k) } in
     Smr.op ctx (fun op -> Smr.read_only op v)
 
   (* ---------------- range count ---------------- *)
 
+  (* [c] plus the keys of leaf [n] in [lo, lim) from position [j]:
+     stops at the first key [>= lim]. *)
+  let rec count_leaf rd n m lo lim j c =
+    if j >= m then c
+    else
+      let kj = rkey_at rd n j in
+      if kj >= lim then c
+      else count_leaf rd n m lo lim (j + 1) (if kj >= lo then c + 1 else c)
+
   (* Φread: the number of keys in [lo, hi), from node [n] down.  The
      descent toward [lo] narrows [ub], the exclusive upper bound of [n]'s
-     subtree, to the smallest [key (i+1)] among the routers it passes:
+     subtree, to the first router key [> lo] at each level it passes:
      routing is [rroute] with that key kept, so a level reads the same
      fields as [descend].  At the leaf it counts the keys in
      [lo, min hi ub) and, if the range runs past the leaf, descends again
-     from the anchor toward [ub].  A bound [<= lo], which only a recycled
-     node's fields can give, counts the one key [lo], so each leaf moves
-     [lo] forward.  Every value is an int argument of a tail call, so the
-     viewer allocates nothing. *)
+     from the anchor toward [ub].  Every bound is [> lo], so each leaf
+     moves [lo] forward.  Every value is an int argument of a tail call,
+     so the viewer allocates nothing. *)
   let rec count_from anchor rd n lo hi ub acc =
     if ris_leaf rd n then begin
       let lim = min hi ub in
-      let lim = if lim <= lo then lo + 1 else lim in
-      let m = rsize_of rd n in
-      let c = ref acc in
-      for j = 0 to m - 1 do
-        let kj = rkey_at rd n j in
-        if lo <= kj && kj < lim then incr c
-      done;
-      if lim >= hi then !c
+      let c = count_leaf rd n (rsize_of rd n) lo lim 0 acc in
+      if lim >= hi then c
       else
         count_from anchor rd
           (Smr.read_ptr rd ~src:anchor ~field:0)
-          lim hi max_int !c
+          lim hi max_int c
     end
-    else begin
-      let m = rsize_of rd n in
-      let i = ref 0 and next = ref max_int in
-      for j = 1 to m - 1 do
-        let kj = rkey_at rd n j in
-        if kj <= lo then begin
-          i := j;
-          next := max_int
-        end
-        else if j = !i + 1 then next := kj
-      done;
-      count_from anchor rd
-        (Smr.read_ptr rd ~src:n ~field:!i)
-        lo hi (min ub !next) acc
+    else count_route anchor rd n (rsize_of rd n) lo hi ub acc 1
+
+  (* Router [n] from router position [j]: the first key [> lo] ends the
+     scan, routes to the child before it and bounds [ub] by it. *)
+  and count_route anchor rd n m lo hi ub acc j =
+    if j < m then begin
+      let kj = rkey_at rd n j in
+      if kj <= lo then count_route anchor rd n m lo hi ub acc (j + 1)
+      else
+        count_from anchor rd
+          (Smr.read_ptr rd ~src:n ~field:(j - 1))
+          lo hi (min ub kj) acc
     end
+    else
+      count_from anchor rd (Smr.read_ptr rd ~src:n ~field:(j - 1)) lo hi ub acc
 
   (* The number of keys in [lo, hi), in one read phase: one descent per
      leaf the range reaches. *)
@@ -395,6 +394,29 @@ struct
 
   type 'a outcome = Done of 'a | Again
 
+  let no_keys = [||]
+
+  (* Write phase, before any lock: leaf [s]'s keys [j .. m-1], each read
+     once.  A published node's keys never change and the leaf is
+     reserved, so this one read serves both the membership test and the
+     copy.  [hit] says whether [k] is among keys [0 .. j-1].  When [k]'s
+     presence is [want], the result is a fresh scratch array holding all
+     [m] keys (each waits in its frame until the array exists); when it
+     is not, the result is [no_keys], and the phase has allocated
+     nothing. *)
+  let rec read_keys wr s m k ~want j hit =
+    if j = m then if hit = want then scratch_keys () else no_keys
+    else
+      let kj = key_at wr s j in
+      let keys = read_keys wr s m k ~want (j + 1) (hit || kj = k) in
+      if keys != no_keys then keys.(j) <- kj;
+      keys
+
+  (* The first position [>= j] in the sorted [keys.(0 .. m-1)] whose key
+     is [>= k]. *)
+  let rec find_pos keys m k j =
+    if j < m && keys.(j) < k then find_pos keys m k (j + 1) else j
+
   let insert t ctx k =
     let split = ref false in
     let rec attempt op =
@@ -404,36 +426,23 @@ struct
             let _, _, p, pdir, leaf = descend t rd k in
             ((p, pdir, leaf), [| p; leaf |])) }
           ~write:{ Smr.write = (fun wr (p, pdir, leaf) ->
-            if leaf_find wr leaf k >= 0 then Done false
+            let m = size_of wr leaf in
+            let keys = read_keys wr leaf m k ~want:false 0 false in
+            if keys == no_keys then Done false
             else
+              let pos = find_pos keys m k 0 in
               match
                 with_locks wr [ p ]
                   ~valid:(fun () ->
                     (not (marked wr p))
                     && (not (marked wr leaf))
-                    && Smr.get_ptr wr p pdir = leaf
-                    && leaf_find wr leaf k < 0)
+                    && Smr.get_ptr wr p pdir = leaf)
                   ~body:(fun () ->
-                    let m = size_of wr leaf in
-                    let keys = scratch_keys () in
                     (* Merge k into the sorted keys. *)
-                    let w = ref 0 and placed = ref false in
-                    for j = 0 to m - 1 do
-                      let kj = key_at wr leaf j in
-                      if (not !placed) && k < kj then begin
-                        keys.(!w) <- k;
-                        incr w;
-                        placed := true
-                      end;
-                      keys.(!w) <- kj;
-                      incr w
-                    done;
-                    if not !placed then begin
-                      keys.(!w) <- k;
-                      incr w
-                    end;
+                    Array.blit keys pos keys (pos + 1) (m - pos);
+                    keys.(pos) <- k;
                     if m < b then begin
-                      let leaf' = new_leaf wr keys !w in
+                      let leaf' = new_leaf wr keys 0 (m + 1) in
                       Smr.set_ptr wr p pdir leaf';
                       mark wr leaf;
                       false (* no split *)
@@ -442,16 +451,13 @@ struct
                       (* Overfull: split into two leaves under a fresh
                          degree-2 router (height-increasing; repaired by
                          a later absorb phase). *)
-                      let total = !w in
+                      let total = m + 1 in
                       let lo = (total + 1) / 2 in
-                      let l1 = new_leaf wr keys lo in
+                      let l1 = new_leaf wr keys 0 lo in
                       (* A later allocation that raises frees the
                          earlier, never published, nodes plainly. *)
                       let l2 =
-                        match
-                          new_leaf wr (Array.sub keys lo (total - lo))
-                            (total - lo)
-                        with
+                        match new_leaf wr keys lo (total - lo) with
                         | s -> s
                         | exception e ->
                             Smr.free wr l1;
@@ -494,30 +500,23 @@ struct
             let _, _, p, pdir, leaf = descend t rd k in
             ((p, pdir, leaf), [| p; leaf |])) }
           ~write:{ Smr.write = (fun wr (p, pdir, leaf) ->
-            if leaf_find wr leaf k < 0 then Done false
+            let m = size_of wr leaf in
+            let keys = read_keys wr leaf m k ~want:true 0 false in
+            if keys == no_keys then Done false
             else
+              let pos = find_pos keys m k 0 in
               match
                 with_locks wr [ p ]
                   ~valid:(fun () ->
                     (not (marked wr p))
                     && (not (marked wr leaf))
-                    && Smr.get_ptr wr p pdir = leaf
-                    && leaf_find wr leaf k >= 0)
+                    && Smr.get_ptr wr p pdir = leaf)
                   ~body:(fun () ->
-                    let m = size_of wr leaf in
-                    let keys = scratch_keys () in
-                    let w = ref 0 in
-                    for j = 0 to m - 1 do
-                      let kj = key_at wr leaf j in
-                      if kj <> k then begin
-                        keys.(!w) <- kj;
-                        incr w
-                      end
-                    done;
-                    let leaf' = new_leaf wr keys !w in
+                    Array.blit keys (pos + 1) keys pos (m - pos - 1);
+                    let leaf' = new_leaf wr keys 0 (m - 1) in
                     Smr.set_ptr wr p pdir leaf';
                     mark wr leaf;
-                    !w = 0)
+                    m = 1)
               with
               | None -> Again
               | Some now_empty ->

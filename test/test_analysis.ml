@@ -3,8 +3,8 @@
    pair, the ported idiom rules, in-source waivers, allowlist path
    normalization, SARIF emission; the compiler's verdicts on the
    compile-must-fail fixtures that stand for what the types of
-   [Smr_intf.S] enforce (R1 and R4 through the write token, R2's client
-   half through the read token, R3 through the operation bracket); and
+   [Smr_intf.S] enforce (the write token, the read token that is R2's
+   client half, and the operation bracket); and
    the cross-validation story: one seeded-violation module ([Broken_ds])
    convicted both by the compiler, as an S-typed copy, and by a
    DFS-explored dynamic sanitizer run (DESIGN.md §16).
@@ -75,14 +75,14 @@ let check_pair ~violating ~clean ~expected () =
   Alcotest.(check (list string)) "clean twin silent" [] (strings_of rc);
   Alcotest.(check int) "nothing suppressed" 0 rc.D.suppressed
 
-(* R1 is the write token: writes, allocations and retirements take one,
-   only a running write phase hands one out, and it cannot leave that
-   phase.  The clean twin does all of them in its write phase. *)
+(* The write token: writes, allocations and retirements take one, only
+   a running write phase hands one out, and it cannot leave that phase.
+   The clean twin does all of them in its write phase. *)
 let rd_not_wr =
   "This expression has type 'a S.rd but an expression was expected of \
    type 'b S.wr"
 
-let test_r1 () =
+let test_read_phase_write () =
   rejected "read_write" ~line:13 rd_not_wr;
   rejected "read_alloc" ~line:11
     "This expression has type S.op but an expression was expected of type \
@@ -95,7 +95,7 @@ let test_r1 () =
 
 (* A record lock takes the write token too: [lock] in a read phase does
    not compile, and the same lock in the write phase does. *)
-let test_r1_lock () =
+let test_read_phase_lock () =
   rejected "read_lock" ~line:12 rd_not_wr;
   compiled "write_clean"
 
@@ -113,15 +113,15 @@ let test_r2 () =
     "This expression has type S.ctx but an expression was expected of \
      type S.op"
 
-(* R3 is the operation bracket: [Smr_intf.S] has no begin_op or end_op
-   to unbalance. *)
-let test_r3 () =
+(* The operation bracket: [Smr_intf.S] has no begin_op or end_op to
+   unbalance. *)
+let test_hand_opened_op () =
   rejected "begin_op" ~line:5 "Unbound value S.begin_op";
   rejected "end_op" ~line:6 "Unbound value S.end_op"
 
-(* R4 is the write token as well: the plain field read takes one, so a
-   read phase has only the validated reads. *)
-let test_r4 () =
+(* The plain field read takes the write token as well, so a read phase
+   has only the validated reads. *)
+let test_read_phase_plain_read () =
   rejected "plain_read" ~line:10 rd_not_wr;
   compiled "write_clean"
 
@@ -268,10 +268,13 @@ let test_broken_ds_dynamic () =
 
 let suite =
   [
-    Alcotest.test_case "R1 read-phase write" `Quick test_r1;
+    Alcotest.test_case "compiler rejects a read-phase write" `Quick
+      test_read_phase_write;
     Alcotest.test_case "R2 unguarded deref" `Quick test_r2;
-    Alcotest.test_case "R3 phase bracket" `Quick test_r3;
-    Alcotest.test_case "R4 write-phase read" `Quick test_r4;
+    Alcotest.test_case "compiler rejects begin_op/end_op" `Quick
+      test_hand_opened_op;
+    Alcotest.test_case "compiler rejects a plain read" `Quick
+      test_read_phase_plain_read;
     Alcotest.test_case "R2 scheme closure (PR 4 IBR bug)" `Quick test_scheme_ibr;
     Alcotest.test_case "idiom rules on the shared engine" `Quick test_idiom;
     Alcotest.test_case "in-source waiver" `Quick test_waiver;
@@ -281,5 +284,6 @@ let suite =
     Alcotest.test_case "sarif emission" `Quick test_sarif;
     Alcotest.test_case "cross-check: static" `Quick test_broken_ds_static;
     Alcotest.test_case "cross-check: dynamic" `Quick test_broken_ds_dynamic;
-    Alcotest.test_case "R1 lock in read phase" `Quick test_r1_lock;
+    Alcotest.test_case "compiler rejects a read-phase lock" `Quick
+      test_read_phase_lock;
   ]

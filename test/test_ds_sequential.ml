@@ -138,6 +138,92 @@ struct
     let check (pool, t) = AB.check pool t
   end
 
+  (* Searches stop at the first key past their target, so the answers
+     that hinge on a comparison with a router key are probed at every
+     router key [r] of a tree grown through splits, absorbs and prunes:
+     at [r - 1], [r] and [r + 1], and below the smallest and above the
+     largest key.  At each probe [x]: [contains], [count] of [x] alone
+     and of a range across [x], and both of insert-then-delete or
+     delete-then-insert, each step once when it succeeds and once when
+     it must fail, leaving the set as it was.  Every answer is compared
+     with a set model and [check] runs after every operation. *)
+  let ab_boundaries () =
+    let pool =
+      P.create ~capacity:200_000 ~data_fields:AB.data_fields
+        ~ptr_fields:AB.ptr_fields ~nthreads:1 ()
+    in
+    let smr =
+      Smr.create pool ~nthreads:1
+        { cfg with Nbr_core.Smr_config.max_reservations = AB.max_reservations }
+    in
+    let t = AB.create pool and c = Smr.register smr ~tid:0 in
+    let model = ref S.empty in
+    let checked what x got want =
+      if got <> want then
+        Alcotest.failf "%s %d: got %d, want %d" what x got want;
+      match AB.check pool t with
+      | Some e -> Alcotest.failf "after %s %d: %s" what x e
+      | None -> ()
+    in
+    let insert x =
+      let want = not (S.mem x !model) in
+      model := S.add x !model;
+      checked "insert" x (Bool.to_int (AB.insert t c x)) (Bool.to_int want)
+    and delete x =
+      let want = S.mem x !model in
+      model := S.remove x !model;
+      checked "delete" x (Bool.to_int (AB.delete t c x)) (Bool.to_int want)
+    in
+    let count lo hi =
+      let want = S.cardinal (S.filter (fun k -> lo <= k && k < hi) !model) in
+      checked (Printf.sprintf "count [%d, %d) at" lo hi) lo
+        (AB.count t c lo hi) want
+    in
+    let rng = Nbr_sync.Rng.create 3 in
+    for _ = 1 to 600 do
+      insert (4 * Nbr_sync.Rng.below rng 1024)
+    done;
+    for _ = 1 to 400 do
+      delete (4 * Nbr_sync.Rng.below rng 1024)
+    done;
+    let rec routers s acc =
+      if P.get_ptr pool s 0 = P.nil then acc
+      else
+        let m = P.get_data pool s AB.f_size in
+        let acc = ref acc in
+        for j = 0 to m - 1 do
+          if j > 0 then acc := P.get_data pool s j :: !acc;
+          acc := routers (P.get_ptr pool s j) !acc
+        done;
+        !acc
+    in
+    let rs = routers (P.get_ptr pool t.AB.anchor 0) [] in
+    if List.length rs < 16 then
+      Alcotest.failf "only %d router keys" (List.length rs);
+    let probes =
+      (S.min_elt !model - 1) :: (S.max_elt !model + 1)
+      :: List.concat_map (fun r -> [ r - 1; r; r + 1 ]) rs
+    in
+    List.iter
+      (fun x ->
+        let before = !model in
+        checked "contains" x
+          (Bool.to_int (AB.contains t c x))
+          (Bool.to_int (S.mem x before));
+        count x (x + 1);
+        count (x - 5) (x + 5);
+        count min_int x;
+        count x max_int;
+        if S.mem x before then begin
+          delete x; delete x; insert x; insert x
+        end
+        else begin
+          insert x; insert x; delete x; delete x
+        end;
+        if AB.to_list pool t <> S.elements before then
+          Alcotest.failf "contents changed around probe %d" x)
+      probes
+
   module HS = Nbr_ds.Hash_set.Make (Sim) (Smr)
 
   module Hash_t : DS_UNDER_TEST = struct
@@ -262,4 +348,11 @@ module Ab_count = struct
 end
 
 let suite =
-  cases @ [ Alcotest.test_case "ab-tree range count" `Quick Ab_count.test ]
+  cases
+  @ [
+      Alcotest.test_case "ab-tree range count" `Quick Ab_count.test;
+      Alcotest.test_case "ab-tree search boundaries/nbr+" `Quick
+        Under_nbrp.ab_boundaries;
+      Alcotest.test_case "ab-tree search boundaries/debra" `Quick
+        Under_debra.ab_boundaries;
+    ]

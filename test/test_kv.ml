@@ -331,6 +331,49 @@ let test_scan_cost () =
   if !scan_ns > 2 * !get_ns then
     Alcotest.failf "a one-leaf scan took %d ns, a get %d ns" !scan_ns !get_ns
 
+(* Shared accesses of single (a,b)-tree operations on the quiescent tree
+   of [scan-cost], counted by the simulator's heartbeat (one tick per
+   shared access): a get, a put of a new key into a leaf that is not
+   full, the delete of that key, and a put of a key already present.
+   A write phase stores only the fields a new node uses and reads the
+   leaf's keys once, and a search stops at the first key past its
+   target.  One stray store per node copy, or one extra scan of the
+   leaf, breaks the budget. *)
+let test_ab_access_budget () =
+  Sim.set_config { Sim.default_config with cores = 1; jitter = 0; seed = 1 };
+  let st =
+    St.create
+      (St.Cfg.make ~structure:"ab-tree" ~nshards:1 ~keyspace:65536
+         ~shard_capacity:8192 ~scheme:"nbr+" ~nthreads:1 ())
+  in
+  let k = 64 * 300 in
+  let costs = ref [] in
+  Sim.run ~nthreads:1 (fun tid ->
+      for i = 0 to 1023 do
+        ignore (St.put st ~tid (64 * i))
+      done;
+      let cost name want f =
+        let h = Sim.heartbeat tid in
+        let got = f () in
+        costs := (name, Sim.heartbeat tid - h) :: !costs;
+        Alcotest.(check bool) (name ^ " answer") want got
+      in
+      cost "get" true (fun () -> St.get st ~tid k);
+      cost "put new" true (fun () -> St.put st ~tid (k + 1));
+      cost "delete" true (fun () -> St.delete st ~tid (k + 1));
+      cost "put present" false (fun () -> St.put st ~tid k));
+  Sim.set_config Sim.default_config;
+  let budgets =
+    [ ("get", 99); ("put new", 123); ("delete", 123); ("put present", 105) ]
+  in
+  if List.exists (fun (name, b) -> List.assoc name !costs > b) budgets then
+    Alcotest.failf "shared accesses (budget): %s"
+      (String.concat ", "
+         (List.map
+            (fun (name, b) ->
+              Printf.sprintf "%s %d (%d)" name (List.assoc name !costs) b)
+            budgets))
+
 let suite =
   List.map
     (fun scheme ->
@@ -352,4 +395,7 @@ let suite =
           (Printf.sprintf "scan-concurrent-%s" scheme)
           `Quick (test_scan_concurrent scheme))
       [ "nbr+"; "hp"; "debra" ]
-  @ [ Alcotest.test_case "scan-cost" `Quick test_scan_cost ]
+  @ [
+      Alcotest.test_case "scan-cost" `Quick test_scan_cost;
+      Alcotest.test_case "ab-tree access budget" `Quick test_ab_access_budget;
+    ]
