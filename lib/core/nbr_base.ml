@@ -29,6 +29,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     mutable first_lo : bool;
     mutable bookmark : int;
     mutable retires_since_scan : int;
+    mutable published : int;
+        (** leading reservation slots the last [end_read] wrote; every
+            slot at or above it holds [nil] *)
   }
 
   module B = Smr_base.Make (Rt) (struct
@@ -60,6 +63,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         first_lo = true;
         bookmark = 0;
         retires_since_scan = 0;
+        (* A row is all [nil] when created and after every [retract],
+           and a tid registers again only after one: [deregister] and
+           the watchdog's reaping both retract. *)
+        published = 0;
       }
 
     let size x = Limbo_bag.size x.bag
@@ -92,11 +99,22 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Read/write phase protocol (Algorithm 1, lines 6–13).                *)
 
+  (* Only the owner stores a non-nil value into its row, and only in
+     [end_read], slots [0 .. published-1]; [retract] stores [nil] into
+     every slot.  So every slot at or above [published] already holds
+     [nil], and clearing just the leading [published] slots leaves the
+     row exactly as clearing all of them would: only stores of [nil]
+     over [nil] are skipped.  After a read-only phase that is every
+     store.  The clearing stays here, not in [end_read]: a reader that
+     stalls between operations must not pin its last write phase's
+     records any longer than clearing at [begin_read] already does. *)
   let begin_read c =
     let res = c.b.shared.reservations.(c.tid) in
-    for i = 0 to Array.length res - 1 do
+    let x = c.local in
+    for i = 0 to x.published - 1 do
       Rt.store res.(i) P.nil
     done;
+    x.published <- 0;
     (* Signals sent while we held no pointers need no action (the paper's
        "quiescent/preamble" handler case). *)
     Rt.drain_signals_t c.tid;
@@ -111,6 +129,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let res = c.b.shared.reservations.(c.tid) in
     let r = Array.length recs in
     assert (r <= Array.length res);
+    (* Before the stores: a signal delivered between two of them raises
+       [Neutralized] from the second one's prologue, and the slots
+       already written must still be cleared by the retry's
+       [begin_read]. *)
+    c.local.published <- r;
     for i = 0 to r - 1 do
       Rt.store res.(i) recs.(i)
     done;

@@ -16,6 +16,12 @@
     the paper (and our benches) pair this structure only with k-NBR(+),
     DEBRA and leaky reclamation.
 
+    Each phase reads a node's key once.  A traversal reports whether it
+    stopped at [k] itself ([Present]) or past it ([Window]), so the final
+    write phase decides without re-reading the key of [curr]: [curr] is
+    reserved, and a published node's key never changes.  [contains]
+    reads the key of the node where it stops once too.
+
     Record layout: data0 = key; ptr0 = next (tagged). *)
 
 module Make
@@ -48,10 +54,6 @@ struct
     P.set_ptr pool tail f_next (enc P.nil 0);
     { head; tail }
 
-  (* Write-phase key read: the window is reserved, so the handle cannot
-     go stale under a sound scheme. *)
-  let key wr s = Smr.get_data wr s f_key
-
   (* Tagged-link access.  The link word is not a handle, so it is read
      unvalidated in both phases: [Smr.read_raw] in read phases (which
      reports the dereference of [s] to the pool's use-after-free
@@ -67,41 +69,37 @@ struct
      through the scheme's validated path. *)
   let rkey rd s = Smr.read_data rd ~src:s ~field:f_key
 
-  (* What a read phase discovers: either the target window, or a marked
-     node that must be unlinked first (one auxiliary update per phase). *)
+  (* What a read phase discovers: the target window, or a marked node
+     that must be unlinked first (one auxiliary update per phase). *)
   type found =
-    | Window of int * int  (** pred (unmarked link to curr), curr ≥ key *)
+    | Window of int * int  (** pred (unmarked link to curr), curr > key *)
+    | Present of int * int  (** pred (unmarked link to curr), curr = key *)
     | Marked of int * int * int  (** pred, marked curr, its successor *)
 
   (* Φread: walk from the head; stop at the first marked node or at the
-     window for [k]. *)
-  let traverse t rd k =
-    let pred = ref t.head in
-    let pe = ref (next rd t.head) in
-    (* head is never marked *)
-    let curr = ref (dec_slot !pe) in
-    let result = ref None in
-    while !result = None do
-      let ce = next rd !curr in
-      if is_marked ce then result := Some (Marked (!pred, !curr, dec_slot ce))
-      else if rkey rd !curr >= k then result := Some (Window (!pred, !curr))
-      else begin
-        pred := !curr;
-        curr := dec_slot ce
-      end
-    done;
-    Option.get !result
+     window for [k].  Top-level and tail-recursive over ints, so the walk
+     allocates nothing but its result. *)
+  let rec walk rd k pred curr =
+    let ce = next rd curr in
+    if is_marked ce then Marked (pred, curr, dec_slot ce)
+    else
+      let ck = rkey rd curr in
+      if ck < k then walk rd k curr (dec_slot ce)
+      else if ck = k then Present (pred, curr)
+      else Window (pred, curr)
 
-  (* Membership traversal: skips marked nodes without helping (Harris's
+  (* head is never marked *)
+  let traverse t rd k = walk rd k t.head (dec_slot (next rd t.head))
+
+  (* Membership walk: skips marked nodes without helping (Harris's
      wait-free search; it may walk through unlinked records). *)
+  let rec member rd k curr =
+    let ck = rkey rd curr in
+    if ck < k then member rd k (dec_slot (next rd curr))
+    else ck = k && not (is_marked (next rd curr))
+
   let contains t ctx k =
-    let v = { Smr.view = (fun rd ->
-          let curr = ref (dec_slot (next rd t.head)) in
-          while rkey rd !curr < k do
-                  curr := dec_slot (next rd !curr)
-          done;
-          rkey rd !curr = k
-          && not (is_marked (next rd !curr))) } in
+    let v = { Smr.view = (fun rd -> member rd k (dec_slot (next rd t.head))) } in
     Smr.op ctx (fun op -> Smr.read_only op v)
 
   type 'a outcome = Done of 'a | Again
@@ -120,23 +118,21 @@ struct
         Smr.phase op
           ~read:{ Smr.read = (fun rd ->
             match traverse t rd k with
-            | Window (pred, curr) as w -> (w, [| pred; curr |])
+            | (Window (pred, curr) | Present (pred, curr)) as w ->
+                (w, [| pred; curr |])
             | Marked (pred, curr, succ) as m -> (m, [| pred; curr; succ |])) }
           ~write:{ Smr.write = (fun wr -> function
             | Marked (pred, curr, succ) -> unlink_phase wr pred curr succ
+            | Present _ -> Done false
             | Window (pred, curr) ->
-                if key wr curr = k then Done false
+                let node = Smr.alloc wr in
+                Smr.set_data wr node f_key k;
+                Smr.set_ptr wr node f_next (enc curr 0);
+                if cas_next wr pred (enc curr 0) (enc node 0) then Done true
                 else begin
-                  let node = Smr.alloc wr in
-                  Smr.set_data wr node f_key k;
-                  Smr.set_ptr wr node f_next (enc curr 0);
-                  if cas_next wr pred (enc curr 0) (enc node 0) then
-                    Done true
-                  else begin
-                    (* Never published: plain free, no grace period needed. *)
-                    Smr.free wr node;
-                    Again
-                  end
+                  (* Never published: plain free, no grace period needed. *)
+                  Smr.free wr node;
+                  Again
                 end) }
       in
       match out with Done r -> r | Again -> attempt op
@@ -149,29 +145,26 @@ struct
         Smr.phase op
           ~read:{ Smr.read = (fun rd ->
             match traverse t rd k with
-            | Window (pred, curr) as w -> (w, [| pred; curr |])
+            | (Window (pred, curr) | Present (pred, curr)) as w ->
+                (w, [| pred; curr |])
             | Marked (pred, curr, succ) as m -> (m, [| pred; curr; succ |])) }
           ~write:{ Smr.write = (fun wr -> function
             | Marked (pred, curr, succ) -> unlink_phase wr pred curr succ
-            | Window (pred, curr) ->
-                if key wr curr <> k then Done false
-                else begin
-                  let ce = load_next wr curr in
-                  if is_marked ce then Again (* another deleter won *)
-                  else if
-                    (* Logical deletion: mark curr's next word. *)
-                    cas_next wr curr ce (enc (dec_slot ce) 1)
-                  then begin
-                    (* Physical unlink; on failure a later traversal will
-                       clean up (auxiliary phase). *)
-                    if
-                      cas_next wr pred (enc curr 0)
-                        (enc (dec_slot ce) 0)
-                    then Smr.retire wr curr;
-                    Done true
-                  end
-                  else Again
-                end) }
+            | Window _ -> Done false
+            | Present (pred, curr) ->
+                let ce = load_next wr curr in
+                if is_marked ce then Again (* another deleter won *)
+                else if
+                  (* Logical deletion: mark curr's next word. *)
+                  cas_next wr curr ce (enc (dec_slot ce) 1)
+                then begin
+                  (* Physical unlink; on failure a later traversal will
+                     clean up (auxiliary phase). *)
+                  if cas_next wr pred (enc curr 0) (enc (dec_slot ce) 0) then
+                    Smr.retire wr curr;
+                  Done true
+                end
+                else Again) }
       in
       match out with Done r -> r | Again -> attempt op
     in

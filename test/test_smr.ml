@@ -691,6 +691,132 @@ let test_write_path_allocation () =
     Alcotest.failf "%.0f minor words over %d alloc+lock+free (bound %.0f)"
       words iters max_words
 
+(* ------------------------------------------------------------------ *)
+(* NBR's reservation row: a read phase clears only the slots the last
+   [end_read] wrote, and a signal that lands between two of
+   [end_read]'s stores still leaves no slot reserved once the next
+   read phase has begun.                                               *)
+
+module Slots
+    (S : Nbr_core.Smr_intf.S with type pool = P.t)
+    (R : sig
+      val row : S.ctx -> Sim.aint array
+    end) =
+struct
+  let nothing = { S.view = (fun _ -> ()) }
+
+  let publish c recs =
+    S.op c (fun op ->
+        S.phase op
+          ~read:{ S.read = (fun _ -> ((), recs)) }
+          ~write:{ S.write = (fun _ () -> ()) })
+
+  (* Shared accesses of a read-only operation, counted by the
+     simulator's heartbeat (one tick per access): after a read-only one,
+     and after a write phase that published [r] slots, which costs
+     exactly [r] stores more. *)
+  let cost () =
+    let pool = mk_pool ~nthreads:1 () in
+    let smr = S.create pool ~nthreads:1 (cfg 8) in
+    let c = S.register smr ~tid:0 in
+    let recs = Array.init 3 (fun _ -> P.alloc pool) in
+    let read_only () = S.op c (fun op -> S.read_only op nothing) in
+    let ticks f =
+      let h = Sim.heartbeat 0 in
+      f ();
+      Sim.heartbeat 0 - h
+    in
+    Sim.run ~nthreads:1 (fun _ ->
+        read_only ();
+        let base = ticks read_only in
+        for r = 0 to Array.length recs do
+          publish c (Array.sub recs 0 r);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: read-only after %d published" S.scheme_name r)
+            (base + r) (ticks read_only)
+        done)
+
+  (* Thread 0's first read attempt publishes three slots, every retry
+     none; thread 1 sends it one signal.  Under the schedules where the
+     signal lands inside [end_read]'s stores, the retry must still clear
+     the slots the neutralized attempt wrote. *)
+  let scenario ~replays () =
+    Sim.set_config
+      { Sim.default_config with cores = 2; granularity = 1; jitter = 0 };
+    Sim.set_max_events 200_000;
+    let pool = mk_pool () in
+    let smr = S.create pool ~nthreads:2 (cfg 8) in
+    let c = S.register smr ~tid:0 in
+    let recs = Array.init 3 (fun _ -> P.alloc pool) in
+    let attempts = ref 0 in
+    let read _ =
+      incr attempts;
+      ((), if !attempts = 1 then recs else [||])
+    in
+    (try
+       Sim.run ~nthreads:2 (fun tid ->
+           if tid = 0 then
+             S.op c (fun op ->
+                 S.phase op ~read:{ S.read = read }
+                   ~write:{ S.write = (fun _ () -> ()) };
+                 S.read_only op nothing)
+           else Sim.send_signal 0)
+     with Sim.Stuck _ -> ());
+    if !attempts > 1 then incr replays;
+    let row = R.row c in
+    match
+      List.filter (fun i -> Sim.load row.(i) <> P.nil)
+        (List.init (Array.length row) Fun.id)
+    with
+    | [] -> None
+    | l ->
+        Some
+          (Printf.sprintf "slots %s still reserved after %d attempts"
+             (String.concat "," (List.map string_of_int l))
+             !attempts)
+
+  let signal_in_publication () =
+    let replays = ref 0 in
+    let r =
+      Fun.protect
+        ~finally:(fun () ->
+          Sim.set_config Sim.default_config;
+          Sim.set_max_events 0)
+        (fun () ->
+          Nbr_check.Explore.dfs ~preemption_bound:1 ~nthreads:2
+            ~run:(scenario ~replays) ())
+    in
+    Alcotest.(check (option string))
+      (S.scheme_name ^ ": no slot left reserved") None
+      (Option.map fst r.Nbr_check.Explore.r_violation);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: some schedule neutralized the reader (%d of %d)"
+         S.scheme_name !replays r.r_schedules)
+      true (!replays > 0)
+end
+
+module Slots_nbr =
+  Slots
+    (N)
+    (struct
+      let row (c : N.ctx) = c.N.b.N.shared.N.reservations.(c.N.tid)
+    end)
+
+module Slots_nbrp =
+  Slots
+    (NP)
+    (struct
+      let row (c : NP.ctx) = c.NP.b.NP.shared.NP.reservations.(c.NP.tid)
+    end)
+
+let test_reservation_cost () =
+  Slots_nbr.cost ();
+  Slots_nbrp.cost ()
+
+let test_signal_in_publication () =
+  Slots_nbr.signal_in_publication ();
+  Slots_nbrp.signal_in_publication ()
+
 let suite =
   [
     Alcotest.test_case "nbr: reservation protects" `Quick
@@ -699,6 +825,10 @@ let suite =
       test_nbr_reclaims_at_threshold;
     Alcotest.test_case "nbr: neutralizes readers" `Quick
       test_nbr_neutralizes_readers;
+    Alcotest.test_case "nbr: a read phase clears only published slots" `Quick
+      test_reservation_cost;
+    Alcotest.test_case "nbr: a signal inside end_read leaves no slot" `Quick
+      test_signal_in_publication;
     Alcotest.test_case "nbr+: LoWm reclaims via RGP" `Quick
       test_nbrp_lo_watermark_reclaims_without_signalling;
     Alcotest.test_case "nbr+: fewer signals than nbr" `Quick
