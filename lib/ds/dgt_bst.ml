@@ -23,7 +23,8 @@
 
     Record layout: data0 = key, data1 = marked, data2 = lock; ptr0 = left,
     ptr1 = right.
-    A node is a leaf iff both children are nil. *)
+    A node is a leaf iff its left child is nil; a leaf's right child is
+    never read, so a new leaf does not write it. *)
 
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
@@ -102,7 +103,10 @@ struct
             let _, _, p, pdir, l = search t rd k in
             ((p, pdir, l), [| p; l |])) }
           ~write:{ Smr.write = (fun wr (p, pdir, l) ->
-            if key wr l = k then Done false
+            (* [l] is reserved and a published leaf's key never changes:
+               one read serves the membership test and the router. *)
+            let lk = key wr l in
+            if lk = k then Done false
             else begin
               Smr.lock wr p f_lock;
               if marked wr p || Smr.get_ptr wr p pdir <> l then begin
@@ -112,12 +116,12 @@ struct
               else begin
                 (* Replace the leaf edge by router(max k lk) over the two
                    leaves, ordered by key. *)
-                let lk = key wr l in
                 let leaf = Smr.alloc wr in
                 Smr.set_data wr leaf f_key k;
                 Smr.set_data wr leaf f_marked 0;
+                (* Child 0 alone makes it a leaf; nothing reads a
+                   leaf's child 1. *)
                 Smr.set_ptr wr leaf 0 P.nil;
-                Smr.set_ptr wr leaf 1 P.nil;
                 let router =
                   match Smr.alloc wr with
                   | n -> n
