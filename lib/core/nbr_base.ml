@@ -105,9 +105,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      [nil], and clearing just the leading [published] slots leaves the
      row exactly as clearing all of them would: only stores of [nil]
      over [nil] are skipped.  After a read-only phase that is every
-     store.  The clearing stays here, not in [end_read]: a reader that
-     stalls between operations must not pin its last write phase's
-     records any longer than clearing at [begin_read] already does. *)
+     store.  The clearing stays here: folded into the next [end_read],
+     it would leave a different state, in which a reader stalled inside
+     its next read phase still pins its last write phase's records. *)
   let begin_read c =
     let res = c.b.shared.reservations.(c.tid) in
     let x = c.local in

@@ -331,97 +331,72 @@ let test_scan_cost () =
   if !scan_ns > 2 * !get_ns then
     Alcotest.failf "a one-leaf scan took %d ns, a get %d ns" !scan_ns !get_ns
 
-(* Shared accesses of single (a,b)-tree operations on the quiescent tree
-   of [scan-cost], counted by the simulator's heartbeat (one tick per
-   shared access): a get, a put of a new key into a leaf that is not
-   full, the delete of that key, and a put of a key already present.
-   A write phase stores only the fields a new node uses and reads the
-   leaf's keys once, and a search stops at the first key past its
-   target.  One stray store per node copy, or one extra scan of the
-   leaf, breaks the budget. *)
-let test_ab_access_budget () =
+(* Shared accesses of single operations on a quiescent one-shard nbr+
+   store, counted by the simulator's heartbeat (one tick per shared
+   access), against an exact budget.  [ops] run in order after
+   [prefill]: (name, expected answer, operation). *)
+let access_budget ~structure ~prefill ops =
   Sim.set_config { Sim.default_config with cores = 1; jitter = 0; seed = 1 };
   let st =
     St.create
-      (St.Cfg.make ~structure:"ab-tree" ~nshards:1 ~keyspace:65536
-         ~shard_capacity:8192 ~scheme:"nbr+" ~nthreads:1 ())
+      (St.Cfg.make ~structure ~nshards:1 ~keyspace:65536 ~shard_capacity:8192
+         ~scheme:"nbr+" ~nthreads:1 ())
   in
-  let k = 64 * 300 in
   let costs = ref [] in
   Sim.run ~nthreads:1 (fun tid ->
-      for i = 0 to 1023 do
-        ignore (St.put st ~tid (64 * i))
-      done;
-      let cost name want f =
-        let h = Sim.heartbeat tid in
-        let got = f () in
-        costs := (name, Sim.heartbeat tid - h) :: !costs;
-        Alcotest.(check bool) (name ^ " answer") want got
-      in
-      cost "get" true (fun () -> St.get st ~tid k);
-      cost "put new" true (fun () -> St.put st ~tid (k + 1));
-      cost "delete" true (fun () -> St.delete st ~tid (k + 1));
-      cost "put present" false (fun () -> St.put st ~tid k));
+      List.iter (fun k -> ignore (St.put st ~tid k)) prefill;
+      List.iter
+        (fun (name, want, f, _) ->
+          let h = Sim.heartbeat tid in
+          let got = f st tid in
+          costs := (name, Sim.heartbeat tid - h) :: !costs;
+          Alcotest.(check bool) (name ^ " answer") want got)
+        ops);
   Sim.set_config Sim.default_config;
-  let budgets =
-    [ ("get", 96); ("put new", 120); ("delete", 122); ("put present", 104) ]
-  in
-  if List.exists (fun (name, b) -> List.assoc name !costs > b) budgets then
+  if List.exists (fun (name, _, _, b) -> List.assoc name !costs > b) ops then
     Alcotest.failf "shared accesses (budget): %s"
       (String.concat ", "
          (List.map
-            (fun (name, b) ->
+            (fun (name, _, _, b) ->
               Printf.sprintf "%s %d (%d)" name (List.assoc name !costs) b)
-            budgets))
+            ops))
 
-(* Shared accesses of single hash-set operations on a quiescent chain,
-   counted like [ab-tree access budget].  With 64 buckets, multiples of
-   64 share one bucket (a bucket is the low six bits of the key's
-   Fibonacci product, which only the key's low six bits decide), so
-   the keys 128, 256, ..., 1024 make one sorted chain of eight, and 576
-   falls in its middle.  A phase reads the key of the node where it
-   stops once, and a write phase decides from its traversal without
-   reading [curr]'s key again.  One extra key read breaks the budget. *)
-let test_hash_access_budget () =
-  Sim.set_config { Sim.default_config with cores = 1; jitter = 0; seed = 1 };
-  let st =
-    St.create
-      (St.Cfg.make ~structure:"hash-set" ~nshards:1 ~keyspace:65536
-         ~shard_capacity:8192 ~scheme:"nbr+" ~nthreads:1 ())
-  in
-  let hit = 512 and miss = 576 in
-  let costs = ref [] in
-  Sim.run ~nthreads:1 (fun tid ->
-      for i = 1 to 8 do
-        ignore (St.put st ~tid (128 * i))
-      done;
-      let cost name want f =
-        let h = Sim.heartbeat tid in
-        let got = f () in
-        costs := (name, Sim.heartbeat tid - h) :: !costs;
-        Alcotest.(check bool) (name ^ " answer") want got
-      in
-      cost "get hit" true (fun () -> St.get st ~tid hit);
-      cost "get miss" false (fun () -> St.get st ~tid miss);
-      cost "put new" true (fun () -> St.put st ~tid miss);
-      cost "put present" false (fun () -> St.put st ~tid hit);
-      cost "delete present" true (fun () -> St.delete st ~tid miss);
-      cost "delete absent" false (fun () -> St.delete st ~tid miss));
-  Sim.set_config Sim.default_config;
-  Alcotest.(check int) "one chain" 8 (St.size st);
-  let budgets =
+(* The quiescent tree of [scan-cost]: a get, a put of a new key into a
+   leaf that is not full, the delete of that key, and a put of a key
+   already present.  A write phase stores only the fields a new node
+   uses and reads the leaf's keys once, and a search stops at the first
+   key past its target.  One stray store per node copy, or one extra
+   scan of the leaf, breaks the budget. *)
+let test_ab_access_budget () =
+  let k = 64 * 300 in
+  access_budget ~structure:"ab-tree"
+    ~prefill:(List.init 1024 (fun i -> 64 * i))
     [
-      ("get hit", 15); ("get miss", 14); ("put new", 21); ("put present", 17);
-      ("delete present", 22); ("delete absent", 19);
+      ("get", true, (fun st tid -> St.get st ~tid k), 96);
+      ("put new", true, (fun st tid -> St.put st ~tid (k + 1)), 120);
+      ("delete", true, (fun st tid -> St.delete st ~tid (k + 1)), 122);
+      ("put present", false, (fun st tid -> St.put st ~tid k), 104);
     ]
-  in
-  if List.exists (fun (name, b) -> List.assoc name !costs > b) budgets then
-    Alcotest.failf "shared accesses (budget): %s"
-      (String.concat ", "
-         (List.map
-            (fun (name, b) ->
-              Printf.sprintf "%s %d (%d)" name (List.assoc name !costs) b)
-            budgets))
+
+(* With 64 buckets, multiples of 64 share one bucket (a bucket is the
+   low six bits of the key's Fibonacci product, which only the key's
+   low six bits decide), so the keys 128, 256, ..., 1024 make one
+   sorted chain of eight, and 576 falls in its middle.  A phase reads
+   the key of the node where it stops once, and a write phase decides
+   from its traversal without reading [curr]'s key again.  One extra
+   key read breaks the budget. *)
+let test_hash_access_budget () =
+  let hit = 512 and miss = 576 in
+  access_budget ~structure:"hash-set"
+    ~prefill:(List.init 8 (fun i -> 128 * (i + 1)))
+    [
+      ("get hit", true, (fun st tid -> St.get st ~tid hit), 15);
+      ("get miss", false, (fun st tid -> St.get st ~tid miss), 14);
+      ("put new", true, (fun st tid -> St.put st ~tid miss), 21);
+      ("put present", false, (fun st tid -> St.put st ~tid hit), 17);
+      ("delete present", true, (fun st tid -> St.delete st ~tid miss), 22);
+      ("delete absent", false, (fun st tid -> St.delete st ~tid miss), 19);
+    ]
 
 let suite =
   List.map
