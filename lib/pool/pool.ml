@@ -139,6 +139,21 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       counter every this many net operations (see module doc). *)
   let occ_batch = 8
 
+  (** Simulated cycles per malloc/free fast path. *)
+  let c_alloc = 30
+
+  (** Consecutive frees beyond which further frees take the slow path.
+      Models the allocator behaviour the paper holds responsible for
+      EBR's throughput collapse (§7): when a delayed thread finally
+      releases epochs, every thread frees its swollen limbo bags in a
+      burst, overflowing per-thread arenas and hitting the allocator's
+      slow paths.  Bounded schemes free in small steady batches and stay
+      fast. *)
+  let slab_threshold = 2048
+
+  (** Extra cycles per slow-path free / depot trip. *)
+  let c_free_slow = 150
+
   type mag = { slots : int array; mutable n : int }
 
   let new_mag () =
@@ -239,16 +254,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         (** generation-validation misses: guarded accesses through a
             stale handle (freed, or freed-and-recycled) *)
     depot_exchanges : int Atomic.t;  (** magazine pushes/pops at the depot *)
-    c_alloc : int;  (** simulated cycles per malloc/free fast path *)
-    slab_threshold : int;
-        (** consecutive frees beyond which further frees take the slow
-            path.  Models the allocator behaviour the paper holds
-            responsible for EBR's throughput collapse (§7): when a
-            delayed thread finally releases epochs, every thread frees
-            its swollen limbo bags in a burst, overflowing per-thread
-            arenas and hitting the allocator's slow paths.  Bounded
-            schemes free in small steady batches and stay fast. *)
-    c_free_slow : int;  (** extra cycles per slow-path free / depot trip *)
   }
 
   let mk_class ~nthreads ~base ~id spec =
@@ -292,8 +297,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       c_peak_garbage = Nbr_sync.Padded.make_atomic 0;
     }
 
-  let create_classed ?(c_alloc = 30) ?(slab_threshold = 2048)
-      ?(c_free_slow = 150) ~classes ~nthreads () =
+  let create_classed ~classes ~nthreads () =
     if Array.length classes = 0 || Array.length classes > Handle.max_classes
     then invalid_arg "Pool.create_classed: need 1..16 classes";
     let base = ref 0 in
@@ -321,15 +325,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       alloc_retries = Atomic.make 0;
       uaf_reads = Atomic.make 0;
       depot_exchanges = Atomic.make 0;
-      c_alloc;
-      slab_threshold;
-      c_free_slow;
     }
 
-  let create ?c_alloc ?slab_threshold ?c_free_slow ~capacity ~data_fields
-      ~ptr_fields ~nthreads () =
+  let create ~capacity ~data_fields ~ptr_fields ~nthreads () =
     if capacity <= 0 then invalid_arg "Pool.create: capacity";
-    create_classed ?c_alloc ?slab_threshold ?c_free_slow
+    create_classed
       ~classes:
         [|
           {
@@ -543,7 +543,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let depot_trip t =
     Atomic.incr t.depot_exchanges;
-    Rt.work t.c_free_slow
+    Rt.work c_free_slow
 
   (* Make the chunks of slots [0, upto) that do not exist yet: data
      cells start at 0, pointer cells at [nil], metadata at 0.  Each
@@ -602,7 +602,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         end
 
   let alloc ?(on_pressure = fun () -> ()) ?(cls = 0) t =
-    Rt.work t.c_alloc;
+    Rt.work c_alloc;
     let tid = Rt.self () in
     let c = t.classes.(cls) in
     let ts = c.c_tstats.(tid) in
@@ -717,7 +717,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       visible across threads.  Stale and double frees are a programming
       error and raise. *)
   let free t h =
-    Rt.work t.c_alloc;
+    Rt.work c_alloc;
     let c = cls_of t h in
     let i = slot_of c h in
     let ms = metas c i and o = off i in
@@ -737,7 +737,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         Nbr_obs.Trace.Free_slot h g;
     if Atomic.get t.starving > 0 then begin
       (* Cross-thread hand-off is an allocator slow path. *)
-      Rt.work t.c_free_slow;
+      Rt.work c_free_slow;
       if !Nbr_obs.Trace.on then
         Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
           Nbr_obs.Trace.Pool_overflow h' 0;
@@ -746,7 +746,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     else begin
       (* Burst reclamation overflows the thread's arena: slow path. *)
       ts.t_frees_run <- ts.t_frees_run + 1;
-      if ts.t_frees_run > t.slab_threshold then Rt.work t.c_free_slow;
+      if ts.t_frees_run > slab_threshold then Rt.work c_free_slow;
       let tid = Rt.self () in
       let mag = Atomic.get c.c_mags.(tid) in
       let mag = if mag.n >= mag_size then flush_mag t c tid mag else mag in

@@ -98,25 +98,18 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   (** The null "pointer" (-1).  Never a packable handle. *)
 
   val create :
-    ?c_alloc:int ->
-    ?slab_threshold:int ->
-    ?c_free_slow:int ->
     capacity:int ->
     data_fields:int ->
     ptr_fields:int ->
     nthreads:int ->
     unit ->
     t
-  (** Single-size-class pool (class 0).  [c_alloc] is the simulated cycle
-      cost of the malloc/free fast path; frees past [slab_threshold]
-      consecutive frees (burst reclamation overflowing a thread's arena),
-      cross-thread hand-offs and depot exchanges pay [c_free_slow]
-      extra. *)
+  (** Single-size-class pool (class 0).  The malloc/free fast path costs
+      30 simulated cycles; frees past 2048 consecutive frees (burst
+      reclamation overflowing a thread's arena), cross-thread hand-offs
+      and depot exchanges pay 150 extra. *)
 
   val create_classed :
-    ?c_alloc:int ->
-    ?slab_threshold:int ->
-    ?c_free_slow:int ->
     classes:class_spec array ->
     nthreads:int ->
     unit ->
