@@ -22,7 +22,7 @@ module Run (Rt : Nbr.Runtime.S) = struct
     let reclaimer_faults =
       match faults with
       | None -> []
-      | Some p -> Nbr.Fault.reclaimer_faults p
+      | Some p -> p.Nbr.Fault.reclaimer
     in
     let store =
       K.St.create

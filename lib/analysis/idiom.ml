@@ -90,9 +90,3 @@ let check_mli ~file : Findings.t option =
 let parse_failure ~file exn : Findings.t =
   Findings.v ~rule:"parse" ~file ~loc:(line1 file)
     (Printf.sprintf "failed to parse: %s" (Printexc.to_string exn))
-
-let all_rules =
-  [
-    "atomic-make"; "domain-dls"; "obj-magic"; "pool-raw-index"; "missing-mli";
-    "parse";
-  ]

@@ -5,6 +5,3 @@
 val check_structure : file:string -> Parsetree.structure -> Findings.t list
 val check_mli : file:string -> Findings.t option
 val parse_failure : file:string -> exn -> Findings.t
-
-val all_rules : string list
-(** Rule ids this module can emit, for the SARIF rule table. *)

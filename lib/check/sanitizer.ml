@@ -15,13 +15,6 @@ let family_of_scheme = function
   | "none" | "unsafe-free" -> Unsafe
   | s -> invalid_arg ("Sanitizer.family_of_scheme: unknown scheme " ^ s)
 
-let family_name = function
-  | Neutralization -> "neutralization"
-  | Epoch -> "epoch"
-  | Interval -> "interval"
-  | Hazard -> "hazard"
-  | Unsafe -> "unsafe"
-
 type config = { family : family; nthreads : int; garbage_bound : int option }
 
 type violation = {
@@ -260,7 +253,3 @@ let total_violations t = t.nviols
 
 let violation_to_string v =
   Printf.sprintf "[%s] t%d@%dns: %s" v.v_rule v.v_tid v.v_ns v.v_detail
-
-let pp_violation ppf v =
-  Format.fprintf ppf "%s@." (violation_to_string v);
-  List.iter (fun l -> Format.fprintf ppf "    | %s@." l) v.v_context

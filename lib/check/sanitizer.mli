@@ -43,8 +43,6 @@ val family_of_scheme : string -> family
     ...) to its rule family.  Raises [Invalid_argument] for unknown
     names. *)
 
-val family_name : family -> string
-
 type config = {
   family : family;
   nthreads : int;
@@ -84,6 +82,3 @@ val total_violations : t -> int
 val violation_to_string : violation -> string
 (** Deterministic one-line rendering (rule, thread, virtual time,
     detail) — stable across replays of the same schedule. *)
-
-val pp_violation : Format.formatter -> violation -> unit
-(** {!violation_to_string} plus the captured event context. *)

@@ -79,3 +79,18 @@ let default =
   }
 
 let with_threshold c n = { c with bag_threshold = n; lo_watermark = n / 2 }
+
+(** Per-thread bounded-garbage cap for schemes declaring
+    [bounded_garbage].  A threshold-triggered sweep keeps only what peers
+    pin: reservation/hazard slots, plus (interval schemes) records whose
+    lifetime overlaps a stalled interval — at worst every node alive when
+    the peer stalled, ≤ ~2·live for our structures.  On top of that
+    a bag refills to the threshold before the next sweep.  Anything past
+    this bound means garbage tracking a stalled thread's {e duration},
+    i.e. the unbounded failure mode.  The bound covers background
+    reclamation too: the reclaimer's handoff channel is capped
+    ([max_backlog] = 2 × threshold, see [Nbr_workload.Cohort]) below the
+    slack this formula already carries, so its collected-but-unswept
+    garbage stays inside it. *)
+let garbage_bound c ~threads ~live =
+  c.bag_threshold + (threads * c.max_reservations) + (2 * live) + 64

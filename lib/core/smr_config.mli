@@ -78,3 +78,11 @@ val default : t
 val with_threshold : t -> int -> t
 (** [with_threshold c n] sets [bag_threshold] to [n] and [lo_watermark]
     to [n/2], the paper's recommended ratio. *)
+
+val garbage_bound : t -> threads:int -> live:int -> int
+(** Per-thread bounded-garbage cap for schemes declaring
+    [bounded_garbage]: [bag_threshold] + the reservations [threads]
+    peers can pin ([max_reservations] each) + interval-overlap slack
+    (2 × [live], the live-set size) + 64 slots of bag refill headroom.
+    Anything past this means garbage tracking a stalled thread's
+    {e duration} — the unbounded failure mode. *)

@@ -2,11 +2,11 @@
 
     A plan is data, not behaviour: per-thread lists of faults anchored to
     operation indices, plus an optional signal-fate policy.  The trial
-    runner ({!Nbr_workload.Runner}) interprets thread faults between
-    operations, and installs the signal policy into the runtime via
-    [Rt.set_signal_fault]; the SMR schemes under test run unmodified.
-    Everything is derived from one seed through {!Nbr_sync.Rng}, so a
-    chaos trial is as replayable as a clean one.
+    runner ({!Nbr_workload.Runner}) and the KV service interpret thread
+    faults between operations through {!pop_due}, and install {!decider}
+    into the runtime via [Rt.set_signal_fault]; the SMR schemes under
+    test run unmodified.  Everything is derived from one seed through
+    {!Nbr_sync.Rng}, so a chaos trial is as replayable as a clean one.
 
     The fault vocabulary matches the adversities the paper's robustness
     argument (E2, §7) is about:
@@ -203,37 +203,21 @@ let shard_pressure ~seed ~nthreads ~shard ?(hogs = 3) ?(hog_slots = 48)
   Array.iteri (fun i l -> threads.(i) <- sort_faults l) threads;
   { seed; threads; signals = None; reclaimer = [] }
 
-let reclaimer_faults t = t.reclaimer
-let has_reclaimer_faults t = t.reclaimer <> []
+(* Reclaimer faults count: a stalled reclaimer must be reapable by the
+   workers' watchdogs. *)
+let faults_threads t =
+  t.reclaimer <> [] || Array.exists (fun l -> l <> []) t.threads
 
 let faults_for t tid =
   if tid >= 0 && tid < Array.length t.threads then t.threads.(tid) else []
 
-let crashed_tids t =
-  let acc = ref [] in
-  Array.iteri
-    (fun tid l ->
-      if List.exists (function Crash _ -> true | _ -> false) l then
-        acc := tid :: !acc)
-    t.threads;
-  List.rev !acc
+let tids_with pred t =
+  List.filter
+    (fun tid -> List.exists pred t.threads.(tid))
+    (List.init (Array.length t.threads) Fun.id)
 
-let stalled_tids t =
-  let acc = ref [] in
-  Array.iteri
-    (fun tid l ->
-      if List.exists (function Stall _ -> true | _ -> false) l then
-        acc := tid :: !acc)
-    t.threads;
-  List.rev !acc
-
-(** Whether the plan can lose signals — the one injected fault that makes
-    committed UAF reads legitimately possible (chaos tests relax the
-    zero-UAF assertion only under this). *)
-let injects_drops t =
-  match t.signals with Some { drop_pct; _ } -> drop_pct > 0 | None -> false
-
-let has_thread_faults t = Array.exists (fun l -> l <> []) t.threads
+let crashed_tids = tids_with (function Crash _ -> true | _ -> false)
+let stalled_tids = tids_with (function Stall _ -> true | _ -> false)
 
 (* SplitMix-style avalanche, so the fate of signal [k] from [sender] to
    [target] is a pure function of (plan seed, k, sender, target) — stable
@@ -261,6 +245,30 @@ let fate_fn t =
             Nbr_runtime.Runtime_intf.Sig_delay sf.delay_ns
           else Nbr_runtime.Runtime_intf.Sig_deliver)
 
+let decider t =
+  match fate_fn t with
+  | Some _ as f -> f
+  | None when faults_threads t ->
+      Some (fun ~sender:_ ~target:_ -> Nbr_runtime.Runtime_intf.Sig_deliver)
+  | None -> None
+
+(* Pops a thread's next fault once its trigger index is reached, and
+   traces the action. *)
+let pop_due faults ~tid ~now ops =
+  match !faults with
+  | f :: rest when fault_op f <= ops ->
+      faults := rest;
+      if !Nbr_obs.Trace.on then
+        Nbr_obs.Trace.emit ~tid ~ns:(now ()) Nbr_obs.Trace.Fault_action
+          (match f with
+          | Stall _ -> 0
+          | Crash _ -> 1
+          | Hog _ -> 2
+          | Shard_hog _ -> 3)
+          ops;
+      Some f
+  | _ -> None
+
 let pp_thread_fault ppf = function
   | Stall { at_op; ns } -> Format.fprintf ppf "stall@%d(%dns)" at_op ns
   | Crash { at_op } -> Format.fprintf ppf "crash@%d" at_op
@@ -276,29 +284,22 @@ let pp_reclaimer_fault ppf = function
       else Format.fprintf ppf "r-crash@%d(back in %dns)" at_iter restart_ns
 
 let pp ppf t =
+  let comma ppf () = Format.fprintf ppf "," in
   Format.fprintf ppf "plan{seed=%d" t.seed;
   Array.iteri
     (fun tid l ->
-      if l <> [] then begin
-        Format.fprintf ppf "; t%d:" tid;
-        List.iteri
-          (fun i f ->
-            if i > 0 then Format.fprintf ppf ",";
-            pp_thread_fault ppf f)
-          l
-      end)
+      if l <> [] then
+        Format.fprintf ppf "; t%d:%a" tid
+          (Format.pp_print_list ~pp_sep:comma pp_thread_fault)
+          l)
     t.threads;
   (match t.signals with
   | None -> ()
   | Some { delay_pct; delay_ns; drop_pct } ->
       Format.fprintf ppf "; signals: delay %d%%(%dns) drop %d%%" delay_pct
         delay_ns drop_pct);
-  if t.reclaimer <> [] then begin
-    Format.fprintf ppf "; reclaimer:";
-    List.iteri
-      (fun i f ->
-        if i > 0 then Format.fprintf ppf ",";
-        pp_reclaimer_fault ppf f)
-      t.reclaimer
-  end;
+  if t.reclaimer <> [] then
+    Format.fprintf ppf "; reclaimer:%a"
+      (Format.pp_print_list ~pp_sep:comma pp_reclaimer_fault)
+      t.reclaimer;
   Format.fprintf ppf "}"

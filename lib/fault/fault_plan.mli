@@ -2,11 +2,12 @@
 
     A plan is data, not behaviour: per-thread lists of faults anchored
     to operation indices, plus an optional signal-fate policy.  The
-    trial runner ({!Nbr_workload.Runner}) interprets thread faults
-    between operations and installs the signal policy into the runtime
-    via [Rt.set_signal_fault]; the SMR schemes under test run
-    unmodified.  Everything is derived from one seed through
-    {!Nbr_sync.Rng}, so a chaos trial is as replayable as a clean one.
+    trial runner ({!Nbr_workload.Runner}) and the KV service interpret
+    thread faults between operations through {!pop_due} and install
+    {!decider} into the runtime via [Rt.set_signal_fault]; the SMR
+    schemes under test run unmodified.  Everything is derived from one
+    seed through {!Nbr_sync.Rng}, so a chaos trial is as replayable as
+    a clean one.
 
     The fault vocabulary matches the adversities the paper's robustness
     argument (E2, §7) is about: stalls (delayed threads pinning
@@ -128,13 +129,8 @@ val shard_pressure :
 val faults_for : t -> int -> thread_fault list
 (** The (sorted) fault list for one thread; [] out of range. *)
 
-val reclaimer_faults : t -> reclaimer_fault list
-(** The reclaimer's fault schedule, sorted by trigger iteration. *)
-
 val reclaimer_fault_iter : reclaimer_fault -> int
 (** The loop iteration a reclaimer fault triggers at. *)
-
-val has_reclaimer_faults : t -> bool
 
 val fault_op : thread_fault -> int
 (** The operation index a fault triggers at (the runner's cursor key). *)
@@ -142,12 +138,8 @@ val fault_op : thread_fault -> int
 val crashed_tids : t -> int list
 val stalled_tids : t -> int list
 
-val injects_drops : t -> bool
-(** Whether the plan can lose signals — the one injected fault that
-    makes committed UAF reads legitimately possible (chaos tests relax
-    the zero-UAF assertion only under this). *)
-
-val has_thread_faults : t -> bool
+val faults_threads : t -> bool
+(** Whether the plan faults any worker or the reclaimer role. *)
 
 val fate_fn :
   t -> (sender:int -> target:int -> Nbr_runtime.Runtime_intf.signal_fate) option
@@ -157,6 +149,19 @@ val fate_fn :
     [k] from [sender] to [target] is a pure function of
     (plan seed, k, sender, target). *)
 
-val pp_thread_fault : Format.formatter -> thread_fault -> unit
-val pp_reclaimer_fault : Format.formatter -> reclaimer_fault -> unit
+val decider :
+  t -> (sender:int -> target:int -> Nbr_runtime.Runtime_intf.signal_fate) option
+(** The decider a run installs for its length: {!fate_fn} when the plan
+    faults signals; else, when it faults threads or the reclaimer, a
+    pass-through one that delivers every signal, because an installed
+    decider ([Rt.fault_injection_active]) is what arms the schemes'
+    watchdog and recovery machinery; else [None]. *)
+
+val pop_due :
+  thread_fault list ref -> tid:int -> now:(unit -> int) -> int ->
+  thread_fault option
+(** [pop_due faults ~tid ~now ops] pops thread [tid]'s next fault once
+    [ops] completed operations reach its trigger index, tracing it as a
+    [Fault_action] event at [now ()]; [None] while nothing is due. *)
+
 val pp : Format.formatter -> t -> unit

@@ -22,9 +22,6 @@ type cls = Read | Write | Scan
 (** Request class for shed policy: gets are [Read], puts and deletes
     [Write], scans [Scan]. *)
 
-val cls_code : cls -> int
-(** 0 / 1 / 2 — the [b] argument of [Admission_shed] trace events. *)
-
 val cls_of_op : Nbr_workload.Traffic.op -> cls
 
 module Cfg : sig

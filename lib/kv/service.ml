@@ -21,11 +21,11 @@
    admitted request ends as exactly one of completed / shed / timed-out
    ([Guard.slo_ok]), including requests a mid-batch expulsion forfeits.
 
-   Fault plans, churn, per-shard background reclamation and tracing all
-   compose exactly as in the trial runner: thread faults fire between
-   batches (shard-targeted hogs land on their shard's pool), churn
-   cycles registration on every shard, reclaimer faults drive the
-   offload degrade → restore round-trip at the service level. *)
+   Fault plans, churn and per-shard reclamation run on the trial
+   runner's code: [Fault_plan.decider] and [pop_due] interpret the plan,
+   and each shard's [Nbr_workload.Cohort] applies thread faults between
+   batches (a shard hog on its own shard), churn on every shard, and the
+   reclaimer whose faults drive the offload degrade → restore trip. *)
 
 type latency = {
   l_get : Nbr_obs.Histogram.summary;
@@ -107,6 +107,7 @@ let pp_report ppf r =
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module St = Store.Make (Rt)
+  module F = Nbr_fault.Fault_plan
 
   module Cfg = struct
     type t = {
@@ -154,28 +155,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         incr prefilled
     done;
     St.reset_peaks st;
-    let thread_faults =
-      match cfg.Cfg.faults with
-      | None -> false
-      | Some p ->
-          Nbr_fault.Fault_plan.has_thread_faults p
-          || Nbr_fault.Fault_plan.has_reclaimer_faults p
+    let drains =
+      reclaim_on || cfg.Cfg.churn_ops > 0
+      || Option.fold ~none:false ~some:F.faults_threads cfg.Cfg.faults
     in
-    (* Same decider discipline as the trial runner: a plan that faults
-       threads but leaves signals alone still installs a pass-through
-       decider, because [Rt.fault_injection_active] is what arms the
-       schemes' watchdog machinery. *)
-    (match cfg.Cfg.faults with
-    | None -> ()
-    | Some p -> (
-        match Nbr_fault.Fault_plan.fate_fn p with
-        | Some _ as f -> Rt.set_signal_fault f
-        | None ->
-            if thread_faults then
-              Rt.set_signal_fault
-                (Some
-                   (fun ~sender:_ ~target:_ ->
-                     Nbr_runtime.Runtime_intf.Sig_deliver))));
+    Rt.set_signal_fault (Option.bind cfg.Cfg.faults F.decider);
     Fun.protect ~finally:(fun () -> Rt.set_signal_fault None) @@ fun () ->
     let reqs = Array.make n 0
     and puts_ok = Array.make n 0
@@ -199,7 +183,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
             ref
               (match cfg.Cfg.faults with
               | None -> []
-              | Some p -> Nbr_fault.Fault_plan.faults_for p tid)
+              | Some p -> F.faults_for p tid)
           in
           let crashed = ref false in
           let arrival = ref (Rt.now_ns ()) in
@@ -284,31 +268,15 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           in
           while (not !crashed) && Rt.now_ns () < deadline do
             try
-              (match !faults with
-              | f :: rest
-                when Nbr_fault.Fault_plan.fault_op f <= !my_reqs -> (
-                  faults := rest;
-                  if !Nbr_obs.Trace.on then
-                    Nbr_obs.Trace.emit ~tid ~ns:(Rt.now_ns ())
-                      Nbr_obs.Trace.Fault_action
-                      (match f with
-                      | Nbr_fault.Fault_plan.Stall _ -> 0
-                      | Nbr_fault.Fault_plan.Crash _ -> 1
-                      | Nbr_fault.Fault_plan.Hog _ -> 2
-                      | Nbr_fault.Fault_plan.Shard_hog _ -> 3)
-                      !my_reqs;
-                  match f with
-                  | Nbr_fault.Fault_plan.Stall { ns; _ } ->
-                      St.stall st ~tid ns
-                  | Nbr_fault.Fault_plan.Crash _ ->
-                      St.crash st ~tid;
-                      crashed := true
-                  | Nbr_fault.Fault_plan.Hog { slots; ns; _ } ->
-                      St.hog st ~slots ~ns
-                  | Nbr_fault.Fault_plan.Shard_hog { shard; slots; ns; _ }
-                    ->
-                      St.hog_on st ~shard ~slots ~ns)
-              | _ -> ());
+              (match F.pop_due faults ~tid ~now:Rt.now_ns !my_reqs with
+              | None -> ()
+              | Some (F.Stall { ns; _ }) -> St.stall st ~tid ns
+              | Some (F.Crash _) ->
+                  St.crash st ~tid;
+                  crashed := true
+              | Some (F.Hog { slots; ns; _ }) -> St.hog st ~shard:0 ~slots ~ns
+              | Some (F.Shard_hog { shard; slots; ns; _ }) ->
+                  St.hog st ~shard ~slots ~ns);
               if not !crashed then begin
                 let now = Rt.now_ns () in
                 (* Closed loop: no arrival process, issue back-to-back. *)
@@ -393,10 +361,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
               crashed := true
           done;
           if !crashed then forfeit_all ();
-          if
-            (not !crashed)
-            && (thread_faults || cfg.Cfg.churn_ops > 0 || reclaim_on)
-          then St.drain st ~tid;
+          if drains && not !crashed then St.drain st ~tid;
           (* Last worker out (crashed or not) releases the per-shard
              reclaimers; they drain what is left and leave. *)
           if
@@ -410,11 +375,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let total_reqs = Array.fold_left ( + ) 0 reqs in
     let puts = Array.fold_left ( + ) 0 puts_ok
     and dels = Array.fold_left ( + ) 0 dels_ok in
-    let merged = Array.init 4 (fun _ -> Nbr_obs.Histogram.create ()) in
-    Array.iter
-      (Array.iteri (fun i hh ->
-           Nbr_obs.Histogram.merge_into ~into:merged.(i) hh))
-      hists;
+    let lat = Nbr_obs.Histogram.merged_summaries hists in
     let scfg = St.cfg st in
     {
       rep_scheme = scfg.St.Cfg.scheme;
@@ -427,10 +388,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         float_of_int total_reqs /. (dur_f /. 1e9) /. 1e3;
       rep_latency =
         {
-          l_get = Nbr_obs.Histogram.summary merged.(0);
-          l_put = Nbr_obs.Histogram.summary merged.(1);
-          l_del = Nbr_obs.Histogram.summary merged.(2);
-          l_scan = Nbr_obs.Histogram.summary merged.(3);
+          l_get = lat.(0);
+          l_put = lat.(1);
+          l_del = lat.(2);
+          l_scan = lat.(3);
         };
       rep_stats = St.stats st;
       rep_slo = Guard.snapshot g;

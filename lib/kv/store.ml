@@ -11,8 +11,8 @@
    Thread model: worker tids [0, nthreads) register with every shard (a
    request for any key may land on any shard).  With background
    reclamation enabled, shard [i] additionally gets its own reclaimer
-   role at tid [nthreads + i], wired to that shard's pool watermarks —
-   the serving-layer analogue of the trial runner's single reclaimer. *)
+   role at tid [nthreads + i], wired to that shard's pool watermarks.  A
+   shard is built by {!Nbr_workload.Cohort}, as a trial's stack is. *)
 
 (* Aggregated per-store counters: runtime-independent (plain ints), so
    reports from different runtimes share one type. *)
@@ -131,7 +131,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   type t = { cfg : Cfg.t; shards : shard array; foil : bool }
 
-  let build_shard (cfg : Cfg.t) ~total ~tid_reclaimer
+  let build_shard (cfg : Cfg.t) ~total ~reclaimer_tid
       (module S : Nbr_workload.Registry.SCHEME) : shard =
     let module Smr = S.Make (Rt) in
     let module Build
@@ -150,89 +150,28 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
          end) =
     struct
       module R = Nbr_reclaim.Reclaimer.Make (Rt) (Smr)
+      module C = Nbr_workload.Cohort.Make (Rt) (Smr) (Ds)
 
       let shard () =
-        let pool =
-          P.create ~capacity:cfg.shard_capacity ~data_fields:Ds.data_fields
-            ~ptr_fields:Ds.ptr_fields ~nthreads:total ()
+        let c =
+          C.create ~capacity:cfg.shard_capacity ~nthreads:total
+            ~workers:cfg.nthreads ~reclaim:cfg.reclaim
+            ~reclaimer_faults:cfg.reclaimer_faults ~reclaimer_tid cfg.smr
         in
-        let smr_cfg =
-          {
-            cfg.smr with
-            Nbr_core.Smr_config.max_reservations = Ds.max_reservations;
-          }
-        in
-        let smr = Smr.create pool ~nthreads:total smr_cfg in
-        let ds = Ds.create pool in
-        let ctxs =
-          Array.init cfg.nthreads (fun tid -> Smr.register smr ~tid)
-        in
-        let recl =
-          match cfg.reclaim with
-          | None -> None
-          | Some policy ->
-              let r =
-                R.create ~policy
-                  ~max_backlog:
-                    (max 64 (2 * smr_cfg.Nbr_core.Smr_config.bag_threshold))
-                  ~faults:cfg.reclaimer_faults smr ~tid:tid_reclaimer
-              in
-              (* Same hysteresis as the trial runner: high crossing kicks
-                 the shard's reclaimer well before on_pressure territory. *)
-              let cap = cfg.shard_capacity in
-              P.set_watermarks pool ~lo:(cap / 2)
-                ~hi:(cap - (cap / 4))
-                ~on_high:(fun () -> R.kick r);
-              Some r
-        in
+        let { C.pool; ds; ctxs; recl; _ } = c in
         {
           sh_contains = (fun ~tid k -> Ds.contains ds ctxs.(tid) k);
           sh_insert = (fun ~tid k -> Ds.insert ds ctxs.(tid) k);
           sh_delete = (fun ~tid k -> Ds.delete ds ctxs.(tid) k);
           sh_count = (fun ~tid lo hi -> Ds.count ds ctxs.(tid) lo hi);
           sh_size = (fun () -> Ds.size pool ds);
-          sh_stall =
-            (fun ~tid ns ->
-              (* E2's delayed thread, at the serving layer: pause inside
-                 a read phase on this shard, pinning whatever the scheme
-                 pins for in-flight operations. *)
-              let stalled = ref false in
-              Smr.op ctxs.(tid) (fun op ->
-                  Smr.read_only op { Smr.view = (fun _ ->
-                      if not !stalled then begin
-                        stalled := true;
-                        Rt.stall_ns ns
-                      end) }));
-          sh_crash =
-            (fun ~tid ->
-              (* Die mid-operation: enter but never leave. *)
-              Smr.abandon ctxs.(tid));
-          sh_hog =
-            (fun ~slots ~ns ->
-              (* Manufactured pool pressure against this shard: raw
-                 slots, no reclamation flush — the hog is the adversary,
-                 not an SMR client. *)
-              let held = ref [] in
-              (try
-                 for _ = 1 to slots do
-                   held := P.alloc pool :: !held
-                 done
-               with P.Exhausted _ -> ());
-              Rt.stall_ns ns;
-              List.iter (fun s -> P.free pool s) !held);
-          sh_churn =
-            (fun ~tid ->
-              Smr.deregister ctxs.(tid);
-              ctxs.(tid) <- Smr.register smr ~tid);
-          sh_drain =
-            (fun ~tid ->
-              ignore (Smr.collect_handoffs ctxs.(tid));
-              Smr.adopt_orphans ctxs.(tid);
-              Smr.on_pressure ctxs.(tid));
-          sh_reclaimer_run =
-            (fun () -> match recl with Some r -> R.run r | None -> ());
-          sh_reclaimer_stop =
-            (fun () -> match recl with Some r -> R.stop r | None -> ());
+          sh_stall = C.stall c;
+          sh_crash = C.crash c;
+          sh_hog = C.hog c;
+          sh_churn = C.churn c;
+          sh_drain = C.drain c;
+          sh_reclaimer_run = (fun () -> C.run_reclaimer c);
+          sh_reclaimer_stop = (fun () -> C.stop_reclaimer c);
           sh_offload_counts =
             (fun () ->
               match recl with
@@ -262,16 +201,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
               Nbr_core.Smr_stats.handshake_timeouts
                 (Smr.ctx_stats ctxs.(tid)));
           sh_pool_stats = (fun () -> P.stats pool);
-          sh_smr_stats = (fun () -> Smr.stats smr);
+          sh_smr_stats = (fun () -> Smr.stats c.C.smr);
           sh_reset_peak = (fun () -> P.reset_peak pool);
           sh_bound =
             (* The trial runner's bound with the live-set term scaled to
                one shard's share of the keyspace (capped by capacity:
-               the pool cannot hold more).  See Trial.garbage_bound. *)
-            (smr_cfg.Nbr_core.Smr_config.bag_threshold
-            + (total * Ds.max_reservations)
-            + (2 * min (cfg.keyspace / cfg.nshards) cfg.shard_capacity)
-            + 64);
+               the pool cannot hold more). *)
+            Nbr_core.Smr_config.garbage_bound c.C.cfg ~threads:total
+              ~live:(min (cfg.keyspace / cfg.nshards) cfg.shard_capacity);
           sh_bounded_claim = Smr.bounded_garbage;
         }
     end in
@@ -319,7 +256,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     in
     let shards =
       Array.init cfg.nshards (fun i ->
-          build_shard cfg ~total ~tid_reclaimer:(cfg.nthreads + i)
+          build_shard cfg ~total ~reclaimer_tid:(cfg.nthreads + i)
             entry.Nbr_workload.Registry.r_scheme)
     in
     { cfg; shards; foil = entry.Nbr_workload.Registry.r_foil }
@@ -385,15 +322,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      frozen thread via its stopped heartbeat. *)
   let stall t ~tid ns = t.shards.(0).sh_stall ~tid ns
   let crash t ~tid = t.shards.(0).sh_crash ~tid
-  let hog t ~slots ~ns = t.shards.(0).sh_hog ~slots ~ns
 
-  (* Shard-targeted pressure (the slo-chaos adversary): same hog, but
-     the caller picks the victim shard, so a specific breaker trips. *)
-  let hog_on t ~shard ~slots ~ns =
+  (* Manufactured pool pressure on one shard: shard 0 for a plain hog,
+     the victim the slo-chaos adversary picks for a shard hog, so a
+     specific breaker trips. *)
+  let hog t ~shard ~slots ~ns =
     t.shards.(shard mod t.cfg.Cfg.nshards).sh_hog ~slots ~ns
 
   let health t ~shard = t.shards.(shard).sh_health ()
-  let shard_capacity t = t.cfg.Cfg.shard_capacity
   let hs_timeouts t ~tid ~shard = t.shards.(shard).sh_hs_timeouts ~tid
   let churn t ~tid = Array.iter (fun sh -> sh.sh_churn ~tid) t.shards
   let drain t ~tid = Array.iter (fun sh -> sh.sh_drain ~tid) t.shards

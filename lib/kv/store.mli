@@ -7,7 +7,8 @@
     Thread model: worker tids [0, nthreads) register with every shard;
     with background reclamation on, shard [i] gets its own reclaimer
     role at tid [nthreads + i] wired to that shard's pool watermarks
-    (run it from {!run_reclaimer} inside [Rt.run]). *)
+    (run it from {!run_reclaimer} inside [Rt.run]).  Each shard is one
+    {!Nbr_workload.Cohort}, the set-up the trial runner uses too. *)
 
 type stats = {
   st_size : int;
@@ -146,13 +147,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   (** Enter an operation on shard 0 and never leave; the caller must
       stop using [tid] afterwards. *)
 
-  val hog : t -> slots:int -> ns:int -> unit
-  (** Manufactured pool pressure against shard 0. *)
-
-  val hog_on : t -> shard:int -> slots:int -> ns:int -> unit
-  (** Manufactured pool pressure against a chosen shard (the slo-chaos
-      adversary: the pressure, and any breaker trip, lands on a known
-      shard).  [shard] is taken modulo the shard count. *)
+  val hog : t -> shard:int -> slots:int -> ns:int -> unit
+  (** Manufactured pool pressure against a chosen shard (shard 0 for a
+      plain hog; the slo-chaos adversary's victim for a shard hog, so
+      the pressure, and any breaker trip, lands on a known shard).
+      [shard] is taken modulo the shard count. *)
 
   val churn : t -> tid:int -> unit
   (** Deregister and immediately re-register [tid] on every shard,
@@ -174,8 +173,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   val health : t -> shard:int -> health
   (** One shard's current health signals.  Safe from any thread; cheap
       enough to poll once per shard batch. *)
-
-  val shard_capacity : t -> int
 
   val hs_timeouts : t -> tid:int -> shard:int -> int
   (** Cumulative handshake timeouts recorded by [tid]'s own context on

@@ -110,7 +110,8 @@ let summary t =
     s_max = t.vmax;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.0f p50=%.0f p90=%.0f p99=%.0f p99.9=%.0f max=%d" s.s_count
-    s.s_mean s.s_p50 s.s_p90 s.s_p99 s.s_p999 s.s_max
+let merged_summaries rows =
+  let cols = if Array.length rows = 0 then 0 else Array.length rows.(0) in
+  let merged = Array.init cols (fun _ -> create ()) in
+  Array.iter (Array.iteri (fun i h -> merge_into ~into:merged.(i) h)) rows;
+  Array.map summary merged

@@ -39,4 +39,7 @@ type summary = {
 }
 
 val summary : t -> summary
-val pp_summary : Format.formatter -> summary -> unit
+
+val merged_summaries : t array array -> summary array
+(** One row of histograms per thread, merged column by column: entry
+    [i] summarizes every row's [i]-th histogram. *)

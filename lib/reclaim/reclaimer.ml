@@ -36,11 +36,6 @@ type policy =
           drain just collected something — the default: idle reclaimers
           stay quiet, pressured pools are served immediately *)
 
-let pp_policy ppf = function
-  | Periodic { interval_ns } -> Format.fprintf ppf "periodic(%dns)" interval_ns
-  | After_n_retires { n } -> Format.fprintf ppf "after(%d)" n
-  | On_pressure -> Format.fprintf ppf "on-pressure"
-
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) =

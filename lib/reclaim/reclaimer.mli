@@ -14,8 +14,6 @@ type policy =
       (** sweep when the pool's high watermark fired ({!Make.kick}) or a
           drain just collected something — the default *)
 
-val pp_policy : Format.formatter -> policy -> unit
-
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) : sig

@@ -4,6 +4,7 @@
 module Trial = Trial
 module Registry = Registry
 module Traffic = Traffic
+module Cohort = Cohort
 module Runner = Runner
 module Harness = Harness
 module Table = Table

@@ -1,10 +1,10 @@
 (** Generic trial runner: one scheme × one structure × one runtime.
 
-    Builds the pool, instantiates the scheme, prefills the structure,
-    launches the workers, and collects metrics.  The same code drives
-    every cell of every figure, so any scheme/structure pair measured is
-    measured identically — the property the paper's Setbench harness
-    provides.
+    Builds the pool, scheme and structure through {!Cohort} (as each KV
+    shard does), prefills, launches the workers, and collects metrics.
+    The same code drives every cell of every figure, so any
+    scheme/structure pair measured is measured identically — the
+    property the paper's Setbench harness provides.
 
     Every trial doubles as a correctness check: successful inserts and
     deletes are counted per thread and the structure's final size must

@@ -30,36 +30,3 @@ let print_matrix ~title ~col_header ~cols ~rows ~cell =
   flush stdout
 
 let f3 x = Printf.sprintf "%.3f" x
-
-(** Latency-quantile table: one row per labelled histogram summary
-    (e.g. per operation type, or per scheme), aligned and as CSV like
-    {!print_matrix}. *)
-let print_latency ~title rows =
-  Printf.printf "\n## %s\n" title;
-  let w = 11 in
-  let cols = [ "count"; "p50"; "p90"; "p99"; "p99.9"; "max" ] in
-  let cells (s : Nbr_obs.Histogram.summary) =
-    [
-      string_of_int s.Nbr_obs.Histogram.s_count;
-      Printf.sprintf "%.0f" s.s_p50;
-      Printf.sprintf "%.0f" s.s_p90;
-      Printf.sprintf "%.0f" s.s_p99;
-      Printf.sprintf "%.0f" s.s_p999;
-      string_of_int s.s_max;
-    ]
-  in
-  Printf.printf "%s" (pad w "op");
-  List.iter (fun c -> Printf.printf "%s" (pad w c)) cols;
-  print_newline ();
-  List.iter
-    (fun (label, s) ->
-      Printf.printf "%s" (pad w label);
-      List.iter (fun c -> Printf.printf "%s" (pad w c)) (cells s);
-      print_newline ())
-    rows;
-  Printf.printf "csv,op,%s\n" (String.concat "," cols);
-  List.iter
-    (fun (label, s) ->
-      Printf.printf "csv,%s,%s\n" label (String.concat "," (cells s)))
-    rows;
-  flush stdout

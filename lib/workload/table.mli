@@ -21,9 +21,3 @@ val print_matrix :
 
 val f3 : float -> string
 (** Three-decimal rendering for throughput cells. *)
-
-val print_latency :
-  title:string -> (string * Nbr_obs.Histogram.summary) list -> unit
-(** Latency-quantile table: one row per labelled histogram summary
-    (count, p50, p90, p99, p99.9, max), aligned and as CSV like
-    {!print_matrix}. *)

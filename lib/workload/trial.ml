@@ -116,21 +116,10 @@ let signal_faults_injected cfg =
   | None -> false
   | Some p -> p.Nbr_fault.Fault_plan.signals <> None
 
-(** Per-thread bounded-garbage cap for schemes declaring
-    [bounded_garbage].  A threshold-triggered sweep keeps only what peers
-    pin: reservation/hazard slots, plus (interval schemes) records whose
-    lifetime overlaps a stalled interval — at worst every node alive when
-    the peer stalled, ≤ ~2·key_range for our structures.  On top of that
-    a bag refills to the threshold before the next sweep.  Anything past
-    this bound means garbage tracking a stalled thread's {e duration},
-    i.e. the unbounded failure mode.  The bound covers background
-    reclamation too: the runner caps the handoff channel ([max_backlog]
-    = 2 × threshold) below the slack this formula already carries, so
-    the reclaimer's collected-but-unswept garbage stays inside it. *)
+(* The bound of [Smr_config.garbage_bound] over the whole key range. *)
 let garbage_bound cfg =
-  cfg.smr.Nbr_core.Smr_config.bag_threshold
-  + (cfg.nthreads * cfg.smr.Nbr_core.Smr_config.max_reservations)
-  + (2 * cfg.key_range) + 64
+  Nbr_core.Smr_config.garbage_bound cfg.smr ~threads:cfg.nthreads
+    ~live:cfg.key_range
 
 type latency = {
   lat_insert : Nbr_obs.Histogram.summary;
@@ -181,21 +170,3 @@ let pp_row ppf r =
     r.structure r.scheme r.cfg.nthreads r.cfg.ins_pct r.cfg.del_pct
     r.throughput_mops r.peak_unreclaimed r.signals (Nbr_core.Smr_stats.restarts r.smr_stats)
     (if valid r then "" else "INVALID")
-
-(** One line per operation type: count and the latency quantiles the
-    paper-style tables quote.  Prints nothing when the trial ran without
-    [record_latency]. *)
-let pp_latency ppf r =
-  match r.latency with
-  | None -> ()
-  | Some l ->
-      let line name (s : Nbr_obs.Histogram.summary) =
-        Format.fprintf ppf
-          "%-9s n=%-9d p50=%-9.0f p90=%-9.0f p99=%-9.0f p99.9=%-9.0f max=%d@."
-          name s.Nbr_obs.Histogram.s_count s.s_p50 s.s_p90 s.s_p99 s.s_p999
-          s.s_max
-      in
-      line "insert" l.lat_insert;
-      line "delete" l.lat_delete;
-      line "contains" l.lat_contains;
-      line "restarts" l.lat_restarts

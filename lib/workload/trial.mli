@@ -90,11 +90,6 @@ type cfg = Cfg.t = {
 }
 (** Re-export of {!Cfg.t} for field access; construct via {!Cfg.make}. *)
 
-val signal_faults_injected : cfg -> bool
-(** Whether the configuration tampers with neutralization signals
-    (delays open the benign native-style poll window in sim; drops void
-    the delivery guarantee outright). *)
-
 val garbage_bound : cfg -> int
 (** Per-thread bounded-garbage cap for schemes declaring
     [bounded_garbage]: threshold + reservations pinned by peers +
@@ -140,8 +135,3 @@ val valid : result -> bool
     faults were injected). *)
 
 val pp_row : Format.formatter -> result -> unit
-
-val pp_latency : Format.formatter -> result -> unit
-(** One line per operation type: count and the latency quantiles the
-    paper-style tables quote.  Prints nothing when the trial ran without
-    [record_latency]. *)
