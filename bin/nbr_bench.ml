@@ -126,9 +126,10 @@ let trial_cmd =
   let del = Arg.(value & opt int 25 & info [ "del" ] ~doc:"Delete %.") in
   let duration_ms =
     Arg.(
-      value & opt int 2
+      value & opt float 2.
       & info [ "duration-ms" ]
-          ~doc:"Trial duration in ms (virtual for sim, wall for native).")
+          ~doc:"Trial duration in ms, fractions allowed (virtual for sim, \
+                wall for native).")
   in
   let threshold =
     Arg.(
@@ -138,9 +139,10 @@ let trial_cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
   let stall_ms =
     Arg.(
-      value & opt int 0
+      value & opt float 0.
       & info [ "stall-ms" ]
-          ~doc:"Stall thread 1 inside an operation for this long (E2).")
+          ~doc:"Stall thread 1 inside an operation for this many ms, \
+                fractions allowed (E2).")
   in
   let chaos =
     Arg.(
@@ -193,7 +195,8 @@ let trial_cmd =
         scheme structure;
       exit 2
     end;
-    let duration_ns = duration_ms * 1_000_000 in
+    let ns_of_ms ms = Float.to_int (Float.round (ms *. 1e6)) in
+    let duration_ns = ns_of_ms duration_ms in
     let reclaim =
       let parse = function
         | "none" -> None
@@ -220,8 +223,8 @@ let trial_cmd =
       | p, _ -> p
     in
     let stall =
-      if stall_ms > 0 then
-        Some { T.stall_tid = 1; stall_ns = stall_ms * 1_000_000 }
+      if stall_ms > 0. then
+        Some { T.stall_tid = 1; stall_ns = ns_of_ms stall_ms }
       else None
     in
     let faults =

@@ -1,6 +1,7 @@
 (* The nbr_bench command line: P5-unsafe scheme x structure pairings are
    refused with a one-line error and exit status 2, before any trial
-   runs; supported pairings still run.  [figure] runs several experiments
+   runs; supported pairings still run, and a fractional --duration-ms
+   reproduces a quick figure's cell.  [figure] runs several experiments
    in order under one summary, and refuses an unknown id before running
    any of them. *)
 
@@ -50,6 +51,39 @@ let test_runs_supported () =
   in
   Alcotest.(check int) "hp x lazy-list runs and validates" 0 code
 
+(* A quick figure's trials last 0.5 ms, so [trial] takes fractional
+   milliseconds: given the quick profile's simulator settings and the
+   figure's parameters, it prints the golden figure's cell.  The cell is
+   fig3b's first table (lazy list, 50i-50d, 512 keys, 256-record bags),
+   4 threads, nbr+. *)
+let test_trial_reproduces_quick_cell () =
+  let csv =
+    In_channel.with_open_text "golden/fig3b.expected" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"csv,")
+    |> List.map (String.split_on_char ',')
+  in
+  (* The first 4-thread row belongs to the first table. *)
+  let row = List.find (fun r -> List.nth r 1 = "4") csv in
+  let cell = List.assoc "nbr+" (List.combine (List.hd csv) row) in
+  let code, out, _ =
+    run
+      "trial --scheme nbr+ --structure lazy-list --threads 4 --cores 16 \
+       --granularity 400 --quantum 300000 --range 512 --ins 50 --del 50 \
+       --bag-threshold 256 --duration-ms 0.5 --seed 1"
+  in
+  Alcotest.(check int) "exits 0" 0 code;
+  let mops l =
+    let rec go = function
+      | v :: "Mops/s" :: _ -> Some v
+      | _ :: rest -> go rest
+      | [] -> None
+    in
+    go (List.filter (( <> ) "") (String.split_on_char ' ' l))
+  in
+  Alcotest.(check (option string))
+    "fig3b's golden Mops/s" (Some cell) (List.find_map mops out)
+
 let test_figure_runs_several () =
   let code, out, _ = run "figure usability ablation_signals --quick" in
   Alcotest.(check int) "exits 0" 0 code;
@@ -75,6 +109,8 @@ let suite =
       test_rejects_unsupported;
     Alcotest.test_case "trial runs a supported pairing" `Quick
       test_runs_supported;
+    Alcotest.test_case "trial reproduces a quick figure cell" `Quick
+      test_trial_reproduces_quick_cell;
     Alcotest.test_case "figure runs several ids under one summary" `Quick
       test_figure_runs_several;
     Alcotest.test_case "figure rejects an unknown id before running" `Quick

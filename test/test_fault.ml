@@ -109,6 +109,61 @@ let test_fate_deterministic () =
       Alcotest.failf "fate diverged at send %d" i
   done
 
+(* The decider a run installs: none for an empty plan, a pass-through
+   one when only threads or the reclaimer are faulted (it arms the
+   watchdogs without touching delivery), and the plan's own fates, in
+   order, when it faults signals. *)
+let test_decider () =
+  let sends f =
+    List.init 200 (fun i -> f ~sender:(i mod 4) ~target:((i + 1) mod 4))
+  in
+  Alcotest.(check bool)
+    "empty plan: no decider" true
+    (FP.decider (FP.none ~nthreads:4) = None);
+  List.iter
+    (fun (what, plan) ->
+      match FP.decider plan with
+      | None -> Alcotest.failf "%s: no decider" what
+      | Some d ->
+          if
+            List.exists
+              (( <> ) Nbr_runtime.Runtime_intf.Sig_deliver)
+              (sends d)
+          then Alcotest.failf "%s: a signal was not delivered" what)
+    [
+      ("thread faults", FP.chaos ~seed:7 ~nthreads:4 ());
+      ( "reclaimer faults",
+        {
+          (FP.none ~nthreads:4) with
+          FP.reclaimer = [ FP.R_stall { at_iter = 1; ns = 1000 } ];
+        } );
+    ];
+  let plan =
+    FP.chaos ~seed:42 ~nthreads:4
+      ~signal:{ FP.delay_pct = 30; delay_ns = 5_000; drop_pct = 20 }
+      ()
+  in
+  Alcotest.(check bool)
+    "signal faults: fate_fn's fates, in order" true
+    (sends (Option.get (FP.decider plan))
+    = sends (Option.get (FP.fate_fn plan)))
+
+(* [pop_due] hands out a thread's faults in order, each once its trigger
+   index is reached, and nothing before. *)
+let test_pop_due () =
+  let faults =
+    ref [ FP.Stall { at_op = 2; ns = 10 }; FP.Crash { at_op = 2 } ]
+  in
+  let pop ops = FP.pop_due faults ~tid:1 ~now:(fun () -> 0) ops in
+  Alcotest.(check bool) "not due at 1" true (pop 1 = None);
+  Alcotest.(check bool)
+    "stall at 2" true
+    (pop 2 = Some (FP.Stall { at_op = 2; ns = 10 }));
+  Alcotest.(check bool)
+    "then the crash" true
+    (pop 3 = Some (FP.Crash { at_op = 2 }));
+  Alcotest.(check bool) "then nothing" true (pop 4 = None && !faults = [])
+
 (* ---------------- runtime signal-fate plumbing ---------------- *)
 
 (* A dropped signal is never delivered but is counted. *)
@@ -337,6 +392,8 @@ let suite =
       test_plan_same_tid_collision;
     Alcotest.test_case "chaos plan per-thread fault order" `Quick
       test_plan_fault_order;
+    Alcotest.test_case "decider per plan kind" `Quick test_decider;
+    Alcotest.test_case "pop_due pops due faults in order" `Quick test_pop_due;
     Alcotest.test_case "signal fates deterministic" `Quick
       test_fate_deterministic;
     Alcotest.test_case "dropped signal counted, invisible" `Quick
