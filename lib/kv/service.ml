@@ -155,11 +155,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         incr prefilled
     done;
     St.reset_peaks st;
+    let plan = Option.value cfg.Cfg.faults ~default:(F.none ~nthreads:n) in
     let drains =
-      reclaim_on || cfg.Cfg.churn_ops > 0
-      || Option.fold ~none:false ~some:F.faults_threads cfg.Cfg.faults
+      reclaim_on || cfg.Cfg.churn_ops > 0 || F.faults_threads plan
     in
-    Rt.set_signal_fault (Option.bind cfg.Cfg.faults F.decider);
+    Rt.set_signal_fault (F.decider plan);
     Fun.protect ~finally:(fun () -> Rt.set_signal_fault None) @@ fun () ->
     let reqs = Array.make n 0
     and puts_ok = Array.make n 0
@@ -179,12 +179,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         if tid >= n then St.run_reclaimer st (tid - n)
         else begin
           let rng = Nbr_sync.Rng.for_thread ~seed:cfg.Cfg.seed ~tid in
-          let faults =
-            ref
-              (match cfg.Cfg.faults with
-              | None -> []
-              | Some p -> F.faults_for p tid)
-          in
+          let faults = ref (F.faults_for plan tid) in
           let crashed = ref false in
           let arrival = ref (Rt.now_ns ()) in
           let buckets = Array.make nshards [] in
@@ -397,10 +392,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       rep_slo = Guard.snapshot g;
       rep_garbage_bound = St.garbage_bound st;
       rep_expected_size = !prefilled + puts - dels;
-      rep_signal_faults =
-        (match cfg.Cfg.faults with
-        | None -> false
-        | Some p -> p.Nbr_fault.Fault_plan.signals <> None);
+      rep_signal_faults = plan.F.signals <> None;
       rep_foil = St.foil st;
       rep_bounded_claim = St.bounded_claim st;
     }

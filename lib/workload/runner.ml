@@ -29,7 +29,6 @@ module Make
      end) =
 struct
   module P = Nbr_pool.Pool.Make (Rt)
-  module C = Cohort.Make (Rt) (Smr) (Ds)
   module F = Nbr_fault.Fault_plan
 
   (* Deterministic prefill: insert a seed-shuffled prefix of the key
@@ -46,7 +45,12 @@ struct
     Array.sub a 0 (min cfg.Trial.prefill cfg.Trial.key_range)
 
   let run (cfg : Trial.cfg) : Trial.result =
+    (* Applied per trial, not per runner: a program that links this
+       library instantiates every scheme × structure runner as it starts
+       (Harness), and the cohort's pool functor would stay on its heap. *)
+    let module C = Cohort.Make (Rt) (Smr) (Ds) in
     let n = cfg.nthreads in
+    let plan = Option.value cfg.faults ~default:(F.none ~nthreads:n) in
     (* The background reclaimer is one extra participant: tid [n], a
        domain natively and a fiber in sim, registered with the scheme
        like any worker so epochs/handshakes/watchdogs all count it. *)
@@ -55,9 +59,7 @@ struct
     let c =
       C.create ~capacity:cfg.pool_capacity ~nthreads:total ~workers:n
         ~reclaim:cfg.reclaim
-        ~reclaimer_faults:
-          (match cfg.faults with None -> [] | Some p -> p.F.reclaimer)
-        ~reclaimer_tid:n cfg.smr
+        ~reclaimer_faults:plan.F.reclaimer ~reclaimer_tid:n cfg.smr
     in
     let { C.pool; ds; ctxs; _ } = c in
     Array.iter (fun k -> ignore (Ds.insert ds ctxs.(0) k)) (prefill_keys cfg);
@@ -81,13 +83,10 @@ struct
        stack and flush, so end-of-trial outstanding garbage is a
        meaningful bounded-reclamation measure (and the chaos tests can
        assert it). *)
-    let drains =
-      reclaim_on || cfg.churn_ops > 0
-      || Option.fold ~none:false ~some:F.faults_threads cfg.faults
-    in
+    let drains = reclaim_on || cfg.churn_ops > 0 || F.faults_threads plan in
     (* Injected signal faults live only for the duration of this run: the
        decider is process-global runtime state. *)
-    Rt.set_signal_fault (Option.bind cfg.faults F.decider);
+    Rt.set_signal_fault (F.decider plan);
     Fun.protect ~finally:(fun () -> Rt.set_signal_fault None) @@ fun () ->
     let workers_done = Atomic.make 0 in
     Rt.run ~nthreads:total (fun tid ->
@@ -102,12 +101,7 @@ struct
         | _ -> ());
         (* Chaos-plan faults fire between operations, once their trigger
            index is reached. *)
-        let faults =
-          ref
-            (match cfg.faults with
-            | None -> []
-            | Some p -> F.faults_for p tid)
-        in
+        let faults = ref (F.faults_for plan tid) in
         let crashed = ref false in
         let my_ins = ref 0 and my_del = ref 0 and my_ops = ref 0 in
         while (not !crashed) && Rt.now_ns () < deadline do
