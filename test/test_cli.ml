@@ -109,10 +109,10 @@ let suite =
       test_rejects_unsupported;
     Alcotest.test_case "trial runs a supported pairing" `Quick
       test_runs_supported;
-    Alcotest.test_case "trial reproduces a quick figure cell" `Quick
-      test_trial_reproduces_quick_cell;
     Alcotest.test_case "figure runs several ids under one summary" `Quick
       test_figure_runs_several;
     Alcotest.test_case "figure rejects an unknown id before running" `Quick
       test_figure_rejects_unknown;
+    Alcotest.test_case "trial reproduces a quick figure cell" `Quick
+      test_trial_reproduces_quick_cell;
   ]

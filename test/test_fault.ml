@@ -392,8 +392,6 @@ let suite =
       test_plan_same_tid_collision;
     Alcotest.test_case "chaos plan per-thread fault order" `Quick
       test_plan_fault_order;
-    Alcotest.test_case "decider per plan kind" `Quick test_decider;
-    Alcotest.test_case "pop_due pops due faults in order" `Quick test_pop_due;
     Alcotest.test_case "signal fates deterministic" `Quick
       test_fate_deterministic;
     Alcotest.test_case "dropped signal counted, invisible" `Quick
@@ -407,3 +405,9 @@ let suite =
   @ List.map chaos_outstanding_case
       (List.filter claims_bounded HS.scheme_names)
   @ List.map chaos_native_case HN.scheme_names
+  (* New cases go last, so the existing ones keep their indices. *)
+  @ [
+      Alcotest.test_case "decider per plan kind" `Quick test_decider;
+      Alcotest.test_case "pop_due pops due faults in order" `Quick
+        test_pop_due;
+    ]
