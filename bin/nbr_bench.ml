@@ -188,7 +188,7 @@ let trial_cmd =
       reclaim pressure_chaos =
     (* P5-unsafe pairings would run, but their use-after-free counts mean
        nothing: refuse them up front. *)
-    if not (H_sim.supported ~scheme ~structure) then begin
+    if not (Nbr_workload.Registry.supported ~scheme ~structure) then begin
       Printf.eprintf
         "nbr_bench: unsupported pairing %s x %s: the scheme cannot protect \
          this structure's traversals (paper P5)\n"

@@ -24,10 +24,10 @@ let () =
     (fun scheme ->
       List.iter
         (fun structure ->
-          if H_sim.supported ~scheme ~structure then
+          if Nbr.Workload.Registry.supported ~scheme ~structure then
             ok := check (H_sim.run ~scheme ~structure cfg) && !ok)
-        H_sim.structure_names)
-    H_sim.scheme_names;
+        Nbr.Workload.Registry.structure_names)
+    Nbr.Workload.Registry.scheme_names;
   (* Native spot-checks. *)
   let ncfg = Nbr.Workload.Trial.Cfg.make ~nthreads:4 ~duration_ns:300_000_000 () in
   List.iter

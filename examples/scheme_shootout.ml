@@ -41,7 +41,7 @@ let () =
                256)
           ~seed:9 ()
       in
-      if H.supported ~scheme ~structure then begin
+      if Nbr.Workload.Registry.supported ~scheme ~structure then begin
         let r = H.run ~scheme ~structure cfg in
         assert (T.valid r);
         Printf.printf "%-8s %12.2f %10d %10d %10d %10s\n" scheme

@@ -136,17 +136,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let module Smr = S.Make (Rt) in
     let module Build
         (Ds : sig
-           type t
+           include
+             Nbr_workload.Cohort.STRUCTURE
+               with type pool := P.t
+                and type ctx := Smr.ctx
 
-           val data_fields : int
-           val ptr_fields : int
-           val max_reservations : int
-           val create : P.t -> t
-           val contains : t -> Smr.ctx -> int -> bool
-           val insert : t -> Smr.ctx -> int -> bool
-           val delete : t -> Smr.ctx -> int -> bool
            val count : t -> Smr.ctx -> int -> int -> int
-           val size : P.t -> t -> int
          end) =
     struct
       module R = Nbr_reclaim.Reclaimer.Make (Rt) (Smr)
@@ -216,20 +211,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     | "hash-set" ->
         let module B = Build (struct
           module H = Nbr_ds.Hash_set.Make (Rt) (Smr)
-
-          type t = H.t
-
-          let data_fields = H.data_fields
-          let ptr_fields = H.ptr_fields
-          let max_reservations = H.max_reservations
+          include H
 
           let create pool =
             (* Buckets sized to keep chains short at shard occupancy. *)
             H.create ~buckets:(max 64 (cfg.shard_capacity / 128)) pool
-
-          let contains = H.contains
-          let insert = H.insert
-          let delete = H.delete
 
           (* One membership probe per key: a bucket holds no key
              order to scan. *)
@@ -239,8 +225,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
               if H.contains h ctx k then incr hits
             done;
             !hits
-
-          let size = H.size
         end) in
         B.shard ()
     | "ab-tree" ->

@@ -65,7 +65,7 @@ module Ds = Nbr_ds
 (** The benchmark/validation harness: {!Workload.Trial} configs and
     results, {!Workload.Registry} (the scheme-name → functor table),
     {!Workload.Traffic} (Zipfian production-shaped load),
-    {!Workload.Harness} (scheme × structure matrix),
+    {!Workload.Harness} (one trial of a scheme × structure pair by name),
     {!Workload.Experiments} (the paper's figures), {!Workload.Table}. *)
 module Workload = Nbr_workload
 

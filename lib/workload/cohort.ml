@@ -1,16 +1,27 @@
 (* The set-up and verbs the trial runner and each KV shard share. *)
 
+module type STRUCTURE = sig
+  type pool
+  type ctx
+  type t
+
+  val name : string
+  val data_fields : int
+  val ptr_fields : int
+  val max_reservations : int
+  val create : pool -> t
+  val contains : t -> ctx -> int -> bool
+  val insert : t -> ctx -> int -> bool
+  val delete : t -> ctx -> int -> bool
+  val size : pool -> t -> int
+end
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t)
-    (Ds : sig
-       type t
-
-       val data_fields : int
-       val ptr_fields : int
-       val max_reservations : int
-       val create : Nbr_pool.Pool.Make(Rt).t -> t
-     end) =
+    (Ds : STRUCTURE
+            with type pool := Nbr_pool.Pool.Make(Rt).t
+             and type ctx := Smr.ctx) =
 struct
   module P = Nbr_pool.Pool.Make (Rt)
   module R = Nbr_reclaim.Reclaimer.Make (Rt) (Smr)

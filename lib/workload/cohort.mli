@@ -4,17 +4,30 @@
     pool watermarks are decided here — and the fault and membership
     verbs a run applies to them. *)
 
+(** A set over one pool, as the {!Nbr_ds} functors build it for a
+    scheme's [ctx]. *)
+module type STRUCTURE = sig
+  type pool
+  type ctx
+  type t
+
+  val name : string
+  val data_fields : int
+  val ptr_fields : int
+  val max_reservations : int
+  val create : pool -> t
+  val contains : t -> ctx -> int -> bool
+  val insert : t -> ctx -> int -> bool
+  val delete : t -> ctx -> int -> bool
+  val size : pool -> t -> int
+end
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t)
-    (Ds : sig
-       type t
-
-       val data_fields : int
-       val ptr_fields : int
-       val max_reservations : int
-       val create : Nbr_pool.Pool.Make(Rt).t -> t
-     end) : sig
+    (Ds : STRUCTURE
+            with type pool := Nbr_pool.Pool.Make(Rt).t
+             and type ctx := Smr.ctx) : sig
   type t = private {
     pool : Nbr_pool.Pool.Make(Rt).t;
     smr : Smr.t;

@@ -50,6 +50,12 @@ let e3_schemes = [ "nbr+"; "nbr"; "debra"; "none" ]
 (* The three workload profiles of §7. *)
 let workloads = [ ("50i-50d", 50, 50); ("25i-25d", 25, 25); ("5i-5d", 5, 5) ]
 
+(* The list the fault experiments run a scheme on: HP/HE cannot run
+   mark-traversing structures (P5). *)
+let list_for scheme =
+  if Registry.supported ~scheme ~structure:"harris-list" then "harris-list"
+  else "lazy-list"
+
 let validated = ref 0
 let failures = ref 0
 
@@ -99,7 +105,8 @@ let throughput_sweep ?(mixes = workloads) ~title ~structure ~schemes
             let cells =
               List.map
                 (fun scheme ->
-                  if not (H.supported ~scheme ~structure) then (scheme, "n/a")
+                  if not (Registry.supported ~scheme ~structure) then
+                    (scheme, "n/a")
                   else
                     let t, _, _ =
                       run_point ~scheme ~structure ~profile ~key_range
@@ -306,11 +313,7 @@ let chaos quick =
         "max_garbage" "bound" "peak_garb" "pressure" "verdict";
       List.iter
         (fun scheme ->
-          let structure =
-            (* HP/HE cannot run mark-traversing structures (P5). *)
-            if H.supported ~scheme ~structure:"harris-list" then "harris-list"
-            else "lazy-list"
-          in
+          let structure = list_for scheme in
           Sim.set_config { base_sim_config with seed };
           let cfg =
             Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range ~ins_pct:50
@@ -417,10 +420,7 @@ let churn quick =
         "max_garbage" "bound" "adopted" "deaths" "verdict";
       List.iter
         (fun scheme ->
-          let structure =
-            if H.supported ~scheme ~structure:"harris-list" then "harris-list"
-            else "lazy-list"
-          in
+          let structure = list_for scheme in
           let mg, bound, adopted, deaths, _ =
             churn_trial ~scheme ~structure ~nthreads ~duration ~key_range
               ~seed ~churn_ops:64 ()
@@ -468,10 +468,7 @@ let churn quick =
         "verdict";
       List.iter
         (fun scheme ->
-          let structure =
-            if H.supported ~scheme ~structure:"harris-list" then "harris-list"
-            else "lazy-list"
-          in
+          let structure = list_for scheme in
           let mg, bound, adopted, deaths, worst_round =
             churn_trial ~scheme ~structure ~nthreads ~duration ~key_range
               ~seed ~faults:plan ~churn_ops:64 ()
@@ -539,7 +536,7 @@ let ext_structures quick =
       "EXT: hash set (Harris-list buckets) — short traversals, high \
        allocation churn"
     (* No ibr: hash-set buckets are Harris lists, whose mark-tagged
-       traversal era protection cannot cover (see Harness.unsupported). *)
+       traversal era protection cannot cover (see Registry.unsupported). *)
     ~structure:"hash-set" ~schemes:[ "nbr+"; "nbr"; "debra"; "qsbr"; "none" ]
     ~key_range:16384 ~smr_threshold:256 p;
   throughput_sweep ~mixes
@@ -674,10 +671,7 @@ let reclaim quick =
         "verdict";
       List.iter
         (fun scheme ->
-          let structure =
-            if H.supported ~scheme ~structure:"harris-list" then "harris-list"
-            else "lazy-list"
-          in
+          let structure = list_for scheme in
           Sim.set_config { base_sim_config with seed };
           let pool_capacity =
             (* Bounded-garbage claimants (and the free-on-retire foil)
@@ -749,7 +743,7 @@ let reclaim quick =
               Printf.printf "%-12s %-12s %12d %8d %9d %8d %8d  %s\n%!" scheme
                 structure mg bound degrades restores r.Trial.pressure_events
                 verdict))
-        H.scheme_names)
+        Registry.scheme_names)
     seeds
 
 (* ------------------------------------------------------------------ *)

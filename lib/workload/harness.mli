@@ -1,24 +1,9 @@
-(** The scheme × structure trial matrix for one runtime: every sound
-    scheme from {!Registry} instantiated against every data structure,
-    behind uniform name-keyed [run] entry points so experiments and CLIs
-    can express figures as data. *)
+(** One trial of a sound {!Registry} scheme over one of its six
+    structures, both picked by name. *)
 
 module Make (_ : Nbr_runtime.Runtime_intf.S) : sig
-  val schemes : (string * (string * (Trial.cfg -> Trial.result)) list) list
-  (** Per sound scheme, the six structure runners keyed by name. *)
-
-  val scheme_names : string list
-  val structure_names : string list
-
-  val unsupported : (string * string) list
-  (** (scheme, structure) pairs that are unsafe by construction — see
-      {!Registry.unsupported}. *)
-
-  val supported : scheme:string -> structure:string -> bool
-
   val run : scheme:string -> structure:string -> Trial.cfg -> Trial.result
-  (** [run ~scheme ~structure cfg] executes one trial.  Raises
-      [Invalid_argument] for unknown names; note that HP cannot run the
-      mark-traversing structures (harris-list) safely — callers follow
-      the paper and never ask for that pairing. *)
+  (** [run ~scheme ~structure cfg] builds the pair's modules and runs one
+      trial.  Raises [Invalid_argument] for an unknown or foil scheme, an
+      unknown structure, and a pair in {!Registry.unsupported}. *)
 end

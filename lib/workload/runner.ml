@@ -14,21 +14,12 @@
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t)
-    (Ds : sig
-       type t
-
-       val name : string
-       val data_fields : int
-       val ptr_fields : int
-       val max_reservations : int
-       val create : Nbr_pool.Pool.Make(Rt).t -> t
-       val contains : t -> Smr.ctx -> int -> bool
-       val insert : t -> Smr.ctx -> int -> bool
-       val delete : t -> Smr.ctx -> int -> bool
-       val size : Nbr_pool.Pool.Make(Rt).t -> t -> int
-     end) =
+    (Ds : Cohort.STRUCTURE
+            with type pool := Nbr_pool.Pool.Make(Rt).t
+             and type ctx := Smr.ctx) =
 struct
   module P = Nbr_pool.Pool.Make (Rt)
+  module C = Cohort.Make (Rt) (Smr) (Ds)
   module F = Nbr_fault.Fault_plan
 
   (* Deterministic prefill: insert a seed-shuffled prefix of the key
@@ -45,10 +36,6 @@ struct
     Array.sub a 0 (min cfg.Trial.prefill cfg.Trial.key_range)
 
   let run (cfg : Trial.cfg) : Trial.result =
-    (* Applied per trial, not per runner: a program that links this
-       library instantiates every scheme × structure runner as it starts
-       (Harness), and the cohort's pool functor would stay on its heap. *)
-    let module C = Cohort.Make (Rt) (Smr) (Ds) in
     let n = cfg.nthreads in
     let plan = Option.value cfg.faults ~default:(F.none ~nthreads:n) in
     (* The background reclaimer is one extra participant: tid [n], a

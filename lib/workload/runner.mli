@@ -14,19 +14,9 @@
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t)
-    (Ds : sig
-       type t
-
-       val name : string
-       val data_fields : int
-       val ptr_fields : int
-       val max_reservations : int
-       val create : Nbr_pool.Pool.Make(Rt).t -> t
-       val contains : t -> Smr.ctx -> int -> bool
-       val insert : t -> Smr.ctx -> int -> bool
-       val delete : t -> Smr.ctx -> int -> bool
-       val size : Nbr_pool.Pool.Make(Rt).t -> t -> int
-     end) : sig
+    (Ds : Cohort.STRUCTURE
+            with type pool := Nbr_pool.Pool.Make(Rt).t
+             and type ctx := Smr.ctx) : sig
   val run : Trial.cfg -> Trial.result
   (** One complete trial under [Rt.run]: deterministic seed-shuffled
       prefill, [cfg.nthreads] workers (plus one background reclaimer

@@ -576,13 +576,13 @@ let smoke_tests =
     (fun scheme ->
       List.filter_map
         (fun structure ->
-          if H.supported ~scheme ~structure then
+          if Nbr_workload.Registry.supported ~scheme ~structure then
             Some
               (Alcotest.test_case
                  (Printf.sprintf "swarm smoke %s/%s" scheme structure)
                  `Quick (run_smoke scheme structure))
           else None)
-        H.structure_names)
+        Nbr_workload.Registry.structure_names)
     safe_schemes
 
 (* ------------------------------------------------------------------ *)

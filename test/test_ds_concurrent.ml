@@ -56,10 +56,11 @@ let combos =
     (fun structure ->
       List.filter_map
         (fun scheme ->
-          if H.supported ~scheme ~structure then Some (scheme, structure)
+          if Nbr_workload.Registry.supported ~scheme ~structure then
+            Some (scheme, structure)
           else None)
-        H.scheme_names)
-    H.structure_names
+        Nbr_workload.Registry.scheme_names)
+    Nbr_workload.Registry.structure_names
 
 (* ------------------------------------------------------------------ *)
 (* Bounded garbage under a stalled thread (E2 as a property).           *)
@@ -140,6 +141,35 @@ let test_nbrp_lo_reclaims_exercised () =
     true
     ((Nbr_core.Smr_stats.lo_reclaims r.T.smr_stats) > 0)
 
+(* The harness refuses the P5-unsafe pairings instead of running them. *)
+let test_harness_rejects_unsupported () =
+  let cfg = T.Cfg.make ~nthreads:2 ~duration_ns:10_000 ~key_range:16 () in
+  List.iter
+    (fun (scheme, structure) ->
+      match H.run ~scheme ~structure cfg with
+      | _ -> Alcotest.failf "%s/%s ran" scheme structure
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            "message"
+            (Printf.sprintf "Harness.run: %s cannot run %s safely (paper P5)"
+               scheme structure)
+            msg)
+    Nbr_workload.Registry.unsupported
+
+(* Applying the harness builds no scheme × structure matrix: a trial's
+   modules are built when it runs.  The eager matrix took ~77k words. *)
+let test_harness_builds_nothing_up_front () =
+  let w0 = Gc.minor_words () in
+  let module H = Nbr_workload.Harness.Make (Sim) in
+  let words = Gc.minor_words () -. w0 in
+  let run : scheme:string -> structure:string -> T.cfg -> T.result =
+    Sys.opaque_identity H.run
+  in
+  ignore run;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated, at most 2000" words)
+    true (words <= 2000.)
+
 let suite =
   List.map
     (fun (scheme, structure) ->
@@ -157,4 +187,8 @@ let suite =
         test_neutralization_exercised;
       Alcotest.test_case "nbr+ lo-watermark path exercised" `Quick
         test_nbrp_lo_reclaims_exercised;
+      Alcotest.test_case "harness rejects unsupported pairings" `Quick
+        test_harness_rejects_unsupported;
+      Alcotest.test_case "harness builds nothing up front" `Quick
+        test_harness_builds_nothing_up_front;
     ]

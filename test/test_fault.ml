@@ -19,7 +19,8 @@ let claims_bounded = function
 
 (* HP/HE cannot run mark-traversing structures (paper P5). *)
 let structure_for scheme =
-  if HS.supported ~scheme ~structure:"harris-list" then "harris-list"
+  if Nbr_workload.Registry.supported ~scheme ~structure:"harris-list"
+  then "harris-list"
   else "lazy-list"
 
 let delay_signal = { FP.delay_pct = 25; delay_ns = 10_000; drop_pct = 0 }
@@ -400,11 +401,11 @@ let suite =
     Alcotest.test_case "exhaustion retry picks up freed slot" `Quick
       test_exhaustion_retry;
   ]
-  @ List.map chaos_sim_case HS.scheme_names
-  @ List.map chaos_sim_delay_case HS.scheme_names
+  @ List.map chaos_sim_case Nbr_workload.Registry.scheme_names
+  @ List.map chaos_sim_delay_case Nbr_workload.Registry.scheme_names
   @ List.map chaos_outstanding_case
-      (List.filter claims_bounded HS.scheme_names)
-  @ List.map chaos_native_case HN.scheme_names
+      (List.filter claims_bounded Nbr_workload.Registry.scheme_names)
+  @ List.map chaos_native_case Nbr_workload.Registry.scheme_names
   (* New cases go last, so the existing ones keep their indices. *)
   @ [
       Alcotest.test_case "decider per plan kind" `Quick test_decider;

@@ -419,7 +419,8 @@ let churn_never_double_frees =
           si
       in
       let structure =
-        if HS.supported ~scheme ~structure:"harris-list" then "harris-list"
+        if Nbr_workload.Registry.supported ~scheme ~structure:"harris-list"
+        then "harris-list"
         else "lazy-list"
       in
       Sim.set_config

@@ -20,7 +20,8 @@ let claims_bounded = function
 let buffers = function "none" | "unsafe-free" -> false | _ -> true
 
 let structure_for scheme =
-  if HS.supported ~scheme ~structure:"harris-list" then "harris-list"
+  if Nbr_workload.Registry.supported ~scheme ~structure:"harris-list"
+  then "harris-list"
   else "lazy-list"
 
 let count_kind k evs =
@@ -342,7 +343,7 @@ module O_hp = OffloadExact (Nbr_core.Hp.Make (Sim))
 module O_he = OffloadExact (Nbr_core.Hazard_eras.Make (Sim))
 
 let suite =
-  List.map healthy_case HS.scheme_names
+  List.map healthy_case Nbr_workload.Registry.scheme_names
   @ [
       Alcotest.test_case "stalled reclaimer degrades to inline" `Quick
         test_stall_degrades;
