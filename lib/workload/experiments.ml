@@ -276,7 +276,7 @@ let chaos quick =
   let nthreads = 8 in
   let duration = p.duration_ns * 4 in
   (* Small key range: high churn per key keeps retire rates up, and keeps
-     the interval-pinning slack in [Trial.garbage_bound] small enough that
+     the interval-pinning slack in a trial's [garbage_bound] small enough that
      an epoch scheme tracking the crashed thread's *duration* visibly
      crosses it. *)
   let key_range = 128 in
@@ -329,7 +329,7 @@ let chaos quick =
             incr failures;
             Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
           end;
-          let bound = Trial.garbage_bound cfg in
+          let bound = r.Trial.garbage_bound in
           let mg = Nbr_core.Smr_stats.max_garbage r.smr_stats in
           let verdict =
             if claims_bounded scheme then
@@ -382,7 +382,7 @@ let churn_trial ~scheme ~structure ~nthreads ~duration ~key_range ~seed
     incr failures;
     Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
   end;
-  let bound = Trial.garbage_bound cfg in
+  let bound = r.Trial.garbage_bound in
   let mg = Nbr_core.Smr_stats.max_garbage r.smr_stats in
   if claims_bounded scheme && mg > bound then begin
     incr failures;
@@ -729,7 +729,7 @@ let reclaim quick =
                      "%s/%s: degrade/restore cycle missing (%d degrades, %d \
                       restores)"
                      scheme structure degrades restores);
-              let bound = Trial.garbage_bound cfg in
+              let bound = r.Trial.garbage_bound in
               let mg = Nbr_core.Smr_stats.max_garbage r.Trial.smr_stats in
               let verdict =
                 if claims_bounded scheme then

@@ -175,6 +175,9 @@ struct
       pressure_events = ps.P.s_pressure_events;
       alloc_retries = ps.P.s_alloc_retries;
       smr_stats = Smr.stats c.C.smr;
+      garbage_bound =
+        Nbr_core.Smr_config.garbage_bound c.C.cfg ~threads:total
+          ~live:cfg.key_range;
       final_size = Ds.size pool ds;
       expected_size = cfg.prefill + ins - del;
       latency =

@@ -116,11 +116,6 @@ let signal_faults_injected cfg =
   | None -> false
   | Some p -> p.Nbr_fault.Fault_plan.signals <> None
 
-(* The bound of [Smr_config.garbage_bound] over the whole key range. *)
-let garbage_bound cfg =
-  Nbr_core.Smr_config.garbage_bound cfg.smr ~threads:cfg.nthreads
-    ~live:cfg.key_range
-
 type latency = {
   lat_insert : Nbr_obs.Histogram.summary;
   lat_delete : Nbr_obs.Histogram.summary;
@@ -147,6 +142,7 @@ type result = {
   pressure_events : int;  (** allocs that entered the exhaustion retry loop *)
   alloc_retries : int;
   smr_stats : Nbr_core.Smr_stats.t;
+  garbage_bound : int;
   final_size : int;
   expected_size : int;  (** prefill + successful inserts - deletes *)
   latency : latency option;

@@ -90,13 +90,6 @@ type cfg = Cfg.t = {
 }
 (** Re-export of {!Cfg.t} for field access; construct via {!Cfg.make}. *)
 
-val garbage_bound : cfg -> int
-(** Per-thread bounded-garbage cap for schemes declaring
-    [bounded_garbage]: threshold + reservations pinned by peers +
-    interval-overlap slack (≤ ~2·key_range) + bag refill headroom.
-    Anything past this means garbage tracking a stalled thread's
-    {e duration} — the unbounded failure mode. *)
-
 type latency = {
   lat_insert : Nbr_obs.Histogram.summary;
   lat_delete : Nbr_obs.Histogram.summary;
@@ -124,6 +117,11 @@ type result = {
       (** allocs that entered the exhaustion retry loop *)
   alloc_retries : int;
   smr_stats : Nbr_core.Smr_stats.t;
+  garbage_bound : int;
+      (** per-thread cap a [bounded_garbage] scheme claims:
+          {!Nbr_core.Smr_config.garbage_bound} with the structure's
+          reservations, every participant (a reclaimer too) and the key
+          range as the live set *)
   final_size : int;
   expected_size : int;  (** prefill + successful inserts - deletes *)
   latency : latency option;

@@ -535,7 +535,11 @@ let smoke_scenario ~scheme ~structure () =
         (* The sanitizer's count is pool-wide; the trial bound is
            per-thread.  Scale and add headroom — the negative tests
            cover tightness, this guards against unbounded blowup. *)
-        garbage_bound = Some (4 * Nbr_workload.Trial.garbage_bound cfg);
+        garbage_bound =
+          Some
+            (4
+            * Nbr_core.Smr_config.garbage_bound cfg.smr
+                ~threads:cfg.nthreads ~live:cfg.key_range);
       }
   in
   let result =

@@ -234,7 +234,7 @@ let chaos_trial ~seed ~signal scheme =
       scheme structure seed r.T.final_size r.T.expected_size r.T.uaf_reads;
   if r.T.total_ops = 0 then Alcotest.fail "no operations completed";
   if claims_bounded scheme then begin
-    let bound = T.garbage_bound cfg in
+    let bound = r.T.garbage_bound in
     let mg = Nbr_core.Smr_stats.max_garbage r.T.smr_stats in
     if mg > bound then
       Alcotest.failf "%s seed %d: max_garbage %d > bound %d (P2 violated)"

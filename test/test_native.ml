@@ -81,7 +81,6 @@ let check_parity ~scheme ~structure () =
       ~smr:(Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 48)
       ~seed:11 ()
   in
-  let bound = T.garbage_bound cfg in
   let check_one (r : T.result) =
     if not (T.valid r) then
       Alcotest.failf "%s/%s (%s): invalid (size %d expected %d, uaf %d)"
@@ -91,9 +90,9 @@ let check_parity ~scheme ~structure () =
        suite: the bound caps each thread's limbo buffer, not the pool-wide
        sum across threads. *)
     let mg = Nbr_core.Smr_stats.max_garbage r.T.smr_stats in
-    if List.mem scheme bounded_schemes && mg > bound then
+    if List.mem scheme bounded_schemes && mg > r.T.garbage_bound then
       Alcotest.failf "%s/%s (%s): max_garbage %d exceeds bound %d" scheme
-        structure r.T.runtime mg bound
+        structure r.T.runtime mg r.T.garbage_bound
   in
   let rs = HS.run ~scheme ~structure cfg in
   check_one rs;

@@ -60,13 +60,13 @@ let reclaim_trial ?(nthreads = 4) ?(duration = 800_000) ?(seed = 7)
   Tr.clear ();
   (cfg, r, evs)
 
-let check_valid scheme (cfg, r, _) =
+let check_valid scheme (_, r, _) =
   if not (T.valid r) then
     Alcotest.failf "%s: invalid (size %d expected %d, uaf %d)" scheme
       r.T.final_size r.T.expected_size r.T.uaf_reads;
   if r.T.total_ops = 0 then Alcotest.failf "%s: no operations completed" scheme;
   if claims_bounded scheme then begin
-    let bound = T.garbage_bound cfg in
+    let bound = r.T.garbage_bound in
     let mg = Nbr_core.Smr_stats.max_garbage r.T.smr_stats in
     if mg > bound then
       Alcotest.failf "%s: max_garbage %d > bound %d (P2 violated)" scheme mg
@@ -252,11 +252,11 @@ let prop_bound_under_reclaimer_fates =
         | 2 -> [ FP.R_crash { at_iter = 15; restart_ns = 80_000 } ]
         | _ -> [ FP.R_crash { at_iter = 15; restart_ns = -1 } ]
       in
-      let cfg, r, _ =
+      let _, r, _ =
         reclaim_trial scheme ~seed ~duration:500_000 ~reclaimer_faults
       in
       T.valid r
-      && Nbr_core.Smr_stats.max_garbage r.T.smr_stats <= T.garbage_bound cfg)
+      && Nbr_core.Smr_stats.max_garbage r.T.smr_stats <= r.T.garbage_bound)
 
 (* ---------------- exact offload accounting ---------------- *)
 
