@@ -105,18 +105,25 @@ let trial_cmd =
   let threads =
     Arg.(value & opt int 16 & info [ "threads" ] ~doc:"Worker threads.")
   in
+  (* The simulator defaults are the figures', so a trial given a figure
+     point's parameters measures that point. *)
   let cores =
-    Arg.(value & opt int 16 & info [ "cores" ] ~doc:"Simulated cores (sim).")
+    Arg.(
+      value
+      & opt int E.base_sim_config.cores
+      & info [ "cores" ] ~doc:"Simulated cores (sim).")
   in
   let granularity =
     Arg.(
-      value & opt int 1
+      value
+      & opt int E.base_sim_config.granularity
       & info [ "granularity" ]
           ~doc:"Sim cycles between scheduler yields (1 = every access).")
   in
   let quantum =
     Arg.(
-      value & opt int 200_000
+      value
+      & opt int E.base_sim_config.quantum
       & info [ "quantum" ] ~doc:"Sim time-slice length in cycles.")
   in
   let range =
@@ -268,7 +275,7 @@ let trial_cmd =
       match runtime with
       | "sim" ->
           Sim.set_config
-            { Sim.default_config with cores; seed; granularity; quantum };
+            { E.base_sim_config with cores; seed; granularity; quantum };
           H_sim.run ~scheme ~structure cfg
       | "native" -> H_nat.run ~scheme ~structure cfg
       | other ->

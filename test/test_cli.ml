@@ -52,8 +52,8 @@ let test_runs_supported () =
   Alcotest.(check int) "hp x lazy-list runs and validates" 0 code
 
 (* A quick figure's trials last 0.5 ms, so [trial] takes fractional
-   milliseconds: given the quick profile's simulator settings and the
-   figure's parameters, it prints the golden figure's cell.  The cell is
+   milliseconds; its simulator defaults are the figures', so given the
+   figure's parameters it prints the golden figure's cell.  The cell is
    fig3b's first table (lazy list, 50i-50d, 512 keys, 256-record bags),
    4 threads, nbr+. *)
 let test_trial_reproduces_quick_cell () =
@@ -68,9 +68,8 @@ let test_trial_reproduces_quick_cell () =
   let cell = List.assoc "nbr+" (List.combine (List.hd csv) row) in
   let code, out, _ =
     run
-      "trial --scheme nbr+ --structure lazy-list --threads 4 --cores 16 \
-       --granularity 400 --quantum 300000 --range 512 --ins 50 --del 50 \
-       --bag-threshold 256 --duration-ms 0.5 --seed 1"
+      "trial --scheme nbr+ --structure lazy-list --threads 4 --range 512 \
+       --ins 50 --del 50 --bag-threshold 256 --duration-ms 0.5 --seed 1"
   in
   Alcotest.(check int) "exits 0" 0 code;
   let mops l =
