@@ -674,13 +674,12 @@ let reclaim quick =
           let structure = list_for scheme in
           Sim.set_config { base_sim_config with seed };
           let pool_capacity =
-            (* Bounded-garbage claimants (and the free-on-retire foil)
-               get a pool tight enough that the hogs are felt.  Epoch
-               schemes keep the roomy default: a crashed worker pins
-               their epoch and their garbage is unbounded by design —
-               the paper's point, not a robustness failure to induce. *)
-            if claims_bounded scheme || scheme = "unsafe-free" then Some 4096
-            else None
+            (* Bounded-garbage claimants get a pool tight enough that
+               the hogs are felt.  Epoch schemes keep the roomy default:
+               a crashed worker pins their epoch and their garbage is
+               unbounded by design — the paper's point, not a robustness
+               failure to induce. *)
+            if claims_bounded scheme then Some 4096 else None
           in
           let cfg =
             Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range ~ins_pct:50
@@ -704,14 +703,7 @@ let reclaim quick =
               let evs = Nbr_obs.Trace.events () in
               Nbr_obs.Trace.clear ();
               incr validated;
-              (* The unsafe-free foil exists to commit UAF; only set
-                 semantics are required of it here. *)
-              let semantics_ok =
-                if scheme = "unsafe-free" then
-                  r.Trial.final_size = r.Trial.expected_size
-                else Trial.valid r
-              in
-              if not semantics_ok then begin
+              if not (Trial.valid r) then begin
                 incr failures;
                 Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
               end;
