@@ -18,10 +18,7 @@ let claims_bounded = function
   | _ -> false
 
 (* HP/HE cannot run mark-traversing structures (paper P5). *)
-let structure_for scheme =
-  if Nbr_workload.Registry.supported ~scheme ~structure:"harris-list"
-  then "harris-list"
-  else "lazy-list"
+let structure_for = Nbr_workload.Experiments.list_for
 
 let delay_signal = { FP.delay_pct = 25; delay_ns = 10_000; drop_pct = 0 }
 

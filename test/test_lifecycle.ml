@@ -418,11 +418,7 @@ let churn_never_double_frees =
           [ "nbr+"; "nbr"; "debra"; "qsbr"; "rcu"; "ibr"; "hp"; "he" ]
           si
       in
-      let structure =
-        if Nbr_workload.Registry.supported ~scheme ~structure:"harris-list"
-        then "harris-list"
-        else "lazy-list"
-      in
+      let structure = Nbr_workload.Experiments.list_for scheme in
       Sim.set_config
         { Sim.default_config with cores = 4; granularity = 200; seed };
       let cfg =

@@ -19,10 +19,7 @@ let claims_bounded = function
 (* Schemes that buffer retires: the only ones that can hand a bag off. *)
 let buffers = function "none" | "unsafe-free" -> false | _ -> true
 
-let structure_for scheme =
-  if Nbr_workload.Registry.supported ~scheme ~structure:"harris-list"
-  then "harris-list"
-  else "lazy-list"
+let structure_for = Nbr_workload.Experiments.list_for
 
 let count_kind k evs =
   List.length (List.filter (fun e -> e.Tr.e_kind = k) evs)
