@@ -157,7 +157,7 @@ let test_harness_rejects_unsupported () =
     Nbr_workload.Registry.unsupported
 
 (* Applying the harness builds no scheme × structure matrix: a trial's
-   modules are built when it runs.  The eager matrix took ~77k words. *)
+   modules are built when it runs. *)
 let test_harness_builds_nothing_up_front () =
   let w0 = Gc.minor_words () in
   let module H = Nbr_workload.Harness.Make (Sim) in
