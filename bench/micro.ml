@@ -80,7 +80,7 @@ module RtBench (Rt : Nbr_runtime.Runtime_intf.S) = struct
         else
           let module S = (val e.r_scheme : Nbr_workload.Registry.SCHEME) in
           let module RP = Read_path (S.Make (Rt)) in
-          Some (e.r_name, RP.measure))
+          Some (e.r_desc.name, RP.measure))
       Nbr_workload.Registry.all
 
   (* ns per signalAll broadcast (n-1 sends) while the victims poll: the

@@ -195,13 +195,13 @@ let trial_cmd =
       reclaim pressure_chaos =
     (* P5-unsafe pairings would run, but their use-after-free counts mean
        nothing: refuse them up front. *)
-    if not (Nbr_workload.Registry.supported ~scheme ~structure) then begin
-      Printf.eprintf
-        "nbr_bench: unsupported pairing %s x %s: the scheme cannot protect \
-         this structure's traversals (paper P5)\n"
-        scheme structure;
-      exit 2
-    end;
+    Option.iter
+      (fun reason ->
+        Printf.eprintf
+          "nbr_bench: unsupported pairing %s x %s (paper P5), %s\n" scheme
+          structure reason;
+        exit 2)
+      (Nbr_workload.Registry.refusal ~scheme ~structure);
     let ns_of_ms ms = Float.to_int (Float.round (ms *. 1e6)) in
     let duration_ns = ns_of_ms duration_ms in
     let reclaim =

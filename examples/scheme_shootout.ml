@@ -47,9 +47,9 @@ let () =
         Printf.printf "%-8s %12.2f %10d %10d %10d %10s\n" scheme
           r.T.throughput_mops r.T.peak_unreclaimed r.T.signals
           (Nbr.Scheme.Stats.restarts r.T.smr_stats)
-          (match scheme with
-          | "nbr" | "nbr+" | "ibr" | "hp" | "he" -> "yes"
-          | "none" -> "leaks!"
+          (match (Nbr.Workload.Registry.find_exn scheme).r_desc with
+          | { bounded_garbage = true; _ } -> "yes"
+          | { protection = Unprotected; _ } -> "leaks!"
           | _ -> "no")
       end)
     [ "nbr+"; "nbr"; "debra"; "qsbr"; "rcu"; "ibr"; "hp"; "he"; "none" ]

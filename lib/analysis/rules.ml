@@ -18,6 +18,12 @@ let rule_r2 = "unguarded-deref"
 
 type family = Neutralization | Hazard | Epoch | Foil | Unknown_family
 
+(* R2 reads a file's [scheme_name] literal, not the declared descriptor,
+   so it keeps its own table.  It groups ibr and he with hp because it
+   checks read-path guards, and all three guard [read_ptr] alike:
+   publish, validate, restart on failure.  The declared protection kind
+   (and the sanitizer, which reads it) parts them by what the protection
+   covers, one interval or a window of slots, which decides pairings. *)
 let family_of_scheme = function
   | "nbr" | "nbr+" -> Neutralization
   | "hp" | "he" | "ibr" -> Hazard
@@ -25,38 +31,37 @@ let family_of_scheme = function
   | "none" | "unsafe-free" -> Foil
   | _ -> Unknown_family
 
+let checks =
+  let check fn bit msg = (fn, bit, msg) in
+  let checkpoint fn =
+    check fn Summary.checkpoint "does not install a restart checkpoint"
+  in
+  function
+  | Neutralization ->
+      [ checkpoint "phase"; checkpoint "read_only";
+        check "read_ptr" Summary.poll "does not poll for neutralization" ]
+  | Hazard ->
+      [ checkpoint "phase"; checkpoint "read_only";
+        check "read_ptr" Summary.shared_write
+          "does not publish a reservation or era";
+        check "read_ptr" Summary.validate
+          "publishes without validating slot liveness" ]
+  | Epoch ->
+      [ check "begin_op" Summary.shared_write
+          "does not publish an epoch or quiescence announcement" ]
+  | Foil | Unknown_family -> []
+
 let check_scheme (sum : Summary.t) (info : Summary.info) : Findings.t list =
   match info.scheme with
   | None -> []
   | Some s ->
-      let fs = ref [] in
-      let check fn bit msg =
-        match Summary.lookup_fn sum info fn with
-        | Some e when e.Summary.closure land bit = 0 ->
-            fs :=
-              Findings.v ~rule:rule_r2 ~file:info.path ~loc:e.Summary.ent_loc
-                (Printf.sprintf "scheme %s: %s %s" s fn msg)
-              :: !fs
-        | _ -> ()
-      in
-      (match family_of_scheme s with
-      | Neutralization ->
-          check "phase" Summary.checkpoint
-            "does not install a restart checkpoint";
-          check "read_only" Summary.checkpoint
-            "does not install a restart checkpoint";
-          check "read_ptr" Summary.poll "does not poll for neutralization"
-      | Hazard ->
-          check "phase" Summary.checkpoint
-            "does not install a restart checkpoint";
-          check "read_only" Summary.checkpoint
-            "does not install a restart checkpoint";
-          check "read_ptr" Summary.shared_write
-            "does not publish a reservation or era";
-          check "read_ptr" Summary.validate
-            "publishes without validating slot liveness"
-      | Epoch ->
-          check "begin_op" Summary.shared_write
-            "does not publish an epoch or quiescence announcement"
-      | Foil | Unknown_family -> ());
-      List.rev !fs
+      List.filter_map
+        (fun (fn, bit, msg) ->
+          match Summary.lookup_fn sum info fn with
+          | Some e when e.Summary.closure land bit = 0 ->
+              Some
+                (Findings.v ~rule:rule_r2 ~file:info.path
+                   ~loc:e.Summary.ent_loc
+                   (Printf.sprintf "scheme %s: %s %s" s fn msg))
+          | _ -> None)
+        (checks (family_of_scheme s))

@@ -15,6 +15,10 @@ val family_of_scheme : string -> family
     rcu) needs an epoch announcement at begin_op; Foils (none,
     unsafe-free) are exempt. *)
 
+val checks : family -> (string * int * string) list
+(** The family's closure checks: a function name, the {!Summary} effect
+    bit its closure must carry, and the finding's message without it. *)
+
 val check_scheme : Summary.t -> Summary.info -> Findings.t list
 (** The R2 closure checks for a file that defines [scheme_name]; no
     findings for any other file. *)

@@ -5,17 +5,11 @@
 
 module Trace = Nbr_obs.Trace
 
-type family = Neutralization | Epoch | Interval | Hazard | Unsafe
-
-let family_of_scheme = function
-  | "nbr" | "nbr+" -> Neutralization
-  | "debra" | "qsbr" | "rcu" -> Epoch
-  | "ibr" | "he" -> Interval
-  | "hp" -> Hazard
-  | "none" | "unsafe-free" -> Unsafe
-  | s -> invalid_arg ("Sanitizer.family_of_scheme: unknown scheme " ^ s)
-
-type config = { family : family; nthreads : int; garbage_bound : int option }
+type config = {
+  protection : Nbr_core.Smr_intf.protection;
+  nthreads : int;
+  garbage_bound : int option;
+}
 
 type violation = {
   v_rule : string;
@@ -108,7 +102,7 @@ let on_event t (e : Trace.event) =
            (Printf.sprintf "guarded read through stale handle %d (record freed)"
               e.e_a));
       (if
-         t.cfg.family = Neutralization
+         t.cfg.protection = Neutralization
          && in_range tid
          && t.in_op.(tid)
          && not t.in_scope.(tid)
@@ -197,7 +191,7 @@ let on_event t (e : Trace.event) =
          while any thread is inside an operation: a stale validated read
          under an open op there means protection failed. *)
       if
-        t.cfg.family = Epoch && in_range tid && t.in_op.(tid)
+        t.cfg.protection = Epoch && in_range tid && t.in_op.(tid)
       then
         record t ~rule:"stale_handle" ~tid ~ns
           (Printf.sprintf

@@ -4,11 +4,12 @@
     and checks per-event, as the execution runs, that the reclamation
     protocol is being honoured.  It rebuilds a model of every record's
     lifecycle (allocated → retired → freed) from the pool's fine-grained
-    events and applies family-specific happens-before rules:
+    events and applies happens-before rules, some of them only under
+    the scheme's declared protection kind:
 
     - [uaf_access] — a guarded read hit a record the model knows is
-      freed (the paper's safety property, all families);
-    - [unguarded_access] — neutralization family only: a guarded read
+      freed (the paper's safety property, every kind);
+    - [unguarded_access] — [Neutralization] only: a guarded read
       outside a checkpointed read phase (after the reservations were
       published, or before the checkpoint), where a signal could no
       longer restart the reader;
@@ -20,7 +21,9 @@
       threads still inside an operation at {!detach};
     - [garbage_bound] — the global retired-unreclaimed count exceeded
       the configured bound (the paper's P2, latched once per run);
-    - [foreign_sweep] — every family: an async ([Async_sweep]) sweep by
+    - [stale_handle] — [Epoch] only: a validated read caught a stale
+      handle inside an operation, which a grace period rules out;
+    - [foreign_sweep] — every kind: an async ([Async_sweep]) sweep by
       a thread that was never handed a limbo bag through the
       orphan-parcel or reclaimer-handoff channels — i.e. it swept
       garbage it neither owns nor legitimately adopted.
@@ -36,15 +39,9 @@
     fine-grained events exist while — and only while — a checker wants
     them. *)
 
-type family = Neutralization | Epoch | Interval | Hazard | Unsafe
-
-val family_of_scheme : string -> family
-(** Map an {!Nbr_core.Smr_intf.S.scheme_name} ("nbr", "debra", "hp",
-    ...) to its rule family.  Raises [Invalid_argument] for unknown
-    names. *)
-
 type config = {
-  family : family;
+  protection : Nbr_core.Smr_intf.protection;
+      (** the checked scheme's declared protection *)
   nthreads : int;
   garbage_bound : int option;
       (** flag [garbage_bound] when retired-unreclaimed exceeds this;

@@ -14,6 +14,10 @@
     in a burst — the "delayed thread vulnerability" the paper blames for
     DEBRA's throughput collapse at high thread counts (§7). *)
 
+let scheme_name = "debra"
+let descriptor =
+  { Smr_intf.name = scheme_name; bounded_garbage = false; protection = Epoch }
+
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
 
@@ -53,7 +57,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     type inst = shared
     type thr = local
 
-    let bounded_garbage = false
+    let descriptor = descriptor
 
     let create_inst ~capacity:_ ~nthreads _ =
       {
@@ -86,8 +90,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   include B
   include Unguarded
-
-  let scheme_name = "debra"
 
   (* A whole epoch bag at once: nothing in it is pinned, so a non-empty
      bag is exactly one that frees something. *)

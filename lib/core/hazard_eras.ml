@@ -12,10 +12,14 @@
     rather than one interval — cheaper when an operation dereferences few
     records, and a slot-for-slot drop-in for HP code.  Like HP and IBR it
     cannot protect traversals through unlinked records (the paper's P5
-    objection): [read_raw] only ratchets the era and is unsafe for
-    mark-traversing structures, which the benchmarks never pair it with.
+    objection): [read_raw] publishes nothing, so the registry refuses HE
+    the raw-traversal structures.
 
     Bounded: a stalled thread pins at most its published eras' records. *)
+
+let scheme_name = "he"
+let descriptor =
+  { Smr_intf.name = scheme_name; bounded_garbage = true; protection = Hazard }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
@@ -43,7 +47,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     type inst = shared
     type thr = local
 
-    let bounded_garbage = true
+    let descriptor = descriptor
 
     let create_inst ~capacity ~nthreads cfg =
       let window = window cfg in
@@ -90,8 +94,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module W = Watchdog (struct
     let bag x = x.bag
   end)
-
-  let scheme_name = "he"
 
   let end_op = retract_end_op
   let op c body = bracket ~begin_op ~end_op c body

@@ -16,6 +16,10 @@
 
     Bounded: at most (window × threads) records can be pinned. *)
 
+let scheme_name = "hp"
+let descriptor =
+  { Smr_intf.name = scheme_name; bounded_garbage = true; protection = Hazard }
+
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
 
@@ -36,7 +40,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     type inst = shared
     type thr = local
 
-    let bounded_garbage = true
+    let descriptor = descriptor
 
     let create_inst ~capacity:_ ~nthreads cfg =
       let window = window cfg in
@@ -79,7 +83,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let bag x = x.bag
   end)
 
-  let scheme_name = "hp"
   let max_validate_retries = 64
 
   let end_op = retract_end_op
@@ -122,10 +125,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      rotation window is sized so they are still live, so the write phase
      needs no further publication. *)
 
-  (* HP cannot protect through a mark-tagged word (it does not know the
-     encoding) — the P5 limitation the paper describes.  Structures that
-     need [read_raw] (Harris list, traversal over marked nodes) must not be
-     paired with HP; the benchmarks never do. *)
+  (* No hazard through a mark-tagged word (paper P5): the registry refuses
+     HP the raw-traversal structures. *)
   let read_raw = Unguarded.read_raw
 
   (* Hazard scan + sweep — the threshold-crossing body of [retire], also

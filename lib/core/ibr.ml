@@ -21,9 +21,12 @@
     by then already swept, and no amount of ratcheting resurrects it.
     [read_ptr] therefore validates its source whenever the ratchet fires
     and aborts the read phase through the checkpoint, exactly like HP's
-    announce-and-validate; and structures that traverse mark-tagged links
-    of unlinked records ([read_raw]: Harris list and its hash-set buckets)
-    are never paired with IBR, as with HP/HE. *)
+    announce-and-validate.  [read_raw] cannot validate, which is why the
+    registry refuses IBR the raw-traversal structures. *)
+
+let scheme_name = "ibr"
+let descriptor =
+  { Smr_intf.name = scheme_name; bounded_garbage = true; protection = Interval }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
@@ -52,7 +55,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     type inst = shared
     type thr = local
 
-    let bounded_garbage = true
+    let descriptor = descriptor
 
     let create_inst ~capacity ~nthreads _ =
       {
@@ -97,8 +100,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module W = Watchdog (struct
     let bag x = x.bag
   end)
-
-  let scheme_name = "ibr"
 
   let begin_op c =
     B.begin_op c;
@@ -212,10 +213,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let read_data = Unguarded.read_data
   let peek_ptr = Unguarded.peek_ptr
 
-  (* Mark-tagged links are read out of unlinked records (Harris traversal),
-     where no liveness validation is possible — the P5 limitation, exactly
-     as for HP/HE.  Structures that need [read_raw] are never paired with
-     IBR; the ratchet is kept so the announced interval stays monotone. *)
+  (* No liveness validation for a mark-tagged link out of an unlinked
+     record (paper P5); the ratchet keeps the interval monotone. *)
   let read_raw c ~src ~field =
     note_read c src;
     let rec loop () =

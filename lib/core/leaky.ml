@@ -5,6 +5,11 @@
     reclamation costs at all) and the foil for the E2 memory experiments
     (its footprint grows linearly with updates). *)
 
+let scheme_name = "none"
+let descriptor =
+  { Smr_intf.name = scheme_name; bounded_garbage = false;
+    protection = Unprotected }
+
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
 
@@ -13,7 +18,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     type inst = unit
     type thr = unit
 
-    let bounded_garbage = false
+    let descriptor = descriptor
     let create_inst ~capacity:_ ~nthreads:_ _ = ()
     let create_thr ~nthreads:_ _ = ()
     let size () = 0
@@ -27,7 +32,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   include B
   include Unguarded
 
-  let scheme_name = "none"
   let end_op = note_end_op
   let op c body = bracket ~begin_op ~end_op c body
   let abandon = begin_op

@@ -11,10 +11,14 @@
     signals, so a collective round of reclamation costs O(n²) signals —
     the bottleneck NBR+ removes (§5). *)
 
-module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
-  include Nbr_base.Make (Rt)
+let scheme_name = "nbr"
+let descriptor =
+  { Smr_intf.name = scheme_name; bounded_garbage = true;
+    protection = Neutralization }
 
-  let scheme_name = "nbr"
+module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  include Nbr_base.Make (Rt) (struct let descriptor = descriptor end)
+
   let on_pressure = flush
   let register = register_flushing ~flush
 

@@ -6,7 +6,10 @@
     [reclaimFreeable].  {!Nbr.Make} and {!Nbr_plus.Make} instantiate this
     base and plug in Algorithm 1's and Algorithm 2's [retire]. *)
 
-module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
+module Make
+    (Rt : Nbr_runtime.Runtime_intf.S)
+    (D : sig val descriptor : Smr_intf.scheme end) =
+struct
   module P = Nbr_pool.Pool.Make (Rt)
   module L = Lifecycle.Make (Rt)
 
@@ -38,7 +41,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     type inst = shared
     type thr = local
 
-    let bounded_garbage = true
+    let descriptor = D.descriptor
 
     let create_inst ~capacity:_ ~nthreads cfg =
       {

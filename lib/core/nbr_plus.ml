@@ -22,10 +22,13 @@
     that began strictly after the bookmark, which is what the safety
     argument (Lemma 9) actually needs. *)
 
-module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
-  include Nbr_base.Make (Rt)
+let scheme_name = "nbr+"
+let descriptor =
+  { Smr_intf.name = scheme_name; bounded_garbage = true;
+    protection = Neutralization }
 
-  let scheme_name = "nbr+"
+module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  include Nbr_base.Make (Rt) (struct let descriptor = descriptor end)
 
   let cleanup c =
     c.local.first_lo <- true;

@@ -10,6 +10,10 @@
     Not bounded: a thread stalled {e inside} an operation freezes its odd
     counter and blocks every parked buffer behind it. *)
 
+let scheme_name = "qsbr"
+let descriptor =
+  { Smr_intf.name = scheme_name; bounded_garbage = false; protection = Epoch }
+
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
   module Iv = Nbr_sync.Int_vec
@@ -39,7 +43,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
     type thr = local
 
-    let bounded_garbage = false
+    let descriptor = descriptor
 
     let create_inst ~capacity:_ ~nthreads _ =
       Array.init nthreads (fun _ -> Rt.make_padded 0)
@@ -74,8 +78,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   include B
   include Unguarded
-
-  let scheme_name = "qsbr"
 
   let begin_op c =
     B.begin_op c;

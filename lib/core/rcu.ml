@@ -9,6 +9,10 @@
     Not bounded: a reader stalled inside an operation pins the minimum
     epoch. *)
 
+let scheme_name = "rcu"
+let descriptor =
+  { Smr_intf.name = scheme_name; bounded_garbage = false; protection = Epoch }
+
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
 
@@ -24,7 +28,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     type inst = shared
     type thr = Limbo_bag.t
 
-    let bounded_garbage = false
+    let descriptor = descriptor
 
     let create_inst ~capacity ~nthreads _ =
       {
@@ -55,8 +59,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   include B
   include Unguarded
-
-  let scheme_name = "rcu"
 
   let begin_op c =
     B.begin_op c;

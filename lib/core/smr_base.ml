@@ -2,7 +2,7 @@ module type SCHEME = sig
   type inst
   type thr
 
-  val bounded_garbage : bool
+  val descriptor : Smr_intf.scheme
   val create_inst : capacity:int -> nthreads:int -> Smr_config.t -> inst
   val create_thr : nthreads:int -> Smr_config.t -> thr
   val size : thr -> int
@@ -59,7 +59,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
   type 's wr = ctx
   type ('a, 'b) writer = { write : 's. 's wr -> 'a -> 'b } [@@unboxed]
 
-  let bounded_garbage = X.bounded_garbage
+  let scheme_name = X.descriptor.name
+  let bounded_garbage = X.descriptor.bounded_garbage
 
   let create pool ~nthreads cfg =
     P.set_generation_check pool (not cfg.Smr_config.unsafe_no_generation_check);
@@ -176,7 +177,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
       (* Watchdog schemes publish the parcel inside the stats lock, the
          others just before taking it: two orders of the same charged
          steps, each kept as the schedule its scheme has always run. *)
-      if X.bounded_garbage then
+      if bounded_garbage then
         L.with_stats_lock b.lc (fun () ->
             L.push_parcel b.lc ~origin:c.tid slots;
             fold ())

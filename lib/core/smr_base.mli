@@ -21,15 +21,18 @@
     of a scheme file is
 
     {v
-      module B = Smr_base.Make (Rt) (struct ... end)
-      include B
       let scheme_name = "..."
-      let begin_op c = B.begin_op c; (* publish *) ...
-      let op c body = bracket ~begin_op ~end_op c body
-      let abandon = begin_op
-      let flush c = ...
-      let on_pressure = flush
-      let register = register_flushing ~flush
+      let descriptor = { Smr_intf.name = scheme_name; ... }
+      module Make (Rt) = struct
+        module B = Smr_base.Make (Rt) (struct let descriptor ... end)
+        include B
+        let begin_op c = B.begin_op c; (* publish *) ...
+        let op c body = bracket ~begin_op ~end_op c body
+        let abandon = begin_op
+        let flush c = ...
+        let on_pressure = flush
+        let register = register_flushing ~flush
+      end
     v}
 
     The bracket is applied after the scheme's own [begin_op]/[end_op],
@@ -43,10 +46,11 @@ module type SCHEME = sig
   type thr
   (** Per-thread state: the limbo buffer and scratch. *)
 
-  val bounded_garbage : bool
-  (** {!Smr_intf.S.bounded_garbage}.  Bounded schemes run the watchdog,
-      and their [deregister] publishes its parcel inside the stats lock;
-      the others publish it just before taking the lock. *)
+  val descriptor : Smr_intf.scheme
+  (** The scheme's declared facts, which give {!Smr_intf.S.scheme_name}
+      and [bounded_garbage].  Bounded schemes run the watchdog, and
+      their [deregister] publishes its parcel inside the stats lock; the
+      others publish it just before taking the lock. *)
 
   val create_inst : capacity:int -> nthreads:int -> Smr_config.t -> inst
   (** [capacity] is the pool's, for per-record metadata. *)
@@ -125,6 +129,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) : sig
 
   (** {1 The shared half of {!Smr_intf.S}} *)
 
+  val scheme_name : string
   val bounded_garbage : bool
   val create : pool -> nthreads:int -> Smr_config.t -> t
 

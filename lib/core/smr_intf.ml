@@ -158,16 +158,39 @@ exception Expelled
     operation.  Only possible while fault injection is active (see
     [Lifecycle.check_self]). *)
 
+(** {1 Declared facts}
+
+    A scheme's guarantees and a structure's needs (the paper's P2 and
+    P5), declared at the top of each scheme and structure file, outside
+    its functor, so reading a fact builds nothing.  [Registry] derives
+    the refused pairings from them.  A scheme's [protection]:
+    [Neutralization] (nbr, nbr+) reserves before the write phase and
+    restarts readers by signal; [Epoch] (debra, qsbr, rcu) waits out
+    grace periods; [Interval] (ibr) validates one era interval per
+    thread; [Hazard] (hp, he) validates a hazard pointer or era per
+    read, in a rotating window of slots; [Unprotected] (none,
+    unsafe-free) is a baseline or a foil.  [bounded_garbage] is P2: the
+    scheme bounds unreclaimed records under stalled threads. *)
+type protection = Neutralization | Epoch | Interval | Hazard | Unprotected
+
+type scheme = { name : string; bounded_garbage : bool; protection : protection }
+
+(** A structure's traversal is [raw] when it follows links with
+    {!S.read_raw}, through records that may be unlinked; it [keeps_old]
+    when it must keep protected records older than its last few reads
+    (the skip list's cross-level predecessors). *)
+type traversal = { raw : bool; keeps_old : bool }
+
 module type S = sig
   type pool
   type t
   type ctx
 
   val scheme_name : string
+  (** The scheme's declared [name]. *)
 
   val bounded_garbage : bool
-  (** Whether the scheme bounds unreclaimed records in the presence of
-      stalled threads (the paper's P2; tested in the E2 suite). *)
+  (** The scheme's declared [bounded_garbage]. *)
 
   val create : pool -> nthreads:int -> Smr_config.t -> t
   (** One instance per data structure; [nthreads] worker contexts may
@@ -299,10 +322,11 @@ module type S = sig
       is not a plain record pointer — e.g. a mark-tagged link in the
       Harris list, where the slot id and the mark share the word.  A
       delivery/poll point like {!read_ptr}, but it validates neither
-      [src] nor the target, and hazard-pointer schemes cannot publish
-      protection through it: this is precisely the paper's P5 limitation
-      of HP with structures that traverse marked nodes, and the
-      benchmarks never pair HP with such structures.  It reports the
+      [src] nor the target, and [Hazard] and [Interval] schemes cannot
+      publish protection through it: this is precisely the paper's P5
+      limitation of HP with structures that traverse marked nodes.  A
+      structure that uses it declares [raw] in its {!traversal}, and
+      [Registry] refuses those pairings.  It reports the
       dereference of [src] to the pool's use-after-free detector
       ([Pool.record_read]) before it loads, and counts it in the
       caller's statistics if [src] is stale. *)

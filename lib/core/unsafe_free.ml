@@ -8,6 +8,12 @@
     under NBR.  Never use it for anything else: traversals over recycled
     slots may not terminate. *)
 
+let scheme_name = "unsafe-free"
+(* Bounded trivially: nothing is ever buffered. *)
+let descriptor =
+  { Smr_intf.name = scheme_name; bounded_garbage = true;
+    protection = Unprotected }
+
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)
 
@@ -16,7 +22,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     type inst = unit
     type thr = unit
 
-    let bounded_garbage = true (* trivially: nothing is ever buffered *)
+    let descriptor = descriptor
     let create_inst ~capacity:_ ~nthreads:_ _ = ()
     let create_thr ~nthreads:_ _ = ()
     let size () = 0
@@ -30,7 +36,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   include B
   include Unguarded
 
-  let scheme_name = "unsafe-free"
   let end_op = note_end_op
   let op c body = bracket ~begin_op ~end_op c body
   let abandon = begin_op

@@ -38,6 +38,8 @@
     asserts it), so every search stops at the first key past its target
     instead of reading the whole node. *)
 
+let traversal = { Nbr_core.Smr_intf.raw = false; keeps_old = false }
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) =

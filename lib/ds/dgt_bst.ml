@@ -26,6 +26,8 @@
     A node is a leaf iff its left child is nil; a leaf's right child is
     never read, so a new leaf does not write it. *)
 
+let traversal = { Nbr_core.Smr_intf.raw = false; keeps_old = false }
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) =

@@ -24,6 +24,8 @@
 
     Record layout: data0 = key; ptr0 = next (tagged). *)
 
+let traversal = { Nbr_core.Smr_intf.raw = true; keeps_old = false }
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) =

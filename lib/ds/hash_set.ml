@@ -12,6 +12,8 @@
     resizing — the paper's structures do not resize either, and resizing
     under SMR is its own research topic). *)
 
+let traversal = Harris_list.traversal
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) =

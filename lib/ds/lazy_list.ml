@@ -14,6 +14,8 @@
 
     Record layout: data0 = key, data1 = marked, data2 = lock; ptr0 = next. *)
 
+let traversal = { Nbr_core.Smr_intf.raw = false; keeps_old = false }
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) =

@@ -21,6 +21,8 @@
     data2 = top level (1..L), data3 = lock; ptr0..ptr(L-1) =
     next-by-level. *)
 
+let traversal = { Nbr_core.Smr_intf.raw = false; keeps_old = true }
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t) =

@@ -73,10 +73,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           ("Kv.Store.Cfg.make: unknown structure " ^ structure
          ^ " (kv shards are hash-set or ab-tree)");
       ignore (Nbr_workload.Registry.find_exn scheme);
-      if not (Nbr_workload.Registry.supported ~scheme ~structure) then
-        invalid_arg
-          ("Kv.Store.Cfg.make: " ^ scheme ^ " cannot run " ^ structure
-         ^ " safely (paper P5); use ab-tree");
+      Option.iter
+        (Printf.ksprintf invalid_arg
+           "Kv.Store.Cfg.make: %s cannot run %s safely (paper P5), %s; use \
+            ab-tree" scheme structure)
+        (Nbr_workload.Registry.refusal ~scheme ~structure);
       let shard_capacity =
         match shard_capacity with
         | Some c ->

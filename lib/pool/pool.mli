@@ -60,9 +60,6 @@ val pp_exhausted : Format.formatter -> exhausted_info -> unit
     Handles are opaque to well-behaved clients; the codec is exposed for
     tests and for the Harris list's tagged-word encoding. *)
 module Handle : sig
-  val index_bits : int
-  val class_bits : int
-  val gen_shift : int
   val gen_mask : int
   val max_classes : int
   val max_capacity : int

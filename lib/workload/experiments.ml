@@ -50,8 +50,8 @@ let e3_schemes = [ "nbr+"; "nbr"; "debra"; "none" ]
 (* The three workload profiles of §7. *)
 let workloads = [ ("50i-50d", 50, 50); ("25i-25d", 25, 25); ("5i-5d", 5, 5) ]
 
-(* The list the fault experiments run a scheme on: HP/HE cannot run
-   mark-traversing structures (P5). *)
+(* The list the fault experiments run a scheme on: the Harris list,
+   unless the scheme refuses its raw traversal (P5). *)
 let list_for scheme =
   if Registry.supported ~scheme ~structure:"harris-list" then "harris-list"
   else "lazy-list"
@@ -65,6 +65,34 @@ let note_failure msg =
   incr failures;
   Format.printf "VALIDATION FAILURE: %s@." msg
 
+(** Count a trial towards the validation gate, printing it if invalid. *)
+let validate r =
+  incr validated;
+  if not (Trial.valid r) then begin
+    incr failures;
+    Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
+  end
+
+(* Which schemes claim P2 (bounded garbage). *)
+let claims_bounded scheme = (Registry.find_exn scheme).r_desc.bounded_garbage
+
+(* A trial's P2 verdict.  A bounded scheme past its bound is a real
+   failure of the reproduction, counted unless the caller already did;
+   [grew] reports an unbounded scheme against the bound too. *)
+let p2_verdict ?(count = true) ?(grew = false) scheme ~mg ~bound =
+  if claims_bounded scheme then
+    if mg <= bound then "bounded (P2 holds)"
+    else begin
+      if count then incr failures;
+      "BOUND VIOLATION"
+    end
+  else if not grew then "no P2 claim"
+  else if mg > bound then "grew past bound (expected: no P2)"
+  else "under bound (no P2 claim)"
+
+let smr_at n = Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default n
+let cell cells c = match List.assoc_opt c cells with Some v -> v | None -> "-"
+
 let run_point ~scheme ~structure ~profile ~key_range ~smr_threshold ~nthreads
     ~ins ~del ?stall () =
   let tput = ref 0.0 and peak = ref 0 and sigs = ref 0 in
@@ -74,17 +102,10 @@ let run_point ~scheme ~structure ~profile ~key_range ~smr_threshold ~nthreads
       let cfg =
         Trial.Cfg.make ~nthreads ~duration_ns:profile.duration_ns ~key_range
           ~ins_pct:ins ~del_pct:del
-          ~smr:
-            (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default
-               smr_threshold)
-          ~seed ?stall ()
+          ~smr:(smr_at smr_threshold) ~seed ?stall ()
       in
       let r = H.run ~scheme ~structure cfg in
-      incr validated;
-      if not (Trial.valid r) then begin
-        incr failures;
-        Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-      end;
+      validate r;
       tput := !tput +. r.throughput_mops;
       peak := max !peak r.peak_unreclaimed;
       sigs := !sigs + r.signals)
@@ -96,7 +117,8 @@ let run_point ~scheme ~structure ~profile ~key_range ~smr_threshold ~nthreads
 (* E1: throughput sweeps (figures 3a, 3b, 5a, 5b, 6a, 6b).             *)
 
 let throughput_sweep ?(mixes = workloads) ~title ~structure ~schemes
-    ~key_range ~smr_threshold profile =
+    ~key_range ~smr_threshold quick =
+  let profile = if quick then quick_profile else std_profile in
   List.iter
     (fun (wname, ins, del) ->
       let rows =
@@ -122,73 +144,64 @@ let throughput_sweep ?(mixes = workloads) ~title ~structure ~schemes
         ~title:
           (Printf.sprintf "%s | %s | %s | size=%d (Mops/s, simulated)" title
              structure wname key_range)
-        ~col_header:"threads" ~cols:schemes ~rows
-        ~cell:(fun cells c ->
-          match List.assoc_opt c cells with Some v -> v | None -> "-"))
+        ~col_header:"threads" ~cols:schemes ~rows ~cell)
     mixes
 
 let fig3a quick =
-  let p = if quick then quick_profile else std_profile in
   throughput_sweep
     ~title:"fig3a: DGT tree throughput (paper: 2M keys, 192 hw threads)"
     ~structure:"dgt-tree" ~schemes:e1_schemes ~key_range:65536
-    ~smr_threshold:512 p
+    ~smr_threshold:512 quick
 
 let fig3b quick =
-  let p = if quick then quick_profile else std_profile in
   throughput_sweep
     ~title:"fig3b: lazy list throughput (paper: 20K keys)"
     ~structure:"lazy-list" ~schemes:e1_schemes
     ~key_range:(if quick then 512 else 2048)
-    ~smr_threshold:256 p
+    ~smr_threshold:256 quick
 
 let fig5a quick =
-  let p = if quick then quick_profile else std_profile in
   throughput_sweep
     ~title:"fig5a: DGT tree, large size (paper: 20M keys)"
     ~structure:"dgt-tree" ~schemes:e1_schemes ~key_range:262144
-    ~smr_threshold:512 p
+    ~smr_threshold:512 quick
 
 let fig5b quick =
-  let p = if quick then quick_profile else std_profile in
   throughput_sweep
     ~title:"fig5b: DGT tree, small size / high contention (paper: 20K keys)"
     ~structure:"dgt-tree" ~schemes:e1_schemes ~key_range:2048
-    ~smr_threshold:256 p
+    ~smr_threshold:256 quick
 
 let fig6a quick =
-  let p = if quick then quick_profile else std_profile in
   throughput_sweep
     ~title:"fig6a: lazy list, moderate size (paper: 20K keys)"
     ~structure:"lazy-list" ~schemes:e1_schemes
     ~key_range:(if quick then 512 else 2048)
-    ~smr_threshold:256 p
+    ~smr_threshold:256 quick
 
 let fig6b quick =
-  let p = if quick then quick_profile else std_profile in
   throughput_sweep
     ~title:"fig6b: lazy list, tiny size / extreme contention (paper: 200 keys)"
     ~structure:"lazy-list" ~schemes:e1_schemes ~key_range:200 ~smr_threshold:64
-    p
+    quick
 
 (* ------------------------------------------------------------------ *)
 (* E3: k-NBR on multi-phase structures (figures 4a, 4b).               *)
 
 let fig4a quick =
-  let p = if quick then quick_profile else std_profile in
   let mixes = [ ("50i-50d", 50, 50) ] in
   throughput_sweep ~mixes
     ~title:
       "fig4a: (a,b)-tree with k-NBR, low contention (paper: 2M) and high \
        contention (paper: 200)"
     ~structure:"ab-tree" ~schemes:e3_schemes ~key_range:65536
-    ~smr_threshold:512 p;
+    ~smr_threshold:512 quick;
   throughput_sweep ~mixes
     ~title:"fig4a (high contention): (a,b)-tree, 200 keys"
-    ~structure:"ab-tree" ~schemes:e3_schemes ~key_range:200 ~smr_threshold:64 p
+    ~structure:"ab-tree" ~schemes:e3_schemes ~key_range:200 ~smr_threshold:64
+    quick
 
 let fig4b quick =
-  let p = if quick then quick_profile else std_profile in
   let mixes = [ ("50i-50d", 50, 50) ] in
   throughput_sweep ~mixes
     ~title:
@@ -196,19 +209,23 @@ let fig4b quick =
        contention (paper: 200)"
     ~structure:"harris-list" ~schemes:e3_schemes
     ~key_range:(if quick then 512 else 2048)
-    ~smr_threshold:256 p;
+    ~smr_threshold:256 quick;
   throughput_sweep ~mixes
     ~title:"fig4b (high contention): Harris list, 200 keys"
     ~structure:"harris-list" ~schemes:e3_schemes ~key_range:200
-    ~smr_threshold:64 p
+    ~smr_threshold:64 quick
 
 (* ------------------------------------------------------------------ *)
 (* E2: peak unreclaimed memory with and without a stalled thread       *)
 (* (figures 4c, 4d).                                                   *)
 
+(* The E2 experiments run four times a figure's trial. *)
+let e2_duration quick =
+  4 * (if quick then quick_profile else std_profile).duration_ns
+
 let memory_experiment ~title ~stalled quick =
   let p = if quick then quick_profile else std_profile in
-  let duration = p.duration_ns * 4 in
+  let duration = e2_duration quick in
   let schemes = [ "nbr+"; "nbr"; "debra"; "qsbr"; "rcu"; "ibr"; "hp" ] in
   let rows =
     List.map
@@ -224,27 +241,17 @@ let memory_experiment ~title ~stalled quick =
               in
               let cfg =
                 Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range:65536
-                  ~ins_pct:50 ~del_pct:50
-                  ~smr:
-                    (Nbr_core.Smr_config.with_threshold
-                       Nbr_core.Smr_config.default 512)
-                  ~seed:7 ?stall ()
+                  ~ins_pct:50 ~del_pct:50 ~smr:(smr_at 512) ~seed:7 ?stall ()
               in
               let r = H.run ~scheme ~structure:"dgt-tree" cfg in
-              incr validated;
-              if not (Trial.valid r) then begin
-                incr failures;
-                Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-              end;
+              validate r;
               (scheme, string_of_int r.peak_unreclaimed))
             schemes
         in
         (string_of_int nthreads, cells))
       p.threads
   in
-  Table.print_matrix ~title ~col_header:"threads" ~cols:schemes ~rows
-    ~cell:(fun cells c ->
-      match List.assoc_opt c cells with Some v -> v | None -> "-")
+  Table.print_matrix ~title ~col_header:"threads" ~cols:schemes ~rows ~cell
 
 let fig4c quick =
   memory_experiment
@@ -264,25 +271,25 @@ let fig4d quick =
 (* E2-chaos: bounded-garbage invariant under a seeded fault schedule    *)
 (* (stalls + a crash + delayed signals — the adversity §7 argues about).*)
 
-(* Which schemes claim P2 (bounded garbage).  Mirrors each scheme's
-   [bounded_garbage] flag; the harness is string-keyed so the flag is
-   restated here. *)
-let claims_bounded = function
-  | "nbr" | "nbr+" | "ibr" | "hp" | "he" -> true
-  | _ -> false
+(* The chaos and churn lineup, and the seeded plan they share. *)
+let e2_schemes =
+  [ "nbr+"; "nbr"; "ibr"; "hp"; "he"; "debra"; "qsbr"; "rcu"; "none" ]
+
+let chaos_plan ~seed ~nthreads ~duration =
+  Nbr_fault.Fault_plan.chaos ~seed ~nthreads ~stalls:2 ~crashes:1
+    ~stall_ns:(duration / 2) ~ops_window:200
+    ~signal:
+      { Nbr_fault.Fault_plan.delay_pct = 25; delay_ns = 20_000; drop_pct = 0 }
+    ()
 
 let chaos quick =
-  let p = if quick then quick_profile else std_profile in
   let nthreads = 8 in
-  let duration = p.duration_ns * 4 in
+  let duration = e2_duration quick in
   (* Small key range: high churn per key keeps retire rates up, and keeps
      the interval-pinning slack in a trial's [garbage_bound] small enough that
      an epoch scheme tracking the crashed thread's *duration* visibly
      crosses it. *)
   let key_range = 128 in
-  let schemes =
-    [ "nbr+"; "nbr"; "ibr"; "hp"; "he"; "debra"; "qsbr"; "rcu"; "none" ]
-  in
   let seeds = if quick then [ 11 ] else [ 11; 12; 13 ] in
   print_newline ();
   print_endline
@@ -297,17 +304,7 @@ let chaos quick =
     "   garbage under the bound; epoch schemes are expected to blow past it.";
   List.iter
     (fun seed ->
-      let plan =
-        Nbr_fault.Fault_plan.chaos ~seed ~nthreads ~stalls:2 ~crashes:1
-          ~stall_ns:(duration / 2) ~ops_window:200
-          ~signal:
-            {
-              Nbr_fault.Fault_plan.delay_pct = 25;
-              delay_ns = 20_000;
-              drop_pct = 0;
-            }
-          ()
-      in
+      let plan = chaos_plan ~seed ~nthreads ~duration in
       Format.printf "@.seed %d: %a@." seed Nbr_fault.Fault_plan.pp plan;
       Printf.printf "%-8s %-12s %12s %8s %10s %9s  %s\n" "scheme" "structure"
         "max_garbage" "bound" "peak_garb" "pressure" "verdict";
@@ -317,35 +314,16 @@ let chaos quick =
           Sim.set_config { base_sim_config with seed };
           let cfg =
             Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range ~ins_pct:50
-              ~del_pct:50
-              ~smr:
-                (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default
-                   64)
-              ~seed ~faults:plan ()
+              ~del_pct:50 ~smr:(smr_at 64) ~seed ~faults:plan ()
           in
           let r = H.run ~scheme ~structure cfg in
-          incr validated;
-          if not (Trial.valid r) then begin
-            incr failures;
-            Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-          end;
+          validate r;
           let bound = r.Trial.garbage_bound in
           let mg = Nbr_core.Smr_stats.max_garbage r.smr_stats in
-          let verdict =
-            if claims_bounded scheme then
-              if mg <= bound then "bounded (P2 holds)"
-              else begin
-                (* A bounded scheme exceeding the bound is a real failure
-                   of the reproduction, not an expected degradation. *)
-                incr failures;
-                "BOUND VIOLATION"
-              end
-            else if mg > bound then "grew past bound (expected: no P2)"
-            else "under bound (no P2 claim)"
-          in
+          let verdict = p2_verdict ~grew:true scheme ~mg ~bound in
           Printf.printf "%-8s %-12s %12d %8d %10d %9d  %s\n%!" scheme structure
             mg bound r.peak_garbage r.pressure_events verdict)
-        schemes)
+        e2_schemes)
     seeds
 
 (* ------------------------------------------------------------------ *)
@@ -361,9 +339,7 @@ let churn_trial ~scheme ~structure ~nthreads ~duration ~key_range ~seed
   Nbr_obs.Trace.enable ~nthreads ();
   let cfg =
     Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range ~ins_pct:50
-      ~del_pct:50
-      ~smr:(Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 64)
-      ~seed ?faults ~churn_ops ()
+      ~del_pct:50 ~smr:(smr_at 64) ~seed ?faults ~churn_ops ()
   in
   let r = H.run ~scheme ~structure cfg in
   let adopted = ref 0 and deaths = ref 0 and worst_round = ref 0 in
@@ -377,11 +353,7 @@ let churn_trial ~scheme ~structure ~nthreads ~duration ~key_range ~seed
       | _ -> ())
     (Nbr_obs.Trace.events ());
   Nbr_obs.Trace.clear ();
-  incr validated;
-  if not (Trial.valid r) then begin
-    incr failures;
-    Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-  end;
+  validate r;
   let bound = r.Trial.garbage_bound in
   let mg = Nbr_core.Smr_stats.max_garbage r.smr_stats in
   if claims_bounded scheme && mg > bound then begin
@@ -392,13 +364,9 @@ let churn_trial ~scheme ~structure ~nthreads ~duration ~key_range ~seed
   (mg, bound, !adopted, !deaths, !worst_round)
 
 let churn quick =
-  let p = if quick then quick_profile else std_profile in
   let nthreads = 8 in
-  let duration = p.duration_ns * 4 in
+  let duration = e2_duration quick in
   let key_range = 128 in
-  let schemes =
-    [ "nbr+"; "nbr"; "ibr"; "hp"; "he"; "debra"; "qsbr"; "rcu"; "none" ]
-  in
   let seeds = if quick then [ 21 ] else [ 21; 22 ] in
   print_newline ();
   print_endline
@@ -433,14 +401,10 @@ let churn quick =
               "VALIDATION FAILURE: %s spurious watchdog death under pure churn@."
               scheme
           end;
-          let verdict =
-            if claims_bounded scheme then
-              if mg <= bound then "bounded (P2 holds)" else "BOUND VIOLATION"
-            else "no P2 claim"
-          in
           Printf.printf "%-8s %-12s %12d %8d %8d %7d  %s\n%!" scheme structure
-            mg bound adopted deaths verdict)
-        schemes)
+            mg bound adopted deaths
+            (p2_verdict ~count:false scheme ~mg ~bound))
+        e2_schemes)
     seeds;
   (* Churn composed with the chaos plan: leavers, stallers and a crasher
      at once.  The watchdog may now legitimately declare stalled threads
@@ -450,17 +414,7 @@ let churn quick =
   let wd_rounds = Nbr_core.Smr_config.default.Nbr_core.Smr_config.wd_rounds in
   List.iter
     (fun seed ->
-      let plan =
-        Nbr_fault.Fault_plan.chaos ~seed ~nthreads ~stalls:2 ~crashes:1
-          ~stall_ns:(duration / 2) ~ops_window:200
-          ~signal:
-            {
-              Nbr_fault.Fault_plan.delay_pct = 25;
-              delay_ns = 20_000;
-              drop_pct = 0;
-            }
-          ()
-      in
+      let plan = chaos_plan ~seed ~nthreads ~duration in
       Format.printf "@.seed %d (churn + chaos): %a@." seed
         Nbr_fault.Fault_plan.pp plan;
       Printf.printf "%-8s %-12s %12s %8s %8s %7s %6s  %s\n" "scheme"
@@ -479,15 +433,10 @@ let churn quick =
               "VALIDATION FAILURE: %s handshake escalated to round %d (budget %d)@."
               scheme worst_round wd_rounds
           end;
-          let verdict =
-            if claims_bounded scheme then
-              if mg <= bound then "bounded (P2 holds)" else "BOUND VIOLATION"
-            else if mg > bound then "grew past bound (expected: no P2)"
-            else "under bound (no P2 claim)"
-          in
           Printf.printf "%-8s %-12s %12d %8d %8d %7d %6d  %s\n%!" scheme
-            structure mg bound adopted deaths worst_round verdict)
-        schemes)
+            structure mg bound adopted deaths worst_round
+            (p2_verdict ~count:false ~grew:true scheme ~mg ~bound))
+        e2_schemes)
     (if quick then [ 31 ] else [ 31; 32 ])
 
 (* ------------------------------------------------------------------ *)
@@ -521,35 +470,32 @@ let ablation_signals quick =
        motivation for NBR+ (same reclamation, far fewer signals)"
     ~col_header:"threads"
     ~cols:[ "nbr:sig"; "nbr:Mops"; "nbr+:sig"; "nbr+:Mops" ]
-    ~rows
-    ~cell:(fun cells c ->
-      match List.assoc_opt c cells with Some v -> v | None -> "-")
+    ~rows ~cell
 
 (* ------------------------------------------------------------------ *)
 (* EXT: structures beyond the paper's evaluation set.                  *)
 
 let ext_structures quick =
-  let p = if quick then quick_profile else std_profile in
   let mixes = [ ("25i-25d", 25, 25) ] in
   throughput_sweep ~mixes
     ~title:
       "EXT: hash set (Harris-list buckets) — short traversals, high \
        allocation churn"
     (* No ibr: hash-set buckets are Harris lists, whose mark-tagged
-       traversal era protection cannot cover (see Registry.unsupported). *)
+       traversal era protection cannot cover (see Registry.refusal). *)
     ~structure:"hash-set" ~schemes:[ "nbr+"; "nbr"; "debra"; "qsbr"; "none" ]
-    ~key_range:16384 ~smr_threshold:256 p;
+    ~key_range:16384 ~smr_threshold:256 quick;
   throughput_sweep ~mixes
     ~title:
       "EXT: optimistic skiplist — up to 17 reservations per update (NBR's \
        R << bag-size assumption stress)"
     ~structure:"skip-list"
     ~schemes:[ "nbr+"; "nbr"; "debra"; "qsbr"; "rcu"; "ibr"; "none" ]
-    ~key_range:16384 ~smr_threshold:256 p;
+    ~key_range:16384 ~smr_threshold:256 quick;
   throughput_sweep ~mixes
     ~title:"EXT: hazard eras (HE) vs HP vs interval (IBR) on the DGT tree"
     ~structure:"dgt-tree" ~schemes:[ "nbr+"; "hp"; "he"; "ibr" ]
-    ~key_range:65536 ~smr_threshold:512 p
+    ~key_range:65536 ~smr_threshold:512 quick
 
 (* ------------------------------------------------------------------ *)
 (* A2: the end_read publication fence (§4.3, lines 11-12).             *)
@@ -574,11 +520,7 @@ let ablation_fences quick =
   List.iter
     (fun (label, unsafe) ->
       let smr =
-        {
-          (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 64)
-          with
-          Nbr_core.Smr_config.unsafe_end_read = unsafe;
-        }
+        { (smr_at 64) with Nbr_core.Smr_config.unsafe_end_read = unsafe }
       in
       let cfg =
         Trial.Cfg.make ~nthreads:6
@@ -624,18 +566,11 @@ let reclaim quick =
           Sim.set_config { base_sim_config with seed = 31 };
           let cfg =
             Trial.Cfg.make ~nthreads ~duration_ns:lat_duration ~key_range
-              ~ins_pct:50 ~del_pct:50
-              ~smr:
-                (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default
-                   64)
-              ~seed:31 ?reclaim ~record_latency:true ()
+              ~ins_pct:50 ~del_pct:50 ~smr:(smr_at 64) ~seed:31 ?reclaim
+              ~record_latency:true ()
           in
           let r = H.run ~scheme ~structure:"harris-list" cfg in
-          incr validated;
-          if not (Trial.valid r) then begin
-            incr failures;
-            Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-          end;
+          validate r;
           match r.latency with
           | None -> note_failure (scheme ^ ": latency recording lost")
           | Some l ->
@@ -683,11 +618,7 @@ let reclaim quick =
           in
           let cfg =
             Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range ~ins_pct:50
-              ~del_pct:50
-              ~smr:
-                (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default
-                   64)
-              ~seed ~faults:plan ?pool_capacity
+              ~del_pct:50 ~smr:(smr_at 64) ~seed ~faults:plan ?pool_capacity
               ~reclaim:Nbr_reclaim.Reclaimer.On_pressure ()
           in
           Nbr_obs.Trace.enable ~capacity:131072 ~nthreads:(nthreads + 1) ();
@@ -702,11 +633,7 @@ let reclaim quick =
               Nbr_obs.Trace.disable ();
               let evs = Nbr_obs.Trace.events () in
               Nbr_obs.Trace.clear ();
-              incr validated;
-              if not (Trial.valid r) then begin
-                incr failures;
-                Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-              end;
+              validate r;
               let count k =
                 List.length
                   (List.filter (fun e -> e.Nbr_obs.Trace.e_kind = k) evs)
@@ -723,18 +650,9 @@ let reclaim quick =
                      scheme structure degrades restores);
               let bound = r.Trial.garbage_bound in
               let mg = Nbr_core.Smr_stats.max_garbage r.Trial.smr_stats in
-              let verdict =
-                if claims_bounded scheme then
-                  if mg <= bound then "bounded (P2 holds)"
-                  else begin
-                    incr failures;
-                    "BOUND VIOLATION"
-                  end
-                else "no P2 claim"
-              in
               Printf.printf "%-12s %-12s %12d %8d %9d %8d %8d  %s\n%!" scheme
                 structure mg bound degrades restores r.Trial.pressure_events
-                verdict))
+                (p2_verdict scheme ~mg ~bound)))
         Registry.scheme_names)
     seeds
 

@@ -8,10 +8,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       | Some { Registry.r_foil = false; r_scheme; _ } -> r_scheme
       | _ -> invalid_arg ("Harness.run: unknown scheme " ^ scheme)
     in
-    if not (Registry.supported ~scheme ~structure) then
-      invalid_arg
-        (Printf.sprintf "Harness.run: %s cannot run %s safely (paper P5)"
-           scheme structure);
+    Option.iter
+      (Printf.ksprintf invalid_arg
+         "Harness.run: %s cannot run %s safely (paper P5), %s" scheme
+         structure)
+      (Registry.refusal ~scheme ~structure);
     let module Smr = S.Make (Rt) in
     let module Run = Runner.Make (Rt) (Smr) in
     match structure with

@@ -4,12 +4,14 @@
     [let module S = (val e.r_scheme) in let module Smr = S.Make (Rt)]. *)
 
 module type SCHEME = sig
+  val descriptor : Nbr_core.Smr_intf.scheme
+
   module Make (Rt : Nbr_runtime.Runtime_intf.S) :
     Nbr_core.Smr_intf.S with type pool = Nbr_pool.Pool.Make(Rt).t
 end
 
 type entry = {
-  r_name : string;
+  r_desc : Nbr_core.Smr_intf.scheme;  (** the scheme's declared facts *)
   r_foil : bool;
       (** deliberately unsound baseline (unsafe-free): excluded from
           default sweeps, runnable only on explicit request *)
@@ -28,12 +30,35 @@ val all_scheme_names : string list
 val find : string -> entry option
 val find_exn : string -> entry
 
-val structure_names : string list
-(** The six set implementations, in canonical display order. *)
+val structures : (string * Nbr_core.Smr_intf.traversal) list
+(** The six set implementations with their declared traversal facts, in
+    canonical display order. *)
 
-val unsupported : (string * string) list
-(** (scheme, structure) pairs that are unsafe by construction (paper P5:
-    hazard/era protection cannot cover traversals through unlinked
-    records). *)
+val structure_names : string list
+
+val refusal : scheme:string -> structure:string -> string option
+(** [Some reason] when the scheme's declared protection cannot cover the
+    structure's declared traversal (paper P5); the reason opens with the
+    violated fact.  [None] for a safe pair and for unknown names.
+    - {b raw traversal} (harris-list, hash-set): links read with
+      [read_raw] through records that may be unlinked, beyond [Hazard]
+      and [Interval] protection.  Certified for hp, he and ibr on both
+      by committed schedules in [test/test_check.ml] that replay a read
+      of a freed record.  HP and HE publish nothing for a [read_raw]
+      hop, so a reader stopped before following a link follows it into
+      a node deleted and swept meanwhile.  IBR's ratchet cannot
+      validate: a reader stopped inside its interval on a node deleted
+      meanwhile follows the node's frozen link to a successor born after
+      the interval and already swept (first found by the churn QCheck
+      property).
+    - {b rotating window} (skip-list): protected records must outlive
+      the last few reads, but a [Hazard] scheme's rotating window of
+      slots overwrites the oldest first; IBR's interval has no window.
+      Refused, unproven, for hp and he: no committed schedule shows the
+      loss yet. *)
 
 val supported : scheme:string -> structure:string -> bool
+(** [refusal ~scheme ~structure = None]. *)
+
+val unsupported : unit -> (string * string) list
+(** Every refused (scheme, structure) pair, in registry order. *)

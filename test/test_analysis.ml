@@ -137,6 +137,51 @@ let test_scheme_ibr =
            validating slot liveness";
       ]
 
+(* Every scheme file under lib/core names itself where the analyzer
+   looks, and R2 finds each function its family checks there: moving a
+   scheme's facts must not silently take it out of R2. *)
+let test_r2_covers_schemes () =
+  let dir = if root = "" then "../lib/core" else "lib/core" in
+  let parse f =
+    In_channel.with_open_text f (fun ic ->
+        (f, Parse.implementation (Lexing.from_channel ic)))
+  in
+  let module S = Nbr_analysis.Summary in
+  let module R = Nbr_analysis.Rules in
+  let sum = S.build (List.map parse (D.ml_files_of_dirs [ dir ])) in
+  let checked =
+    List.filter_map
+      (fun (info : S.info) ->
+        Option.map
+          (fun s ->
+            let checks = R.checks (R.family_of_scheme s) in
+            if R.family_of_scheme s = R.Unknown_family then
+              Alcotest.failf "%s: scheme %s has no R2 family" info.path s;
+            List.iter
+              (fun (fn, _, _) ->
+                if S.lookup_fn sum info fn = None then
+                  Alcotest.failf "%s: R2 cannot find %s" info.path fn)
+              checks;
+            (Filename.basename info.path, s, List.length checks))
+          info.scheme)
+      sum.infos
+  in
+  Alcotest.(check (list (triple string string int)))
+    "scheme files, their names and the R2 checks run on each"
+    [
+      ("debra.ml", "debra", 1);
+      ("hazard_eras.ml", "he", 4);
+      ("hp.ml", "hp", 4);
+      ("ibr.ml", "ibr", 4);
+      ("leaky.ml", "none", 0);
+      ("nbr.ml", "nbr", 3);
+      ("nbr_plus.ml", "nbr+", 3);
+      ("qsbr.ml", "qsbr", 1);
+      ("rcu.ml", "rcu", 1);
+      ("unsafe_free.ml", "unsafe-free", 0);
+    ]
+    (List.sort compare checked)
+
 let test_idiom () =
   let r = analyze [ "idiom_violation.ml" ] in
   Alcotest.(check (list string))
@@ -241,7 +286,8 @@ let with_clean_globals f =
 let broken_scenario () =
   Sim.set_config det_config;
   let san =
-    San.attach { San.family = San.Neutralization; nthreads = 2; garbage_bound = None }
+    San.attach
+      { San.protection = Neutralization; nthreads = 2; garbage_bound = None }
   in
   (try Broken_ds.run () with Sim.Stuck _ -> ());
   San.detach san;
@@ -286,4 +332,6 @@ let suite =
     Alcotest.test_case "cross-check: dynamic" `Quick test_broken_ds_dynamic;
     Alcotest.test_case "compiler rejects a read-phase lock" `Quick
       test_read_phase_lock;
+    Alcotest.test_case "R2 covers every scheme file" `Quick
+      test_r2_covers_schemes;
   ]

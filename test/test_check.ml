@@ -95,13 +95,13 @@ let test_cert_malformed () =
 (* Sanitizer rules on synthetic event streams: drive Trace.emit by hand
    and check exactly which rules fire.                                 *)
 
-let attach ?garbage_bound family =
+let attach ?garbage_bound protection =
   if not (Trace.enabled ()) then Trace.enable ~nthreads:2 ();
-  San.attach { San.family; nthreads = 2; garbage_bound }
+  San.attach { San.protection; nthreads = 2; garbage_bound }
 
 let test_san_unbalanced () =
   with_clean_globals @@ fun () ->
-  let san = attach San.Epoch in
+  let san = attach Epoch in
   Trace.emit ~tid:0 ~ns:10 Trace.Begin_op 0 0;
   Trace.emit ~tid:0 ~ns:20 Trace.Begin_op 0 0 (* nested *);
   Trace.emit ~tid:0 ~ns:30 Trace.End_op 0 0;
@@ -116,7 +116,7 @@ let test_san_unbalanced () =
 
 let test_san_uaf_and_garbage () =
   with_clean_globals @@ fun () ->
-  let san = attach ~garbage_bound:2 San.Epoch in
+  let san = attach ~garbage_bound:2 Epoch in
   Trace.emit ~tid:0 ~ns:1 Trace.Alloc_slot 7 0;
   Trace.emit ~tid:0 ~ns:2 Trace.Access 7 1 (* live: fine *);
   Trace.emit ~tid:0 ~ns:3 Trace.Retire 7 0;
@@ -147,7 +147,7 @@ let test_san_uaf_and_garbage () =
 
 let test_san_unguarded () =
   with_clean_globals @@ fun () ->
-  let san = attach San.Neutralization in
+  let san = attach Neutralization in
   Trace.emit ~tid:0 ~ns:1 Trace.Begin_op 0 0;
   Trace.emit ~tid:0 ~ns:2 Trace.Access 4 1 (* before checkpoint: flagged *);
   Trace.emit ~tid:0 ~ns:3 Trace.Checkpoint_set 0 0;
@@ -165,7 +165,7 @@ let test_san_handshake () =
   with_clean_globals @@ fun () ->
   (* Broken: victim keeps accessing after an unobserved signal, and the
      sender reclaims anyway. *)
-  let san = attach San.Neutralization in
+  let san = attach Neutralization in
   Trace.emit ~tid:1 ~ns:1 Trace.Begin_op 0 0;
   Trace.emit ~tid:1 ~ns:2 Trace.Checkpoint_set 0 0;
   Trace.emit ~tid:0 ~ns:3 Trace.Signal_sent 1 0;
@@ -178,7 +178,7 @@ let test_san_handshake () =
     [ "handshake_incomplete" ] (rules_of san);
   (* Honoured: the victim observes the signal (Neutralized) before the
      sender reclaims — same events otherwise, no finding. *)
-  let san2 = attach San.Neutralization in
+  let san2 = attach Neutralization in
   Trace.emit ~tid:1 ~ns:1 Trace.Begin_op 0 0;
   Trace.emit ~tid:1 ~ns:2 Trace.Checkpoint_set 0 0;
   Trace.emit ~tid:0 ~ns:3 Trace.Signal_sent 1 0;
@@ -241,7 +241,7 @@ let unsafe_free_scenario () =
   let san =
     San.attach
       {
-        San.family = San.family_of_scheme U.scheme_name;
+        San.protection = Nbr_core.Unsafe_free.descriptor.protection;
         nthreads = 2;
         garbage_bound = None;
       }
@@ -310,7 +310,7 @@ let leaky_scenario () =
   let san =
     San.attach
       {
-        San.family = San.family_of_scheme Lk.scheme_name;
+        San.protection = Nbr_core.Leaky.descriptor.protection;
         nthreads = 2;
         garbage_bound = Some 4;
       }
@@ -384,7 +384,7 @@ let ibr_scenario ~validate () =
   let san =
     San.attach
       {
-        San.family = San.family_of_scheme I.scheme_name;
+        San.protection = Nbr_core.Ibr.descriptor.protection;
         nthreads = 2;
         garbage_bound = None;
       }
@@ -458,7 +458,7 @@ let gen_check_scenario ~gen_check () =
   P.set_generation_check pool gen_check;
   let root = Sim.make P.nil in
   let san =
-    San.attach { San.family = San.Epoch; nthreads = 2; garbage_bound = None }
+    San.attach { San.protection = Epoch; nthreads = 2; garbage_bound = None }
   in
   (try
      Sim.run ~nthreads:2 (fun tid ->
@@ -530,7 +530,8 @@ let smoke_scenario ~scheme ~structure () =
   let san =
     San.attach
       {
-        San.family = San.family_of_scheme scheme;
+        San.protection =
+          (Nbr_workload.Registry.find_exn scheme).r_desc.protection;
         nthreads = 2;
         (* The sanitizer's count is pool-wide; the trial bound is
            per-thread.  Scale and add headroom — the negative tests
@@ -615,7 +616,8 @@ module Raising_op (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
     let san =
       San.attach
         {
-          San.family = San.family_of_scheme S.scheme_name;
+          San.protection =
+            (Nbr_workload.Registry.find_exn S.scheme_name).r_desc.protection;
           nthreads = 1;
           garbage_bound = None;
         }
@@ -685,7 +687,7 @@ let exhausted_insert (module D : LOCKING) capacity =
   let san =
     San.attach
       {
-        San.family = San.family_of_scheme NP.scheme_name;
+        San.protection = Nbr_core.Nbr_plus.descriptor.protection;
         nthreads = 1;
         garbage_bound = None;
       }
@@ -727,6 +729,165 @@ let test_exhausted_insert ?(mid = false) d () =
     Alcotest.(check bool) "a failure came after an allocation that held" true
       (List.exists (fun n -> n > 0) got)
 
+(* ------------------------------------------------------------------ *)
+(* Refusal certificates.  Each pair the registry refuses for a raw
+   traversal (paper P5) is built here past the harness's refusal, and a
+   committed certificate replays the use-after-free it allows.  The
+   reader and the writer each run a script of set operations; a
+   certificate preempts the reader once, runs the writer to its end,
+   then resumes the reader.  Every retire sweeps (bag threshold 1) and
+   every allocation moves the era.
+
+   [frozen_link] (IBR): the reader stops on node 10 inside its
+   interval.  The writer inserts 15 behind it, deletes 10 (pinned by
+   that interval, its mark-tagged link frozen at 15), deletes 15 and
+   sweeps it with a later retire: 15 was born after the interval.  The
+   reader's [read_raw] of the frozen link ratchets its era but cannot
+   validate, and it reads the freed node's key.
+
+   [unprotected_hop] (HP, HE): [read_raw] publishes no hazard, so the
+   reader, stopped between reading 10's link to 40 and following it,
+   follows it after the writer deleted and swept 40. *)
+
+module type SET = sig
+  type t
+  type ctx
+
+  val data_fields : int
+  val ptr_fields : int
+  val create : P.t -> t
+  val insert : t -> ctx -> int -> bool
+  val delete : t -> ctx -> int -> bool
+  val contains : t -> ctx -> int -> bool
+end
+
+type step = Ins of int | Del of int | Has of int
+type script = { prefill : int list; reader : step list; writer : step list }
+
+let frozen_link =
+  {
+    prefill = [ 10 ];
+    reader = [ Has 20 ];
+    writer = [ Ins 15; Del 10; Del 15; Ins 30; Del 30 ];
+  }
+
+let unprotected_hop =
+  { prefill = [ 10; 40 ]; reader = [ Del 50 ]; writer = [ Del 40 ] }
+
+module Refused
+    (S : Nbr_core.Smr_intf.S with type pool = P.t)
+    (D : SET with type ctx = S.ctx) =
+struct
+  let scenario sc () =
+    Sim.set_config det_config;
+    Sim.set_max_events 500_000;
+    let pool =
+      P.create ~capacity:32 ~data_fields:D.data_fields
+        ~ptr_fields:D.ptr_fields ~nthreads:2 ()
+    in
+    let smr =
+      S.create pool ~nthreads:2
+        {
+          Nbr_core.Smr_config.default with
+          epoch_freq = 1;
+          bag_threshold = 1;
+          lo_watermark = 1;
+        }
+    in
+    let d = D.create pool in
+    let c0 = S.register smr ~tid:0 and c1 = S.register smr ~tid:1 in
+    List.iter (fun k -> ignore (D.insert d c1 k)) sc.prefill;
+    let san =
+      San.attach
+        {
+          San.protection =
+            (Nbr_workload.Registry.find_exn S.scheme_name).r_desc.protection;
+          nthreads = 2;
+          garbage_bound = None;
+        }
+    in
+    let run c =
+      List.iter (function
+        | Ins k -> ignore (D.insert d c k)
+        | Del k -> ignore (D.delete d c k)
+        | Has k -> ignore (D.contains d c k))
+    in
+    (try
+       Sim.run ~nthreads:2 (fun tid ->
+           if tid = 0 then run c0 sc.reader else run c1 sc.writer)
+     with Sim.Stuck _ -> ());
+    San.detach san;
+    if Trace.enabled () then Trace.disable ();
+    verdict san
+end
+
+module Harris (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
+  type ctx = S.ctx
+
+  include Nbr_ds.Harris_list.Make (Sim) (S)
+end
+
+(* One bucket: the whole set is one Harris list. *)
+module Hash (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
+  type ctx = S.ctx
+
+  include Nbr_ds.Hash_set.Make (Sim) (S)
+
+  let create pool = create ~buckets:1 pool
+end
+
+module Hp = Nbr_core.Hp.Make (Sim)
+module He = Nbr_core.Hazard_eras.Make (Sim)
+
+let refused_case pair cert run =
+  Alcotest.test_case
+    (Printf.sprintf "refused %s: certificate replays a UAF" pair)
+    `Quick
+    (fun () ->
+      with_clean_globals @@ fun () ->
+      let cert = Cert.of_string cert in
+      let r1 = Explore.replay cert ~run in
+      Alcotest.(check bool) "replay reads a freed record" true
+        (match r1 with Some d -> contains d "uaf_access" | None -> false);
+      Alcotest.(check (option string)) "replay is deterministic" r1
+        (Explore.replay cert ~run))
+
+let refused_cases =
+  let module Ibr_harris = Refused (I) (Harris (I)) in
+  let module Hp_harris = Refused (Hp) (Harris (Hp)) in
+  let module He_harris = Refused (He) (Harris (He)) in
+  let module Ibr_hash = Refused (I) (Hash (I)) in
+  let module Hp_hash = Refused (Hp) (Hash (Hp)) in
+  let module He_hash = Refused (He) (Hash (He)) in
+  let frozen = "nbr-cert/1;dfs;2;2;1;7;9x0,113x1,10x0" in
+  [
+    refused_case "ibr/harris-list" frozen (Ibr_harris.scenario frozen_link);
+    refused_case "ibr/hash-set" frozen (Ibr_hash.scenario frozen_link);
+    refused_case "hp/harris-list" "nbr-cert/1;dfs;2;2;1;7;4x0,21x1,14x0"
+      (Hp_harris.scenario unprotected_hop);
+    refused_case "hp/hash-set" "nbr-cert/1;dfs;2;2;1;7;4x0,21x1,14x0"
+      (Hp_hash.scenario unprotected_hop);
+    refused_case "he/harris-list" "nbr-cert/1;dfs;2;2;1;7;4x0,30x1,14x0"
+      (He_harris.scenario unprotected_hop);
+    refused_case "he/hash-set" "nbr-cert/1;dfs;2;2;1;7;4x0,30x1,14x0"
+      (He_hash.scenario unprotected_hop);
+  ]
+
+(* The scripts convict the scheme, not themselves: under NBR+ every
+   one-preemption schedule of both is clean. *)
+let test_refusal_scripts_clean_under_nbr_plus () =
+  let module Np_harris = Refused (NP) (Harris (NP)) in
+  List.iter
+    (fun sc ->
+      with_clean_globals @@ fun () ->
+      let r =
+        Explore.dfs ~preemption_bound:1 ~nthreads:2
+          ~run:(Np_harris.scenario sc) ()
+      in
+      Alcotest.(check (option string)) "no finding" None
+        (Option.map fst r.Explore.r_violation))
+    [ frozen_link; unprotected_hop ]
+
 module Lazy_np = Nbr_ds.Lazy_list.Make (Sim) (NP)
 module Skip_np = Nbr_ds.Skip_list.Make (Sim) (NP)
 module Dgt_np = Nbr_ds.Dgt_bst.Make (Sim) (NP)
@@ -766,4 +927,9 @@ let suite =
         (test_exhausted_insert ~mid:true (module Dgt_np));
       Alcotest.test_case "ab-tree: exhausted insert unlocks" `Quick
         (test_exhausted_insert ~mid:true (module Ab_np));
+    ]
+  @ refused_cases
+  @ [
+      Alcotest.test_case "refusal scripts clean under nbr+" `Quick
+        test_refusal_scripts_clean_under_nbr_plus;
     ]

@@ -34,14 +34,19 @@ let test_rejects_unsupported () =
       Alcotest.(check int) (pair ^ " exits 2") 2 code;
       match lines with
       | [ l ] ->
-          Alcotest.(check bool)
-            (pair ^ " names the pairing: " ^ l)
-            true
-            (String.starts_with ~prefix:"nbr_bench: unsupported pairing" l)
+          (* The registry's reason, the fact first, as the harness and
+             the KV store print it. *)
+          Alcotest.(check string)
+            (pair ^ " names the pairing and its reason")
+            (Printf.sprintf
+               "nbr_bench: unsupported pairing %s x %s (paper P5), %s" scheme
+               structure
+               (Option.get (Nbr_workload.Registry.refusal ~scheme ~structure)))
+            l
       | _ ->
           Alcotest.failf "%s: expected one line on stderr, got %d" pair
             (List.length lines))
-    Nbr_workload.Registry.unsupported
+    (Nbr_workload.Registry.unsupported ())
 
 let test_runs_supported () =
   let code, _, _ =

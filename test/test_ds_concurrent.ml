@@ -141,7 +141,22 @@ let test_nbrp_lo_reclaims_exercised () =
     true
     ((Nbr_core.Smr_stats.lo_reclaims r.T.smr_stats) > 0)
 
-(* The harness refuses the P5-unsafe pairings instead of running them. *)
+(* The P5 pairs the registry refuses today, each with the declared fact
+   it violates, written out rather than derived. *)
+let refused =
+  [
+    ("ibr", "harris-list", "raw traversal");
+    ("ibr", "hash-set", "raw traversal");
+    ("hp", "harris-list", "raw traversal");
+    ("hp", "hash-set", "raw traversal");
+    ("hp", "skip-list", "rotating window");
+    ("he", "harris-list", "raw traversal");
+    ("he", "hash-set", "raw traversal");
+    ("he", "skip-list", "rotating window");
+  ]
+
+(* The harness refuses the P5-unsafe pairings instead of running them,
+   and says which fact each one violates. *)
 let test_harness_rejects_unsupported () =
   let cfg = T.Cfg.make ~nthreads:2 ~duration_ns:10_000 ~key_range:16 () in
   List.iter
@@ -149,15 +164,40 @@ let test_harness_rejects_unsupported () =
       match H.run ~scheme ~structure cfg with
       | _ -> Alcotest.failf "%s/%s ran" scheme structure
       | exception Invalid_argument msg ->
+          let fact =
+            List.find_map
+              (fun (s, d, f) ->
+                if s = scheme && d = structure then Some f else None)
+              refused
+          in
+          let reason =
+            Option.get (Nbr_workload.Registry.refusal ~scheme ~structure)
+          in
           Alcotest.(check string)
             "message"
-            (Printf.sprintf "Harness.run: %s cannot run %s safely (paper P5)"
-               scheme structure)
-            msg)
-    Nbr_workload.Registry.unsupported
+            (Printf.sprintf
+               "Harness.run: %s cannot run %s safely (paper P5), %s" scheme
+               structure reason)
+            msg;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s names %s" scheme structure
+               (Option.value fact ~default:"no fact"))
+            true
+            (match fact with
+            | Some f -> String.starts_with ~prefix:(f ^ ":") reason
+            | None -> false))
+    (Nbr_workload.Registry.unsupported ())
+
+(* Deriving the refusals from the declared facts keeps today's eight. *)
+let test_derived_refusals () =
+  Alcotest.(check (list (pair string string)))
+    "refused pairs"
+    (List.sort compare (List.map (fun (s, d, _) -> (s, d)) refused))
+    (List.sort compare (Nbr_workload.Registry.unsupported ()))
 
 (* Applying the harness builds no scheme × structure matrix: a trial's
-   modules are built when it runs. *)
+   modules are built when it runs.  Nor does reading every registry
+   fact: the facts are declared outside the functors. *)
 let test_harness_builds_nothing_up_front () =
   let w0 = Gc.minor_words () in
   let module H = Nbr_workload.Harness.Make (Sim) in
@@ -168,7 +208,16 @@ let test_harness_builds_nothing_up_front () =
   ignore run;
   Alcotest.(check bool)
     (Printf.sprintf "%.0f words allocated, at most 2000" words)
-    true (words <= 2000.)
+    true (words <= 2000.);
+  let module R = Nbr_workload.Registry in
+  let w0 = Gc.minor_words () in
+  List.iter (fun e -> ignore (Sys.opaque_identity e.R.r_desc)) R.all;
+  List.iter (fun (_, t) -> ignore (Sys.opaque_identity t)) R.structures;
+  ignore (Sys.opaque_identity (R.unsupported ()));
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words to read every fact, at most 1000" words)
+    true (words <= 1000.)
 
 let suite =
   List.map
@@ -191,4 +240,6 @@ let suite =
         test_harness_rejects_unsupported;
       Alcotest.test_case "harness builds nothing up front" `Quick
         test_harness_builds_nothing_up_front;
+      Alcotest.test_case "registry refuses exactly the P5 pairs" `Quick
+        test_derived_refusals;
     ]

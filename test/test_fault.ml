@@ -11,11 +11,7 @@ module T = Nbr_workload.Trial
 module FP = Nbr_fault.Fault_plan
 module P = Nbr_pool.Pool.Make (Sim)
 
-(* Restates each scheme's [bounded_garbage] flag (the harness is
-   string-keyed). *)
-let claims_bounded = function
-  | "nbr" | "nbr+" | "ibr" | "hp" | "he" -> true
-  | _ -> false
+let claims_bounded = Nbr_workload.Experiments.claims_bounded
 
 (* HP/HE cannot run mark-traversing structures (paper P5). *)
 let structure_for = Nbr_workload.Experiments.list_for

@@ -271,8 +271,8 @@ let test_scan_concurrent scheme () =
   let san =
     Nbr_check.Sanitizer.attach
       {
-        Nbr_check.Sanitizer.family =
-          Nbr_check.Sanitizer.family_of_scheme scheme;
+        Nbr_check.Sanitizer.protection =
+          (Registry.find_exn scheme).r_desc.protection;
         nthreads;
         garbage_bound = None;
       }

@@ -73,8 +73,6 @@ let combos =
 module Sim = Nbr_runtime.Sim_rt
 module HS = Nbr_workload.Harness.Make (Sim)
 
-let bounded_schemes = [ "nbr"; "nbr+"; "ibr"; "hp"; "he" ]
-
 let check_parity ~scheme ~structure () =
   let cfg =
     T.Cfg.make ~nthreads:4 ~duration_ns:100_000_000 ~key_range:128
@@ -90,7 +88,8 @@ let check_parity ~scheme ~structure () =
        suite: the bound caps each thread's limbo buffer, not the pool-wide
        sum across threads. *)
     let mg = Nbr_core.Smr_stats.max_garbage r.T.smr_stats in
-    if List.mem scheme bounded_schemes && mg > r.T.garbage_bound then
+    if Nbr_workload.Experiments.claims_bounded scheme && mg > r.T.garbage_bound
+    then
       Alcotest.failf "%s/%s (%s): max_garbage %d exceeds bound %d" scheme
         structure r.T.runtime mg r.T.garbage_bound
   in

@@ -12,13 +12,7 @@ module FP = Nbr_fault.Fault_plan
 module Tr = Nbr_obs.Trace
 module R = Nbr_reclaim.Reclaimer
 
-let claims_bounded = function
-  | "nbr" | "nbr+" | "ibr" | "hp" | "he" -> true
-  | _ -> false
-
-(* Schemes that buffer retires: the only ones that can hand a bag off. *)
-let buffers = function "none" | "unsafe-free" -> false | _ -> true
-
+let claims_bounded = Nbr_workload.Experiments.claims_bounded
 let structure_for = Nbr_workload.Experiments.list_for
 
 let count_kind k evs =
@@ -83,7 +77,13 @@ let healthy_case scheme =
   Alcotest.test_case (scheme ^ " healthy offload") `Quick (fun () ->
       let ((_, _, evs) as out) = reclaim_trial scheme in
       check_valid scheme out;
-      if buffers scheme && scheme <> "debra" then begin
+      (* Only a scheme that protects has a reason to delay a free, so
+         only those buffer retires and can hand a bag off. *)
+      let protects =
+        (Nbr_workload.Registry.find_exn scheme).r_desc.protection
+        <> Unprotected
+      in
+      if protects && scheme <> "debra" then begin
         if count_kind Tr.Bag_handoff evs = 0 then
           Alcotest.failf "%s: no bag handoffs traced" scheme;
         if count_kind Tr.Handoff_collect evs = 0 then
@@ -232,7 +232,10 @@ let prop_bound_under_reclaimer_fates =
   let gen =
     QCheck.Gen.(
       let* seed = 1 -- 10_000 in
-      let* scheme = oneofl [ "nbr"; "nbr+"; "ibr"; "hp"; "he" ] in
+      let* scheme =
+        oneofl
+          (List.filter claims_bounded Nbr_workload.Registry.scheme_names)
+      in
       let* fate = 0 -- 3 in
       return (seed, scheme, fate))
   in
