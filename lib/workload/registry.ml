@@ -1,5 +1,4 @@
-(* See registry.mli.  A scheme is packed with its declared facts and its
-   [Make] functor, which a consumer applies to its own runtime. *)
+(* See registry.mli: a scheme's declared facts and its [Make] functor. *)
 
 module type SCHEME = sig
   val descriptor : Nbr_core.Smr_intf.scheme

@@ -39,23 +39,24 @@ val structure_names : string list
 val refusal : scheme:string -> structure:string -> string option
 (** [Some reason] when the scheme's declared protection cannot cover the
     structure's declared traversal (paper P5); the reason opens with the
-    violated fact.  [None] for a safe pair and for unknown names.
-    - {b raw traversal} (harris-list, hash-set): links read with
-      [read_raw] through records that may be unlinked, beyond [Hazard]
-      and [Interval] protection.  Certified for hp, he and ibr on both
-      by committed schedules in [test/test_check.ml] that replay a read
-      of a freed record.  HP and HE publish nothing for a [read_raw]
-      hop, so a reader stopped before following a link follows it into
-      a node deleted and swept meanwhile.  IBR's ratchet cannot
-      validate: a reader stopped inside its interval on a node deleted
-      meanwhile follows the node's frozen link to a successor born after
-      the interval and already swept (first found by the churn QCheck
-      property).
-    - {b rotating window} (skip-list): protected records must outlive
-      the last few reads, but a [Hazard] scheme's rotating window of
-      slots overwrites the oldest first; IBR's interval has no window.
-      Refused, unproven, for hp and he: no committed schedule shows the
-      loss yet. *)
+    violated fact.  [None] for a safe pair and for unknown names.  Each
+    refused pair has a committed schedule in [test/test_check.ml] that
+    replays a read of a freed record.
+    - {b raw traversal} (harris-list, hash-set; hp, he, ibr): links read
+      with [read_raw] through records that may be unlinked.  HP and HE
+      publish nothing for such a hop, so a reader stopped before
+      following a link follows it into a node deleted and swept
+      meanwhile.  IBR's ratchet cannot validate: a reader stopped on a
+      node deleted meanwhile follows its frozen link to a successor
+      born after the interval and already swept (first found by the
+      churn QCheck property).
+    - {b rotating window} (skip-list; hp, he): a traversal keeps
+      records protected past the last few reads, but a [Hazard]
+      scheme's window of slots overwrites the oldest first (IBR's
+      interval has no window).  A long level-0 walk rotates out the
+      slot protecting a level-1 predecessor, which is then deleted and
+      swept before the write phase reads it.  HE needs the era to move
+      past that retirement first: three thread switches. *)
 
 val supported : scheme:string -> structure:string -> bool
 (** [refusal ~scheme ~structure = None]. *)

@@ -730,24 +730,41 @@ let test_exhausted_insert ?(mid = false) d () =
       (List.exists (fun n -> n > 0) got)
 
 (* ------------------------------------------------------------------ *)
-(* Refusal certificates.  Each pair the registry refuses for a raw
-   traversal (paper P5) is built here past the harness's refusal, and a
-   committed certificate replays the use-after-free it allows.  The
-   reader and the writer each run a script of set operations; a
-   certificate preempts the reader once, runs the writer to its end,
-   then resumes the reader.  Every retire sweeps (bag threshold 1) and
-   every allocation moves the era.
+(* Refusal certificates.  Each pair the registry refuses (paper P5) is
+   built here past the harness's refusal, and a committed certificate
+   replays the use-after-free it allows.  The reader and the writer each
+   run a script of set operations; a certificate preempts the reader,
+   runs the writer, then resumes the reader.  Every retire sweeps (bag
+   threshold 1), every allocation moves the era, and the scheme is
+   configured with the structure's reservations, as the harness does.
 
-   [frozen_link] (IBR): the reader stops on node 10 inside its
-   interval.  The writer inserts 15 behind it, deletes 10 (pinned by
-   that interval, its mark-tagged link frozen at 15), deletes 15 and
-   sweeps it with a later retire: 15 was born after the interval.  The
-   reader's [read_raw] of the frozen link ratchets its era but cannot
-   validate, and it reads the freed node's key.
+   [frozen_link] (IBR, raw traversal): the reader stops on node 10
+   inside its interval.  The writer inserts 15 behind it, deletes 10
+   (pinned by that interval, its mark-tagged link frozen at 15), deletes
+   15 and sweeps it with a later retire: 15 was born after the interval.
+   The reader's [read_raw] of the frozen link ratchets its era but
+   cannot validate, and it reads the freed node's key.
 
-   [unprotected_hop] (HP, HE): [read_raw] publishes no hazard, so the
-   reader, stopped between reading 10's link to 40 and following it,
-   follows it after the writer deleted and swept 40. *)
+   [unprotected_hop] (HP, HE, raw traversal): [read_raw] publishes no
+   hazard, so the reader, stopped between reading 10's link to 40 and
+   following it, follows it after the writer deleted and swept 40.
+
+   [long_descent] (HP, rotating window): 2 is the one prefilled key of
+   level 2 or more, so the reader's insert of 45 (level 2) takes 2 as
+   its level-1 predecessor and then walks the 21 level-1 nodes: 23 more
+   reads than the hazard pointing at 2, and the window holds
+   [max_reservations + 2] = 19.  Stopped at the end of its read phase,
+   the reader resumes after the writer deleted and swept 2, and its
+   write phase reads the freed 2's key to lock it.
+
+   [era_moves] (HE, rotating window): an era slot protects 2 as long as
+   the era has not moved past 2's retirement, so [long_descent] alone is
+   clean under HE on every one-preemption schedule.  Three preemptions
+   break it: the writer deletes 2 right after the reader read it, and
+   inserts 3, which moves the era; the reader's remaining reads then
+   publish only later eras; the writer's delete of 3 sweeps 2; and the
+   reader's write phase reads the freed 2's key.  Its certificate was
+   found by scanning the three switch points. *)
 
 module type SET = sig
   type t
@@ -755,6 +772,7 @@ module type SET = sig
 
   val data_fields : int
   val ptr_fields : int
+  val max_reservations : int
   val create : P.t -> t
   val insert : t -> ctx -> int -> bool
   val delete : t -> ctx -> int -> bool
@@ -774,21 +792,33 @@ let frozen_link =
 let unprotected_hop =
   { prefill = [ 10; 40 ]; reader = [ Del 50 ]; writer = [ Del 40 ] }
 
+let long_descent =
+  {
+    prefill =
+      [ 2; 4; 7; 8; 10; 11; 13; 14; 17; 20; 23; 24; 26; 27; 30; 33; 36; 37;
+        39; 40; 42; 43 ];
+    reader = [ Ins 45 ];
+    writer = [ Del 2 ];
+  }
+
+let era_moves = { long_descent with writer = [ Del 2; Ins 3; Del 3 ] }
+
 module Refused
     (S : Nbr_core.Smr_intf.S with type pool = P.t)
     (D : SET with type ctx = S.ctx) =
 struct
   let scenario sc () =
     Sim.set_config det_config;
-    Sim.set_max_events 500_000;
+    Sim.set_max_events 20_000;
     let pool =
-      P.create ~capacity:32 ~data_fields:D.data_fields
+      P.create ~capacity:64 ~data_fields:D.data_fields
         ~ptr_fields:D.ptr_fields ~nthreads:2 ()
     in
     let smr =
       S.create pool ~nthreads:2
         {
           Nbr_core.Smr_config.default with
+          max_reservations = D.max_reservations;
           epoch_freq = 1;
           bag_threshold = 1;
           lo_watermark = 1;
@@ -812,13 +842,29 @@ struct
         | Del k -> ignore (D.delete d c k)
         | Has k -> ignore (D.contains d c k))
     in
-    (try
-       Sim.run ~nthreads:2 (fun tid ->
-           if tid = 0 then run c0 sc.reader else run c1 sc.writer)
-     with Sim.Stuck _ -> ());
+    (* A preemption that parks a thread holding a record lock leaves the
+       other spinning until the event cap: its unfinished operations are
+       not findings. *)
+    let stuck =
+      try
+        Sim.run ~nthreads:2 (fun tid ->
+            if tid = 0 then run c0 sc.reader else run c1 sc.writer);
+        false
+      with Sim.Stuck _ -> true
+    in
     San.detach san;
     if Trace.enabled () then Trace.disable ();
-    verdict san
+    let vs =
+      List.filter
+        (fun v -> not (stuck && v.San.v_rule = "unbalanced_op"))
+        (San.violations san)
+    in
+    (* A write phase's plain read of a freed record is counted, not
+       traced as an access: the pool's stale-read count convicts it. *)
+    match (vs, (P.stats pool).P.s_uaf_reads) with
+    | [], 0 -> None
+    | [], n -> Some (Printf.sprintf "%d reads through a stale handle" n)
+    | vs, _ -> Some (String.concat "\n" (List.map San.violation_to_string vs))
 end
 
 module Harris (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
@@ -836,10 +882,16 @@ module Hash (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
   let create pool = create ~buckets:1 pool
 end
 
+module Skip (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
+  type ctx = S.ctx
+
+  include Nbr_ds.Skip_list.Make (Sim) (S)
+end
+
 module Hp = Nbr_core.Hp.Make (Sim)
 module He = Nbr_core.Hazard_eras.Make (Sim)
 
-let refused_case pair cert run =
+let refused_case pair ~finding cert run =
   Alcotest.test_case
     (Printf.sprintf "refused %s: certificate replays a UAF" pair)
     `Quick
@@ -847,10 +899,12 @@ let refused_case pair cert run =
       with_clean_globals @@ fun () ->
       let cert = Cert.of_string cert in
       let r1 = Explore.replay cert ~run in
-      Alcotest.(check bool) "replay reads a freed record" true
-        (match r1 with Some d -> contains d "uaf_access" | None -> false);
+      Alcotest.(check bool) ("replay reads a freed record: " ^ finding) true
+        (match r1 with Some d -> contains d finding | None -> false);
       Alcotest.(check (option string)) "replay is deterministic" r1
         (Explore.replay cert ~run))
+
+let era_moves_cert = "nbr-cert/1;scan;2;2;1;7;44x0,200x1,116x0,171x1,261x0"
 
 let refused_cases =
   let module Ibr_harris = Refused (I) (Harris (I)) in
@@ -859,34 +913,54 @@ let refused_cases =
   let module Ibr_hash = Refused (I) (Hash (I)) in
   let module Hp_hash = Refused (Hp) (Hash (Hp)) in
   let module He_hash = Refused (He) (Hash (He)) in
+  let module Hp_skip = Refused (Hp) (Skip (Hp)) in
+  let module He_skip = Refused (He) (Skip (He)) in
   let frozen = "nbr-cert/1;dfs;2;2;1;7;9x0,113x1,10x0" in
+  let uaf = "uaf_access" and stale = "stale handle" in
   [
-    refused_case "ibr/harris-list" frozen (Ibr_harris.scenario frozen_link);
-    refused_case "ibr/hash-set" frozen (Ibr_hash.scenario frozen_link);
-    refused_case "hp/harris-list" "nbr-cert/1;dfs;2;2;1;7;4x0,21x1,14x0"
+    refused_case "ibr/harris-list" ~finding:uaf frozen
+      (Ibr_harris.scenario frozen_link);
+    refused_case "ibr/hash-set" ~finding:uaf frozen
+      (Ibr_hash.scenario frozen_link);
+    refused_case "hp/harris-list" ~finding:uaf
+      "nbr-cert/1;dfs;2;2;1;7;4x0,21x1,14x0"
       (Hp_harris.scenario unprotected_hop);
-    refused_case "hp/hash-set" "nbr-cert/1;dfs;2;2;1;7;4x0,21x1,14x0"
+    refused_case "hp/hash-set" ~finding:uaf
+      "nbr-cert/1;dfs;2;2;1;7;4x0,21x1,14x0"
       (Hp_hash.scenario unprotected_hop);
-    refused_case "he/harris-list" "nbr-cert/1;dfs;2;2;1;7;4x0,30x1,14x0"
+    refused_case "he/harris-list" ~finding:uaf
+      "nbr-cert/1;dfs;2;2;1;7;4x0,30x1,14x0"
       (He_harris.scenario unprotected_hop);
-    refused_case "he/hash-set" "nbr-cert/1;dfs;2;2;1;7;4x0,30x1,14x0"
+    refused_case "he/hash-set" ~finding:uaf
+      "nbr-cert/1;dfs;2;2;1;7;4x0,30x1,14x0"
       (He_hash.scenario unprotected_hop);
+    refused_case "hp/skip-list" ~finding:stale
+      "nbr-cert/1;dfs;2;2;1;7;215x0,119x1,262x0"
+      (Hp_skip.scenario long_descent);
+    refused_case "he/skip-list" ~finding:stale era_moves_cert
+      (He_skip.scenario era_moves);
   ]
 
 (* The scripts convict the scheme, not themselves: under NBR+ every
-   one-preemption schedule of both is clean. *)
+   one-preemption schedule of each is clean, and so is the three-switch
+   schedule of [era_moves]. *)
 let test_refusal_scripts_clean_under_nbr_plus () =
   let module Np_harris = Refused (NP) (Harris (NP)) in
+  let module Np_skip = Refused (NP) (Skip (NP)) in
   List.iter
-    (fun sc ->
+    (fun run ->
       with_clean_globals @@ fun () ->
-      let r =
-        Explore.dfs ~preemption_bound:1 ~nthreads:2
-          ~run:(Np_harris.scenario sc) ()
-      in
+      let r = Explore.dfs ~preemption_bound:1 ~nthreads:2 ~run () in
       Alcotest.(check (option string)) "no finding" None
         (Option.map fst r.Explore.r_violation))
-    [ frozen_link; unprotected_hop ]
+    [
+      Np_harris.scenario frozen_link; Np_harris.scenario unprotected_hop;
+      Np_skip.scenario long_descent; Np_skip.scenario era_moves;
+    ];
+  with_clean_globals @@ fun () ->
+  Alcotest.(check (option string)) "three switches, no finding" None
+    (Explore.replay (Cert.of_string era_moves_cert)
+       ~run:(Np_skip.scenario era_moves))
 
 module Lazy_np = Nbr_ds.Lazy_list.Make (Sim) (NP)
 module Skip_np = Nbr_ds.Skip_list.Make (Sim) (NP)
