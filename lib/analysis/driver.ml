@@ -1,5 +1,5 @@
-(* Analysis driver: file walking, parsing, the summary fixpoint, rule
-   dispatch, and exemption filtering (DESIGN.md §16).
+(* Analysis driver: file walking, parsing, rule dispatch, and exemption
+   filtering (DESIGN.md §16).
 
    [bin/nbr_lint.ml] is a thin shell over [main]; tests call
    [analyze_files] directly on fixture sets. *)
@@ -46,8 +46,6 @@ let analyze_files ?(allowlist = Findings.Allowlist.empty ())
         | Error exn -> (ok, Idiom.parse_failure ~file exn :: bad))
       ([], []) files
   in
-  let parsed = List.rev parsed in
-  let sum = Summary.build parsed in
   let waivers = Findings.Waivers.create () in
   let raw = ref parse_findings in
   if check_mli then
@@ -58,11 +56,10 @@ let analyze_files ?(allowlist = Findings.Allowlist.empty ())
         | None -> ())
       files;
   List.iter
-    (fun (info : Summary.info) ->
-      Findings.Waivers.collect waivers ~file:info.path info.structure;
-      raw := Idiom.check_structure ~file:info.path info.structure @ !raw;
-      raw := Rules.check_scheme sum info @ !raw)
-    sum.Summary.infos;
+    (fun (file, structure) ->
+      Findings.Waivers.collect waivers ~file structure;
+      raw := Idiom.check_structure ~file structure @ !raw)
+    (List.rev parsed);
   let suppressed = ref 0 in
   let kept =
     List.filter

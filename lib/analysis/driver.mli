@@ -1,5 +1,5 @@
-(** Analysis driver: file walking, parsing, summary construction, rule
-    dispatch and exemption filtering (DESIGN.md §16).  [bin/nbr_lint.ml]
+(** Analysis driver: file walking, parsing, rule dispatch and exemption
+    filtering (DESIGN.md §16).  [bin/nbr_lint.ml]
     is a thin shell over {!main}; tests call {!analyze_files} on fixture
     sets directly. *)
 

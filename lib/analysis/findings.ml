@@ -1,13 +1,12 @@
 (* Findings, allowlists and waivers: the shared reporting engine of the
    static analysis (DESIGN.md §16).
 
-   Every rule — the R2 scheme-closure check in [Rules] and the
-   concurrency-idiom checks in [Idiom] — reports through this module, so
+   Every rule (the checks in [Idiom]) reports through this module, so
    exemption handling, rendering (plain / GitHub annotations / SARIF)
    and the exit-status decision live in exactly one place. *)
 
 type t = {
-  rule : string;  (** kebab-case rule id, e.g. ["unguarded-deref"] *)
+  rule : string;  (** kebab-case rule id, e.g. ["obj-magic"] *)
   file : string;
   line : int;
   col : int;

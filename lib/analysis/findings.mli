@@ -2,7 +2,7 @@
     engine behind every rule of the static analysis (DESIGN.md §16). *)
 
 type t = {
-  rule : string;  (** kebab-case rule id, e.g. ["unguarded-deref"] *)
+  rule : string;  (** kebab-case rule id, e.g. ["obj-magic"] *)
   file : string;
   line : int;
   col : int;

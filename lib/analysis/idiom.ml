@@ -1,6 +1,5 @@
-(* Concurrency-idiom rules (DESIGN.md §11), ported onto the shared
-   findings engine so they report, allowlist and emit SARIF exactly
-   like the R2 scheme rule:
+(* Concurrency-idiom rules (DESIGN.md §11), on the shared findings
+   engine, which reports, allowlists and emits SARIF for each alike:
 
    - [atomic-make]    lib/core and lib/ds must not call [Atomic.make]
                       directly: shared cells go through the runtime

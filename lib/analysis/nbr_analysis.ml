@@ -1,17 +1,18 @@
-(** Static phase-discipline analysis for the NBR protocol
-    (DESIGN.md §16), exposed as [Nbr.Analysis].
+(** Static analysis of the library sources (DESIGN.md §16), exposed as
+    [Nbr.Analysis].
 
     The types of {!Nbr_core.Smr_intf.S} keep phases inside operations,
     operations balanced, validated reads inside read phases and writes,
-    locks and allocation inside write phases.  This compiler-libs pass
-    over the library sources checks what they cannot see: that each
-    scheme's read path installs the guard of its family.  Runs as
-    [dune build @lint] via [bin/nbr_lint], alongside the
-    concurrency-idiom rules. *)
+    locks and allocation inside write phases.  The protocol steps each
+    scheme's own read path must take (its restart checkpoint, NBR's
+    neutralization poll, HP/HE/IBR publication and validation, the epoch
+    family's announcement) are certified by schedules that kill a mutant
+    of each (test/test_mutants.ml).  What stays here is a compiler-libs
+    pass for the concurrency-idiom rules, with in-source waivers, an
+    allowlist and SARIF output.  Runs as [dune build @lint] via
+    [bin/nbr_lint]. *)
 
 module Findings = Findings
-module Summary = Summary
-module Rules = Rules
 module Idiom = Idiom
 module Sarif = Sarif
 module Driver = Driver

@@ -23,7 +23,6 @@ let escape s =
 
 let rule_descriptions =
   [
-    ("unguarded-deref", "R2: each scheme's read path installs its guard");
     ("atomic-make", "shared cells go through the runtime constructors");
     ("domain-dls", "Domain.DLS is a runtime-layer concern");
     ("obj-magic", "no Obj.magic in library code");

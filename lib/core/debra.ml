@@ -14,9 +14,8 @@
     in a burst — the "delayed thread vulnerability" the paper blames for
     DEBRA's throughput collapse at high thread counts (§7). *)
 
-let scheme_name = "debra"
 let descriptor =
-  { Smr_intf.name = scheme_name; bounded_garbage = false; protection = Epoch }
+  { Smr_intf.name = "debra"; bounded_garbage = false; protection = Epoch }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)

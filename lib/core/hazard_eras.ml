@@ -17,9 +17,8 @@
 
     Bounded: a stalled thread pins at most its published eras' records. *)
 
-let scheme_name = "he"
 let descriptor =
-  { Smr_intf.name = scheme_name; bounded_garbage = true; protection = Hazard }
+  { Smr_intf.name = "he"; bounded_garbage = true; protection = Hazard }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)

@@ -16,9 +16,8 @@
 
     Bounded: at most (window × threads) records can be pinned. *)
 
-let scheme_name = "hp"
 let descriptor =
-  { Smr_intf.name = scheme_name; bounded_garbage = true; protection = Hazard }
+  { Smr_intf.name = "hp"; bounded_garbage = true; protection = Hazard }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)

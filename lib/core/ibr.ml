@@ -24,9 +24,8 @@
     announce-and-validate.  [read_raw] cannot validate, which is why the
     registry refuses IBR the raw-traversal structures. *)
 
-let scheme_name = "ibr"
 let descriptor =
-  { Smr_intf.name = scheme_name; bounded_garbage = true; protection = Interval }
+  { Smr_intf.name = "ibr"; bounded_garbage = true; protection = Interval }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)

@@ -5,9 +5,8 @@
     reclamation costs at all) and the foil for the E2 memory experiments
     (its footprint grows linearly with updates). *)
 
-let scheme_name = "none"
 let descriptor =
-  { Smr_intf.name = scheme_name; bounded_garbage = false;
+  { Smr_intf.name = "none"; bounded_garbage = false;
     protection = Unprotected }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct

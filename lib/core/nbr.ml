@@ -11,9 +11,8 @@
     signals, so a collective round of reclamation costs O(n²) signals —
     the bottleneck NBR+ removes (§5). *)
 
-let scheme_name = "nbr"
 let descriptor =
-  { Smr_intf.name = scheme_name; bounded_garbage = true;
+  { Smr_intf.name = "nbr"; bounded_garbage = true;
     protection = Neutralization }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct

@@ -22,9 +22,8 @@
     that began strictly after the bookmark, which is what the safety
     argument (Lemma 9) actually needs. *)
 
-let scheme_name = "nbr+"
 let descriptor =
-  { Smr_intf.name = scheme_name; bounded_garbage = true;
+  { Smr_intf.name = "nbr+"; bounded_garbage = true;
     protection = Neutralization }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct

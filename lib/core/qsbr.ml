@@ -10,9 +10,8 @@
     Not bounded: a thread stalled {e inside} an operation freezes its odd
     counter and blocks every parked buffer behind it. *)
 
-let scheme_name = "qsbr"
 let descriptor =
-  { Smr_intf.name = scheme_name; bounded_garbage = false; protection = Epoch }
+  { Smr_intf.name = "qsbr"; bounded_garbage = false; protection = Epoch }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)

@@ -9,9 +9,8 @@
     Not bounded: a reader stalled inside an operation pins the minimum
     epoch. *)
 
-let scheme_name = "rcu"
 let descriptor =
-  { Smr_intf.name = scheme_name; bounded_garbage = false; protection = Epoch }
+  { Smr_intf.name = "rcu"; bounded_garbage = false; protection = Epoch }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   module P = Nbr_pool.Pool.Make (Rt)

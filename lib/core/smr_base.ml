@@ -407,10 +407,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
 
   (* The restart wrapper of the validating schemes (HP, HE, IBR): a read
      phase aborted through the checkpoint is replayed, and the UAF reads
-     of the aborted attempt are classified benign.  Keep these after
-     [Unguarded]: the phase analysis keys a file's bindings by name, and
-     the last [phase] / [read_only] here is the one its R2 check resolves
-     for the schemes that include this layer. *)
+     of the aborted attempt are classified benign. *)
   let view_attempt c v attempts =
     incr attempts;
     if !attempts > 1 then Smr_stats.uaf_abort c.st;

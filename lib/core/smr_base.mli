@@ -21,8 +21,7 @@
     of a scheme file is
 
     {v
-      let scheme_name = "..."
-      let descriptor = { Smr_intf.name = scheme_name; ... }
+      let descriptor = { Smr_intf.name = "..."; ... }
       module Make (Rt) = struct
         module B = Smr_base.Make (Rt) (struct let descriptor ... end)
         include B

@@ -8,10 +8,9 @@
     under NBR.  Never use it for anything else: traversals over recycled
     slots may not terminate. *)
 
-let scheme_name = "unsafe-free"
 (* Bounded trivially: nothing is ever buffered. *)
 let descriptor =
-  { Smr_intf.name = scheme_name; bounded_garbage = true;
+  { Smr_intf.name = "unsafe-free"; bounded_garbage = true;
     protection = Unprotected }
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct

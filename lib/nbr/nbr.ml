@@ -104,11 +104,9 @@ module Reclaim = Nbr_reclaim.Reclaimer
     schedule certificates).  See DESIGN.md §11. *)
 module Check = Nbr_check
 
-(** Static phase-discipline analysis (DESIGN.md §16) for what the
-    types of {!Scheme.S} do not enforce: a compiler-libs pass over
-    per-callee effect summaries checking R2, the scheme-family guard
-    closures, plus the concurrency idiom rules, with SARIF output.  Drives
-    [bin/nbr_lint] / [dune build @lint]. *)
+(** Static analysis (DESIGN.md §16): a compiler-libs pass for the
+    concurrency-idiom rules, with SARIF output.  Drives [bin/nbr_lint] /
+    [dune build @lint]. *)
 module Analysis = Nbr_analysis
 
 (** SplitMix64 PRNG, the repo-wide randomness source. *)

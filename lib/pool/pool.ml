@@ -805,6 +805,19 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let[@inline] check t c i h =
     if t.gen_check && not (owns c i h (meta_of c i)) then note_stale t h
 
+  (* A plain read through a stale handle is applied to the recycled
+     memory: a committed read of a freed record, so it is traced as an
+     [Access] too, which the sanitizer's [uaf_access] rule convicts under
+     every protection.  Kept out of line: only the stale branch calls it. *)
+  let[@inline never] stale_get t c i h =
+    note_stale t h;
+    if !Nbr_obs.Trace.fine then
+      Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
+        Nbr_obs.Trace.Access h (st_of c i)
+
+  let[@inline] check_get t c i h =
+    if t.gen_check && not (owns c i h (meta_of c i)) then stale_get t c i h
+
   let raw_load_ptr t h f =
     let c = cls_of t h in
     let i = slot_of c h in
@@ -851,13 +864,13 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let get_data t h f =
     let c = cls_of t h in
     let i = slot_of c h in
-    check t c i h;
+    check_get t c i h;
     Rt.plain_load_at (data c i f) (off i)
 
   let get_ptr t h f =
     let c = cls_of t h in
     let i = slot_of c h in
-    check t c i h;
+    check_get t c i h;
     Rt.load_at (ptr c i f) (off i)
 
   let set_data t h f v =

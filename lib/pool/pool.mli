@@ -236,6 +236,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   val set_data : t -> int -> int -> int -> unit
   val get_ptr : t -> int -> int -> int
   val set_ptr : t -> int -> int -> int -> unit
+  (** A [get_] through a stale handle reads the recycled memory, a
+      committed read of a freed record: it is traced as an access as
+      well as a stale handle. *)
 
   (** {1 Record locks}
 

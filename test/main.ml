@@ -21,6 +21,7 @@ let () =
       ("kv", Test_kv.suite);
       ("guard", Test_guard.suite);
       ("check", Test_check.suite);
+      ("mutants", Test_mutants.suite);
       ("analysis", Test_analysis.suite);
       ("cli", Test_cli.suite);
     ]

@@ -1,10 +1,9 @@
 (* The phase discipline checked before anything runs, end to end: the
-   analyzer's R2 scheme-closure rule against a violating/clean fixture
-   pair, the ported idiom rules, in-source waivers, allowlist path
+   analyzer's idiom rules, in-source waivers, allowlist path
    normalization, SARIF emission; the compiler's verdicts on the
    compile-must-fail fixtures that stand for what the types of
-   [Smr_intf.S] enforce (the write token, the read token that is R2's
-   client half, and the operation bracket); and
+   [Smr_intf.S] enforce (the write token, the read token, and the
+   operation bracket); and
    the cross-validation story: one seeded-violation module ([Broken_ds])
    convicted both by the compiler, as an S-typed copy, and by a
    DFS-explored dynamic sanitizer run (DESIGN.md §16).
@@ -67,14 +66,6 @@ let compiled name =
   if contains out "Error" then
     Alcotest.failf "%s.ml: expected to compile, compiler said: %s" name out
 
-let check_pair ~violating ~clean ~expected () =
-  let r = analyze [ violating ] in
-  Alcotest.(check (list string)) "violating fixture flagged" expected
-    (strings_of r);
-  let rc = analyze [ clean ] in
-  Alcotest.(check (list string)) "clean twin silent" [] (strings_of rc);
-  Alcotest.(check int) "nothing suppressed" 0 rc.D.suppressed
-
 (* The write token: writes, allocations and retirements take one, only
    a running write phase hands one out, and it cannot leave that phase.
    The clean twin does all of them in its write phase. *)
@@ -99,10 +90,12 @@ let test_read_phase_lock () =
   rejected "read_lock" ~line:12 rd_not_wr;
   compiled "write_clean"
 
-(* R2's client half is the read token: a validated read needs one, only
-   a running read phase hands one out, it cannot leave that phase, and
-   a phase needs the token of an open operation. *)
-let test_r2 () =
+(* The read token: a validated read needs one, only a running read
+   phase hands one out, it cannot leave that phase, and a phase needs
+   the token of an open operation.  (The scheme side of a guarded read,
+   each scheme's checkpoint, publication, validation and announcement,
+   is certified by the mutant kills in test_mutants.ml.) *)
+let test_read_token () =
   rejected "unguarded_read" ~line:6
     "This expression has type S.ctx but an expression was expected of \
      type 'a S.rd";
@@ -124,63 +117,6 @@ let test_hand_opened_op () =
 let test_read_phase_plain_read () =
   rejected "plain_read" ~line:10 rd_not_wr;
   compiled "write_clean"
-
-(* The acceptance criterion from PR 4: an IBR-family read_ptr that
-   ratchets its reservation interval but never validates the slot must
-   be caught statically by R2's scheme-closure check. *)
-let test_scheme_ibr =
-  check_pair ~violating:"scheme_ibr_violation.ml" ~clean:"scheme_ibr_clean.ml"
-    ~expected:
-      [
-        exp "scheme_ibr_violation.ml" 24
-          "[unguarded-deref] scheme ibr: read_ptr publishes without \
-           validating slot liveness";
-      ]
-
-(* Every scheme file under lib/core names itself where the analyzer
-   looks, and R2 finds each function its family checks there: moving a
-   scheme's facts must not silently take it out of R2. *)
-let test_r2_covers_schemes () =
-  let dir = if root = "" then "../lib/core" else "lib/core" in
-  let parse f =
-    In_channel.with_open_text f (fun ic ->
-        (f, Parse.implementation (Lexing.from_channel ic)))
-  in
-  let module S = Nbr_analysis.Summary in
-  let module R = Nbr_analysis.Rules in
-  let sum = S.build (List.map parse (D.ml_files_of_dirs [ dir ])) in
-  let checked =
-    List.filter_map
-      (fun (info : S.info) ->
-        Option.map
-          (fun s ->
-            let checks = R.checks (R.family_of_scheme s) in
-            if R.family_of_scheme s = R.Unknown_family then
-              Alcotest.failf "%s: scheme %s has no R2 family" info.path s;
-            List.iter
-              (fun (fn, _, _) ->
-                if S.lookup_fn sum info fn = None then
-                  Alcotest.failf "%s: R2 cannot find %s" info.path fn)
-              checks;
-            (Filename.basename info.path, s, List.length checks))
-          info.scheme)
-      sum.infos
-  in
-  Alcotest.(check (list (triple string string int)))
-    "scheme files, their names and the R2 checks run on each"
-    [
-      ("debra.ml", "debra", 1);
-      ("hazard_eras.ml", "he", 4);
-      ("hp.ml", "hp", 4);
-      ("ibr.ml", "ibr", 4);
-      ("leaky.ml", "none", 0);
-      ("nbr.ml", "nbr", 3);
-      ("nbr_plus.ml", "nbr+", 3);
-      ("qsbr.ml", "qsbr", 1);
-      ("rcu.ml", "rcu", 1);
-      ("unsafe_free.ml", "unsafe-free", 0);
-    ]
-    (List.sort compare checked)
 
 let test_idiom () =
   let r = analyze [ "idiom_violation.ml" ] in
@@ -230,23 +166,29 @@ let test_allowlist_normalization () =
   with_temp_allowlist
     [
       "# comment";
-      "unguarded-deref:" ^ root
-      ^ "fixtures//analysis/./scheme_ibr_violation.ml";
-      "unguarded-deref:" ^ root ^ "fixtures/analysis/scheme_ibr_violation.ml/";
+      "obj-magic:" ^ root ^ "fixtures//analysis/./idiom_violation.ml";
+      "obj-magic:" ^ root ^ "fixtures/analysis/idiom_violation.ml/";
     ]
   @@ fun (allowlist, warnings) ->
   Alcotest.(check int) "second spelling warned as duplicate" 1
     (List.length warnings);
   Alcotest.(check bool) "normalized spelling matches" true
-    (F.Allowlist.mem allowlist ~rule:"unguarded-deref"
-       ~file:(fix "scheme_ibr_violation.ml"));
-  let r = analyze ~allowlist [ "scheme_ibr_violation.ml" ] in
-  Alcotest.(check (list string)) "allowlisted finding dropped" []
+    (F.Allowlist.mem allowlist ~rule:"obj-magic"
+       ~file:(fix "idiom_violation.ml"));
+  let r = analyze ~allowlist [ "idiom_violation.ml" ] in
+  Alcotest.(check (list string)) "allowlisted finding dropped"
+    [
+      exp "idiom_violation.ml" 6
+        "[pool-raw-index] raw cell addressing bypasses generation \
+         validation: go through the scheme's validated accessors \
+         (read_data / read_ptr / peek_ptr), or grandfather a deliberate \
+         use in the allowlist";
+    ]
     (strings_of r);
   Alcotest.(check int) "and counted as suppressed" 1 r.D.suppressed
 
 let test_sarif () =
-  let r = analyze [ "scheme_ibr_violation.ml" ] in
+  let r = analyze [ "idiom_violation.ml" ] in
   let s = Sarif.to_string r.D.findings in
   let contains needle =
     let nh = String.length s and nn = String.length needle in
@@ -255,10 +197,10 @@ let test_sarif () =
   in
   Alcotest.(check bool) "sarif version" true (contains "\"version\": \"2.1.0\"");
   Alcotest.(check bool) "rule id present" true
-    (contains "\"ruleId\": \"unguarded-deref\"");
+    (contains "\"ruleId\": \"obj-magic\"");
   Alcotest.(check bool) "location present" true
-    (contains (fix "scheme_ibr_violation.ml"));
-  Alcotest.(check bool) "start line present" true (contains "\"startLine\": 24")
+    (contains (fix "idiom_violation.ml"));
+  Alcotest.(check bool) "start line present" true (contains "\"startLine\": 4")
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation: the same seeded violation, convicted from both
@@ -316,12 +258,12 @@ let suite =
   [
     Alcotest.test_case "compiler rejects a read-phase write" `Quick
       test_read_phase_write;
-    Alcotest.test_case "R2 unguarded deref" `Quick test_r2;
+    Alcotest.test_case "compiler rejects an unguarded read" `Quick
+      test_read_token;
     Alcotest.test_case "compiler rejects begin_op/end_op" `Quick
       test_hand_opened_op;
     Alcotest.test_case "compiler rejects a plain read" `Quick
       test_read_phase_plain_read;
-    Alcotest.test_case "R2 scheme closure (PR 4 IBR bug)" `Quick test_scheme_ibr;
     Alcotest.test_case "idiom rules on the shared engine" `Quick test_idiom;
     Alcotest.test_case "in-source waiver" `Quick test_waiver;
     Alcotest.test_case "path normalization" `Quick test_normalize_path;
@@ -332,6 +274,4 @@ let suite =
     Alcotest.test_case "cross-check: dynamic" `Quick test_broken_ds_dynamic;
     Alcotest.test_case "compiler rejects a read-phase lock" `Quick
       test_read_phase_lock;
-    Alcotest.test_case "R2 covers every scheme file" `Quick
-      test_r2_covers_schemes;
   ]

@@ -56,10 +56,13 @@ let test_signal_counters () =
 let combos =
   [
     ("nbr", "lazy-list");
+    ("nbr+", "lazy-list");
     ("nbr+", "dgt-tree");
+    ("nbr", "harris-list");
     ("nbr+", "harris-list");
     ("debra", "ab-tree");
     ("hp", "lazy-list");
+    ("hp", "dgt-tree");
     ("ibr", "dgt-tree");
   ]
 
