@@ -187,13 +187,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       if e <> c.local.cached_hi then begin
         Rt.store c.b.shared.hi.(c.tid) e;
         c.local.cached_hi <- e;
-        (* [unsafe_ibr_no_validate] is ablation A3: skipping this check
-           reintroduces the PR 4 frozen-link unsoundness, which the
-           schedule-explorer regression re-finds from a certificate. *)
-        if
-          (not c.b.cfg.Smr_config.unsafe_ibr_no_validate)
-          && not (P.live c.b.pool src)
-        then raise Rt.Neutralized;
+        (* Without this check (mutant [ibr_validate], A3) the frozen
+           link is followed into a freed record. *)
+        if not (P.live c.b.pool src) then raise Rt.Neutralized;
         loop ()
       end
       else v
@@ -204,11 +200,11 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* Interval protection covers targets of guarded dereferences, so data
      reads of an already-covered record need no ratchet.  A [Stale]
-     refusal is the frozen-link unsoundness surfacing (possible only with
-     ablation A3, or through the paper's P5-style misuse): the foil-like
-     honest behaviour is to consume the recycled memory and let
-     [record_read] convict the access — which is exactly what the
-     stored-certificate regression replays. *)
+     refusal is the frozen-link unsoundness surfacing (possible only under
+     the [ibr_validate] mutant, or through the paper's P5-style misuse):
+     the foil-like honest behaviour is to consume the recycled memory and
+     let [record_read] convict the access — which is what the mutant's
+     certificate replays. *)
   let read_data = Unguarded.read_data
   let peek_ptr = Unguarded.peek_ptr
 

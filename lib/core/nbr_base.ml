@@ -149,11 +149,8 @@ struct
     (* Polling runtimes: a signal that arrived before the publication
        completed may have been missed by the sender's scan; restart (no
        shared write has happened yet, so this is always legal).  The
-       [unsafe_end_read] knob disables this for ablation A2. *)
-    if
-      (not c.b.cfg.Smr_config.unsafe_end_read)
-      && Rt.consume_pending_t c.tid
-    then raise Rt.Neutralized;
+       mutant [nbr_end_read_recheck] (test/mutants) removes it. *)
+    if Rt.consume_pending_t c.tid then raise Rt.Neutralized;
     (* The phase completed: any UAF reads it performed were acted on. *)
     Smr_stats.uaf_commit c.st
 

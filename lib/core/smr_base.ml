@@ -63,7 +63,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (X : SCHEME) = struct
   let bounded_garbage = X.descriptor.bounded_garbage
 
   let create pool ~nthreads cfg =
-    P.set_generation_check pool (not cfg.Smr_config.unsafe_no_generation_check);
     {
       pool;
       n = nthreads;

@@ -37,31 +37,6 @@ type t = {
       (** Escalation rounds before the watchdog declares a frozen peer
           dead (exponential back-off: round [r] fires at
           [wd_timeout_ns * 2^r]). *)
-  unsafe_end_read : bool;
-      (** Ablation A2 (never enable in real use): skip the pending-signal
-          check that closes the reservation-publication race in polling
-          runtimes (see {!Runtime_intf.consume_pending_t}).  With this on, a
-          signal that lands between a reader's last poll and its
-          reservation publish can be missed by both sides, re-opening the
-          use-after-free window the writers' handshake exists to close. *)
-  unsafe_ibr_no_validate : bool;
-      (** Ablation A3 (never enable in real use): revert the PR 4 IBR
-          fix — skip the source-liveness validation [Ibr.guarded_read]
-          performs when the era ratchet fires.  With this on, a reader
-          descheduled mid-traversal can wake inside a retired record
-          whose frozen link reaches a record born after its announced
-          upper bound and already freed.  Exists so the schedule
-          explorer (lib/check) can re-find that bug from a certificate
-          as a regression. *)
-  unsafe_no_generation_check : bool;
-      (** Ablation A4 (never enable in real use): disable the pool's
-          generational-handle validation — validated reads never raise
-          [Stale] and hand back whatever occupies the recycled
-          slot, exactly the pre-generational clamping behaviour.  The
-          stale-detection counters keep running, so the sanitizer can
-          still observe the use-after-free this re-opens; exists so the
-          schedule explorer can re-find a stale-handle UAF from a
-          stored certificate. *)
 }
 
 let default =
@@ -73,9 +48,6 @@ let default =
     epoch_freq = 16;
     wd_timeout_ns = 150_000;
     wd_rounds = 2;
-    unsafe_end_read = false;
-    unsafe_ibr_no_validate = false;
-    unsafe_no_generation_check = false;
   }
 
 let with_threshold c n = { c with bag_threshold = n; lo_watermark = n / 2 }

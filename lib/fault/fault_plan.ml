@@ -58,8 +58,9 @@ type signal_fault = {
   drop_pct : int;
       (** % of signals lost outright.  POSIX forbids this for
           [pthread_kill]; non-zero values are for demonstrating what the
-          guarantee buys (expect UAF reads), like the [unsafe_end_read]
-          ablation — keep 0 in safety-asserting tests. *)
+          guarantee buys (expect UAF reads), like the mutants of NBR's
+          handshake in test/mutants — keep 0 in safety-asserting
+          tests. *)
 }
 
 type t = {

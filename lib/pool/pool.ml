@@ -229,11 +229,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     classes : cls array;
     total_capacity : int;
     nthreads : int;
-    mutable gen_check : bool;
-        (** ablation A4 ([Smr_config.unsafe_no_generation_check]) sets
-            this false: validated reads stop failing with [Stale] and
-            hand back recycled memory, pre-rewrite style.  Detection
-            counters keep running either way. *)
     starving : int Atomic.t;
         (** threads currently inside the exhaustion retry loop.  While
             non-zero, frees are rerouted to the class overflow stack so
@@ -313,7 +308,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       classes = cls;
       total_capacity = !base;
       nthreads;
-      gen_check = true;
       starving = Atomic.make 0;
       wm_lo = 0;
       wm_hi = max_int;
@@ -343,7 +337,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let capacity t = t.total_capacity
   let nclasses t = Array.length t.classes
   let class_capacity t i = t.classes.(i).c_capacity
-  let set_generation_check t b = t.gen_check <- b
 
   (* ---------------- handle decoding ---------------- *)
 
@@ -803,7 +796,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* The plain accessors' validation, against the [c]/[i] they decoded. *)
   let[@inline] check t c i h =
-    if t.gen_check && not (owns c i h (meta_of c i)) then note_stale t h
+    if not (owns c i h (meta_of c i)) then note_stale t h
 
   (* A plain read through a stale handle is applied to the recycled
      memory: a committed read of a freed record, so it is traced as an
@@ -816,7 +809,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         Nbr_obs.Trace.Access h (st_of c i)
 
   let[@inline] check_get t c i h =
-    if t.gen_check && not (owns c i h (meta_of c i)) then stale_get t c i h
+    if not (owns c i h (meta_of c i)) then stale_get t c i h
 
   let raw_load_ptr t h f =
     let c = cls_of t h in
@@ -828,21 +821,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let i = slot_of c h in
     Rt.cas_at (ptr c i f) (off i) old v
 
-  (* A validated read that caught a stale handle: with the check on it
-     fails gracefully (raises [Stale], traced as such but NOT as an
-     [Access] — no freed data crossed over, so the sanitizer stays
-     clean); with the A4 ablation the stale value {e commits}, which is a
-     raw access to freed memory and is traced as one so the sanitizer's
-     [uaf_access] rule can convict it. *)
-  let stale_read t h st v =
+  (* A validated read that caught a stale handle fails gracefully: it
+     raises [Stale], traced as such but NOT as an [Access] — no freed
+     data crossed over, so the sanitizer stays clean.  The mutant
+     [pool_generation_check] (test/mutants, A4) commits the stale value
+     instead, traced as the raw access to freed memory it is. *)
+  let stale_read t h v =
     note_stale t h;
-    if t.gen_check then raise_notrace (Stale v)
-    else begin
-      if !Nbr_obs.Trace.fine then
-        Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Access h st;
-      v
-    end
+    raise_notrace (Stale v)
 
   (* The generation is read after the value, as [valid] did: a free
      that recycles the slot between the two shows as [Stale].  The valid
@@ -852,14 +838,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let i = slot_of c h in
     let v = Rt.plain_load_at (data c i f) (off i) in
     let m = meta_of c i in
-    if owns c i h m then v else stale_read t h (m land 3) v
+    if owns c i h m then v else stale_read t h v
 
   let read_ptr t h f =
     let c = cls_of t h in
     let i = slot_of c h in
     let v = Rt.load_at (ptr c i f) (off i) in
     let m = meta_of c i in
-    if owns c i h m then v else stale_read t h (m land 3) v
+    if owns c i h m then v else stale_read t h v
 
   let get_data t h f =
     let c = cls_of t h in

@@ -129,11 +129,6 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
       per-record metadata arrays (IBR/HE birth eras, RCU retire epochs)
       index by this so they stay dense across size-classes. *)
 
-  val set_generation_check : t -> bool -> unit
-  (** Ablation A4 ([Smr_config.unsafe_no_generation_check]): with the
-      check off, validated reads never raise [Stale] and hand back
-      recycled memory pre-rewrite style.  Detection counters still run. *)
-
   (** {1 Occupancy watermarks}
 
       A memory-pressure early-warning line for background reclamation:

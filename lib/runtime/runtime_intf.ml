@@ -40,9 +40,9 @@ type signal_fate =
       (** the signal is lost entirely — never delivered, never visible.
           POSIX guarantees this cannot happen to [pthread_kill]; injecting
           it shows what NBR's safety argument buys from that guarantee
-          (use-after-free becomes possible, as with
-          [Smr_config.unsafe_end_read]).  Schemes that do not use signals
-          are unaffected. *)
+          (use-after-free becomes possible, as with the mutant that
+          drops NBR's signal broadcast, test/mutants/nbr_signal_all).
+          Schemes that do not use signals are unaffected. *)
 (** Fault-injected fate of one neutralization signal (see
     {!S.set_signal_fault}). *)
 

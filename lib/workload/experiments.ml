@@ -498,46 +498,6 @@ let ext_structures quick =
     ~key_range:65536 ~smr_threshold:512 quick
 
 (* ------------------------------------------------------------------ *)
-(* A2: the end_read publication fence (§4.3, lines 11-12).             *)
-
-module Nat = Nbr_runtime.Native_rt
-module HN = Harness.Make (Nat)
-
-let ablation_fences quick =
-  (* The race this protocol closes only exists in the polling (native)
-     runtime: a reclaimer's signal can land between a reader's last poll
-     and its reservation publish, and be missed by both sides unless
-     end_read re-checks after its fenced flag flip.  We run the same
-     workload with the check on and off and report window reads of freed
-     slots plus end-state validity.  On a machine with few cores the
-     window is narrow, so zeroes in the unsafe row mean "didn't manifest
-     here", not "safe" — the simulator can't show this at all because its
-     delivery is exact. *)
-  print_newline ();
-  print_endline
-    "## A2 (§4.3): end_read publication-race check on/off (native runtime)";
-  Printf.printf "%-10s %12s %12s %10s\n" "mode" "uaf-reads" "ops" "valid";
-  List.iter
-    (fun (label, unsafe) ->
-      let smr =
-        { (smr_at 64) with Nbr_core.Smr_config.unsafe_end_read = unsafe }
-      in
-      let cfg =
-        Trial.Cfg.make ~nthreads:6
-          ~duration_ns:(if quick then 150_000_000 else 600_000_000)
-          ~key_range:64 ~ins_pct:40 ~del_pct:40 ~smr ~seed:3 ()
-      in
-      let r = HN.run ~scheme:"nbr+" ~structure:"lazy-list" cfg in
-      (* Only the safe configuration counts towards the validation gate. *)
-      if not unsafe then begin
-        incr validated;
-        if not (Trial.valid r) then incr failures
-      end;
-      Printf.printf "%-10s %12d %12d %10b\n%!" label r.uaf_reads r.total_ops
-        (r.final_size = r.expected_size))
-    [ ("safe", false); ("unsafe", true) ]
-
-(* ------------------------------------------------------------------ *)
 (* E-reclaim: background reclamation (DESIGN.md §12).  Two parts:      *)
 (* tail latency inline vs reclaimer on an update-heavy workload, then  *)
 (* the pressure-chaos adversary (hogs + worker stalls/crash + a        *)
@@ -702,8 +662,6 @@ let all : (string * string * (bool -> unit)) list =
     ("ext_structures", "extension: hash set, skiplist, hazard eras",
      ext_structures);
     ("ablation_signals", "NBR vs NBR+ signal counts (§5)", ablation_signals);
-    ("ablation_fences", "end_read publication-race check on/off (§4.3)",
-     ablation_fences);
     ("usability", "integration effort comparison (§5.3)", usability);
   ]
 

@@ -1,9 +1,10 @@
 (* The analysis suite (lib/check), end to end: certificate round-trips,
    sanitizer rules on synthetic event streams, schedule-explorer
-   negatives — unsafe-free, leaky, and the PR 4 IBR frozen-link bug
-   behind the A3 ablation knob — each with byte-for-byte certificate
-   replay, and a positive swarm smoke over every supported safe
-   scheme × structure pair. *)
+   negatives — unsafe-free and leaky — each with byte-for-byte
+   certificate replay, and a positive swarm smoke over every supported
+   safe scheme × structure pair.  The certificates that kill a removed
+   safety step (the IBR frozen-link bug, A3, among them) are in
+   Test_mutants. *)
 
 module Sim = Nbr_runtime.Sim_rt
 module P = Nbr_pool.Pool.Make (Sim)
@@ -349,169 +350,6 @@ let test_leaky_negative () =
       let r2 = Explore.replay cert ~run:leaky_scenario in
       Alcotest.(check (option string)) "replay reproduces" (Some desc) r1;
       Alcotest.(check (option string)) "replay is deterministic" r1 r2
-
-(* ------------------------------------------------------------------ *)
-(* Regression: the PR 4 IBR frozen-link bug, re-found from first
-   principles.  With [unsafe_ibr_no_validate] (ablation A3) the era
-   ratchet returns the frozen link of a retired source, which can name a
-   record born after the reader's announced upper bound and already
-   swept.  One preemption: the reader resolves the root, the writer
-   replaces and retires everything (epoch_freq/bag_threshold 1 make
-   every retire sweep), the reader follows the frozen link.            *)
-
-module I = Nbr_core.Ibr.Make (Sim)
-
-let ibr_scenario ~validate () =
-  Sim.set_config det_config;
-  Sim.set_max_events 500_000;
-  let pool = P.create ~capacity:32 ~data_fields:1 ~ptr_fields:1 ~nthreads:2 () in
-  let scfg =
-    {
-      Nbr_core.Smr_config.default with
-      epoch_freq = 1;
-      bag_threshold = 1;
-      lo_watermark = 1;
-      unsafe_ibr_no_validate = not validate;
-    }
-  in
-  let smr = I.create pool ~nthreads:2 scfg in
-  let root = P.alloc pool in
-  let c0 = I.register smr ~tid:0 and c1 = I.register smr ~tid:1 in
-  (* Prefill (outside the fibers): one record A published at the root. *)
-  let a = I.alloc c1 in
-  P.set_ptr pool a 0 P.nil;
-  P.set_ptr pool root 0 a;
-  let san =
-    San.attach
-      {
-        San.protection = Nbr_core.Ibr.descriptor.protection;
-        nthreads = 2;
-        garbage_bound = None;
-      }
-  in
-  (try
-     Sim.run ~nthreads:2 (fun tid ->
-         if tid = 0 then begin
-           (* Reader: root, then one hop — the hop follows A's link. *)
-           I.begin_op c0;
-           I.read_only c0 { I.view = (fun _ ->
-               let x = I.read_ptr c0 ~src:root ~field:0 in
-               if x >= 0 then ignore (I.read_ptr c0 ~src:x ~field:0)) };
-           I.end_op c0
-         end
-         else begin
-           (* Writer: replace A with C and retire both.  A stays pinned
-              by the reader's interval with its link frozen at C; C is
-              born after the reader's upper bound, so the sweep frees
-              it. *)
-           I.begin_op c1;
-           let c = I.alloc c1 in
-           P.set_ptr pool c 0 P.nil;
-           P.set_ptr pool a 0 c;
-           P.set_ptr pool root 0 c;
-           I.retire c1 a;
-           P.set_ptr pool root 0 P.nil;
-           I.retire c1 c;
-           I.end_op c1
-         end)
-   with Sim.Stuck _ -> ());
-  San.detach san;
-  if Trace.enabled () then Trace.disable ();
-  verdict san
-
-let test_ibr_regression () =
-  with_clean_globals @@ fun () ->
-  let r =
-    Explore.dfs ~preemption_bound:1 ~nthreads:2
-      ~run:(ibr_scenario ~validate:false)
-      ()
-  in
-  match r.Explore.r_violation with
-  | None ->
-      Alcotest.failf "DFS did not re-find the IBR frozen-link bug (%d schedules)"
-        r.r_schedules
-  | Some (desc, cert) ->
-      Alcotest.(check bool) "frozen link read as a UAF access" true
-        (contains desc "uaf_access");
-      let cert = Cert.of_string (Cert.to_string cert) in
-      let r1 = Explore.replay cert ~run:(ibr_scenario ~validate:false) in
-      let r2 = Explore.replay cert ~run:(ibr_scenario ~validate:false) in
-      Alcotest.(check (option string)) "replay reproduces" (Some desc) r1;
-      Alcotest.(check (option string)) "replay is deterministic" r1 r2;
-      (* The PR 4 fix: the same schedule with source validation on
-         neutralizes the reader instead of handing it the frozen link. *)
-      Alcotest.(check (option string)) "validation closes the window" None
-        (Explore.replay cert ~run:(ibr_scenario ~validate:true))
-
-(* ------------------------------------------------------------------ *)
-(* Ablation A4: generation checks off.  A validated read through a
-   stale handle then *commits* the recycled slot's memory — a raw UAF
-   traced as an [Access] the sanitizer convicts.  With checks on (the
-   default; schemes wire [Smr_config.unsafe_no_generation_check] to
-   [P.set_generation_check] at create) the same schedule surfaces as a
-   typed [Stale] refusal: no freed memory crosses over, no finding.    *)
-
-let gen_check_scenario ~gen_check () =
-  Sim.set_config det_config;
-  Sim.set_max_events 500_000;
-  let pool = P.create ~capacity:16 ~data_fields:1 ~ptr_fields:1 ~nthreads:2 () in
-  P.set_generation_check pool gen_check;
-  let root = Sim.make P.nil in
-  let san =
-    San.attach { San.protection = Epoch; nthreads = 2; garbage_bound = None }
-  in
-  (try
-     Sim.run ~nthreads:2 (fun tid ->
-         if tid = 0 then begin
-           (* Reader: pick up the published handle, then read through it
-              with no protection at all — the knob alone decides whether
-              the read can commit freed memory. *)
-           let a = Sim.load root in
-           if a >= 0 then
-             match P.read_data pool a 0 with
-             | _ -> ()
-             | exception P.Stale _ -> ()
-         end
-         else begin
-           (* Writer: publish A, free it, recycle the slot (same index,
-              bumped generation) so the reader's handle goes stale. *)
-           let a = P.alloc pool in
-           P.set_data pool a 0 1;
-           Sim.store root a;
-           P.free pool a;
-           let b = P.alloc pool in
-           P.set_data pool b 0 2;
-           P.free pool b
-         end)
-   with Sim.Stuck _ -> ());
-  San.detach san;
-  if Trace.enabled () then Trace.disable ();
-  verdict san
-
-let test_gen_check_ablation () =
-  with_clean_globals @@ fun () ->
-  let r =
-    Explore.dfs ~preemption_bound:1 ~nthreads:2
-      ~run:(gen_check_scenario ~gen_check:false)
-      ()
-  in
-  match r.Explore.r_violation with
-  | None ->
-      Alcotest.failf "DFS did not catch the unchecked stale read (%d schedules)"
-        r.r_schedules
-  | Some (desc, cert) ->
-      Alcotest.(check bool) "committed stale read is a UAF access" true
-        (contains desc "uaf_access");
-      let cert = Cert.of_string (Cert.to_string cert) in
-      let r1 = Explore.replay cert ~run:(gen_check_scenario ~gen_check:false) in
-      let r2 = Explore.replay cert ~run:(gen_check_scenario ~gen_check:false) in
-      Alcotest.(check (option string)) "replay reproduces" (Some desc) r1;
-      Alcotest.(check (option string)) "replay is deterministic" r1 r2;
-      (* The tentpole invariant: the identical schedule with generation
-         checks on fails type-safely instead. *)
-      Alcotest.(check (option string)) "generation check closes the window"
-        None
-        (Explore.replay cert ~run:(gen_check_scenario ~gen_check:true))
 
 (* ------------------------------------------------------------------ *)
 (* Positive: every supported safe scheme × structure pair runs a tiny
@@ -889,6 +727,7 @@ module Skip (S : Nbr_core.Smr_intf.S with type pool = P.t) = struct
   include Nbr_ds.Skip_list.Make (Sim) (S)
 end
 
+module I = Nbr_core.Ibr.Make (Sim)
 module Hp = Nbr_core.Hp.Make (Sim)
 module He = Nbr_core.Hazard_eras.Make (Sim)
 
@@ -974,10 +813,6 @@ let suite =
       test_unsafe_free_negative;
     Alcotest.test_case "negative: leaky garbage bound + replay" `Quick
       test_leaky_negative;
-    Alcotest.test_case "regression: IBR frozen link (A3) + replay" `Quick
-      test_ibr_regression;
-    Alcotest.test_case "ablation: unchecked stale read (A4) + replay" `Quick
-      test_gen_check_ablation;
   ]
   @ smoke_tests
   @ [
