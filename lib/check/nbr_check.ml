@@ -13,8 +13,8 @@
       incomplete writers' handshakes, unbalanced operations and
       garbage-bound violations as they happen.
 
-    The source-level companion (the concurrency-idiom lint) lives in
-    [bin/nbr_lint.ml] and runs in CI. *)
+    The source-level companion is the compiler: the types of
+    [Smr_intf.S] and the idiom alerts of [lib/idiom] (DESIGN.md §16). *)
 
 module Certificate = Certificate
 module Explore = Explore

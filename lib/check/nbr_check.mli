@@ -13,11 +13,11 @@
       incomplete writers' handshakes, unbalanced operations and
       garbage-bound violations as they happen.
 
-    The source-level companion lives in {!Nbr_analysis} (driven by
-    [bin/nbr_lint.ml] / [dune build @lint]): the two attack the same
-    protocol from opposite ends — the sanitizer observes one executed
-    schedule, the static rules over-approximate all of them.  See
-    DESIGN.md §16 for the cross-validation story. *)
+    The source-level companion is the compiler: the types of
+    [Smr_intf.S] and the idiom alerts of [lib/idiom].  The two attack the
+    same protocol from opposite ends — the sanitizer observes one
+    executed schedule, the types cover all of them.  See DESIGN.md §16
+    for the cross-validation story. *)
 
 module Certificate = Certificate
 module Explore = Explore

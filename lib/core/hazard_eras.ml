@@ -17,6 +17,10 @@
 
     Bounded: a stalled thread pins at most its published eras' records. *)
 
+(* [read_ptr] loads the link raw, then publishes the era and validates
+   it: the raw accessors are the substrate HE's protection is built on. *)
+[@@@alert "-nbr_raw"]
+
 let descriptor =
   { Smr_intf.name = "he"; bounded_garbage = true; protection = Hazard }
 
@@ -136,8 +140,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         v
     | exception Validation_failed -> raise Rt.Neutralized
 
-  (* Unlinked-record traversal cannot be protected by eras; unsafe with
-     mark-traversing structures (never benchmarked together). *)
+  (* Unlinked-record traversal cannot be protected by eras, so
+     [Registry.refusal] refuses HE the raw-traversal structures. *)
   let read_raw = Unguarded.read_raw
 
   (* Era scan + sweep — the threshold-crossing body of [retire], also run

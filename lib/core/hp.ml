@@ -16,6 +16,10 @@
 
     Bounded: at most (window × threads) records can be pinned. *)
 
+(* [read_ptr] loads the link raw, then announces and validates it: the
+   raw accessors are the substrate HP's protection is built on. *)
+[@@@alert "-nbr_raw"]
+
 let descriptor =
   { Smr_intf.name = "hp"; bounded_garbage = true; protection = Hazard }
 

@@ -24,6 +24,11 @@
     announce-and-validate.  [read_raw] cannot validate, which is why the
     registry refuses IBR the raw-traversal structures. *)
 
+(* [read_ptr] loads the link raw, then ratchets the interval and
+   validates the source: the raw accessors are the substrate IBR's
+   protection is built on. *)
+[@@@alert "-nbr_raw"]
+
 let descriptor =
   { Smr_intf.name = "ibr"; bounded_garbage = true; protection = Interval }
 

@@ -6,6 +6,10 @@
     [reclaimFreeable].  {!Nbr.Make} and {!Nbr_plus.Make} instantiate this
     base and plug in Algorithm 1's and Algorithm 2's [retire]. *)
 
+(* [read_raw] loads raw inside a restartable read phase: neutralization,
+   not a validation, is what protects it. *)
+[@@@alert "-nbr_raw"]
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (D : sig val descriptor : Smr_intf.scheme end) =

@@ -1,3 +1,9 @@
+(* The raw accessors are the scheme layer's substrate: [Unguarded] is the
+   one read path of the schemes with no per-read protection, and
+   [load_tagged]/[cas_tagged] carry the Harris list's mark-tagged links,
+   which are not handles. *)
+[@@@alert "-nbr_raw"]
+
 module type SCHEME = sig
   type inst
   type thr

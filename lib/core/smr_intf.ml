@@ -49,6 +49,12 @@
     [read_ptr] performs the announce/fence/validate dance and aborts the
     read phase (via the checkpoint) when validation fails. *)
 
+(* The Offload switchboard (DESIGN.md §12) is runtime-agnostic shared
+   state between workers and the background reclaimer: this module is
+   not functorized over a runtime, so it cannot use [Rt.make], and every
+   access is on the threshold-crossing slow path, never per operation. *)
+[@@@alert "-nbr_atomic_make"]
+
 (** Shared state of the limbo-bag externalization protocol: one record
     per scheme instance, linking the workers' retire paths to whichever
     thread plays the background-reclaimer role.

@@ -104,10 +104,5 @@ module Reclaim = Nbr_reclaim.Reclaimer
     schedule certificates).  See DESIGN.md §11. *)
 module Check = Nbr_check
 
-(** Static analysis (DESIGN.md §16): a compiler-libs pass for the
-    concurrency-idiom rules, with SARIF output.  Drives [bin/nbr_lint] /
-    [dune build @lint]. *)
-module Analysis = Nbr_analysis
-
 (** SplitMix64 PRNG, the repo-wide randomness source. *)
 module Rng = Nbr_sync.Rng

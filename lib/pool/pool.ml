@@ -784,8 +784,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
        never a crash.
      - {e raw} accessors ([raw_load_ptr] / [raw_cas_ptr]) perform no
        generation check at all: they are the substrate the SMR schemes
-       build their protected reads on, and the Harris list's tagged-word
-       traversal.  Uses are instrumented at the call sites via
+       build their protected reads and tagged-word access on (alert
+       [nbr_raw] in pool.mli).  Uses are instrumented at the call sites via
        {!record_read}.  Record locks ({!lock} and friends) are
        unchecked too: a lock word is a data field the structure names.
 

@@ -199,9 +199,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
       generation miss is counted and traced, then applied to the
       recycled memory (memory-safe, observable, never a crash); {e raw}
       accessors perform no generation check — the substrate SMR schemes
-      build protected reads on, and raw tagged-word traversals — and
-      call sites instrument via {!record_read}.  Every accessor is addressed by
-      (handle, field); each field of a size-class is one flat runtime
+      build protected reads and tagged-word access on (alert [nbr_raw]) —
+      and call sites instrument via {!record_read}.  Every accessor is
+      addressed by (handle, field); each field of a size-class is one flat runtime
       {!Nbr_runtime.Runtime_intf.S.cells} block per chunk, never one heap
       object per word.  The pre-rewrite index-clamping accessors are
       gone.  A handle whose index lies past the slots made so far names
@@ -212,18 +212,31 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   val read_ptr : t -> int -> int -> int
   (** [read_data t h f] / [read_ptr t h f]: field [f] of the record [h]
       names (a plain load / a synchronising load), or [Stale] raised with
-      the slot's current contents when [h] is stale.  With the generation
-      check off (A4) a stale read returns those contents instead, traced
-      as an access. *)
+      the slot's current contents when [h] is stale.  The generation
+      check has no off switch; removing it is the [pool_generation_check]
+      mutant (test/mutants/). *)
 
   val raw_load_ptr : t -> int -> int -> int
+  [@@alert
+    nbr_raw
+      "raw cell addressing bypasses generation validation: go through \
+       the scheme's validated accessors (read_data / read_ptr / \
+       peek_ptr), or waive a deliberate use with [@@@alert \"-nbr_raw\"] \
+       and its reason"]
   (** [raw_load_ptr t h f]: synchronising load of pointer field [f] of
       the slot [h] addresses, with {e no} generation check (a stale or
       non-handle [h] reads whatever that memory holds now).  Outside
-      [lib/pool] only the SMR schemes' protected reads and the Harris
-      list's tagged links may use it (lint rule [pool-raw-index]). *)
+      [lib/pool] only the SMR schemes' protected reads and tagged-word
+      accessors ([Smr_base]) may use it: alert [nbr_raw], an error
+      everywhere but where a file waives it. *)
 
   val raw_cas_ptr : t -> int -> int -> int -> int -> bool
+  [@@alert
+    nbr_raw
+      "raw cell addressing bypasses generation validation: go through \
+       the scheme's validated accessors (read_data / read_ptr / \
+       peek_ptr), or waive a deliberate use with [@@@alert \"-nbr_raw\"] \
+       and its reason"]
   (** [raw_cas_ptr t h f old v]: CAS on pointer field [f], unchecked like
       {!raw_load_ptr}. *)
 

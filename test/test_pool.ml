@@ -1,5 +1,8 @@
 (* Unit and property tests for the record pool (simulated manual memory). *)
 
+(* The raw accessors' own tests read through them. *)
+[@@@alert "-nbr_raw"]
+
 module Sim = Nbr_runtime.Sim_rt
 module P = Nbr_pool.Pool.Make (Sim)
 
